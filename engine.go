@@ -512,6 +512,7 @@ func (e *Engine) partitionScored(ctx context.Context, a *App, p *RunProfile, opt
 		Constraint:       opts.Constraint,
 		Order:            opts.Order,
 		Edges:            p.edges,
+		Tables:           a.blockTables(),
 		MaxMoves:         opts.MaxMoves,
 		SkipNonImproving: opts.SkipNonImproving,
 		OnMove:           onMove,
@@ -635,7 +636,7 @@ func (e *Engine) partitionEnergyApp(ctx context.Context, a *App, p *RunProfile) 
 			})
 		}
 	}
-	res, err := energy.Partition(ctx, a.fprog, a.flat, rep, cfg)
+	res, err := energy.Partition(ctx, a.fprog, a.blockTables(), rep, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -32,6 +32,19 @@ type App struct {
 	// recompute flat's CFG edge lists in place, the one mutation of shared
 	// state on the partitioning path.
 	analysisMu sync.Mutex
+
+	// tables are flat's per-block DFGs, level order and live-in/out
+	// footprints, built on first use and shared read-only by every packing,
+	// replay and scoring call on this App. They derive from instructions and
+	// terminators only, so the CFG-edge rewrite above cannot invalidate them.
+	tablesOnce sync.Once
+	tables     *ir.BlockTables
+}
+
+// blockTables returns the App's mapping-independent block tables.
+func (a *App) blockTables() *ir.BlockTables {
+	a.tablesOnce.Do(func() { a.tables = ir.BuildBlockTables(a.flat) })
+	return a.tables
 }
 
 // analyze runs the analysis substrate under the App's mutex; everything

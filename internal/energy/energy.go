@@ -15,7 +15,6 @@ import (
 	"hybridpart/internal/coarsegrain"
 	"hybridpart/internal/finegrain"
 	"hybridpart/internal/ir"
-	"hybridpart/internal/partition"
 	"hybridpart/internal/platform"
 )
 
@@ -149,17 +148,18 @@ func (r *Result) ReductionPct() float64 {
 }
 
 // Evaluate computes the energy breakdown of a given fine/coarse assignment
-// (moved[b] = true means block b executes on the coarse-grain data-path).
-func Evaluate(f *ir.Function, freq []uint64, moved map[ir.BlockID]bool,
+// of t's function (moved[b] = true means block b executes on the
+// coarse-grain data-path).
+func Evaluate(t *ir.BlockTables, freq []uint64, moved map[ir.BlockID]bool,
 	plat platform.Platform, costs Costs, edges []finegrain.EdgeFreq) (Breakdown, error) {
 	var bd Breakdown
-	pm, err := finegrain.PackFunction(f, plat.Fine, func(id ir.BlockID) bool { return !moved[id] })
-	if err != nil {
+	var pm finegrain.PackedMapping
+	if err := pm.Pack(t, plat.Fine, func(id ir.BlockID) bool { return !moved[id] }); err != nil {
 		return bd, err
 	}
 	bd.Reconfig = float64(pm.Crossings(freq, edges)) * costs.Reconfig
-	liveIO := partition.ComputeLiveIO(f)
-	for _, b := range f.Blocks {
+	liveIO := t.LiveIO
+	for _, b := range t.F.Blocks {
 		var n uint64
 		if int(b.ID) < len(freq) {
 			n = freq[b.ID]
@@ -185,12 +185,15 @@ func Evaluate(f *ir.Function, freq []uint64, moved map[ir.BlockID]bool,
 	return bd, nil
 }
 
-// Partition runs the energy-constrained engine: kernels move one by one (in
-// analysis order) to the coarse-grain data-path until the energy budget is
-// met. Kernels the data-path cannot execute are skipped. The context is
-// checked between moves; cancelling it returns ctx.Err(). A nil ctx means
+// Partition runs the energy-constrained engine on the function whose block
+// tables are given (shared read-only with every other consumer of the same
+// compiled application): kernels move one by one (in analysis order) to the
+// coarse-grain data-path until the energy budget is met. Kernels the
+// data-path cannot execute are skipped. The context is checked between
+// moves; cancelling it returns ctx.Err(). A nil ctx means
 // context.Background().
-func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analysis.Report, cfg Config) (*Result, error) {
+func Partition(ctx context.Context, prog *ir.Program, tables *ir.BlockTables, rep *analysis.Report, cfg Config) (*Result, error) {
+	f := tables.F
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -215,7 +218,7 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 	}
 
 	moved := map[ir.BlockID]bool{}
-	initial, err := Evaluate(f, freq, moved, cfg.Platform, cfg.Costs, cfg.Edges)
+	initial, err := Evaluate(tables, freq, moved, cfg.Platform, cfg.Costs, cfg.Edges)
 	if err != nil {
 		return nil, err
 	}
@@ -236,8 +239,7 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		blk := f.Block(k)
-		if _, err := coarsegrain.MapDFG(ir.BuildDFG(f, blk), cfg.Platform.Coarse, arrLen); err != nil {
+		if _, err := coarsegrain.MapDFG(tables.DFG[k], cfg.Platform.Coarse, arrLen); err != nil {
 			if errors.Is(err, coarsegrain.ErrUnmappable) {
 				res.Unmappable = append(res.Unmappable, k)
 				continue
@@ -246,7 +248,7 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 		}
 		moved[k] = true
 		res.Moved = append(res.Moved, k)
-		bd, err := Evaluate(f, freq, moved, cfg.Platform, cfg.Costs, cfg.Edges)
+		bd, err := Evaluate(tables, freq, moved, cfg.Platform, cfg.Costs, cfg.Edges)
 		if err != nil {
 			return nil, err
 		}

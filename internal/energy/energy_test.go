@@ -29,11 +29,11 @@ int f(int n) {
 }`
 
 type testApp struct {
-	prog  *ir.Program
-	fn    *ir.Function
-	rep   *analysis.Report
-	freq  []uint64
-	edges []finegrain.EdgeFreq
+	prog   *ir.Program
+	tables *ir.BlockTables
+	rep    *analysis.Report
+	freq   []uint64
+	edges  []finegrain.EdgeFreq
 }
 
 func prepare(t *testing.T, src, entry string, args ...interp.Arg) testApp {
@@ -63,7 +63,7 @@ func prepare(t *testing.T, src, entry string, args ...interp.Arg) testApp {
 	for k, n := range prof.Edges[entry] {
 		edges = append(edges, finegrain.EdgeFreq{From: k.From(), To: k.To(), N: n})
 	}
-	return testApp{prog: fp, fn: flat, rep: rep, freq: freq, edges: edges}
+	return testApp{prog: fp, tables: ir.BuildBlockTables(flat), rep: rep, freq: freq, edges: edges}
 }
 
 func TestEvaluateAllFineVsAllMoved(t *testing.T) {
@@ -71,7 +71,7 @@ func TestEvaluateAllFineVsAllMoved(t *testing.T) {
 	plat := platform.Paper(1500, 2)
 	costs := DefaultCosts()
 
-	base, err := Evaluate(a.fn, a.freq, map[ir.BlockID]bool{}, plat, costs, a.edges)
+	base, err := Evaluate(a.tables, a.freq, map[ir.BlockID]bool{}, plat, costs, a.edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestEvaluateAllFineVsAllMoved(t *testing.T) {
 
 	// Move the hottest kernel: fine energy must drop, coarse+comm appear.
 	moved := map[ir.BlockID]bool{a.rep.Kernels[0]: true}
-	after, err := Evaluate(a.fn, a.freq, moved, plat, costs, a.edges)
+	after, err := Evaluate(a.tables, a.freq, moved, plat, costs, a.edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestPartitionMeetsBudget(t *testing.T) {
 	}
 	// First find the achievable range.
 	cfg.Budget = 1e18
-	loose, err := Partition(context.Background(), a.prog, a.fn, a.rep, cfg)
+	loose, err := Partition(context.Background(), a.prog, a.tables, a.rep, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestPartitionMeetsBudget(t *testing.T) {
 	}
 
 	cfg.Budget = loose.InitialEnergy * 0.7
-	res, err := Partition(context.Background(), a.prog, a.fn, a.rep, cfg)
+	res, err := Partition(context.Background(), a.prog, a.tables, a.rep, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestPartitionMeetsBudget(t *testing.T) {
 
 func TestPartitionImpossibleBudget(t *testing.T) {
 	a := prepare(t, hotSrc, "f", interp.Int(4))
-	res, err := Partition(context.Background(), a.prog, a.fn, a.rep, Config{
+	res, err := Partition(context.Background(), a.prog, a.tables, a.rep, Config{
 		Platform: platform.Paper(1500, 2),
 		Costs:    DefaultCosts(),
 		Budget:   1, // unreachable
@@ -158,14 +158,14 @@ func TestPartitionImpossibleBudget(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	a := prepare(t, hotSrc, "f", interp.Int(1))
-	if _, err := Partition(context.Background(), a.prog, a.fn, a.rep, Config{
+	if _, err := Partition(context.Background(), a.prog, a.tables, a.rep, Config{
 		Platform: platform.Default(), Costs: DefaultCosts(), Budget: 0,
 	}); err == nil {
 		t.Fatal("zero budget accepted")
 	}
 	bad := DefaultCosts()
 	bad.FineMul = -1
-	if _, err := Partition(context.Background(), a.prog, a.fn, a.rep, Config{
+	if _, err := Partition(context.Background(), a.prog, a.tables, a.rep, Config{
 		Platform: platform.Default(), Costs: bad, Budget: 100,
 	}); err == nil {
 		t.Fatal("negative cost accepted")
@@ -190,7 +190,7 @@ int f(int n) {
     return s;
 }`
 	a := prepare(t, src, "f", interp.Int(50))
-	res, err := Partition(context.Background(), a.prog, a.fn, a.rep, Config{
+	res, err := Partition(context.Background(), a.prog, a.tables, a.rep, Config{
 		Platform: platform.Paper(1500, 2),
 		Costs:    DefaultCosts(),
 		Budget:   1,
@@ -216,7 +216,7 @@ func TestContextCancellationAndOnMove(t *testing.T) {
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
 	cfg.Budget = 1
-	if _, err := Partition(dead, a.prog, a.fn, a.rep, cfg); !errors.Is(err, context.Canceled) {
+	if _, err := Partition(dead, a.prog, a.tables, a.rep, cfg); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 
@@ -225,7 +225,7 @@ func TestContextCancellationAndOnMove(t *testing.T) {
 	var hooked []Move
 	cfg.Budget = 1 // unreachable: every candidate would move
 	cfg.OnMove = func(m Move) { hooked = append(hooked, m) }
-	res, err := Partition(context.Background(), a.prog, a.fn, a.rep, cfg)
+	res, err := Partition(context.Background(), a.prog, a.tables, a.rep, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestContextCancellationAndOnMove(t *testing.T) {
 	defer cancelMid()
 	calls := 0
 	cfg.OnMove = func(Move) { calls++; cancelMid() }
-	if _, err := Partition(ctx, a.prog, a.fn, a.rep, cfg); !errors.Is(err, context.Canceled) {
+	if _, err := Partition(ctx, a.prog, a.tables, a.rep, cfg); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 	if calls != 1 {

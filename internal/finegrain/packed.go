@@ -15,6 +15,11 @@ import (
 // between blocks of different partitions. This is the model the
 // partitioning engine uses to evaluate t_FPGA: per-execution level cycles
 // (eq. 4) plus ReconfigCycles per profiled partition crossing.
+//
+// A PackedMapping is per-candidate state: Pack rewrites every field, so one
+// value can be reused across candidate mappings without allocating. The
+// tables it packs from (ir.BlockTables: DFGs, level order) are per-App and
+// shared read-only by every packing of that application.
 type PackedMapping struct {
 	// Included reports whether a block was mapped (the engine excludes
 	// blocks moved to the coarse-grain data-path).
@@ -45,17 +50,36 @@ type PackedMapping struct {
 func (pm *PackedMapping) Region(p int) int { return p % pm.Regions }
 
 // PackFunction maps every block of f accepted by include (nil = all) onto
-// the fine-grain fabric with cross-block area packing.
+// the fine-grain fabric with cross-block area packing. It builds f's block
+// tables for this one call; callers packing many candidates of one
+// application build the tables once and call Pack.
 func PackFunction(f *ir.Function, fg platform.FineGrain, include func(ir.BlockID) bool) (*PackedMapping, error) {
-	n := len(f.Blocks)
-	pm := &PackedMapping{
-		Included:          make([]bool, n),
-		PerBlockCycles:    make([]int64, n),
-		FirstPart:         make([]int, n),
-		LastPart:          make([]int, n),
-		InternalCrossings: make([]int, n),
-		Regions:           fg.NumRegions(),
+	pm := new(PackedMapping)
+	if err := pm.Pack(ir.BuildBlockTables(f), fg, include); err != nil {
+		return nil, err
 	}
+	return pm, nil
+}
+
+// Pack overwrites pm with the packing of every block of t accepted by
+// include (nil = all), reusing pm's slices: once they have grown to the
+// block count, packing allocates nothing.
+//
+// Figure 3's walk visits each block's nodes level-major (t.Levels) and
+// opens the next partition when the region's area is exhausted. A block's
+// cost is the sum over its (partition, level) groups of the group's slowest
+// operator; since partitions only grow along the walk, every group is one
+// contiguous run and a running max per run yields the sum.
+func (pm *PackedMapping) Pack(t *ir.BlockTables, fg platform.FineGrain, include func(ir.BlockID) bool) error {
+	n := len(t.F.Blocks)
+	pm.Included = resize(pm.Included, n)
+	pm.PerBlockCycles = resize(pm.PerBlockCycles, n)
+	pm.FirstPart = resize(pm.FirstPart, n)
+	pm.LastPart = resize(pm.LastPart, n)
+	pm.InternalCrossings = resize(pm.InternalCrossings, n)
+	pm.NumPartitions = 0
+	pm.Regions = fg.NumRegions()
+
 	part := 0 // current partition index (0-based)
 	areaCovered := 0
 	usedAny := false
@@ -63,63 +87,75 @@ func PackFunction(f *ir.Function, fg platform.FineGrain, include func(ir.BlockID
 	// region this is the whole fabric and packing is the paper's Figure 3.
 	limit := fg.RegionArea()
 
-	for _, b := range f.Blocks {
-		if include != nil && !include(b.ID) {
-			pm.FirstPart[b.ID] = part
-			pm.LastPart[b.ID] = part
+	for id, nodes := range t.Levels {
+		b := ir.BlockID(id)
+		included := include == nil || include(b)
+		pm.Included[id] = included
+		pm.PerBlockCycles[id] = 0
+		pm.FirstPart[id] = part
+		pm.LastPart[id] = part
+		pm.InternalCrossings[id] = 0
+		if !included {
 			continue
 		}
-		pm.Included[b.ID] = true
-		d := ir.BuildDFG(f, b)
-		if d.NumNodes() == 0 {
-			pm.PerBlockCycles[b.ID] = 1 // control-only sequencing
-			pm.FirstPart[b.ID] = part
-			pm.LastPart[b.ID] = part
+		if len(nodes) == 0 {
+			pm.PerBlockCycles[id] = 1 // control-only sequencing
 			continue
 		}
 		usedAny = true
 		first := -1
-		// levelCost[partition][level] accumulation for this block.
-		levelCost := map[[2]int]int{}
-		for level := 1; level <= d.MaxLevel; level++ {
-			for _, u := range d.NodesAtLevel(level) {
-				sz := fg.Costs.Area(ir.ClassOf(d.Op(u)))
-				if sz > limit {
-					return nil, fmt.Errorf(
-						"finegrain: block b%d node %d (%s, %d units) exceeds A_FPGA (%d units)",
-						b.ID, u, d.Op(u), sz, limit)
-				}
-				if areaCovered+sz > limit {
-					part++
-					areaCovered = 0
-				}
-				areaCovered += sz
-				if first < 0 {
-					first = part
-				}
-				lat := fg.Costs.Latency(ir.ClassOf(d.Op(u)))
-				key := [2]int{part, level}
-				if lat > levelCost[key] {
-					levelCost[key] = lat
-				}
+		var cycles int64
+		level := int32(0) // level of the current (partition, level) run
+		runMax := 0       // slowest operator of the current run
+		for _, nd := range nodes {
+			sz := fg.Costs.Area(nd.Class)
+			if sz > limit {
+				op := t.F.Blocks[id].Instrs[nd.Node].Op
+				return fmt.Errorf(
+					"finegrain: block b%d node %d (%s, %d units) exceeds A_FPGA (%d units)",
+					b, nd.Node, op, sz, limit)
+			}
+			if areaCovered+sz > limit {
+				part++
+				areaCovered = 0
+				cycles += int64(runMax)
+				runMax = 0
+			}
+			areaCovered += sz
+			if first < 0 {
+				first = part
+			}
+			if nd.Level != level {
+				cycles += int64(runMax)
+				runMax = 0
+				level = nd.Level
+			}
+			if lat := fg.Costs.Latency(nd.Class); lat > runMax {
+				runMax = lat
 			}
 		}
-		var cycles int64
-		for _, c := range levelCost {
-			cycles += int64(c)
-		}
+		cycles += int64(runMax)
 		if cycles < 1 {
 			cycles = 1
 		}
-		pm.PerBlockCycles[b.ID] = cycles
-		pm.FirstPart[b.ID] = first
-		pm.LastPart[b.ID] = part
-		pm.InternalCrossings[b.ID] = part - first
+		pm.PerBlockCycles[id] = cycles
+		pm.FirstPart[id] = first
+		pm.LastPart[id] = part
+		pm.InternalCrossings[id] = part - first
 	}
 	if usedAny {
 		pm.NumPartitions = part + 1
 	}
-	return pm, nil
+	return nil
+}
+
+// resize returns s with length n, reallocating only when its capacity is
+// short. The contents are unspecified: Pack writes every entry.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // EdgeFreq is a profiled control-flow transition count.

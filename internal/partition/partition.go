@@ -41,6 +41,11 @@ type Config struct {
 	// reconfiguration model (empty = only the initial configuration is
 	// charged).
 	Edges []finegrain.EdgeFreq
+	// Tables are the function's mapping-independent block tables (DFGs,
+	// level order, live-in/out footprints), shared read-only with every
+	// other consumer of the same compiled application; nil builds them for
+	// this run.
+	Tables *ir.BlockTables
 	// MaxMoves bounds the number of kernels moved (0 = all candidates).
 	MaxMoves int
 	// SkipNonImproving, when set, rejects moves that increase t_total
@@ -66,8 +71,8 @@ type Config struct {
 	RerankK int
 	// SimCost scores a candidate moved-set by its simulated makespan in FPGA
 	// cycles. Required when Objective is ObjectiveSimulated or RerankK is
-	// non-zero; the engine facade injects the co-simulator here (this package
-	// cannot import internal/sim, which imports it back for ComputeLiveIO).
+	// non-zero; the engine facade injects the co-simulator here, which keeps
+	// the move loop independent of internal/sim.
 	SimCost func(ctx context.Context, moved []ir.BlockID) (int64, error)
 	// SimCostBatch, when non-nil, scores a whole slate of candidate
 	// moved-sets at once and takes precedence over per-candidate SimCost
@@ -193,15 +198,24 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 		return nil, fmt.Errorf("partition: objective %v (rerank %d) needs a SimCost evaluator", cfg.Objective, cfg.RerankK)
 	}
 
+	tables := cfg.Tables
+	if tables == nil {
+		tables = ir.BuildBlockTables(f)
+	} else if tables.F != f {
+		return nil, fmt.Errorf("partition: block tables describe function %q, not %q", tables.F.Name, f.Name)
+	}
+
 	plat := cfg.Platform
 	freq := make([]uint64, len(f.Blocks))
 	for i := range rep.Blocks {
 		freq[i] = rep.Blocks[i].Freq
 	}
 
-	// Step 2: map everything to the fine-grain hardware.
-	pm, err := finegrain.PackFunction(f, plat.Fine, nil)
-	if err != nil {
+	// Step 2: map everything to the fine-grain hardware. pm always holds the
+	// packing of the current moved set: all-FPGA here, repacked after every
+	// accepted move.
+	var pm finegrain.PackedMapping
+	if err := pm.Pack(tables, plat.Fine, nil); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInfeasible, err)
 	}
 	res := &Result{Func: f.Name, Constraint: cfg.Constraint, Objective: cfg.Objective}
@@ -228,20 +242,19 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 
 	// Step 3 products: ordered kernels and live-in/out footprints.
 	kernels := analysis.OrderKernels(rep, cfg.Order)
-	liveIO := ComputeLiveIO(f)
+	liveIO := tables.LiveIO
 	arrLen := coarsegrain.ArrLenOf(prog, f)
 
-	moved := map[ir.BlockID]bool{}
+	moved := make([]bool, len(f.Blocks))
 	var coarseCGCCycles int64 // Σ latency×freq in T_CGC cycles (eq. 3)
 	var commCycles int64
 	ratio := int64(plat.Coarse.ClockRatio)
 
 	evalTotal := func() (tFPGA, tCoarse, tComm, total int64, err error) {
-		cur, err := finegrain.PackFunction(f, plat.Fine, func(id ir.BlockID) bool { return !moved[id] })
-		if err != nil {
+		if err := pm.Pack(tables, plat.Fine, func(id ir.BlockID) bool { return !moved[id] }); err != nil {
 			return 0, 0, 0, 0, err
 		}
-		tFPGA = cur.TotalCycles(freq, cfg.Edges, plat.Fine.ReconfigCycles)
+		tFPGA = pm.TotalCycles(freq, cfg.Edges, plat.Fine.ReconfigCycles)
 		tCoarse = (coarseCGCCycles + ratio - 1) / ratio
 		tComm = commCycles
 		return tFPGA, tCoarse, tComm, tFPGA + tCoarse + tComm, nil
@@ -260,8 +273,7 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 			break
 		}
 		_, moveSpan := obs.Start(ctx, "move", obs.Int("block", int(k)))
-		blk := f.Block(k)
-		sched, err := coarsegrain.MapDFG(ir.BuildDFG(f, blk), plat.Coarse, arrLen)
+		sched, err := coarsegrain.MapDFG(tables.DFG[k], plat.Coarse, arrLen)
 		if err != nil {
 			if errors.Is(err, coarsegrain.ErrUnmappable) {
 				res.Unmappable = append(res.Unmappable, k)
@@ -277,12 +289,9 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 
 		if cfg.SkipNonImproving {
 			// Does the move pay for itself? Compare the kernel's current
-			// FPGA cost against its coarse cost plus communication.
-			curPM, err := finegrain.PackFunction(f, plat.Fine, func(id ir.BlockID) bool { return !moved[id] })
-			if err != nil {
-				return nil, err
-			}
-			fpgaCost := curPM.PerBlockCycles[k] * int64(freq[k])
+			// FPGA cost (pm still packs the current moved set) against its
+			// coarse cost plus communication.
+			fpgaCost := pm.PerBlockCycles[k] * int64(freq[k])
 			coarseCost := (moveCGC+ratio-1)/ratio + moveComm
 			if coarseCost >= fpgaCost {
 				res.Skipped = append(res.Skipped, k)

@@ -260,7 +260,7 @@ int f(int a, int b) {
     return s;
 }`
 	p := prepare(t, src, "f", interp.Int(2), interp.Int(3))
-	live := ComputeLiveIO(p.fn)
+	live := ir.BuildBlockTables(p.fn).LiveIO
 	// Find the loop body: the block with the multiply.
 	var body ir.BlockID = -1
 	for _, blk := range p.fn.Blocks {

@@ -72,6 +72,11 @@ import (
 // when a run is abandoned because the client's context was cancelled.
 const StatusClientClosedRequest = 499
 
+// maxBodyBytes caps every POST body. The largest legitimate body, inline
+// JPEG source with its image input, is about 250 KB; a larger body is
+// refused with 413 before it is buffered.
+const maxBodyBytes = 8 << 20
+
 // maxSweepPoints bounds the expanded grid of one /v1/sweep request.
 const maxSweepPoints = 100000
 
@@ -578,13 +583,27 @@ func (s *Server) statsJSON() StatsJSON {
 	return out
 }
 
-// decodePartitionRequest parses and shape-checks a partition body.
-func decodePartitionRequest(r *http.Request, energy bool) (*PartitionRequest, *httpError) {
-	var req PartitionRequest
-	dec := json.NewDecoder(r.Body)
+// decodeBody strictly decodes r's JSON body into v, reading at most
+// maxBodyBytes: a longer body is a 413, a malformed one a 400.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) *httpError {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return nil, badRequest("malformed request body: " + err.Error())
+	if err := dec.Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return &httpError{status: http.StatusRequestEntityTooLarge,
+				msg: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)}
+		}
+		return badRequest("malformed request body: " + err.Error())
+	}
+	return nil
+}
+
+// decodePartitionRequest parses and shape-checks a partition body.
+func decodePartitionRequest(w http.ResponseWriter, r *http.Request, energy bool) (*PartitionRequest, *httpError) {
+	var req PartitionRequest
+	if e := decodeBody(w, r, &req); e != nil {
+		return nil, e
 	}
 	if e := req.validate(energy); e != nil {
 		return nil, e
@@ -694,7 +713,7 @@ func (s *Server) servePartition(w http.ResponseWriter, r *http.Request, energy b
 	if energy {
 		endpoint, kind = "/v1/partition-energy", "energy"
 	}
-	req, httpErr := decodePartitionRequest(r, energy)
+	req, httpErr := decodePartitionRequest(w, r, energy)
 	if httpErr == nil {
 		if !energy {
 			// The service default: requests that leave the objective
@@ -794,10 +813,8 @@ func (s *Server) handlePartitionEnergy(w http.ResponseWriter, r *http.Request) {
 // wire encoding of the same run.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req SimulateRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, badRequest("malformed request body: "+err.Error()))
+	if httpErr := decodeBody(w, r, &req); httpErr != nil {
+		s.writeError(w, httpErr)
 		return
 	}
 	if httpErr := req.validate(); httpErr != nil {
@@ -859,10 +876,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 // compile+profile through the process-wide benchmark profile cache.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var spec hybridpart.SweepSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		s.writeError(w, badRequest("malformed request body: "+err.Error()))
+	if httpErr := decodeBody(w, r, &spec); httpErr != nil {
+		s.writeError(w, httpErr)
 		return
 	}
 	if err := spec.Validate(); err != nil {

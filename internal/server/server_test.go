@@ -241,6 +241,37 @@ func TestPartitionBadRequests(t *testing.T) {
 	}
 }
 
+// TestBodyCap: every POST decoder reads at most maxBodyBytes. A body one
+// byte over the cap is a 413; a body of exactly the cap still decodes (its
+// unknown benchmark is the 404 that proves the decoder saw the object).
+func TestBodyCap(t *testing.T) {
+	s := newTestServer(t, Config{})
+	padded := func(obj string, size int) string {
+		return strings.Repeat(" ", size-len(obj)) + obj
+	}
+	cases := []struct{ path, obj string }{
+		{"/v1/partition", `{"benchmark":"mp3"}`},
+		{"/v1/partition-energy", `{"benchmark":"mp3","energy_budget":5}`},
+		{"/v1/simulate", `{"benchmark":"mp3"}`},
+		{"/v1/sweep", `{"benchmarks":["mp3"]}`},
+	}
+	for _, tc := range cases {
+		t.Run(strings.TrimPrefix(tc.path, "/v1/"), func(t *testing.T) {
+			rec := post(t, s, tc.path, padded(tc.obj, maxBodyBytes+1))
+			if rec.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("cap+1 bytes: status %d, want 413 (body %s)", rec.Code, rec.Body)
+			}
+			var e ErrorJSON
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || !strings.Contains(e.Error, "exceeds") {
+				t.Fatalf("413 body not a size ErrorJSON: %s", rec.Body)
+			}
+			if rec := post(t, s, tc.path, padded(tc.obj, maxBodyBytes)); rec.Code != http.StatusNotFound {
+				t.Fatalf("cap bytes: status %d, want 404 (body %s)", rec.Code, rec.Body)
+			}
+		})
+	}
+}
+
 // TestPartitionCancellation covers the 499 path: a request whose context is
 // already dead reaches the engine, which aborts with context.Canceled; the
 // failed run must not poison the cache.

@@ -3,12 +3,12 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 
 	"hybridpart/internal/coarsegrain"
 	"hybridpart/internal/finegrain"
 	"hybridpart/internal/ir"
-	"hybridpart/internal/partition"
 	"hybridpart/internal/platform"
 )
 
@@ -41,12 +41,16 @@ type Config struct {
 // the partitioning engine moved to the coarse-grain data-path (empty
 // simulates the all-FPGA mapping).
 type Input struct {
-	Prog  *ir.Program
-	F     *ir.Function
-	Plat  platform.Platform
-	Freq  []uint64
-	Edges []finegrain.EdgeFreq
-	Moved []ir.BlockID
+	Prog *ir.Program
+	F    *ir.Function
+	// Tables are F's mapping-independent block tables, shared read-only
+	// with every other consumer of the same compiled application; nil
+	// builds them for this Replayer.
+	Tables *ir.BlockTables
+	Plat   platform.Platform
+	Freq   []uint64
+	Edges  []finegrain.EdgeFreq
+	Moved  []ir.BlockID
 }
 
 // KernelStat is one row of the per-kernel timeline: aggregate fabric
@@ -110,12 +114,18 @@ func max64(a, b int64) int64 {
 }
 
 // Replayer is the reusable half of the simulator: the canonical trace, the
-// live-in/out footprints and the per-kernel data-path schedules, all of
-// which depend only on the application and its profile — not on the mapping.
-// Building one Replayer and calling Simulate per candidate moved-set is what
-// makes simulated makespan affordable as a move-loop objective: each
-// candidate pays only the packing and the replay, never a trace
-// reconstruction or a list-scheduling pass.
+// per-block fine-grain floors and the per-kernel data-path schedules, all of
+// which depend only on the application, its profile and the platform — not
+// on the mapping. Building one Replayer and calling Simulate per candidate
+// moved-set is what makes simulated makespan affordable as a move-loop
+// objective: each candidate pays only the packing and the replay, never a
+// trace reconstruction or a list-scheduling pass.
+//
+// The DFGs, level order and live-in/out footprints come from the per-App
+// ir.BlockTables in Input.Tables, shared with the partitioning engine and
+// every other Replayer of the same application; the trace, floors and
+// schedules are this Replayer's own (one per profile and platform), and the
+// packing of each candidate lives in the caller's Arena.
 //
 // Concurrency contract: a Replayer is safe for concurrent use. Every table is
 // immutable after NewReplayer returns, and the lazy schedule memo behind
@@ -125,16 +135,17 @@ func max64(a, b int64) int64 {
 // must not be shared between concurrent calls — give each worker its own.
 type Replayer struct {
 	in     Input
+	tables *ir.BlockTables
 	trace  []ir.BlockID
 	runs   int
-	liveIO []partition.LiveIO
 	arrLen coarsegrain.ArrLenFunc
 
 	// minFineT[b] is a packing-independent lower bound on block b's
-	// per-execution fine-grain cost in ticks: the sum over DFG levels of the
-	// level's max node latency (min 1). Any packing only splits levels across
-	// partition boundaries, and a split level contributes at least its
-	// unsplit max, so PerBlockCycles >= minFineT/ratio for every mapping.
+	// per-execution fine-grain cost in ticks: its cost when packed into one
+	// unbounded region, i.e. the sum over DFG levels of the level's max node
+	// latency (min 1). Any packing only splits levels across partition
+	// boundaries, and a split level contributes at least its unsplit max, so
+	// PerBlockCycles >= minFineT/ratio for every mapping.
 	minFineT []int64
 	// fineBase is the all-FPGA per-frame floor: Σ_b Freq[b]·minFineT[b].
 	fineBase int64
@@ -162,6 +173,12 @@ func NewReplayer(in Input) (*Replayer, error) {
 	if err := in.Plat.Validate(); err != nil {
 		return nil, err
 	}
+	tables := in.Tables
+	if tables == nil {
+		tables = ir.BuildBlockTables(in.F)
+	} else if tables.F != in.F {
+		return nil, fmt.Errorf("sim: block tables describe function %q, not %q", tables.F.Name, in.F.Name)
+	}
 	trace, runs, err := BuildTrace(in.F, in.Freq, in.Edges)
 	if err != nil {
 		return nil, err
@@ -169,9 +186,9 @@ func NewReplayer(in Input) (*Replayer, error) {
 	n := len(in.F.Blocks)
 	r := &Replayer{
 		in:        in,
+		tables:    tables,
 		trace:     trace,
 		runs:      runs,
-		liveIO:    partition.ComputeLiveIO(in.F),
 		arrLen:    coarsegrain.ArrLenOf(in.Prog, in.F),
 		minFineT:  make([]int64, n),
 		blockArea: make([]int64, n),
@@ -179,25 +196,20 @@ func NewReplayer(in Input) (*Replayer, error) {
 		schedLat:  make([]int64, n),
 		schedErr:  make([]error, n),
 	}
+	// The execution floor is the packing into a single region no operator
+	// can overflow: no partition boundary ever splits a level.
+	var floor finegrain.PackedMapping
+	unbounded := platform.FineGrain{Area: math.MaxInt, Costs: in.Plat.Fine.Costs}
+	if err := floor.Pack(tables, unbounded, nil); err != nil {
+		return nil, err
+	}
 	ratio := int64(in.Plat.Coarse.ClockRatio)
 	for _, b := range in.F.Blocks {
-		d := ir.BuildDFG(in.F, b)
-		var cycles, area int64
-		for level := 1; level <= d.MaxLevel; level++ {
-			maxLat := 0
-			for _, u := range d.NodesAtLevel(level) {
-				cls := ir.ClassOf(d.Op(u))
-				if lat := in.Plat.Fine.Costs.Latency(cls); lat > maxLat {
-					maxLat = lat
-				}
-				area += int64(in.Plat.Fine.Costs.Area(cls))
-			}
-			cycles += int64(maxLat)
+		var area int64
+		for _, nd := range tables.Levels[b.ID] {
+			area += int64(in.Plat.Fine.Costs.Area(nd.Class))
 		}
-		if cycles < 1 {
-			cycles = 1 // control-only sequencing, like PackFunction
-		}
-		r.minFineT[b.ID] = cycles * ratio
+		r.minFineT[b.ID] = floor.PerBlockCycles[b.ID] * ratio
 		r.blockArea[b.ID] = area
 		if int(b.ID) < len(in.Freq) && in.Freq[b.ID] > 0 {
 			r.fineBase += int64(in.Freq[b.ID]) * r.minFineT[b.ID]
@@ -221,7 +233,7 @@ func (r *Replayer) CoarseLatency(id ir.BlockID) (int64, error) {
 	defer r.schedMu.Unlock()
 	if !r.schedDone[id] {
 		r.schedDone[id] = true
-		sched, err := coarsegrain.MapDFG(ir.BuildDFG(r.in.F, r.in.F.Block(id)), r.in.Plat.Coarse, r.arrLen)
+		sched, err := coarsegrain.MapDFG(r.tables.DFG[id], r.in.Plat.Coarse, r.arrLen)
 		if err != nil {
 			r.schedErr[id] = fmt.Errorf("sim: moved kernel b%d has no data-path schedule: %w", id, err)
 		} else {
@@ -244,7 +256,8 @@ func (r *Replayer) WalkTrace(fn func(ir.BlockID)) {
 // in ticks when its live-in/out words stripe over the given port count.
 func (r *Replayer) TransferTicks(id ir.BlockID, ports int) int64 {
 	ratio := int64(r.in.Plat.Coarse.ClockRatio)
-	words := int64(r.liveIO[id].In + r.liveIO[id].Out)
+	io := r.tables.LiveIO[id]
+	words := int64(io.In + io.Out)
 	perSlot := ceilDiv(words, int64(ports))
 	return (perSlot*int64(r.in.Plat.Comm.CyclesPerWord) + int64(r.in.Plat.Comm.SyncCycles)) * ratio
 }
@@ -275,14 +288,15 @@ func Simulate(ctx context.Context, in Input, cfg Config) (*Report, error) {
 	return r.Simulate(ctx, cfg, in.Moved)
 }
 
-// Arena is the reusable scratch of one replay: the moved mask, the per-block
-// cost tables, the per-region sequencer state and the prefetch oracle.
-// Makespan grows it on first use and reuses the buffers afterwards, so a
-// worker scoring thousands of candidate mappings allocates only on its first
-// call. An Arena belongs to exactly one goroutine at a time; the zero value
-// is ready to use.
+// Arena is the reusable scratch of one replay: the moved mask, the
+// candidate's packing, the per-block cost tables, the per-region sequencer
+// state and the prefetch oracle. Makespan grows it on first use and reuses
+// the buffers afterwards, so a worker scoring thousands of candidate
+// mappings allocates only on its first call. An Arena belongs to exactly one
+// goroutine at a time; the zero value is ready to use.
 type Arena struct {
 	moved    []bool
+	pm       finegrain.PackedMapping
 	latT     []int64 // kernel latency, in ticks (T_CGC cycles)
 	txT      []int64 // transfer-channel occupancy per invocation, ticks
 	execT    []int64 // fine-grain level cycles per execution, ticks
@@ -521,8 +535,8 @@ func (r *Replayer) FineWalkBound(cfg Config, movedBlocks []ir.BlockID, a *Arena)
 		}
 		moved[b] = true
 	}
-	pm, err := finegrain.PackFunction(r.in.F, r.in.Plat.Fine, func(id ir.BlockID) bool { return !moved[id] })
-	if err != nil {
+	pm := &a.pm
+	if err := pm.Pack(r.tables, r.in.Plat.Fine, func(id ir.BlockID) bool { return !moved[id] }); err != nil {
 		return 0, err
 	}
 	ratio := int64(r.in.Plat.Coarse.ClockRatio)
@@ -708,8 +722,8 @@ func (r *Replayer) replay(ctx context.Context, cfg Config, movedBlocks []ir.Bloc
 
 	// The fine-grain side: pack the FPGA-resident blocks exactly as the
 	// partitioning engine's t_FPGA evaluation does.
-	pm, err := finegrain.PackFunction(f, in.Plat.Fine, func(id ir.BlockID) bool { return !moved[id] })
-	if err != nil {
+	pm := &a.pm
+	if err := pm.Pack(r.tables, in.Plat.Fine, func(id ir.BlockID) bool { return !moved[id] }); err != nil {
 		return 0, err
 	}
 

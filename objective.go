@@ -5,8 +5,9 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -113,7 +114,7 @@ type simScorer struct {
 	rep     *sim.Replayer
 	cfg     sim.Config
 	plat    platform.Platform
-	f       *ir.Function
+	tables  *ir.BlockTables
 	freq    []uint64
 	ratio   int64
 	workers int
@@ -123,6 +124,10 @@ type simScorer struct {
 	memo  map[string]int64
 	last  *scoredMapping
 	stats SimScoreStats
+	// Closed-form scratch, guarded by mu: the moved mask and two packings,
+	// one of which last may still reference for the incremental tier.
+	mask  []bool
+	packs [2]finegrain.PackedMapping
 }
 
 // newSimScorer builds the scorer for one (application, profile, platform,
@@ -137,33 +142,35 @@ func newSimScorer(a *App, p *RunProfile, plat platform.Platform, spec SimSpec) (
 	if spec.Ports == 0 {
 		spec.Ports = 1
 	}
-	rep, err := sim.NewReplayer(sim.Input{Prog: a.fprog, F: a.flat, Plat: plat, Freq: p.Freq, Edges: p.edges})
+	tables := a.blockTables()
+	rep, err := sim.NewReplayer(sim.Input{Prog: a.fprog, F: a.flat, Tables: tables, Plat: plat, Freq: p.Freq, Edges: p.edges})
 	if err != nil {
 		return nil, err
 	}
 	return &simScorer{
-		rep:   rep,
-		cfg:   sim.Config{Frames: spec.Frames, Ports: spec.Ports, Prefetch: spec.Prefetch},
-		plat:  plat,
-		f:     a.flat,
-		freq:  p.Freq,
-		ratio: int64(plat.Coarse.ClockRatio),
-		memo:  map[string]int64{},
+		rep:    rep,
+		cfg:    sim.Config{Frames: spec.Frames, Ports: spec.Ports, Prefetch: spec.Prefetch},
+		plat:   plat,
+		tables: tables,
+		freq:   p.Freq,
+		ratio:  int64(plat.Coarse.ClockRatio),
+		memo:   map[string]int64{},
 	}, nil
 }
 
-// movedKey is the canonical memo key of a moved-set (order-independent).
+// movedKey is the canonical memo key of a moved-set (order-independent):
+// the sorted block ids, each followed by a comma.
 func movedKey(moved []ir.BlockID) string {
-	ids := make([]int, len(moved))
-	for i, b := range moved {
-		ids[i] = int(b)
-	}
-	sort.Ints(ids)
-	var sb strings.Builder
+	var idBuf [64]ir.BlockID
+	var keyBuf [256]byte
+	ids := append(idBuf[:0], moved...)
+	slices.Sort(ids)
+	key := keyBuf[:0]
 	for _, id := range ids {
-		fmt.Fprintf(&sb, "%d,", id)
+		key = strconv.AppendInt(key, int64(id), 10)
+		key = append(key, ',')
 	}
-	return sb.String()
+	return string(key)
 }
 
 // Score returns the simulated makespan (FPGA cycles) of the mapping that
@@ -406,16 +413,24 @@ func (s *simScorer) ScoreBatch(ctx context.Context, candidates [][]ir.BlockID) (
 // the same additive structure that makes the simulator agree with the
 // analytical model cycle for cycle at the model's operating point.
 func (s *simScorer) closedForm(moved []ir.BlockID) (int64, error) {
-	n := len(s.f.Blocks)
-	movedMask := make([]bool, n)
+	n := len(s.tables.F.Blocks)
+	if cap(s.mask) < n {
+		s.mask = make([]bool, n)
+	}
+	movedMask := s.mask[:n]
+	clear(movedMask)
 	for _, b := range moved {
 		if int(b) < 0 || int(b) >= n {
 			return 0, fmt.Errorf("hybridpart: moved block %d outside the function", b)
 		}
 		movedMask[b] = true
 	}
-	pm, err := finegrain.PackFunction(s.f, s.plat.Fine, func(id ir.BlockID) bool { return !movedMask[id] })
-	if err != nil {
+	// Pack into whichever buffer the incremental state does not hold.
+	pm := &s.packs[0]
+	if s.last != nil && s.last.pm == pm {
+		pm = &s.packs[1]
+	}
+	if err := pm.Pack(s.tables, s.plat.Fine, func(id ir.BlockID) bool { return !movedMask[id] }); err != nil {
 		return 0, err
 	}
 

@@ -240,11 +240,12 @@ func (e *Engine) simulateApp(ctx context.Context, a *App, p *RunProfile, opts []
 		replayer = scorer.rep
 	} else {
 		replayer, err = sim.NewReplayer(sim.Input{
-			Prog:  a.fprog,
-			F:     a.flat,
-			Plat:  e.platformOf(e.opts, e.costsSet),
-			Freq:  p.Freq,
-			Edges: p.edges,
+			Prog:   a.fprog,
+			F:      a.flat,
+			Tables: a.blockTables(),
+			Plat:   e.platformOf(e.opts, e.costsSet),
+			Freq:   p.Freq,
+			Edges:  p.edges,
 		})
 		if err != nil {
 			return nil, err
