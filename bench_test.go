@@ -14,68 +14,76 @@ import (
 	"hybridpart/internal/platform"
 )
 
-// benchState caches the compiled + profiled benchmarks so the expensive
+// benchState caches the profiled benchmark workloads so the expensive
 // interpreter runs happen once per process.
 var benchState struct {
-	once     sync.Once
-	err      error
-	ofdmApp  *App
-	ofdmProf *RunProfile
-	jpegApp  *App
-	jpegProf *RunProfile
+	once sync.Once
+	err  error
+	ofdm *Workload
+	jpeg *Workload
 }
 
-func benchSetup(b *testing.B) (ofdmApp *App, ofdmProf *RunProfile, jpegApp *App, jpegProf *RunProfile) {
+func benchWorkloads(b *testing.B) (ofdm, jpeg *Workload) {
 	b.Helper()
 	benchState.once.Do(func() {
-		benchState.ofdmApp, benchState.ofdmProf, benchState.err = ProfileBenchmark(BenchOFDM, 1)
+		benchState.ofdm, benchState.err = BenchmarkWorkload(BenchOFDM, 1)
 		if benchState.err != nil {
 			return
 		}
-		benchState.jpegApp, benchState.jpegProf, benchState.err = ProfileBenchmark(BenchJPEG, 1)
+		benchState.jpeg, benchState.err = BenchmarkWorkload(BenchJPEG, 1)
 	})
 	if benchState.err != nil {
 		b.Fatal(benchState.err)
 	}
-	return benchState.ofdmApp, benchState.ofdmProf, benchState.jpegApp, benchState.jpegProf
+	return benchState.ofdm, benchState.jpeg
 }
 
-// BenchmarkTable1OFDM regenerates the OFDM half of Table 1: the analysis
-// step (static weights + eq. 1 kernel ordering) over the profiled CDFG.
-func BenchmarkTable1OFDM(b *testing.B) {
-	app, prof, _, _ := benchSetup(b)
-	opts := DefaultOptions()
+// benchSetup returns both benchmarks' apps and profile snapshots, for the
+// *Profiled engine methods.
+func benchSetup(b *testing.B) (ofdmApp *App, ofdmProf *RunProfile, jpegApp *App, jpegProf *RunProfile) {
+	b.Helper()
+	ofdm, jpeg := benchWorkloads(b)
+	return ofdm.App(), ofdm.Profile(), jpeg.App(), jpeg.Profile()
+}
+
+// table1Bench times the analysis step (static weights + eq. 1 kernel
+// ordering) over a profiled CDFG.
+func table1Bench(b *testing.B, w *Workload) {
+	eng, err := NewEngine()
+	if err != nil {
+		b.Fatal(err)
+	}
 	var top int64
 	for i := 0; i < b.N; i++ {
-		an := app.Analyze(prof.Freq, opts)
+		an, err := eng.Analyze(w)
+		if err != nil {
+			b.Fatal(err)
+		}
 		top = an.Kernels[0].TotalWeight
 	}
 	b.ReportMetric(float64(top), "top-kernel-weight")
+}
+
+// BenchmarkTable1OFDM regenerates the OFDM half of Table 1.
+func BenchmarkTable1OFDM(b *testing.B) {
+	ofdm, _ := benchWorkloads(b)
+	table1Bench(b, ofdm)
 }
 
 // BenchmarkTable1JPEG regenerates the JPEG half of Table 1.
 func BenchmarkTable1JPEG(b *testing.B) {
-	_, _, app, prof := benchSetup(b)
-	opts := DefaultOptions()
-	var top int64
-	for i := 0; i < b.N; i++ {
-		an := app.Analyze(prof.Freq, opts)
-		top = an.Kernels[0].TotalWeight
-	}
-	b.ReportMetric(float64(top), "top-kernel-weight")
+	_, jpeg := benchWorkloads(b)
+	table1Bench(b, jpeg)
 }
 
 // partitionBench runs one Table 2/3 cell and reports its headline numbers.
 func partitionBench(b *testing.B, app *App, prof *RunProfile, afpga, ncgc int, constraint int64) {
 	b.Helper()
-	opts := DefaultOptions()
-	opts.AFPGA = afpga
-	opts.NumCGCs = ncgc
-	opts.Constraint = constraint
+	eng := mustEngine(b, WithArea(afpga), WithCGCs(ncgc), WithConstraint(constraint))
 	var res *Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = app.Partition(prof, opts)
+		res, err = eng.PartitionProfiled(context.Background(), app, prof)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -130,15 +138,12 @@ func BenchmarkSweepEngine(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, afpga := range areas {
 				for _, ncgc := range ncgcs {
-					app, prof, err := ProfileBenchmark(BenchOFDM, 1)
+					w, err := BenchmarkWorkload(BenchOFDM, 1)
 					if err != nil {
 						b.Fatal(err)
 					}
-					opts := DefaultOptions()
-					opts.AFPGA = afpga
-					opts.NumCGCs = ncgc
-					opts.Constraint = 60000
-					if _, err := app.Partition(prof, opts); err != nil {
+					eng := mustEngine(b, WithArea(afpga), WithCGCs(ncgc), WithConstraint(60000))
+					if _, err := eng.Partition(context.Background(), w); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -153,8 +158,9 @@ func BenchmarkSweepEngine(b *testing.B) {
 			Seed:       1,
 			Workers:    4,
 		}
+		eng := mustEngine(b)
 		for i := 0; i < b.N; i++ {
-			rs, err := Sweep(spec)
+			rs, err := eng.Sweep(context.Background(), spec)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -169,10 +175,9 @@ func BenchmarkSweepEngine(b *testing.B) {
 // OFDM transmitter with the paper's constraint.
 func BenchmarkFigure2Flow(b *testing.B) {
 	app, prof, _, _ := benchSetup(b)
-	opts := DefaultOptions()
-	opts.Constraint = 60000
+	eng := mustEngine(b, WithConstraint(60000))
 	for i := 0; i < b.N; i++ {
-		if _, err := app.Partition(prof, opts); err != nil {
+		if _, err := eng.PartitionProfiled(context.Background(), app, prof); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -205,11 +210,11 @@ func BenchmarkDynamicAnalysisOFDM(b *testing.B) {
 	app, _, _, _ := benchSetup(b)
 	bits := OFDMBits(1)
 	for i := 0; i < b.N; i++ {
-		run := app.NewRunner()
-		if err := run.SetGlobal(OFDMBitsArray, bits); err != nil {
+		w := newWorkload(app)
+		if err := w.SetInput(OFDMBitsArray, bits); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := run.Run(); err != nil {
+		if _, err := w.Run(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -223,13 +228,10 @@ func BenchmarkAblationKernelOrder(b *testing.B) {
 	app, prof, _, _ := benchSetup(b)
 	for _, order := range []KernelOrder{OrderByTotalWeight, OrderByFreq, OrderByOpWeight} {
 		b.Run(order.String(), func(b *testing.B) {
-			opts := DefaultOptions()
-			opts.Order = order
-			opts.Constraint = 1
-			opts.MaxMoves = 3
+			eng := mustEngine(b, WithOrder(order), WithConstraint(1), WithMaxMoves(3))
 			var final int64
 			for i := 0; i < b.N; i++ {
-				res, err := app.Partition(prof, opts)
+				res, err := eng.PartitionProfiled(context.Background(), app, prof)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -293,13 +295,11 @@ func BenchmarkAblationCommCost(b *testing.B) {
 	app, prof, _, _ := benchSetup(b)
 	for _, cyclesPerWord := range []int{0, 1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("cpw%d", cyclesPerWord), func(b *testing.B) {
-			opts := DefaultOptions()
-			opts.CommCyclesPerWord = cyclesPerWord
-			opts.Constraint = 1
-			opts.MaxMoves = 4
+			eng := mustEngine(b, WithComm(cyclesPerWord, DefaultOptions().CommSyncCycles),
+				WithConstraint(1), WithMaxMoves(4))
 			var final int64
 			for i := 0; i < b.N; i++ {
-				res, err := app.Partition(prof, opts)
+				res, err := eng.PartitionProfiled(context.Background(), app, prof)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -316,13 +316,10 @@ func BenchmarkAblationRegisterBank(b *testing.B) {
 	app, prof, _, _ := benchSetup(b)
 	for _, bank := range []int{0, 256} {
 		b.Run(fmt.Sprintf("bank%d", bank), func(b *testing.B) {
-			opts := DefaultOptions()
-			opts.Constraint = 1
-			opts.MaxMoves = 2
-			opts.RegBankWords = bank
+			eng := mustEngine(b, WithConstraint(1), WithMaxMoves(2), WithRegBank(bank))
 			var final int64
 			for i := 0; i < b.N; i++ {
-				res, err := app.Partition(prof, opts)
+				res, err := eng.PartitionProfiled(context.Background(), app, prof)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -337,9 +334,7 @@ func BenchmarkAblationRegisterBank(b *testing.B) {
 // overlapped fine/coarse execution over 100 frames after partitioning.
 func BenchmarkPipelining(b *testing.B) {
 	app, prof, _, _ := benchSetup(b)
-	opts := DefaultOptions()
-	opts.Constraint = 60000
-	res, err := app.Partition(prof, opts)
+	res, err := mustEngine(b, WithConstraint(60000)).PartitionProfiled(context.Background(), app, prof)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -355,15 +350,15 @@ func BenchmarkPipelining(b *testing.B) {
 // OFDM transmitter at a 70% energy budget.
 func BenchmarkEnergyPartitioning(b *testing.B) {
 	app, prof, _, _ := benchSetup(b)
-	opts := DefaultOptions()
-	loose, err := app.PartitionEnergy(prof, opts, 1e18)
+	ctx := context.Background()
+	loose, err := mustEngine(b, WithEnergyBudget(1e18)).PartitionEnergyProfiled(ctx, app, prof)
 	if err != nil {
 		b.Fatal(err)
 	}
-	budget := loose.InitialEnergy * 0.7
+	eng := mustEngine(b, WithEnergyBudget(loose.InitialEnergy*0.7))
 	var red float64
 	for i := 0; i < b.N; i++ {
-		res, err := app.PartitionEnergy(prof, opts, budget)
+		res, err := eng.PartitionEnergyProfiled(ctx, app, prof)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -495,8 +490,8 @@ func BenchmarkObjective(b *testing.B) {
 }
 
 // BenchmarkObjectiveParallel measures the batched simulation-scored argmin
-// against the PR-5 serial path: "serial" re-enables the one-candidate-at-a-
-// time full-report replay (debugSerialScoring), while wN runs the live
+// against the serial reference path: "serial" re-enables the one-candidate-
+// at-a-time full-report replay (scoringHooks.serial), while wN runs the live
 // branch-and-bound batch scorer with an N-worker budget. On a single-core
 // host the speedup comes from pruning, arena reuse and report-free replays
 // rather than concurrency, so wN tracks w1 closely there; allocs/op pins
@@ -511,8 +506,7 @@ func BenchmarkObjectiveParallel(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		debugSerialScoring = serialScoring
-		defer func() { debugSerialScoring = false }()
+		eng.hooks.serial = serialScoring
 		b.ReportAllocs()
 		b.ResetTimer()
 		var res *Result

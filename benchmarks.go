@@ -14,7 +14,10 @@ type benchmarkDef struct {
 	name string
 	// constraint is the paper's evaluation timing constraint in FPGA cycles.
 	constraint int64
-	compile    func() (*App, error)
+	// source returns the benchmark's mini-C text; entry names the function
+	// the methodology flattens.
+	source func() (string, error)
+	entry  string
 	// inputArray is the global array holding the profiling input; input
 	// generates its deterministic vector for a seed.
 	inputArray string
@@ -27,14 +30,16 @@ var benchmarkDefs = []benchmarkDef{
 	{
 		name:       BenchOFDM,
 		constraint: 60000,
-		compile:    OFDMApp,
+		source:     func() (string, error) { return apps.OFDMSource(), nil },
+		entry:      apps.OFDMEntry,
 		inputArray: OFDMBitsArray,
 		input:      OFDMBits,
 	},
 	{
 		name:       BenchJPEG,
 		constraint: 21000000,
-		compile:    JPEGApp,
+		source:     apps.JPEGSource,
+		entry:      apps.JPEGEntry,
 		inputArray: JPEGImageArray,
 		input:      JPEGImage,
 	},
@@ -49,9 +54,18 @@ func lookupBenchmark(name string) (benchmarkDef, bool) {
 	return benchmarkDef{}, false
 }
 
+// compile compiles the benchmark's source into an App.
+func (d benchmarkDef) compile() (*App, error) {
+	src, err := d.source()
+	if err != nil {
+		return nil, err
+	}
+	return Compile(src, d.entry)
+}
+
 // Benchmarks returns the names of the built-in benchmarks accepted by
-// BenchmarkWorkload, BenchmarkApp and ProfileBenchmark — the single source
-// of truth CLIs should validate against.
+// BenchmarkWorkload, BenchmarkApp and ProfileBenchmarkCached — the single
+// source of truth CLIs should validate against.
 func Benchmarks() []string {
 	names := make([]string, len(benchmarkDefs))
 	for i, d := range benchmarkDefs {
@@ -92,20 +106,6 @@ const (
 	JPEGPixels     = apps.ImagePixels
 )
 
-// OFDMApp compiles the OFDM transmitter benchmark.
-func OFDMApp() (*App, error) {
-	return Compile(apps.OFDMSource(), apps.OFDMEntry)
-}
-
-// JPEGApp compiles the JPEG encoder benchmark.
-func JPEGApp() (*App, error) {
-	src, err := apps.JPEGSource()
-	if err != nil {
-		return nil, err
-	}
-	return Compile(src, apps.JPEGEntry)
-}
-
 // OFDMBits generates a deterministic payload bit stream for profiling runs.
 func OFDMBits(seed uint32) []int32 { return apps.GenBits(apps.OFDMTotalBits, seed) }
 
@@ -121,20 +121,6 @@ func BenchmarkApp(name string) (*App, error) {
 		return nil, errUnknownBenchmark(name)
 	}
 	return d.compile()
-}
-
-// ProfileBenchmark compiles the named benchmark, runs it on its standard
-// input vectors (the paper's: 6 payload symbols, one 256×256 frame) and
-// returns the app plus its dynamic-analysis profile.
-//
-// This is the v1 shape of BenchmarkWorkload; new code should use the
-// workload directly.
-func ProfileBenchmark(name string, seed uint32) (*App, *RunProfile, error) {
-	w, err := BenchmarkWorkload(name, seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	return w.App(), w.Profile(), nil
 }
 
 type errUnknownBenchmark string

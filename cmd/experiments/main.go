@@ -193,7 +193,7 @@ func table1(seed uint32) error {
 
 // partitionTable regenerates one Table 2/3 grid as a thin caller of the
 // design-space-exploration engine: the A_FPGA × CGC-count cross product is
-// a SweepSpec, evaluated by hybridpart.Sweep against one shared profile.
+// a SweepSpec, evaluated by Engine.Sweep against one shared profile.
 func partitionTable(title, bench string, seed uint32, constraint int64) error {
 	fmt.Printf("== %s for timing constraint of %d clock cycles ==\n", title, constraint)
 	areas := []int{1500, 5000}

@@ -1,6 +1,6 @@
 // Command hservd serves the partitioning methodology over HTTP — one warm
 // process that many clients share instead of recompiling per invocation.
-// It fronts the v2 Engine with a bounded content-addressed result cache and
+// It fronts the Engine with a bounded content-addressed result cache and
 // request coalescing (see internal/server), so repeated or concurrent
 // identical requests cost one compile+profile+partition.
 //

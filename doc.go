@@ -23,9 +23,9 @@
 //	server       — partitioning-as-a-service HTTP front end (cmd/hservd)
 //	sim          — discrete-event co-simulator of the hybrid platform
 //
-// # Quickstart (API v2)
+// # Quickstart
 //
-// The v2 API has two nouns. A Workload is a compiled application plus the
+// The API has two nouns. A Workload is a compiled application plus the
 // execution profile it accumulates; an Engine is a fixed configuration of
 // the platform and engine knobs, built from functional options. Compile a
 // mini-C source, profile one execution, and partition against a timing
@@ -55,16 +55,6 @@
 //		CGCs:       []int{2, 3},
 //	})
 //	rs.WriteCSV(os.Stdout)
-//
-// # Compatibility (API v1)
-//
-// The original App/Runner/RunProfile triad and the flat Options struct
-// remain available as thin shims over the Engine: Compile + NewRunner +
-// App.Partition(profile, opts) and the package-level Sweep(spec) behave
-// exactly as before (bit-identical output), without cancellation or
-// progress events. See the README's migration table. An App and an Engine
-// are both safe for concurrent use, so custom sweeps can also call
-// Partition from multiple goroutines directly.
 //
 // # Co-simulation
 //

@@ -12,7 +12,7 @@ import (
 	"hybridpart/internal/platform"
 )
 
-// Engine is the v2 entry point to the methodology: a fixed configuration of
+// Engine is the entry point to the methodology: a fixed configuration of
 // the platform and engine knobs, built once from functional options and then
 // applied to any number of workloads. An Engine's configuration is immutable
 // after NewEngine returns, and observer delivery is serialized internally,
@@ -30,10 +30,10 @@ import (
 // given deadlines; progress streams through the configured Observer.
 type Engine struct {
 	opts Options
-	// costsSet records that WithCosts supplied the operator table
-	// explicitly: the engine then uses it verbatim (a bad table fails
-	// platform validation loudly) instead of zero-defaulting like the
-	// legacy Options path.
+	// costsSet records that WithCosts or a preset supplied the operator
+	// table explicitly: the engine then uses it verbatim (a bad table fails
+	// platform validation loudly) instead of zero-defaulting like a literal
+	// Options value passed through WithOptions.
 	costsSet bool
 	// constraintSet records an explicit WithConstraint, which then serves
 	// as the sweep-wide fallback before per-benchmark paper defaults.
@@ -41,6 +41,8 @@ type Engine struct {
 	budget        float64
 	observer      Observer
 	workers       int
+	// hooks are the test-only scoring switches handed to every simScorer.
+	hooks scoringHooks
 	// obsMu serializes observer delivery across concurrent runs on the
 	// same engine, upholding the Observer contract ("never invoked
 	// concurrently") even when Partition/Sweep are called from multiple
@@ -97,20 +99,29 @@ func applyPlatform(o *Options, p platform.Platform) {
 	o.CommSyncCycles = p.Comm.SyncCycles
 }
 
+// presetPlatform resolves a platform preset name through the registry; ""
+// and "default" name the paper's baseline platform.
+func presetPlatform(name string) (platform.Platform, error) {
+	if name == "" || name == "default" {
+		return platform.Default(), nil
+	}
+	cfg, ok := platform.Lookup(name)
+	if !ok {
+		return platform.Platform{}, fmt.Errorf("hybridpart: unknown platform preset %q (have %v)", name, platform.Names())
+	}
+	return cfg.Platform, nil
+}
+
 // WithPlatform layers the named preset's full platform characterization
 // (see PlatformPresets) over the engine. "" and "default" select the
 // paper's baseline platform.
 func WithPlatform(preset string) Option {
 	return func(e *Engine) error {
-		if preset == "" || preset == "default" {
-			applyPlatform(&e.opts, platform.Default())
-			return nil
+		p, err := presetPlatform(preset)
+		if err != nil {
+			return err
 		}
-		cfg, ok := platform.Lookup(preset)
-		if !ok {
-			return fmt.Errorf("hybridpart: unknown platform preset %q (have %v)", preset, platform.Names())
-		}
-		applyPlatform(&e.opts, cfg.Platform)
+		applyPlatform(&e.opts, p)
 		e.costsSet = true
 		return nil
 	}
@@ -155,10 +166,11 @@ func WithRegions(n int) Option {
 	}
 }
 
-// WithCosts installs an explicit fine-grain operator cost table. Unlike the
-// legacy Options.Costs field, a table passed here is always used verbatim —
-// an invalid (e.g. all-zero) table fails platform validation with a precise
-// error instead of being silently replaced by the default characterization.
+// WithCosts installs an explicit fine-grain operator cost table. Unlike a
+// zero Options.Costs passed through WithOptions, a table passed here is
+// always used verbatim — an invalid (e.g. all-zero) table fails platform
+// validation with a precise error instead of being silently replaced by the
+// default characterization.
 func WithCosts(t OpCosts) Option {
 	return func(e *Engine) error {
 		e.opts.Costs = t
@@ -394,11 +406,11 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithOptions replaces the engine's entire knob set with a legacy Options
-// value, preserving its v1 semantics exactly (in particular, a zero Costs
-// table selects the default characterization). This is the bridge the v1
-// compatibility shims are built on; new code should prefer the granular
-// options.
+// WithOptions replaces the engine's entire knob set with a flat Options
+// value, in which a zero Costs table selects the default characterization.
+// It is how the partitioning service turns a wire Options struct into an
+// engine; code that configures an engine directly should prefer the
+// granular options.
 func WithOptions(o Options) Option {
 	return func(e *Engine) error {
 		e.opts = o
@@ -408,18 +420,9 @@ func WithOptions(o Options) Option {
 	}
 }
 
-// Options returns the engine's resolved knob set as a legacy Options value
+// Options returns the engine's resolved knob set as a flat Options value
 // (useful for displaying the effective configuration).
 func (e *Engine) Options() Options { return e.opts }
-
-// platformOf materializes the platform characterization, honoring an
-// explicitly installed cost table.
-func (e *Engine) platformOf(opts Options, costsSet bool) platform.Platform {
-	if costsSet {
-		return opts.platformUsing(opts.Costs)
-	}
-	return opts.platform()
-}
 
 // moveHook adapts the configured observer to the internal engine's per-move
 // callback (nil when no observer is configured).
@@ -448,7 +451,20 @@ func (e *Engine) Analyze(w *Workload) (*Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	return app.Analyze(prof.Freq, e.opts), nil
+	rep := app.analyze(prof.Freq, e.opts.weights())
+	out := &Analysis{rep: rep}
+	for _, id := range rep.Kernels {
+		b := rep.Block(id)
+		out.Kernels = append(out.Kernels, KernelInfo{
+			Block:       int(b.ID),
+			Name:        b.Name,
+			Freq:        b.Freq,
+			OpWeight:    b.OpWeight,
+			TotalWeight: b.TotalWeight,
+			LoopDepth:   b.Depth,
+		})
+	}
+	return out, nil
 }
 
 // Partition runs the full methodology (steps 2–5) on the workload's
@@ -460,53 +476,42 @@ func (e *Engine) Partition(ctx context.Context, w *Workload) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.partitionApp(ctx, app, prof)
+	return e.PartitionProfiled(ctx, app, prof)
 }
 
-// PartitionProfiled is Partition on the raw v1 pair: a pre-compiled App
-// and an explicit profile snapshot. It exists for callers that share one
-// compile+profile across many knob sets — the partitioning service pairs
-// it with ProfileBenchmarkCached so a cache miss on a new constraint does
-// not recompile or re-profile the benchmark. Output is identical to
-// Partition on a Workload holding the same app and profile.
+// PartitionProfiled is Partition on a pre-compiled App and an explicit
+// profile snapshot. It exists for callers that share one compile+profile
+// across many knob sets — the partitioning service pairs it with
+// ProfileBenchmarkCached so a cache miss on a new constraint does not
+// recompile or re-profile the benchmark. Output is identical to Partition
+// on a Workload holding the same app and profile.
 func (e *Engine) PartitionProfiled(ctx context.Context, a *App, p *RunProfile) (*Result, error) {
 	if a == nil || p == nil {
 		return nil, fmt.Errorf("hybridpart: PartitionProfiled needs a non-nil app and profile")
 	}
-	return e.partitionApp(ctx, a, p)
-}
-
-// partitionApp is Partition on the raw v1 pair; the legacy App.Partition
-// shim calls it directly.
-func (e *Engine) partitionApp(ctx context.Context, a *App, p *RunProfile) (*Result, error) {
-	return e.partitionCell(ctx, a, p, e.opts, e.costsSet, e.moveHook(e.opts.Constraint), nil)
-}
-
-// partitionCell runs one partitioning evaluation with an explicit knob set
-// (Sweep resolves per-cell options and calls this per grid cell). When any
-// co-simulation knob is active — the simulated objective, re-ranking, or an
-// explicit frames/ports/prefetch operating point — it also scores the chosen
-// mapping and the all-FPGA baseline by simulation, so model-objective runs
-// report the simulated makespan of their choice for comparison. A non-nil
-// onFrame additionally replays the chosen mapping once with per-frame
-// callbacks (Sweep uses it to stream per-cell SimEvents).
-func (e *Engine) partitionCell(ctx context.Context, a *App, p *RunProfile, opts Options,
-	costsSet bool, onMove func(partition.Move), onFrame func(frame int, cycles int64)) (*Result, error) {
-	res, _, err := e.partitionScored(ctx, a, p, opts, costsSet, onMove, onFrame, true)
+	res, _, err := e.partitionScored(ctx, a, p, e.opts, e.costsSet, e.moveHook(e.opts.Constraint), nil, true)
 	return res, err
 }
 
-// partitionScored is partitionCell returning the run's simScorer (nil when
-// no sim knob is active) so callers that keep simulating — Engine.Simulate
-// replays both mappings for its report — can reuse the scorer's Replayer
-// instead of rebuilding the trace and schedules. report=false skips the
-// final/baseline scoring of the chosen mapping for callers that are about
-// to replay it anyway.
+// partitionScored runs one partitioning evaluation with an explicit knob
+// set (Sweep resolves per-cell options and calls this per grid cell). When
+// any co-simulation knob is active — the simulated objective, re-ranking,
+// or an explicit frames/ports/prefetch operating point — it also scores the
+// chosen mapping and the all-FPGA baseline by simulation, so model-objective
+// runs report the simulated makespan of their choice for comparison. A
+// non-nil onFrame additionally replays the chosen mapping once with
+// per-frame callbacks (Sweep uses it to stream per-cell SimEvents).
+//
+// It also returns the run's simScorer (nil when no sim knob is active) so
+// callers that keep simulating — Engine.Simulate replays both mappings for
+// its report — can reuse the scorer's Replayer instead of rebuilding the
+// trace and schedules. report=false skips the final/baseline scoring of the
+// chosen mapping for callers that are about to replay it anyway.
 func (e *Engine) partitionScored(ctx context.Context, a *App, p *RunProfile, opts Options,
 	costsSet bool, onMove func(partition.Move), onFrame func(frame int, cycles int64),
 	report bool) (*Result, *simScorer, error) {
-	an := a.Analyze(p.Freq, opts)
-	plat := e.platformOf(opts, costsSet)
+	rep := a.analyze(p.Freq, opts.weights())
+	plat := opts.platform(costsSet)
 	cfg := partition.Config{
 		Platform:         plat,
 		Constraint:       opts.Constraint,
@@ -528,12 +533,13 @@ func (e *Engine) partitionScored(ctx context.Context, a *App, p *RunProfile, opt
 		// The scorer's pool reuses the engine's worker budget (WithWorkers,
 		// 0 = GOMAXPROCS), the same knob the sweep honors.
 		scorer.workers = e.workers
+		scorer.hooks = e.hooks
 		cfg.SimCost = scorer.Score
-		if !debugSerialScoring {
+		if !e.hooks.serial {
 			cfg.SimCostBatch = scorer.ScoreBatch
 		}
 	}
-	res, err := partition.Partition(ctx, a.fprog, a.flat, an.rep, cfg)
+	res, err := partition.Partition(ctx, a.fprog, a.flat, rep, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -548,15 +554,9 @@ func (e *Engine) partitionScored(ctx context.Context, a *App, p *RunProfile, opt
 		Constraint:        res.Constraint,
 		Met:               res.Met,
 		Objective:         res.Objective,
-	}
-	for _, b := range res.Moved {
-		out.Moved = append(out.Moved, int(b))
-	}
-	for _, b := range res.Unmappable {
-		out.Unmappable = append(out.Unmappable, int(b))
-	}
-	for _, b := range res.Skipped {
-		out.Skipped = append(out.Skipped, int(b))
+		Moved:             blockIDsToInts(res.Moved),
+		Unmappable:        blockIDsToInts(res.Unmappable),
+		Skipped:           blockIDsToInts(res.Skipped),
 	}
 	if scorer != nil && report {
 		repCtx, repSpan := obs.Start(ctx, "sim.report")
@@ -596,27 +596,22 @@ func (e *Engine) PartitionEnergy(ctx context.Context, w *Workload) (*EnergyResul
 	if err != nil {
 		return nil, err
 	}
-	return e.partitionEnergyApp(ctx, app, prof)
+	return e.PartitionEnergyProfiled(ctx, app, prof)
 }
 
-// PartitionEnergyProfiled is PartitionEnergy on the raw v1 pair — see
-// PartitionProfiled for when to prefer it over the Workload path.
+// PartitionEnergyProfiled is PartitionEnergy on a pre-compiled App and an
+// explicit profile snapshot — see PartitionProfiled for when to prefer it
+// over the Workload path.
 func (e *Engine) PartitionEnergyProfiled(ctx context.Context, a *App, p *RunProfile) (*EnergyResult, error) {
 	if a == nil || p == nil {
 		return nil, fmt.Errorf("hybridpart: PartitionEnergyProfiled needs a non-nil app and profile")
 	}
-	return e.partitionEnergyApp(ctx, a, p)
-}
-
-// partitionEnergyApp is PartitionEnergy on the raw v1 pair; the legacy
-// App.PartitionEnergy shim calls it directly.
-func (e *Engine) partitionEnergyApp(ctx context.Context, a *App, p *RunProfile) (*EnergyResult, error) {
 	if e.budget <= 0 {
 		return nil, fmt.Errorf("hybridpart: PartitionEnergy needs a positive energy budget (use WithEnergyBudget)")
 	}
 	rep := a.analyze(p.Freq, e.opts.weights())
 	cfg := energy.Config{
-		Platform: e.platformOf(e.opts, e.costsSet),
+		Platform: e.opts.platform(e.costsSet),
 		Costs:    energy.DefaultCosts(),
 		Budget:   e.budget,
 		Order:    e.opts.Order,
@@ -640,17 +635,16 @@ func (e *Engine) partitionEnergyApp(ctx context.Context, a *App, p *RunProfile) 
 	if err != nil {
 		return nil, err
 	}
-	out := &EnergyResult{
+	return &EnergyResult{
 		InitialEnergy: res.InitialEnergy,
 		FinalEnergy:   res.FinalEnergy,
 		Initial:       EnergyBreakdown(res.Initial),
 		Final:         EnergyBreakdown(res.Final),
 		Budget:        res.Budget,
 		Met:           res.Met,
-	}
-	out.Moved = blockIDsToInts(res.Moved)
-	out.Unmappable = blockIDsToInts(res.Unmappable)
-	return out, nil
+		Moved:         blockIDsToInts(res.Moved),
+		Unmappable:    blockIDsToInts(res.Unmappable),
+	}, nil
 }
 
 // Sweep runs the design-space-exploration engine over the spec: each
@@ -688,18 +682,12 @@ func (e *Engine) Sweep(ctx context.Context, spec SweepSpec) (*SweepResult, error
 		// "default" explicitly selects the paper baseline, anything else is
 		// a registry lookup.
 		opts, costsSet := e.opts, e.costsSet
-		switch p.Preset {
-		case "":
-		case "default":
-			applyPlatform(&opts, platform.Default())
-			costsSet = true
-		default:
-			cfg, ok := platform.Lookup(p.Preset)
-			if !ok {
-				return SweepOutcome{}, fmt.Errorf("hybridpart: unknown platform preset %q (have %v)",
-					p.Preset, platform.Names())
+		if p.Preset != "" {
+			plat, err := presetPlatform(p.Preset)
+			if err != nil {
+				return SweepOutcome{}, err
 			}
-			applyPlatform(&opts, cfg.Platform)
+			applyPlatform(&opts, plat)
 			costsSet = true
 		}
 		if p.AFPGA > 0 {
@@ -750,14 +738,7 @@ func (e *Engine) Sweep(ctx context.Context, spec SweepSpec) (*SweepResult, error
 		if spec.Simulates() && opts.SimFrames == 0 {
 			opts.SimFrames = 1 // activate scoring at the model's operating point
 		}
-		simFrames := opts.SimFrames
-		if simFrames == 0 {
-			simFrames = 1
-		}
-		simPorts := opts.SimPorts
-		if simPorts == 0 {
-			simPorts = 1
-		}
+		simFrames, simPorts := max(opts.SimFrames, 1), max(opts.SimPorts, 1)
 
 		var onFrame func(int, int64)
 		var cellEvents []SimEvent
@@ -768,7 +749,7 @@ func (e *Engine) Sweep(ctx context.Context, spec SweepSpec) (*SweepResult, error
 				})
 			}
 		}
-		res, err := e.partitionCell(ctx, app, prof, opts, costsSet, nil, onFrame)
+		res, _, err := e.partitionScored(ctx, app, prof, opts, costsSet, nil, onFrame, true)
 		if err != nil {
 			return SweepOutcome{}, err
 		}

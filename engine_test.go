@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
 	"reflect"
 	"strings"
 	"sync"
@@ -12,7 +13,7 @@ import (
 	"hybridpart/internal/platform"
 )
 
-// firWorkload compiles and profiles the FIR fixture through the v2
+// firWorkload compiles and profiles the FIR fixture through the Workload
 // lifecycle.
 func firWorkload(t *testing.T) *Workload {
 	t.Helper()
@@ -26,9 +27,10 @@ func firWorkload(t *testing.T) *Workload {
 	return w
 }
 
-// TestEngineLegacyParity is the compatibility-shim acceptance test: every
-// legacy Options field must round-trip to an identical Result through the
-// equivalent functional-option chain. Formatted output is compared
+// TestEngineLegacyParity pins WithOptions, the bridge the service uses to
+// turn a wire Options struct into an engine: every Options field must give
+// an identical Result through WithOptions and through the equivalent
+// granular functional-option chain. Formatted output is compared
 // byte-for-byte.
 func TestEngineLegacyParity(t *testing.T) {
 	app, prof := compileFIR(t)
@@ -38,9 +40,9 @@ func TestEngineLegacyParity(t *testing.T) {
 	base.Constraint = 30000
 
 	cases := []struct {
-		name   string
-		legacy func(o *Options)
-		v2     []Option
+		name    string
+		flat    func(o *Options)
+		options []Option
 	}{
 		{"baseline", func(o *Options) {}, nil},
 		{"afpga", func(o *Options) { o.AFPGA = 5000 }, []Option{WithArea(5000)}},
@@ -74,24 +76,12 @@ func TestEngineLegacyParity(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			legacyOpts := base
-			tc.legacy(&legacyOpts)
-			want, err := app.Partition(prof, legacyOpts)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			opts := append([]Option{WithConstraint(base.Constraint)}, tc.v2...)
-			eng, err := NewEngine(opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := eng.partitionApp(context.Background(), app, prof)
-			if err != nil {
-				t.Fatal(err)
-			}
+			flat := base
+			tc.flat(&flat)
+			want := partitionWith(t, app, prof, WithOptions(flat))
+			got := partitionWith(t, app, prof, append([]Option{WithConstraint(base.Constraint)}, tc.options...)...)
 			if got.Format() != want.Format() {
-				t.Fatalf("formatted output diverges:\n--- legacy ---\n%s--- v2 ---\n%s", want.Format(), got.Format())
+				t.Fatalf("formatted output diverges:\n--- WithOptions ---\n%s--- granular ---\n%s", want.Format(), got.Format())
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("result diverges:\n got %+v\nwant %+v", got, want)
@@ -100,16 +90,12 @@ func TestEngineLegacyParity(t *testing.T) {
 	}
 }
 
-// TestEngineWorkloadMatchesLegacyTriad proves the Workload lifecycle is the
-// same computation as the App/Runner/RunProfile triad.
-func TestEngineWorkloadMatchesLegacyTriad(t *testing.T) {
+// TestPartitionProfiledMatchesWorkload proves the service's shared-profile
+// path (PartitionProfiled on an App and a profile snapshot) is the same
+// computation as Partition on the Workload.
+func TestPartitionProfiledMatchesWorkload(t *testing.T) {
 	app, prof := compileFIR(t)
-	legacyOpts := DefaultOptions()
-	legacyOpts.Constraint = 30000
-	want, err := app.Partition(prof, legacyOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := partitionWith(t, app, prof, WithConstraint(30000))
 
 	w := firWorkload(t)
 	eng, err := NewEngine(WithConstraint(30000))
@@ -121,21 +107,22 @@ func TestEngineWorkloadMatchesLegacyTriad(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Format() != want.Format() {
-		t.Fatalf("workload path diverges from triad path:\n%s\nvs\n%s", got.Format(), want.Format())
+		t.Fatalf("workload path diverges from profiled path:\n%s\nvs\n%s", got.Format(), want.Format())
 	}
 }
 
-// TestEnergyShimParity checks the energy shim against the engine path, and
-// that EnergyMoveEvents stream in trajectory order.
-func TestEnergyShimParity(t *testing.T) {
+// TestEnergyProfiledParity checks PartitionEnergyProfiled against
+// PartitionEnergy on the Workload, and that EnergyMoveEvents stream in
+// trajectory order.
+func TestEnergyProfiledParity(t *testing.T) {
 	app, prof := compileFIR(t)
-	opts := DefaultOptions()
-	loose, err := app.PartitionEnergy(prof, opts, 1e18)
+	ctx := context.Background()
+	loose, err := mustEngine(t, WithEnergyBudget(1e18)).PartitionEnergyProfiled(ctx, app, prof)
 	if err != nil {
 		t.Fatal(err)
 	}
 	budget := loose.InitialEnergy * 0.8
-	want, err := app.PartitionEnergy(prof, opts, budget)
+	want, err := mustEngine(t, WithEnergyBudget(budget)).PartitionEnergyProfiled(ctx, app, prof)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,42 +170,38 @@ func TestEnergyShimParity(t *testing.T) {
 	}
 }
 
-// TestShimSweepByteIdentical runs the paper's Tables 2–3 configurations
-// through both the legacy Sweep shim and Engine.Sweep and requires
-// byte-identical CSV output.
-func TestShimSweepByteIdentical(t *testing.T) {
+// TestTables23Golden pins the paper's Tables 2–3 grid (A_FPGA ∈ {1500,
+// 5000} × {2, 3} CGCs, seed 1) to committed Engine.Sweep CSV, byte for
+// byte. Regenerate testdata/ only for a change that is meant to move the
+// paper's headline numbers.
+func TestTables23Golden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping benchmark compilation in -short mode")
 	}
-	for _, bench := range []string{BenchOFDM, BenchJPEG} {
-		spec := SweepSpec{
+	for bench, golden := range map[string]string{
+		BenchOFDM: "testdata/table2_ofdm.csv",
+		BenchJPEG: "testdata/table3_jpeg.csv",
+	} {
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := mustEngine(t).Sweep(context.Background(), SweepSpec{
 			Benchmarks: []string{bench},
 			Areas:      []int{1500, 5000},
 			CGCs:       []int{2, 3},
 			Seed:       1,
 			Workers:    2,
-		}
-		legacy, err := Sweep(spec)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := NewEngine()
-		if err != nil {
+		var got bytes.Buffer
+		if err := rs.WriteCSV(&got); err != nil {
 			t.Fatal(err)
 		}
-		v2, err := eng.Sweep(context.Background(), spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var a, b bytes.Buffer
-		if err := legacy.WriteCSV(&a); err != nil {
-			t.Fatal(err)
-		}
-		if err := v2.WriteCSV(&b); err != nil {
-			t.Fatal(err)
-		}
-		if a.String() != b.String() {
-			t.Fatalf("%s sweep CSV diverges:\n--- legacy ---\n%s--- v2 ---\n%s", bench, a.String(), b.String())
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("%s sweep CSV diverges from %s:\n--- got ---\n%s--- want ---\n%s", bench, golden, got.Bytes(), want)
 		}
 	}
 }
@@ -439,10 +422,10 @@ func TestEngineOptionValidation(t *testing.T) {
 	}
 }
 
-// TestWithCostsZeroTableFailsLoudly: the v2 path must never silently
-// replace an explicitly supplied table — an all-zero table is a loud
-// validation error — while the legacy Options zero value keeps selecting
-// the default characterization (OpCosts.IsZero defaulting).
+// TestWithCostsZeroTableFailsLoudly: WithCosts must never silently replace
+// an explicitly supplied table — an all-zero table is a loud validation
+// error — while a zero Options.Costs passed through WithOptions keeps
+// selecting the default characterization (OpCosts.IsZero defaulting).
 func TestWithCostsZeroTableFailsLoudly(t *testing.T) {
 	w := firWorkload(t)
 	eng, err := NewEngine(WithCosts(OpCosts{}), WithConstraint(30000))
@@ -454,22 +437,16 @@ func TestWithCostsZeroTableFailsLoudly(t *testing.T) {
 		t.Fatalf("zero cost table silently accepted or wrong error: %v", err)
 	}
 
-	// Legacy semantics preserved: zero Costs means "default table".
+	// A literal Options value: zero Costs means "default table".
 	app, prof := compileFIR(t)
-	legacy := DefaultOptions()
-	legacy.Constraint = 30000
-	legacy.Costs = OpCosts{}
-	zeroed, err := app.Partition(prof, legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy.Costs = DefaultOpCosts()
-	explicit, err := app.Partition(prof, legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
+	flat := DefaultOptions()
+	flat.Constraint = 30000
+	flat.Costs = OpCosts{}
+	zeroed := partitionWith(t, app, prof, WithOptions(flat))
+	flat.Costs = DefaultOpCosts()
+	explicit := partitionWith(t, app, prof, WithOptions(flat))
 	if zeroed.Format() != explicit.Format() {
-		t.Fatal("legacy zero-value Costs no longer selects the default table")
+		t.Fatal("zero-value Options.Costs no longer selects the default table")
 	}
 }
 

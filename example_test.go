@@ -41,47 +41,43 @@ func ExampleCompile() {
 	// has blocks: true
 }
 
-// ExampleApp_Partition runs the complete methodology: profile one
-// execution, then move kernels to the coarse-grain data-path until the
-// timing constraint is met (steps 2–5 of the paper's flow).
-func ExampleApp_Partition() {
-	app, err := hybridpart.Compile(exampleSrc, "main_fn")
+// ExampleNewWorkload walks the Workload lifecycle: compile once, run with
+// profiling (the dynamic half of the paper's step 3), read the outputs
+// back, and rank the kernels the partitioning engine will move.
+func ExampleNewWorkload() {
+	w, err := hybridpart.NewWorkload(exampleSrc, "main_fn")
 	if err != nil {
 		fmt.Println("compile failed:", err)
 		return
 	}
-	run := app.NewRunner()
-	if _, err := run.Run(); err != nil {
+	result, err := w.Run()
+	if err != nil {
 		fmt.Println("run failed:", err)
 		return
 	}
+	fmt.Println("result:", result, "last output:", w.Data("OUT")[127])
 
-	// Ask for half the all-FPGA execution time, forcing kernel moves.
-	opts := hybridpart.DefaultOptions()
-	opts.Constraint = 1 << 60
-	allFPGA, err := app.Partition(run.Profile(), opts)
+	eng, err := hybridpart.NewEngine()
 	if err != nil {
-		fmt.Println("partition failed:", err)
+		fmt.Println("engine failed:", err)
 		return
 	}
-	opts.Constraint = allFPGA.InitialCycles / 2
-	res, err := app.Partition(run.Profile(), opts)
+	an, err := eng.Analyze(w)
 	if err != nil {
-		fmt.Println("partition failed:", err)
+		fmt.Println("analyze failed:", err)
 		return
 	}
-	fmt.Println("constraint met:", res.Met)
-	fmt.Println("kernels moved:", len(res.Moved) > 0)
-	fmt.Println("faster than all-FPGA:", res.FinalCycles < res.InitialCycles)
+	top := an.Kernels[0]
+	fmt.Println("hottest kernel runs in a loop:", top.LoopDepth > 0, "freq:", top.Freq)
 	// Output:
-	// constraint met: true
-	// kernels moved: true
-	// faster than all-FPGA: true
+	// result: 132 last output: 132
+	// hottest kernel runs in a loop: true freq: 120
 }
 
-// ExampleEngine_Partition is the v2 flow: one Workload (compile + profile in
-// a single lifecycle), one Engine built from functional options, and the
-// move-by-move trajectory streaming through the observer.
+// ExampleEngine_Partition runs the complete methodology: one Workload
+// (compile + profile in a single lifecycle), one Engine built from
+// functional options, and the move-by-move trajectory of steps 4–5
+// streaming through the observer until the timing constraint is met.
 func ExampleEngine_Partition() {
 	w, err := hybridpart.NewWorkload(exampleSrc, "main_fn")
 	if err != nil {

@@ -1,8 +1,6 @@
 package hybridpart
 
 import (
-	"context"
-
 	"hybridpart/internal/ir"
 	"hybridpart/internal/pipeline"
 )
@@ -68,24 +66,12 @@ func (r *EnergyResult) ReductionPct() float64 {
 	return 100 * (r.InitialEnergy - r.FinalEnergy) / r.InitialEnergy
 }
 
-// PartitionEnergy runs the energy-constrained engine: kernels move in
-// analysis order until total energy fits the budget.
-//
-// This is the v1 compatibility shim: it delegates to a single-use Engine
-// configured via WithOptions and WithEnergyBudget, with no cancellation and
-// no observer. New code should call Engine.PartitionEnergy.
-func (a *App) PartitionEnergy(p *RunProfile, opts Options, budget float64) (*EnergyResult, error) {
-	eng, err := NewEngine(WithOptions(opts), WithEnergyBudget(budget))
-	if err != nil {
-		return nil, err
-	}
-	return eng.partitionEnergyApp(context.Background(), a, p)
-}
-
+// blockIDsToInts converts block ids to the facade's plain ints (nil when
+// there are none).
 func blockIDsToInts(ids []ir.BlockID) []int {
-	out := make([]int, len(ids))
-	for i, b := range ids {
-		out[i] = int(b)
+	var out []int
+	for _, b := range ids {
+		out = append(out, int(b))
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package hybridpart
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -8,14 +9,7 @@ import (
 func partitionFIROneMove(t *testing.T) *Result {
 	t.Helper()
 	app, prof := compileFIR(t)
-	opts := DefaultOptions()
-	opts.Constraint = 1
-	opts.MaxMoves = 1
-	res, err := app.Partition(prof, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return partitionWith(t, app, prof, WithConstraint(1), WithMaxMoves(1))
 }
 
 func TestEnergyBreakdownTotal(t *testing.T) {
@@ -40,11 +34,9 @@ func TestEnergyReductionPctEdgeCases(t *testing.T) {
 }
 
 func TestPartitionEnergyInfeasibleBudget(t *testing.T) {
-	app, prof := compileFIR(t)
-	opts := DefaultOptions()
 	// A budget no partitioning can reach: the engine reports best effort
 	// with Met == false instead of erroring.
-	res, err := app.PartitionEnergy(prof, opts, 0.001)
+	res, err := mustEngine(t, WithEnergyBudget(0.001)).PartitionEnergy(context.Background(), firWorkload(t))
 	if err != nil {
 		t.Fatal(err)
 	}

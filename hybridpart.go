@@ -1,17 +1,14 @@
 package hybridpart
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 
 	"hybridpart/internal/analysis"
 	"hybridpart/internal/finegrain"
-	"hybridpart/internal/interp"
 	"hybridpart/internal/ir"
 	"hybridpart/internal/lower"
 	"hybridpart/internal/platform"
@@ -19,8 +16,8 @@ import (
 
 // App is a compiled application: the lowered program plus the flattened
 // (fully inlined) entry function the methodology operates on. An App is
-// safe for concurrent Analyze/Partition/PartitionEnergy use — the sweep
-// engine shares one App across its whole worker pool.
+// safe for concurrent use by Engine runs — the sweep engine shares one App
+// across its whole worker pool.
 type App struct {
 	entry   string
 	srcHash string      // SHA-256 of the source text (see SourceHash)
@@ -48,7 +45,8 @@ func (a *App) blockTables() *ir.BlockTables {
 }
 
 // analyze runs the analysis substrate under the App's mutex; everything
-// else Partition does only reads the shared IR and may run concurrently.
+// else a partitioning run does only reads the shared IR and may run
+// concurrently.
 func (a *App) analyze(freq []uint64, w analysis.Weights) *analysis.Report {
 	a.analysisMu.Lock()
 	defer a.analysisMu.Unlock()
@@ -109,56 +107,6 @@ func (a *App) WriteDFGDot(w io.Writer, id int) error {
 	return ir.WriteDFGDot(w, ir.BuildDFG(a.flat, a.flat.Blocks[id]))
 }
 
-// Runner executes the flattened application with profiling enabled — the
-// dynamic-analysis half of the paper's step 3. Global arrays are the
-// application's I/O surface.
-type Runner struct {
-	m    *interp.Machine
-	prof *interp.Profile
-	app  *App
-}
-
-// NewRunner returns a fresh Runner (globals at their initial values).
-func (a *App) NewRunner() *Runner {
-	m := interp.New(a.fprog)
-	return &Runner{m: m, prof: m.EnableProfile(), app: a}
-}
-
-// SetGlobal copies vals into the named global array.
-func (r *Runner) SetGlobal(name string, vals []int32) error {
-	g := r.m.Global(name)
-	if g == nil {
-		return fmt.Errorf("hybridpart: global %q not found", name)
-	}
-	if len(vals) > len(g) {
-		return fmt.Errorf("hybridpart: %d values exceed %q (len %d)", len(vals), name, len(g))
-	}
-	copy(g, vals)
-	return nil
-}
-
-// Global returns the live storage of a global array (nil if absent).
-func (r *Runner) Global(name string) []int32 { return r.m.Global(name) }
-
-// Run executes the entry function with the given scalar arguments and
-// returns its result. Profiling counts accumulate across calls.
-func (r *Runner) Run(args ...int32) (int32, error) {
-	iargs := make([]interp.Arg, len(args))
-	for i, v := range args {
-		iargs[i] = interp.Int(v)
-	}
-	return r.m.Run(r.app.entry, iargs...)
-}
-
-// BlockFrequencies returns the accumulated per-block execution counts
-// (exec_freq), indexed by basic-block number.
-func (r *Runner) BlockFrequencies() []uint64 {
-	counts := r.prof.Counts[r.app.entry]
-	out := make([]uint64, r.app.NumBlocks())
-	copy(out, counts)
-	return out
-}
-
 // RunProfile bundles the dynamic-analysis products of one or more Run
 // calls: per-block execution counts plus taken control-flow transition
 // counts (the reconfiguration model charges partition crossings on the
@@ -167,24 +115,6 @@ type RunProfile struct {
 	Freq  []uint64
 	edges []finegrain.EdgeFreq
 }
-
-// Profile snapshots the runner's accumulated dynamic analysis.
-func (r *Runner) Profile() *RunProfile {
-	p := &RunProfile{Freq: r.BlockFrequencies()}
-	for k, n := range r.prof.Edges[r.app.entry] {
-		p.edges = append(p.edges, finegrain.EdgeFreq{From: k.From(), To: k.To(), N: n})
-	}
-	sort.Slice(p.edges, func(i, j int) bool {
-		if p.edges[i].From != p.edges[j].From {
-			return p.edges[i].From < p.edges[j].From
-		}
-		return p.edges[i].To < p.edges[j].To
-	})
-	return p
-}
-
-// InstructionsExecuted returns the dynamic instruction count so far.
-func (r *Runner) InstructionsExecuted() uint64 { return r.prof.Instrs }
 
 // KernelOrder re-exports the analysis ordering strategies.
 type KernelOrder = analysis.KernelOrder
@@ -286,44 +216,29 @@ func DefaultOpCosts() OpCosts { return platform.DefaultOpCosts() }
 // DefaultOptions returns the paper's baseline configuration: A_FPGA = 1500,
 // two 2×2 CGCs, T_FPGA = 3·T_CGC, eq. 1 kernel ordering.
 func DefaultOptions() Options {
-	p := platform.Default()
 	w := analysis.DefaultWeights()
-	return Options{
-		AFPGA:             p.Fine.Area,
-		ReconfigCycles:    p.Fine.ReconfigCycles,
-		NumCGCs:           p.Coarse.NumCGCs,
-		CGCRows:           p.Coarse.Rows,
-		CGCCols:           p.Coarse.Cols,
-		MemPorts:          p.Coarse.MemPorts,
-		ClockRatio:        p.Coarse.ClockRatio,
-		RegBankWords:      p.Coarse.RegBankWords,
-		CommCyclesPerWord: p.Comm.CyclesPerWord,
-		CommSyncCycles:    p.Comm.SyncCycles,
-		Constraint:        60000,
-		Order:             OrderByTotalWeight,
-		WeightALU:         w.ALU,
-		WeightMul:         w.Mul,
-		WeightDiv:         w.Div,
-		WeightMem:         w.Mem,
-		Costs:             platform.DefaultOpCosts(),
+	o := Options{
+		Constraint: 60000,
+		Order:      OrderByTotalWeight,
+		WeightALU:  w.ALU,
+		WeightMul:  w.Mul,
+		WeightDiv:  w.Div,
+		WeightMem:  w.Mem,
 	}
+	applyPlatform(&o, platform.Default())
+	return o
 }
 
-// platform materializes the characterization with the legacy defaulting
-// rule: a zero-value Costs table (OpCosts.IsZero) selects the default
-// characterization, so Options built literally keep their v1 meaning. The
-// v2 Engine's WithCosts bypasses this rule and uses its table verbatim.
-func (o Options) platform() platform.Platform {
+// platform materializes the characterization. Unless costsSet (WithCosts
+// or a preset installed the table), a zero-value Costs table
+// (OpCosts.IsZero) selects the default characterization, so an Options
+// value built literally — such as one decoded from the wire — keeps the
+// paper's fabric; an explicitly installed table is used verbatim.
+func (o Options) platform(costsSet bool) platform.Platform {
 	costs := o.Costs
-	if costs.IsZero() {
+	if !costsSet && costs.IsZero() {
 		costs = platform.DefaultOpCosts()
 	}
-	return o.platformUsing(costs)
-}
-
-// platformUsing materializes the characterization with an explicit operator
-// cost table, applying no defaulting at all.
-func (o Options) platformUsing(costs OpCosts) platform.Platform {
 	return platform.Platform{
 		Fine: platform.FineGrain{
 			Area:           o.AFPGA,
@@ -362,25 +277,6 @@ type Analysis struct {
 	rep *analysis.Report
 	// Kernels lists candidate kernels in decreasing total weight.
 	Kernels []KernelInfo
-}
-
-// Analyze runs the static+dynamic analysis (step 3) against the given
-// block frequencies.
-func (a *App) Analyze(freq []uint64, opts Options) *Analysis {
-	rep := a.analyze(freq, opts.weights())
-	out := &Analysis{rep: rep}
-	for _, id := range rep.Kernels {
-		b := rep.Block(id)
-		out.Kernels = append(out.Kernels, KernelInfo{
-			Block:       int(b.ID),
-			Name:        b.Name,
-			Freq:        b.Freq,
-			OpWeight:    b.OpWeight,
-			TotalWeight: b.TotalWeight,
-			LoopDepth:   b.Depth,
-		})
-	}
-	return out
 }
 
 // FormatTable renders the top-n kernels like the paper's Table 1.
@@ -444,19 +340,4 @@ func (r *Result) Format() string {
 	fmt.Fprintf(&sb, "%% cycles reduction:        %.1f\n", r.ReductionPct())
 	fmt.Fprintf(&sb, "Constraint met:            %v\n", r.Met)
 	return sb.String()
-}
-
-// Partition runs the full methodology (steps 2–5) for the given profile and
-// options.
-//
-// This is the v1 compatibility shim: it delegates to a single-use Engine
-// configured via WithOptions, with no cancellation and no observer. New
-// code should build a Workload and call Engine.Partition, which adds
-// context cancellation and move-by-move progress events.
-func (a *App) Partition(p *RunProfile, opts Options) (*Result, error) {
-	eng, err := NewEngine(WithOptions(opts))
-	if err != nil {
-		return nil, err
-	}
-	return eng.partitionApp(context.Background(), a, p)
 }

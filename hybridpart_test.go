@@ -2,6 +2,7 @@ package hybridpart
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -33,17 +34,22 @@ int main_fn() {
 }
 `
 
+// compileFIR returns the profiled FIR fixture as an App and a profile
+// snapshot, for the *Profiled engine methods.
 func compileFIR(t *testing.T) (*App, *RunProfile) {
 	t.Helper()
-	app, err := Compile(firSrc, "main_fn")
+	w := firWorkload(t)
+	return w.App(), w.Profile()
+}
+
+// mustEngine builds an engine from the given options, failing tb on error.
+func mustEngine(tb testing.TB, opts ...Option) *Engine {
+	tb.Helper()
+	eng, err := NewEngine(opts...)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	run := app.NewRunner()
-	if _, err := run.Run(); err != nil {
-		t.Fatal(err)
-	}
-	return app, run.Profile()
+	return eng
 }
 
 func TestCompileErrors(t *testing.T) {
@@ -59,12 +65,15 @@ func TestCompileErrors(t *testing.T) {
 }
 
 func TestEndToEndFlow(t *testing.T) {
-	app, prof := compileFIR(t)
-	if app.NumBlocks() < 5 {
-		t.Fatalf("suspiciously small CDFG: %d blocks", app.NumBlocks())
+	w := firWorkload(t)
+	if w.NumBlocks() < 5 {
+		t.Fatalf("suspiciously small CDFG: %d blocks", w.NumBlocks())
 	}
-	opts := DefaultOptions()
-	an := app.Analyze(prof.Freq, opts)
+	ctx := context.Background()
+	an, err := mustEngine(t).Analyze(w)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(an.Kernels) == 0 {
 		t.Fatal("no kernels detected")
 	}
@@ -73,17 +82,14 @@ func TestEndToEndFlow(t *testing.T) {
 		t.Fatal("kernel ordering broken")
 	}
 
-	loose := opts
-	loose.Constraint = 1 << 60
-	all, err := app.Partition(prof, loose)
+	all, err := mustEngine(t, WithConstraint(1<<60)).Partition(ctx, w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !all.Met || all.InitialCycles <= 0 {
 		t.Fatalf("all-FPGA run malformed: %+v", all)
 	}
-	opts.Constraint = all.InitialCycles / 2
-	res, err := app.Partition(prof, opts)
+	res, err := mustEngine(t, WithConstraint(all.InitialCycles/2)).Partition(ctx, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,19 +104,21 @@ func TestEndToEndFlow(t *testing.T) {
 	}
 }
 
-func TestRunnerGlobals(t *testing.T) {
-	app, _ := compileFIR(t)
-	run := app.NewRunner()
-	if err := run.SetGlobal("INPUT", []int32{9, 9, 9}); err != nil {
+func TestWorkloadInputs(t *testing.T) {
+	w, err := NewWorkload(firSrc, "main_fn")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if run.Global("INPUT")[0] != 9 {
-		t.Fatal("SetGlobal did not write")
+	if err := w.SetInput("INPUT", []int32{9, 9, 9}); err != nil {
+		t.Fatal(err)
 	}
-	if err := run.SetGlobal("NOPE", []int32{1}); err == nil {
+	if w.Data("INPUT")[0] != 9 {
+		t.Fatal("SetInput did not write")
+	}
+	if err := w.SetInput("NOPE", []int32{1}); err == nil {
 		t.Fatal("unknown global accepted")
 	}
-	if err := run.SetGlobal("TAPS", make([]int32, 999)); err == nil {
+	if err := w.SetInput("TAPS", make([]int32, 999)); err == nil {
 		t.Fatal("oversized write accepted")
 	}
 }
@@ -137,14 +145,15 @@ func TestBenchmarkProfilesAreStable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping benchmark compilation in -short mode")
 	}
-	app1, prof1, err := ProfileBenchmark(BenchOFDM, 7)
+	w1, err := BenchmarkWorkload(BenchOFDM, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, prof2, err := ProfileBenchmark(BenchOFDM, 7)
+	w2, err := BenchmarkWorkload(BenchOFDM, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
+	prof1, prof2 := w1.Profile(), w2.Profile()
 	for i := range prof1.Freq {
 		if prof1.Freq[i] != prof2.Freq[i] {
 			t.Fatalf("profiles differ at block %d", i)
@@ -152,11 +161,14 @@ func TestBenchmarkProfilesAreStable(t *testing.T) {
 	}
 	// The paper's property: OFDM's hot kernels sit in the IFFT. The top
 	// kernel must be multiply-rich.
-	an := app1.Analyze(prof1.Freq, DefaultOptions())
+	an, err := mustEngine(t).Analyze(w1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if an.Kernels[0].OpWeight < 20 {
 		t.Fatalf("top OFDM kernel too light: %+v", an.Kernels[0])
 	}
-	if _, _, err := ProfileBenchmark("nope", 1); err == nil {
+	if _, err := BenchmarkWorkload("nope", 1); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
 }
@@ -165,22 +177,15 @@ func TestPaperShapeProperties(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping benchmark compilation in -short mode")
 	}
-	app, prof, err := ProfileBenchmark(BenchOFDM, 1)
+	app, prof, err := ProfileBenchmarkCached(BenchOFDM, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loose := DefaultOptions()
-	loose.Constraint = 1 << 60
 
 	// Property 1: initial cycles shrink monotonically with A_FPGA.
 	prev := int64(1 << 62)
 	for _, area := range []int{1000, 1500, 5000, 10000} {
-		o := loose
-		o.AFPGA = area
-		res, err := app.Partition(prof, o)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := partitionWith(t, app, prof, WithConstraint(1<<60), WithArea(area))
 		if res.InitialCycles > prev {
 			t.Fatalf("A_FPGA=%d slower than smaller area (%d > %d)", area, res.InitialCycles, prev)
 		}
@@ -189,18 +194,8 @@ func TestPaperShapeProperties(t *testing.T) {
 
 	// Property 2: the paper's constraint (60000) is satisfiable at both
 	// areas, with at most as many moves at 5000 as at 1500.
-	o1 := DefaultOptions()
-	o1.Constraint = 60000
-	r1500, err := app.Partition(prof, o1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o2 := o1
-	o2.AFPGA = 5000
-	r5000, err := app.Partition(prof, o2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1500 := partitionWith(t, app, prof, WithConstraint(60000))
+	r5000 := partitionWith(t, app, prof, WithConstraint(60000), WithArea(5000))
 	if !r1500.Met || !r5000.Met {
 		t.Fatalf("paper constraint unmet: 1500=%v 5000=%v", r1500.Met, r5000.Met)
 	}
@@ -214,31 +209,15 @@ func TestPaperShapeProperties(t *testing.T) {
 	}
 	// Property 4: cycles in CGC are independent of A_FPGA when the same
 	// kernels move (compare per-move latencies via a single-move run).
-	o1.MaxMoves, o2.MaxMoves = 1, 1
-	o1.Constraint, o2.Constraint = 1, 1
-	m1500, err := app.Partition(prof, o1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m5000, err := app.Partition(prof, o2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m1500 := partitionWith(t, app, prof, WithConstraint(1), WithMaxMoves(1))
+	m5000 := partitionWith(t, app, prof, WithConstraint(1), WithMaxMoves(1), WithArea(5000))
 	if m1500.CyclesInCGC != m5000.CyclesInCGC {
 		t.Fatalf("CGC cycles depend on A_FPGA: %d vs %d", m1500.CyclesInCGC, m5000.CyclesInCGC)
 	}
 }
 
 func TestPipelineFacade(t *testing.T) {
-	app, prof := compileFIR(t)
-	opts := DefaultOptions()
-	opts.Constraint = 1
-	opts.MaxMoves = 1
-	res, err := app.Partition(prof, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pm := res.Pipeline()
+	pm := partitionFIROneMove(t).Pipeline()
 	if pm.Pipelined(10) > pm.Sequential(10) {
 		t.Fatal("pipelining slower than sequential")
 	}
@@ -252,16 +231,16 @@ func TestPipelineFacade(t *testing.T) {
 }
 
 func TestEnergyFacade(t *testing.T) {
-	app, prof := compileFIR(t)
-	opts := DefaultOptions()
-	loose, err := app.PartitionEnergy(prof, opts, 1e18)
+	w := firWorkload(t)
+	ctx := context.Background()
+	loose, err := mustEngine(t, WithEnergyBudget(1e18)).PartitionEnergy(ctx, w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !loose.Met || loose.InitialEnergy <= 0 {
 		t.Fatalf("loose energy run malformed: %+v", loose)
 	}
-	res, err := app.PartitionEnergy(prof, opts, loose.InitialEnergy*0.8)
+	res, err := mustEngine(t, WithEnergyBudget(loose.InitialEnergy*0.8)).PartitionEnergy(ctx, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +254,7 @@ func TestEnergyFacade(t *testing.T) {
 
 func TestOptionsRoundTrip(t *testing.T) {
 	opts := DefaultOptions()
-	p := opts.platform()
+	p := opts.platform(false)
 	if err := p.Validate(); err != nil {
 		t.Fatalf("DefaultOptions platform invalid: %v", err)
 	}

@@ -220,8 +220,8 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 	}
 	res := &Result{Func: f.Name, Constraint: cfg.Constraint, Objective: cfg.Objective}
 	// One span brackets the whole engine run — the move loop plus, under
-	// simulation-scored selection, the argmin pass. Error returns leave it
-	// unrecorded, which is fine: the trace finalizes on its root, not here.
+	// simulation-scored selection, the argmin pass. Like every span below it
+	// ends on error returns too, so a failed run still shows in its trace.
 	ctx, loopSpan := obs.Start(ctx, "partition.moveloop", obs.Int("kernels_total", len(f.Blocks)))
 	defer func() {
 		loopSpan.Set(obs.Int("moves", len(res.Moved)), obs.Bool("met", res.Met), obs.Int("sim_scored", res.SimScored))
@@ -265,23 +265,19 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 	// the eq. 2 components of every prefix for the argmin pass).
 	type prefix struct{ tFPGA, tCoarse, tComm, total int64 }
 	prefixes := []prefix{{tFPGA: res.InitialCycles, total: res.InitialCycles}}
-	for _, k := range kernels {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if cfg.MaxMoves > 0 && len(res.Moved) >= cfg.MaxMoves {
-			break
-		}
-		_, moveSpan := obs.Start(ctx, "move", obs.Int("block", int(k)))
+	// tryMove attempts to move kernel k under its own "move" span and
+	// reports whether the constraint is now met.
+	tryMove := func(k ir.BlockID) (met bool, err error) {
+		_, span := obs.Start(ctx, "move", obs.Int("block", int(k)))
+		defer span.End()
 		sched, err := coarsegrain.MapDFG(tables.DFG[k], plat.Coarse, arrLen)
 		if err != nil {
 			if errors.Is(err, coarsegrain.ErrUnmappable) {
 				res.Unmappable = append(res.Unmappable, k)
-				moveSpan.Set(obs.String("outcome", "unmappable"))
-				moveSpan.End()
-				continue
+				span.Set(obs.String("outcome", "unmappable"))
+				return false, nil
 			}
-			return nil, err
+			return false, err
 		}
 		io := liveIO[k]
 		moveComm := int64(freq[k]) * (int64(io.In+io.Out)*int64(plat.Comm.CyclesPerWord) + int64(plat.Comm.SyncCycles))
@@ -295,9 +291,8 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 			coarseCost := (moveCGC+ratio-1)/ratio + moveComm
 			if coarseCost >= fpgaCost {
 				res.Skipped = append(res.Skipped, k)
-				moveSpan.Set(obs.String("outcome", "skipped"))
-				moveSpan.End()
-				continue
+				span.Set(obs.String("outcome", "skipped"))
+				return false, nil
 			}
 		}
 
@@ -308,7 +303,7 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 
 		tFPGA, tCoarse, tComm, total, err := evalTotal()
 		if err != nil {
-			return nil, err
+			return false, err
 		}
 		res.TFPGA, res.TCoarse, res.TComm = tFPGA, tCoarse, tComm
 		res.FinalCycles = total
@@ -319,9 +314,21 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 		if cfg.OnMove != nil {
 			cfg.OnMove(mv)
 		}
-		moveSpan.Set(obs.String("outcome", "moved"), obs.Int64("t_total", total))
-		moveSpan.End()
-		if total <= cfg.Constraint && !simSelect {
+		span.Set(obs.String("outcome", "moved"), obs.Int64("t_total", total))
+		return total <= cfg.Constraint && !simSelect, nil
+	}
+	for _, k := range kernels {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if cfg.MaxMoves > 0 && len(res.Moved) >= cfg.MaxMoves {
+			break
+		}
+		met, err := tryMove(k)
+		if err != nil {
+			return nil, err
+		}
+		if met {
 			res.Met = true
 			return res, nil
 		}
@@ -355,6 +362,7 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 	}
 	argCtx, argSpan := obs.Start(ctx, "sim.argmin", obs.Int("prefixes", len(prefixes)))
 	ctx = argCtx
+	defer argSpan.End()
 	bestIdx, bestSim := -1, int64(0)
 	if cfg.SimCostBatch != nil {
 		// Batch path: hand the scorer the whole slate so it can run its
@@ -409,7 +417,6 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 		}
 	}
 	argSpan.Set(obs.Int("scored", res.SimScored), obs.Int("best_prefix", bestIdx))
-	argSpan.End()
 	best := prefixes[bestIdx]
 	res.Moved = res.Moved[:bestIdx]
 	res.Moves = res.Moves[:bestIdx]

@@ -12,6 +12,7 @@ import (
 	"hybridpart/internal/interp"
 	"hybridpart/internal/ir"
 	"hybridpart/internal/lower"
+	"hybridpart/internal/obs"
 	"hybridpart/internal/platform"
 )
 
@@ -501,5 +502,41 @@ func TestSimCostBatchLengthMismatchErrors(t *testing.T) {
 	_, err := Partition(context.Background(), p.prog, p.fn, p.rep, cfg)
 	if err == nil || !strings.Contains(err.Error(), "scores for") {
 		t.Fatalf("err = %v, want the length-mismatch contract error", err)
+	}
+}
+
+// TestSpansEndOnScoringError: a scorer failure must still end the argmin,
+// move-loop and per-move spans. obs drops spans still live when the root
+// ends, so a leaked span would vanish from exactly the traces tail
+// sampling keeps for their error.
+func TestSpansEndOnScoringError(t *testing.T) {
+	p := prepare(t, hotLoopSrc, "f", interp.Int(8))
+	errScoring := errors.New("scoring failed")
+	cfg := Config{
+		Platform: platform.Paper(5000, 2), Constraint: 1, Objective: ObjectiveSimulated,
+		SimCost: func(context.Context, []ir.BlockID) (int64, error) { return 0, errScoring },
+		SimCostBatch: func(context.Context, [][]ir.BlockID) ([]SimScore, error) {
+			return nil, errScoring
+		},
+	}
+	cfg.Edges = p.edges
+	tracer := obs.New(obs.Config{Service: "test"})
+	ctx, root := tracer.StartRoot(context.Background(), "root", obs.SpanContext{})
+	if _, err := Partition(ctx, p.prog, p.fn, p.rep, cfg); !errors.Is(err, errScoring) {
+		t.Fatalf("err = %v, want the scorer's error", err)
+	}
+	root.End()
+	traces := tracer.Traces()
+	if len(traces) != 1 {
+		t.Fatalf("got %d finished traces, want 1", len(traces))
+	}
+	names := map[string]int{}
+	for _, sp := range traces[0].Spans {
+		names[sp.Name]++
+	}
+	for _, want := range []string{"sim.argmin", "partition.moveloop", "move"} {
+		if names[want] == 0 {
+			t.Errorf("span %q missing from the failed run's trace (have %v)", want, names)
+		}
 	}
 }

@@ -1,4 +1,4 @@
-// Package server exposes the hybridpart v2 Engine over HTTP/JSON — the
+// Package server exposes the hybridpart Engine over HTTP/JSON — the
 // partitioning-as-a-service subsystem. The methodology is a pure function
 // from (source, profile inputs, platform config) to a partition, so the
 // service fronts the Engine with a bounded content-addressed result cache

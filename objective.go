@@ -59,22 +59,25 @@ type SimScoreStats struct {
 	Workers     int `json:"workers"`
 }
 
-// debugDisableSimFastPath forces every candidate through the full
-// discrete-event replay. Test hook: the property suite flips it to pin the
-// fast paths to the replay cycle for cycle.
-var debugDisableSimFastPath = false
-
-// debugSerialScoring restores the PR 5 scoring path: no batch argmin, no
-// lower-bound pruning, no arena reuse — every candidate goes through the
-// one-at-a-time SimCost loop with a full-report replay. Test/benchmark hook:
-// the equivalence suite uses it as the reference and BenchmarkObjectiveParallel
-// as the baseline.
-var debugSerialScoring = false
-
-// debugDisablePruning keeps the batch path (pool, arenas, evaluation order)
-// but scores every candidate instead of pruning. Test hook: the
-// admissibility property compares a pruned run against it.
-var debugDisablePruning = false
+// scoringHooks switch off tiers of the sim-scoring path. The zero value is
+// production scoring; an Engine copies its hooks into every simScorer it
+// builds, and only tests set them, so each test flips them on its own
+// engine instead of on shared state.
+type scoringHooks struct {
+	// serial restores the one-at-a-time scoring path: no batch argmin, no
+	// lower-bound pruning, no arena reuse — every candidate goes through the
+	// SimCost loop with a full-report replay. The equivalence suite uses it
+	// as the reference and BenchmarkObjectiveParallel as its baseline.
+	serial bool
+	// noPruning keeps the batch path (pool, arenas, evaluation order) but
+	// scores every candidate instead of pruning; the admissibility property
+	// compares a pruned run against it.
+	noPruning bool
+	// noFastPath forces every candidate through the full discrete-event
+	// replay; the property suite uses it to pin the closed-form and
+	// incremental tiers to the replay cycle for cycle.
+	noFastPath bool
+}
 
 // simSpecOf materializes the engine-level co-simulation knobs.
 func simSpecOf(o Options) SimSpec {
@@ -118,6 +121,7 @@ type simScorer struct {
 	freq    []uint64
 	ratio   int64
 	workers int
+	hooks   scoringHooks
 
 	mu    sync.Mutex
 	arena sim.Arena
@@ -133,14 +137,9 @@ type simScorer struct {
 // newSimScorer builds the scorer for one (application, profile, platform,
 // sim spec) tuple. The spec's zero frames/ports normalize to 1.
 func newSimScorer(a *App, p *RunProfile, plat platform.Platform, spec SimSpec) (*simScorer, error) {
-	if spec.Frames < 0 || spec.Ports < 0 {
-		return nil, fmt.Errorf("hybridpart: sim frames and ports must be non-negative, got %d/%d", spec.Frames, spec.Ports)
-	}
-	if spec.Frames == 0 {
-		spec.Frames = 1
-	}
-	if spec.Ports == 0 {
-		spec.Ports = 1
+	spec, err := spec.normalized()
+	if err != nil {
+		return nil, err
 	}
 	tables := a.blockTables()
 	rep, err := sim.NewReplayer(sim.Input{Prog: a.fprog, F: a.flat, Tables: tables, Plat: plat, Freq: p.Freq, Edges: p.edges})
@@ -198,8 +197,8 @@ func (s *simScorer) score(ctx context.Context, moved []ir.BlockID) (int64, error
 	if s.fastRegime() {
 		return s.closedForm(moved)
 	}
-	if debugSerialScoring {
-		// The PR 5 path: a full-report replay per candidate.
+	if s.hooks.serial {
+		// The reference path: a full-report replay per candidate.
 		rep, err := s.rep.Simulate(ctx, s.cfg, moved)
 		if err != nil {
 			return 0, err
@@ -218,7 +217,7 @@ func (s *simScorer) score(ctx context.Context, moved []ir.BlockID) (int64, error
 // fastRegime reports whether candidates take the additive closed form
 // instead of the event engine.
 func (s *simScorer) fastRegime() bool {
-	return s.cfg.Frames == 1 && !s.cfg.Prefetch && !debugDisableSimFastPath
+	return s.cfg.Frames == 1 && !s.cfg.Prefetch && !s.hooks.noFastPath
 }
 
 // ScoreBatch scores a whole candidate slate for the argmin pass. It has the
@@ -239,6 +238,7 @@ func (s *simScorer) fastRegime() bool {
 func (s *simScorer) ScoreBatch(ctx context.Context, candidates [][]ir.BlockID) ([]partition.SimScore, error) {
 	out := make([]partition.SimScore, len(candidates))
 	ctx, span := obs.Start(ctx, "sim.ScoreBatch", obs.Int("candidates", len(candidates)))
+	defer span.End()
 	if s.fastRegime() {
 		for i, moved := range candidates {
 			if err := ctx.Err(); err != nil {
@@ -252,7 +252,6 @@ func (s *simScorer) ScoreBatch(ctx context.Context, candidates [][]ir.BlockID) (
 		}
 		span.Set(obs.Int("scored", len(candidates)), obs.Int("pruned", 0),
 			obs.Int("workers", 1), obs.String("regime", "closed-form"))
-		span.End()
 		return out, nil
 	}
 
@@ -279,7 +278,6 @@ func (s *simScorer) ScoreBatch(ctx context.Context, candidates [][]ir.BlockID) (
 	if len(pending) == 0 {
 		span.Set(obs.Int("scored", 0), obs.Int("pruned", 0),
 			obs.Int("memo_hits", len(candidates)), obs.String("regime", "replay"))
-		span.End()
 		return out, nil
 	}
 
@@ -317,7 +315,7 @@ func (s *simScorer) ScoreBatch(ctx context.Context, candidates [][]ir.BlockID) (
 	var pruned atomic.Int64
 	// evalOne replays candidate i (unless its bound prunes it) into out[i].
 	evalOne := func(ctx context.Context, i int, arena *sim.Arena, parallel bool) error {
-		if !debugDisablePruning && bounds[i] > best.Load() {
+		if !s.hooks.noPruning && bounds[i] > best.Load() {
 			out[i] = partition.SimScore{Pruned: true}
 			pruned.Add(1)
 			return nil
@@ -402,7 +400,6 @@ func (s *simScorer) ScoreBatch(ctx context.Context, candidates [][]ir.BlockID) (
 	span.Set(obs.Int("scored", len(pending)-int(pruned.Load())), obs.Int("pruned", int(pruned.Load())),
 		obs.Int("memo_hits", len(candidates)-len(pending)), obs.Int("workers", workers),
 		obs.String("regime", "replay"))
-	span.End()
 	return out, nil
 }
 
@@ -507,7 +504,7 @@ func (s *simScorer) closedForm(moved []ir.BlockID) (int64, error) {
 	// it counted last time, so the memoized count is reused without
 	// re-walking the trace.
 	if prev := s.last; prev != nil && len(moved) == len(prev.moved)+1 &&
-		sameBlocks(moved[:len(prev.moved)], prev.moved) &&
+		slices.Equal(moved[:len(prev.moved)], prev.moved) &&
 		prev.entryLoads[moved[len(prev.moved)]] == 0 &&
 		sameCrossingSet(pm, prev.pm, moved[len(prev.moved)]) {
 		// prev.entryLoads stays valid verbatim: the elided kernel's entry
@@ -548,15 +545,6 @@ func sumLoads(loads []int64) int64 {
 		total += n
 	}
 	return total
-}
-
-func sameBlocks(a, b []ir.BlockID) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // sameCrossingSet reports whether moving kernel k provably leaves the

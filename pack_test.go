@@ -148,7 +148,7 @@ func TestPackMatchesReference(t *testing.T) {
 		var pm finegrain.PackedMapping
 		for _, area := range areas {
 			for _, regions := range []int{1, 2, 4} {
-				fg := DefaultOptions().platform().Fine
+				fg := DefaultOptions().platform(false).Fine
 				fg.Area, fg.Regions = area, regions
 				traj := trajectory(t, app, profiles[name], area, regions)
 				if len(traj) == 0 {
@@ -192,7 +192,7 @@ func TestPackMatchesReference(t *testing.T) {
 // allocates nothing, and a fresh one costs the same fixed handful of slices
 // whatever the block count.
 func TestPackAllocs(t *testing.T) {
-	fg := DefaultOptions().platform().Fine
+	fg := DefaultOptions().platform(false).Fine
 	fresh := map[string]float64{}
 	for name, app := range packFixtures(t) {
 		tables := app.blockTables()
@@ -226,7 +226,7 @@ func TestMakespanAllocs(t *testing.T) {
 	moved := trajectory(t, app, prof, 1200, 1)
 	moved = moved[:len(moved)/2]
 	for _, regions := range []int{1, 2} {
-		plat := DefaultOptions().platform()
+		plat := DefaultOptions().platform(false)
 		plat.Fine.Area, plat.Fine.Regions = 1200, regions
 		rep, err := sim.NewReplayer(sim.Input{
 			Prog: app.fprog, F: app.flat, Tables: app.blockTables(), Plat: plat, Freq: prof.Freq, Edges: prof.edges,

@@ -31,6 +31,16 @@ type SimSpec struct {
 	Prefetch bool
 }
 
+// normalized validates the spec and resolves zero frames and ports to 1.
+func (s SimSpec) normalized() (SimSpec, error) {
+	if s.Frames < 0 || s.Ports < 0 {
+		return s, fmt.Errorf("hybridpart: sim frames and ports must be non-negative, got %d/%d", s.Frames, s.Ports)
+	}
+	s.Frames = max(s.Frames, 1)
+	s.Ports = max(s.Ports, 1)
+	return s, nil
+}
+
 // SimOption configures one Simulate call.
 type SimOption func(*SimSpec)
 
@@ -188,19 +198,16 @@ func (e *Engine) Simulate(ctx context.Context, w *Workload, opts ...SimOption) (
 	if err != nil {
 		return nil, err
 	}
-	return e.simulateApp(ctx, app, prof, opts)
+	return e.SimulateProfiled(ctx, app, prof, opts...)
 }
 
-// SimulateProfiled is Simulate on the raw v1 pair — see PartitionProfiled
-// for when to prefer it over the Workload path.
+// SimulateProfiled is Simulate on a pre-compiled App and an explicit
+// profile snapshot — see PartitionProfiled for when to prefer it over the
+// Workload path.
 func (e *Engine) SimulateProfiled(ctx context.Context, a *App, p *RunProfile, opts ...SimOption) (*SimReport, error) {
 	if a == nil || p == nil {
 		return nil, fmt.Errorf("hybridpart: SimulateProfiled needs a non-nil app and profile")
 	}
-	return e.simulateApp(ctx, a, p, opts)
-}
-
-func (e *Engine) simulateApp(ctx context.Context, a *App, p *RunProfile, opts []SimOption) (*SimReport, error) {
 	// The engine-level sim knobs (WithSimFrames/WithSimPorts/WithSimPrefetch,
 	// fingerprinted in Options) are the defaults; per-call SimOptions layer
 	// over them for this one simulation.
@@ -210,14 +217,9 @@ func (e *Engine) simulateApp(ctx context.Context, a *App, p *RunProfile, opts []
 			opt(&spec)
 		}
 	}
-	if spec.Frames < 0 || spec.Ports < 0 {
-		return nil, fmt.Errorf("hybridpart: sim frames and ports must be non-negative, got %d/%d", spec.Frames, spec.Ports)
-	}
-	if spec.Frames == 0 {
-		spec.Frames = 1
-	}
-	if spec.Ports == 0 {
-		spec.Ports = 1
+	spec, err := spec.normalized()
+	if err != nil {
+		return nil, err
 	}
 
 	// The analytical side: the same silent partitioning run the service
@@ -243,7 +245,7 @@ func (e *Engine) simulateApp(ctx context.Context, a *App, p *RunProfile, opts []
 			Prog:   a.fprog,
 			F:      a.flat,
 			Tables: a.blockTables(),
-			Plat:   e.platformOf(e.opts, e.costsSet),
+			Plat:   e.opts.platform(e.costsSet),
 			Freq:   p.Freq,
 			Edges:  p.edges,
 		})
@@ -280,7 +282,7 @@ func (e *Engine) simulateApp(ctx context.Context, a *App, p *RunProfile, opts []
 		Frames:               spec.Frames,
 		Ports:                spec.Ports,
 		Prefetch:             spec.Prefetch,
-		Regions:              e.platformOf(e.opts, e.costsSet).Fine.NumRegions(),
+		Regions:              e.opts.platform(e.costsSet).Fine.NumRegions(),
 		Objective:            e.opts.Objective,
 		Runs:                 part.Runs,
 		TotalCycles:          part.TotalCycles,

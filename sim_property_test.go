@@ -86,6 +86,15 @@ func (c propertyConfig) engineOpts(extra ...Option) []Option {
 	return append(opts, extra...)
 }
 
+// withHooks installs test-only scoring hooks on the engine under
+// construction.
+func withHooks(h scoringHooks) Option {
+	return func(e *Engine) error {
+		e.hooks = h
+		return nil
+	}
+}
+
 func partitionWith(t *testing.T, app *App, prof *RunProfile, opts ...Option) *Result {
 	t.Helper()
 	eng, err := NewEngine(opts...)
@@ -105,6 +114,7 @@ func partitionWith(t *testing.T, app *App, prof *RunProfile, opts ...Option) *Re
 // closed-form model objective picks — the estimation-vs-execution gap the
 // feedback loop exists to close.
 func TestObjectiveSimulatedBeatsModelOFDM(t *testing.T) {
+	t.Parallel()
 	app, prof, err := ProfileBenchmarkCached(BenchOFDM, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -133,6 +143,7 @@ func TestObjectiveSimulatedBeatsModelOFDM(t *testing.T) {
 // model objective's — the model's choice is always in the simulated
 // objective's candidate set.
 func TestSimPropertyObjectiveNotWorse(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("skipping benchmark compilation in -short mode")
 	}
@@ -174,6 +185,7 @@ func TestSimPropertyObjectiveNotWorse(t *testing.T) {
 // mappings whose loads and crossings diverge are a documented model
 // idealization, spelled out in the report's validation notes.)
 func TestSimPropertyExactnessPreserved(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("skipping benchmark compilation in -short mode")
 	}
@@ -237,6 +249,7 @@ func TestSimPropertyExactnessPreserved(t *testing.T) {
 // areas × moved-sets × frames × ports, enabling configuration prefetch
 // never increases the simulated makespan.
 func TestSimPropertyPrefetchNeverSlower(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("skipping benchmark compilation in -short mode")
 	}
@@ -263,6 +276,7 @@ func TestSimPropertyPrefetchNeverSlower(t *testing.T) {
 // prefix (k = -1, and any k at least the trajectory length) is the full
 // simulated objective — identical chosen mapping, identical makespan.
 func TestSimPropertyRerankAllEquivalent(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("skipping benchmark compilation in -short mode")
 	}
@@ -293,6 +307,7 @@ func TestSimPropertyRerankAllEquivalent(t *testing.T) {
 // with the same makespan — and the enabled runs must actually have used the
 // fast paths.
 func TestSimPropertyFastPathMatchesReplay(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("skipping benchmark compilation in -short mode")
 	}
@@ -310,9 +325,8 @@ func TestSimPropertyFastPathMatchesReplay(t *testing.T) {
 			if fast.SimStats.Replays != 0 || fast.SimStats.ClosedForm+fast.SimStats.Incremental == 0 {
 				t.Fatalf("seed=%d %s: fast path not exercised: %+v", seed, cfg, fast.SimStats)
 			}
-			debugDisableSimFastPath = true
-			slow := partitionWith(t, app, prof, cfg.engineOpts(WithObjective(ObjectiveSimulated))...)
-			debugDisableSimFastPath = false
+			slow := partitionWith(t, app, prof,
+				cfg.engineOpts(WithObjective(ObjectiveSimulated), withHooks(scoringHooks{noFastPath: true}))...)
 			if slow.SimStats.ClosedForm+slow.SimStats.Incremental != 0 {
 				t.Fatalf("seed=%d %s: fast path ran while disabled: %+v", seed, cfg, slow.SimStats)
 			}
@@ -329,6 +343,7 @@ func TestSimPropertyFastPathMatchesReplay(t *testing.T) {
 // near miss — identical chosen mapping, identical makespans, byte-identical
 // SimReport JSON against an engine that never mentions regions.
 func TestSimPropertyMonolithicIdentity(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("skipping benchmark compilation in -short mode")
 	}
@@ -473,13 +488,14 @@ func TestSweepSimPartialCancel(t *testing.T) {
 
 // TestSimPropertyParallelEquivalence is the tentpole determinism pin: the
 // batched, parallel, branch-and-bound scorer must choose byte-for-byte the
-// same partition as the PR-5 serial path for every worker count. The serial
-// reference runs with debugSerialScoring (no batch argmin, no pruning);
+// same partition as the serial reference path for every worker count. The
+// reference runs with scoringHooks.serial (no batch argmin, no pruning);
 // each worker count then runs the live path, and the chosen mapping,
 // trajectory, analytical cycles, simulated makespan and the full SimReport
 // JSON must be identical. Scheduling-dependent counters (Pruned/Parallel/
 // Scored) are deliberately excluded — they are diagnostics, not results.
 func TestSimPropertyParallelEquivalence(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("skipping benchmark compilation in -short mode")
 	}
@@ -507,9 +523,8 @@ func TestSimPropertyParallelEquivalence(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			cfg := drawConfig(rng)
 			t.Logf("seed=%d draw=%d %s", seed, i, cfg)
-			debugSerialScoring = true
-			ref := partitionWith(t, app, prof, cfg.engineOpts(WithObjective(ObjectiveSimulated))...)
-			debugSerialScoring = false
+			ref := partitionWith(t, app, prof,
+				cfg.engineOpts(WithObjective(ObjectiveSimulated), withHooks(scoringHooks{serial: true}))...)
 			refRep := reportJSON(cfg, ref)
 			for _, workers := range []int{1, 2, 4, 8} {
 				got := partitionWith(t, app, prof,
@@ -538,6 +553,7 @@ func TestSimPropertyParallelEquivalence(t *testing.T) {
 // test also requires pruning to actually fire somewhere across the draws;
 // a bound too weak to ever prune would pass the equivalence vacuously.
 func TestSimPropertyPruningPreservesArgmin(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("skipping benchmark compilation in -short mode")
 	}
@@ -556,9 +572,8 @@ func TestSimPropertyPruningPreservesArgmin(t *testing.T) {
 			t.Logf("seed=%d draw=%d %s", seed, i, cfg)
 			pruned := partitionWith(t, app, prof, cfg.engineOpts(WithObjective(ObjectiveSimulated))...)
 			totalPruned += pruned.SimStats.Pruned
-			debugDisablePruning = true
-			full := partitionWith(t, app, prof, cfg.engineOpts(WithObjective(ObjectiveSimulated))...)
-			debugDisablePruning = false
+			full := partitionWith(t, app, prof,
+				cfg.engineOpts(WithObjective(ObjectiveSimulated), withHooks(scoringHooks{noPruning: true}))...)
 			if full.SimStats.Pruned != 0 {
 				t.Fatalf("seed=%d %s: pruning fired while disabled: %+v", seed, cfg, full.SimStats)
 			}
@@ -585,6 +600,7 @@ func TestSimPropertyPruningPreservesArgmin(t *testing.T) {
 // search still returned the true candidate-set minimum, not an artifact of
 // skipped work).
 func TestSimPropertyBoundNeverExceedsScore(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("skipping benchmark compilation in -short mode")
 	}

@@ -1,7 +1,6 @@
 package hybridpart
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
@@ -43,15 +42,12 @@ func PlatformPresets() []string { return platform.Names() }
 // operator cost table) replaced by the named preset's characterization.
 // The empty name and "default" return DefaultOptions unchanged.
 func OptionsFor(preset string) (Options, error) {
+	p, err := presetPlatform(preset)
+	if err != nil {
+		return Options{}, err
+	}
 	opts := DefaultOptions()
-	if preset == "" || preset == "default" {
-		return opts, nil
-	}
-	cfg, ok := platform.Lookup(preset)
-	if !ok {
-		return Options{}, fmt.Errorf("hybridpart: unknown platform preset %q (have %v)", preset, platform.Names())
-	}
-	applyPlatform(&opts, cfg.Platform)
+	applyPlatform(&opts, p)
 	return opts, nil
 }
 
@@ -79,7 +75,7 @@ var profileCache = struct {
 	// bound caps the memo (see DefaultProfileMemoBound); 0 disables the
 	// bound for trusted deployments whose seed space is known.
 	bound int
-}{bound: DefaultProfileMemoBound}
+}{entries: map[profileKey]*profileEntry{}, bound: DefaultProfileMemoBound}
 
 // DefaultProfileMemoBound is the benchmark profile memo's default capacity.
 // Each entry pins a full compiled App plus its profile, and the
@@ -138,19 +134,18 @@ type profileEntry struct {
 	err  error
 }
 
-// ProfileBenchmarkCached is ProfileBenchmark behind a concurrency-safe,
-// bounded process-level cache: the first caller for a (name, seed) pair
-// compiles and profiles, every other caller — concurrent or later — shares
-// the result, and once profileCacheCap distinct pairs are resident the
-// oldest is evicted. The returned App and RunProfile are safe for
-// concurrent Analyze/Partition use (both only read them); callers that
-// need to mutate runner state should use ProfileBenchmark instead.
+// ProfileBenchmarkCached compiles the named benchmark, runs it once on its
+// standard input vectors for the seed (the paper's: 6 payload symbols, one
+// 256×256 frame) and returns the app plus its profile, behind a
+// concurrency-safe, bounded process-level cache: the first caller for a
+// (name, seed) pair compiles and profiles, every other caller — concurrent
+// or later — shares the result, and once the memo bound is reached the
+// oldest pair is evicted. The returned App and RunProfile are safe for
+// concurrent *Profiled engine runs (all only read them); callers that need
+// to feed further inputs should use BenchmarkWorkload instead.
 func ProfileBenchmarkCached(name string, seed uint32) (*App, *RunProfile, error) {
 	key := profileKey{bench: name, seed: seed}
 	profileCache.mu.Lock()
-	if profileCache.entries == nil {
-		profileCache.entries = map[profileKey]*profileEntry{}
-	}
 	e := profileCache.entries[key]
 	if e == nil {
 		e = &profileEntry{}
@@ -161,26 +156,12 @@ func ProfileBenchmarkCached(name string, seed uint32) (*App, *RunProfile, error)
 	profileCache.mu.Unlock()
 
 	e.once.Do(func() {
-		e.app, e.prof, e.err = ProfileBenchmark(name, seed)
+		w, err := BenchmarkWorkload(name, seed)
+		if err != nil {
+			e.err = err
+			return
+		}
+		e.app, e.prof = w.app, w.Profile()
 	})
 	return e.app, e.prof, e.err
-}
-
-// Sweep runs the design-space-exploration engine over the spec: each
-// benchmark is compiled and profiled once (via ProfileBenchmarkCached) and
-// every grid cell is partitioned against that shared profile on a bounded
-// worker pool. Per-cell failures are recorded in the outcome's Err field
-// rather than aborting the sweep; the outcomes are in expansion order
-// regardless of the worker count.
-//
-// This is the v1 compatibility shim: it delegates to a default-configured
-// Engine with no cancellation and no observer. New code should call
-// Engine.Sweep, which adds context cancellation and per-cell progress
-// events.
-func Sweep(spec SweepSpec) (*SweepResult, error) {
-	eng, err := NewEngine()
-	if err != nil {
-		return nil, err
-	}
-	return eng.Sweep(context.Background(), spec)
 }

@@ -1,6 +1,7 @@
 package hybridpart
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -65,7 +66,7 @@ func TestOptionsFor(t *testing.T) {
 	if dsp.Costs.AreaMul >= def.Costs.AreaMul {
 		t.Fatalf("dsp-rich cost table not installed: %+v", dsp.Costs)
 	}
-	if err := dsp.platform().Validate(); err != nil {
+	if err := dsp.platform(false).Validate(); err != nil {
 		t.Fatalf("dsp-rich options yield invalid platform: %v", err)
 	}
 	if _, err := OptionsFor("no-such-preset"); err == nil {
@@ -115,8 +116,8 @@ func TestProfileBenchmarkCached(t *testing.T) {
 }
 
 // TestSweepMatchesSerial is the engine's parity check: every cell of a
-// parallel sweep must reproduce exactly what a serial recompile-per-cell
-// Partition loop produces (the acceptance property behind refactoring
+// parallel sweep must reproduce exactly what a serial per-cell
+// Engine.Partition loop produces (the acceptance property behind refactoring
 // cmd/experiments onto the engine).
 func TestSweepMatchesSerial(t *testing.T) {
 	if testing.Short() {
@@ -124,7 +125,7 @@ func TestSweepMatchesSerial(t *testing.T) {
 	}
 	areas := []int{1500, 5000}
 	ncgcs := []int{2, 3}
-	rs, err := Sweep(SweepSpec{
+	rs, err := mustEngine(t).Sweep(context.Background(), SweepSpec{
 		Benchmarks: []string{BenchOFDM},
 		Areas:      areas,
 		CGCs:       ncgcs,
@@ -139,17 +140,14 @@ func TestSweepMatchesSerial(t *testing.T) {
 	}
 
 	// Serial reference path: fresh compile+profile and Partition per cell.
-	app, prof, err := ProfileBenchmark(BenchOFDM, 1)
+	w, err := BenchmarkWorkload(BenchOFDM, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, afpga := range areas {
 		for _, ncgc := range ncgcs {
-			opts := DefaultOptions()
-			opts.AFPGA = afpga
-			opts.NumCGCs = ncgc
-			opts.Constraint = DefaultConstraint(BenchOFDM)
-			want, err := app.Partition(prof, opts)
+			eng := mustEngine(t, WithArea(afpga), WithCGCs(ncgc), WithConstraint(DefaultConstraint(BenchOFDM)))
+			want, err := eng.Partition(context.Background(), w)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,7 +174,7 @@ func TestSweepMatchesSerial(t *testing.T) {
 }
 
 func TestSweepRecordsUnknownBenchmark(t *testing.T) {
-	rs, err := Sweep(SweepSpec{Benchmarks: []string{"nope"}, Areas: []int{1500}, Workers: 1})
+	rs, err := mustEngine(t).Sweep(context.Background(), SweepSpec{Benchmarks: []string{"nope"}, Areas: []int{1500}, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +187,7 @@ func TestSweepRecordsUnknownBenchmark(t *testing.T) {
 func TestSweepRequiresConstraintForCustomBench(t *testing.T) {
 	// A benchmark without a paper default and no explicit constraint must
 	// fail loudly, not partition against a zero constraint.
-	rs, err := Sweep(SweepSpec{Benchmarks: []string{"nope2"}, Constraints: nil, Workers: 1})
+	rs, err := mustEngine(t).Sweep(context.Background(), SweepSpec{Benchmarks: []string{"nope2"}, Constraints: nil, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

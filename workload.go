@@ -1,33 +1,47 @@
 package hybridpart
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
 
-// Workload is the v2 unit of work: one compiled application together with
-// the execution profile it accumulates. It fuses the App/Runner/RunProfile
-// triad of the v1 API into a single lifecycle —
+	"hybridpart/internal/finegrain"
+	"hybridpart/internal/interp"
+)
+
+// Workload is the unit of work: one compiled application together with
+// the execution profile it accumulates (the dynamic-analysis half of the
+// paper's step 3) —
 //
 //	w, _ := hybridpart.NewWorkload(src, "main_fn")
 //	w.SetInput("IN", vals)
 //	w.Run()                      // dynamic analysis; counts accumulate
 //	res, _ := engine.Partition(ctx, w)
 //
-// — so callers no longer juggle three objects or forget the profiling step.
 // Run and SetInput mutate the workload's interpreter state and must not be
 // called concurrently with each other; Engine methods only snapshot the
 // accumulated profile and may run concurrently with one another.
 type Workload struct {
-	app *App
-	run *Runner
+	app  *App
+	m    *interp.Machine
+	prof *interp.Profile
+}
+
+// newWorkload wraps a compiled app in a fresh profiling interpreter
+// (globals at their initial values).
+func newWorkload(app *App) *Workload {
+	m := interp.New(app.fprog)
+	return &Workload{app: app, m: m, prof: m.EnableProfile()}
 }
 
 // NewWorkload compiles mini-C source text (the paper's step 1) and prepares
-// a fresh profiling runner over it. Globals start at their initial values.
+// a fresh profiling interpreter over it. Globals start at their initial
+// values.
 func NewWorkload(src, entry string) (*Workload, error) {
 	app, err := Compile(src, entry)
 	if err != nil {
 		return nil, err
 	}
-	return &Workload{app: app, run: app.NewRunner()}, nil
+	return newWorkload(app), nil
 }
 
 // BenchmarkWorkload compiles the named built-in benchmark (see Benchmarks),
@@ -43,7 +57,7 @@ func BenchmarkWorkload(name string, seed uint32) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &Workload{app: app, run: app.NewRunner()}
+	w := newWorkload(app)
 	if err := w.SetInput(d.inputArray, d.input(seed)); err != nil {
 		return nil, err
 	}
@@ -54,7 +68,7 @@ func BenchmarkWorkload(name string, seed uint32) (*Workload, error) {
 }
 
 // App returns the underlying compiled application (CDFG inspection, DOT
-// emitters, the v1 API surface).
+// emitters, and the *Profiled engine methods).
 func (w *Workload) App() *App { return w.app }
 
 // Entry returns the entry function name.
@@ -72,26 +86,54 @@ func (w *Workload) NumBlocks() int { return w.app.NumBlocks() }
 // SetInput copies vals into the named global array — the application's
 // input surface.
 func (w *Workload) SetInput(name string, vals []int32) error {
-	return w.run.SetGlobal(name, vals)
+	g := w.m.Global(name)
+	if g == nil {
+		return fmt.Errorf("hybridpart: global %q not found", name)
+	}
+	if len(vals) > len(g) {
+		return fmt.Errorf("hybridpart: %d values exceed %q (len %d)", len(vals), name, len(g))
+	}
+	copy(g, vals)
+	return nil
 }
 
 // Data returns the live storage of a global array (nil if absent), for
 // reading outputs back after Run.
-func (w *Workload) Data(name string) []int32 { return w.run.Global(name) }
+func (w *Workload) Data(name string) []int32 { return w.m.Global(name) }
 
 // Run executes the entry function with the given scalar arguments and
 // returns its result. Profiling counts accumulate across calls: each Run is
 // one more profiled execution (one more "frame") folded into the workload's
 // dynamic analysis.
-func (w *Workload) Run(args ...int32) (int32, error) { return w.run.Run(args...) }
+func (w *Workload) Run(args ...int32) (int32, error) {
+	iargs := make([]interp.Arg, len(args))
+	for i, v := range args {
+		iargs[i] = interp.Int(v)
+	}
+	return w.m.Run(w.app.entry, iargs...)
+}
 
 // InstructionsExecuted returns the dynamic instruction count so far.
-func (w *Workload) InstructionsExecuted() uint64 { return w.run.InstructionsExecuted() }
+func (w *Workload) InstructionsExecuted() uint64 { return w.prof.Instrs }
 
-// Profile snapshots the accumulated dynamic analysis (per-block execution
-// counts plus control-flow transition counts). Engine methods call this
-// implicitly; it is exported for interoperability with the v1 API.
-func (w *Workload) Profile() *RunProfile { return w.run.Profile() }
+// Profile snapshots the accumulated dynamic analysis: per-block execution
+// counts plus control-flow transition counts, sorted by edge. Engine methods
+// call this implicitly; it is exported so one snapshot can be shared across
+// many knob sets through the *Profiled engine methods.
+func (w *Workload) Profile() *RunProfile {
+	p := &RunProfile{Freq: make([]uint64, w.app.NumBlocks())}
+	copy(p.Freq, w.prof.Counts[w.app.entry])
+	for k, n := range w.prof.Edges[w.app.entry] {
+		p.edges = append(p.edges, finegrain.EdgeFreq{From: k.From(), To: k.To(), N: n})
+	}
+	sort.Slice(p.edges, func(i, j int) bool {
+		if p.edges[i].From != p.edges[j].From {
+			return p.edges[i].From < p.edges[j].From
+		}
+		return p.edges[i].To < p.edges[j].To
+	})
+	return p
+}
 
 // profiled returns the app and a profile snapshot, erroring on nil
 // workloads so Engine methods fail loudly instead of panicking.
