@@ -489,20 +489,18 @@ func BenchmarkObjective(b *testing.B) {
 	}
 }
 
-// BenchmarkObjectiveParallel measures the batched simulation-scored argmin
-// against the serial reference path: "serial" re-enables the one-candidate-
-// at-a-time full-report replay (scoringHooks.serial), while wN runs the live
-// branch-and-bound batch scorer with an N-worker budget. On a single-core
-// host the speedup comes from pruning, arena reuse and report-free replays
-// rather than concurrency, so wN tracks w1 closely there; allocs/op pins
-// the arena's steady-state zero-allocation claim. cmd/benchjson publishes
-// the sub-benchmarks (and the w8-over-serial speedup) in
-// BENCH_objective.json, which CI gates at >= 3x.
-func BenchmarkObjectiveParallel(b *testing.B) {
+// BenchmarkObjectiveScoring measures the batched simulation-scored argmin
+// against the serial reference path on OFDM ×8: "serial" re-enables the
+// one-candidate-at-a-time full-report replay (scoringHooks.serial), while
+// "batch" runs the live branch-and-bound scorer on its reused arena. The
+// speedup comes from pruning, arena reuse and report-free replays;
+// allocs/op tracks the arena's steady state. cmd/benchjson publishes both
+// (and batch's speedup over serial) in BENCH_objective.json, which CI
+// gates at >= 3x.
+func BenchmarkObjectiveScoring(b *testing.B) {
 	app, prof, _, _ := benchSetup(b)
-	run := func(b *testing.B, workers int, serialScoring bool) {
-		eng, err := NewEngine(WithConstraint(60000), WithSimFrames(8),
-			WithObjective(ObjectiveSimulated), WithWorkers(workers))
+	run := func(b *testing.B, serialScoring bool) {
+		eng, err := NewEngine(WithConstraint(60000), WithSimFrames(8), WithObjective(ObjectiveSimulated))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -520,10 +518,8 @@ func BenchmarkObjectiveParallel(b *testing.B) {
 		b.ReportMetric(float64(res.SimStats.Pruned), "pruned")
 		b.ReportMetric(float64(res.SimStats.Scored), "scored")
 	}
-	b.Run("serial", func(b *testing.B) { run(b, 1, true) })
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) { run(b, w, false) })
-	}
+	b.Run("serial", func(b *testing.B) { run(b, true) })
+	b.Run("batch", func(b *testing.B) { run(b, false) })
 }
 
 // BenchmarkTraceOverhead gates the cost of the tracing instrumentation.

@@ -70,10 +70,10 @@ type regionsBench struct {
 	SimSpeedup  float64 `json:"sim_speedup,omitempty"`
 }
 
-// objectiveParallelBench is one BenchmarkObjectiveParallel sub-benchmark's
-// derived summary: wall time and allocations for a scoring configuration,
-// its branch-and-bound counters, and its speedup over the serial baseline.
-type objectiveParallelBench struct {
+// objectiveScoringBench is one BenchmarkObjectiveScoring sub-benchmark's
+// derived summary: wall time and allocations for a scoring path, its
+// branch-and-bound counters, and its speedup over the serial baseline.
+type objectiveScoringBench struct {
 	NsPerOp           float64 `json:"ns_per_op"`
 	AllocsPerOp       float64 `json:"allocs_per_op,omitempty"`
 	Pruned            float64 `json:"pruned"`
@@ -112,10 +112,10 @@ type report struct {
 	// Objective summarizes BenchmarkObjective sub-benchmarks by mode
 	// ("model", "sim", "rerank3").
 	Objective map[string]objectiveBench `json:"objective,omitempty"`
-	// ObjectiveParallel summarizes BenchmarkObjectiveParallel sub-benchmarks
-	// by scoring configuration ("serial", "w1".."w8"), each with its speedup
-	// over the full-replay serial baseline.
-	ObjectiveParallel map[string]objectiveParallelBench `json:"objective_parallel,omitempty"`
+	// ObjectiveScoring summarizes BenchmarkObjectiveScoring sub-benchmarks
+	// by scoring path ("serial", "batch"), batch with its speedup over the
+	// full-replay serial baseline.
+	ObjectiveScoring map[string]objectiveScoringBench `json:"objective_scoring,omitempty"`
 	// Regions summarizes BenchmarkRegions sub-benchmarks by configuration
 	// ("r1", "r1_prefetch", "r2"); CI gates r2.sim_makespan strictly below
 	// r1_prefetch.sim_makespan.
@@ -168,11 +168,11 @@ func main() {
 			}
 			rep.Sim[b.Name[i+len("Simulate/"):]] = row
 		}
-		if i := strings.Index(b.Name, "ObjectiveParallel/"); i >= 0 {
-			if rep.ObjectiveParallel == nil {
-				rep.ObjectiveParallel = map[string]objectiveParallelBench{}
+		if i := strings.Index(b.Name, "ObjectiveScoring/"); i >= 0 {
+			if rep.ObjectiveScoring == nil {
+				rep.ObjectiveScoring = map[string]objectiveScoringBench{}
 			}
-			row := objectiveParallelBench{NsPerOp: b.NsOp}
+			row := objectiveScoringBench{NsPerOp: b.NsOp}
 			for _, m := range b.Metrics {
 				switch m.Name {
 				case "allocs/op":
@@ -185,7 +185,7 @@ func main() {
 					row.SimMakespan = m.Value
 				}
 			}
-			rep.ObjectiveParallel[b.Name[i+len("ObjectiveParallel/"):]] = row
+			rep.ObjectiveScoring[b.Name[i+len("ObjectiveScoring/"):]] = row
 		}
 		if b.Name == "BenchmarkTraceOverhead" {
 			row := &traceBench{}
@@ -254,13 +254,10 @@ func main() {
 			rep.Objective[b.Name[i+len("Objective/"):]] = row
 		}
 	}
-	if base, ok := rep.ObjectiveParallel["serial"]; ok && base.NsPerOp > 0 {
-		for key, row := range rep.ObjectiveParallel {
-			if key == "serial" {
-				continue
-			}
+	if base, ok := rep.ObjectiveScoring["serial"]; ok && base.NsPerOp > 0 {
+		if row, ok := rep.ObjectiveScoring["batch"]; ok {
 			row.SpeedupOverSerial = base.NsPerOp / row.NsPerOp
-			rep.ObjectiveParallel[key] = row
+			rep.ObjectiveScoring["batch"] = row
 		}
 	}
 	if serial > 0 && parallel > 0 {

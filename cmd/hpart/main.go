@@ -65,7 +65,6 @@ func main() {
 	ports := flag.Int("ports", 0, "co-simulation transfer-port width (0 = 1)")
 	prefetch := flag.Bool("prefetch", false, "co-simulate with configuration prefetch")
 	trace := flag.Bool("trace", false, "stream the move-by-move trajectory and scoring stats to stderr")
-	workers := flag.Int("workers", 0, "worker budget for simulation-scored candidate slates (0 = GOMAXPROCS)")
 	jsonOut := flag.Bool("json", false, "emit the full result as JSON (the service wire format) instead of the table")
 	pipelineN := flag.Int("pipeline-frames", 0, "if >0, also report frame pipelining over N frames")
 	traceOut := flag.String("trace-out", "", "write the run's span trace to this file as Chrome trace-event JSON (Perfetto-loadable)")
@@ -100,8 +99,6 @@ func main() {
 		fail(fmt.Sprintf("-ports must be non-negative, got %d", *ports))
 	case *rerank < -1:
 		fail(fmt.Sprintf("-rerank must be -1 (all), 0 (off) or positive, got %d", *rerank))
-	case *workers < 0:
-		fail(fmt.Sprintf("-workers must be non-negative, got %d", *workers))
 	}
 	obj, err := hybridpart.ParseObjective(*objective)
 	if err != nil {
@@ -129,7 +126,7 @@ func main() {
 	engineOpts = append(engineOpts, hybridpart.WithConstraint(*constraint),
 		hybridpart.WithObjective(obj), hybridpart.WithRerank(*rerank),
 		hybridpart.WithSimFrames(*frames), hybridpart.WithSimPorts(*ports),
-		hybridpart.WithSimPrefetch(*prefetch), hybridpart.WithWorkers(*workers))
+		hybridpart.WithSimPrefetch(*prefetch))
 	if *trace {
 		engineOpts = append(engineOpts, hybridpart.WithObserver(func(ev hybridpart.Event) {
 			if mv, ok := ev.(hybridpart.MoveEvent); ok {
@@ -170,8 +167,8 @@ func main() {
 	}
 	if *trace && res.SimStats != (hybridpart.SimScoreStats{}) {
 		st := res.SimStats
-		fmt.Fprintf(os.Stderr, "hpart: sim scoring: %d scored (%d replays, %d closed-form, %d incremental), %d pruned, %d parallel, %d memo hits, %d workers\n",
-			st.Scored, st.Replays, st.ClosedForm, st.Incremental, st.Pruned, st.Parallel, st.MemoHits, st.Workers)
+		fmt.Fprintf(os.Stderr, "hpart: sim scoring: %d scored (%d replays, %d closed-form, %d incremental), %d pruned, %d memo hits\n",
+			st.Scored, st.Replays, st.ClosedForm, st.Incremental, st.Pruned, st.MemoHits)
 	}
 	if *jsonOut {
 		// Machine-readable path: the same wire type the partitioning

@@ -113,12 +113,12 @@
 //	)
 //	res, _ := eng.Partition(ctx, w) // res.SimulatedCycles < the model objective's
 //
-// Simulated scoring is parallel and pruned: candidates are bounded by
-// admissible lower bounds (sim.Replayer.LowerBound, FineWalkBound) and only
-// those that can still beat the incumbent replay, on a WithWorkers-bounded
-// pool with per-worker replay arenas. The outcome is bit-identical to
-// serial scoring at every worker count — ties break on trajectory index —
-// and Result.SimStats reports the scored/pruned/parallel counters.
+// Simulated scoring is pruned: candidates are bounded by admissible lower
+// bounds (sim.Replayer.LowerBound, FineWalkBound) and only those that can
+// still beat the incumbent replay, one at a time in ascending-bound order
+// on a reused replay arena. The outcome is bit-identical to scoring every
+// candidate — ties break on trajectory index — and Result.SimStats reports
+// the scored/pruned counters, which are deterministic for a given run.
 //
 // # Service
 //

@@ -395,7 +395,8 @@ func WithObserver(fn Observer) Option {
 }
 
 // WithWorkers sets the default sweep worker-pool size used when a SweepSpec
-// leaves Workers at 0 (0 = GOMAXPROCS).
+// leaves Workers at 0 (0 = GOMAXPROCS). It bounds Sweep only: a single
+// partitioning run always scores its candidates serially.
 func WithWorkers(n int) Option {
 	return func(e *Engine) error {
 		if n < 0 {
@@ -530,9 +531,6 @@ func (e *Engine) partitionScored(ctx context.Context, a *App, p *RunProfile, opt
 		if scorer, err = newSimScorer(a, p, plat, simSpecOf(opts)); err != nil {
 			return nil, nil, err
 		}
-		// The scorer's pool reuses the engine's worker budget (WithWorkers,
-		// 0 = GOMAXPROCS), the same knob the sweep honors.
-		scorer.workers = e.workers
 		scorer.hooks = e.hooks
 		cfg.SimCost = scorer.Score
 		if !e.hooks.serial {

@@ -202,8 +202,8 @@ func ChromeTrace(traces []*Trace) []byte {
 // assignLanes packs spans into the fewest "threads" such that spans
 // sharing a lane properly nest by time (the trace-event viewer stacks
 // same-tid events by containment). Concurrent siblings — parallel sweep
-// cells, scoring workers — spill into fresh lanes instead of rendering as
-// a corrupt flame graph.
+// cells — spill into fresh lanes instead of rendering as a corrupt flame
+// graph.
 func assignLanes(spans []SpanData) []int {
 	type iv struct{ start, end int64 }
 	order := make([]int, len(spans))

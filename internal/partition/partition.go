@@ -365,8 +365,8 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 	defer argSpan.End()
 	bestIdx, bestSim := -1, int64(0)
 	if cfg.SimCostBatch != nil {
-		// Batch path: hand the scorer the whole slate so it can run its
-		// worker pool and prune. Selection stays in candidate-index order
+		// Batch path: hand the scorer the whole slate so it can order it
+		// by bound and prune. Selection stays in candidate-index order
 		// with a strict < comparison, so ties break on the lowest trajectory
 		// index exactly like the serial loop — a pruned candidate is by
 		// contract strictly worse than some scored one, so skipping it never

@@ -43,9 +43,8 @@ func stageCounts(s *Server, endpoint string) map[string]int64 {
 
 // TestStageMetricsWorkerInvariance: the per-stage observation totals for
 // one request are a property of the workload, not of the worker count —
-// scoring the same sim-objective request with 1, 2 and 4 workers folds
-// identical span counts into the aggregate (PR 6 made parallel scoring
-// bit-identical; this pins the observability view of that invariant).
+// scoring the same sim-objective request under a 1-, 2- and 4-worker
+// server folds identical span counts into the aggregate.
 func TestStageMetricsWorkerInvariance(t *testing.T) {
 	const body = `{"benchmark":"ofdm","seed":1,"constraint":60000,"objective":"sim"}`
 	counts := make([]map[string]int64, 0, 3)

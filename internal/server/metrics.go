@@ -228,7 +228,6 @@ func (s *Server) writeMetrics(w io.Writer, openMetrics bool) {
 		{"scored", s.simScoring.scored.Load()},
 		{"replays", s.simScoring.replays.Load()},
 		{"pruned", s.simScoring.pruned.Load()},
-		{"parallel", s.simScoring.parallel.Load()},
 		{"memo_hits", s.simScoring.memoHits.Load()},
 	}
 	samples := make([]promSample, 0, len(sim))

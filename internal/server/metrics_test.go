@@ -215,6 +215,15 @@ func TestMetricsExposition(t *testing.T) {
 		t.Errorf("peers: %v", got)
 	}
 
+	// The scoring family carries exactly the deterministic SimScoreStats rows.
+	var kinds []string
+	for _, smp := range fams["hservd_sim_scoring_total"].samples {
+		kinds = append(kinds, smp.labels["kind"])
+	}
+	if got, want := strings.Join(kinds, ","), "scored,replays,pruned,memo_hits"; got != want {
+		t.Errorf("sim scoring kinds %s, want %s", got, want)
+	}
+
 	// Histogram coherence per endpoint: buckets sorted and cumulative,
 	// +Inf present and equal to _count.
 	hist := fams["hservd_request_duration_seconds"]

@@ -168,12 +168,11 @@ type Server struct {
 // simScoringMetrics is the candidate-scoring counter set behind
 // /debug/stats: how the simulation-scored runs paid for their candidate
 // evaluations (distinct mappings scored, full replays, branch-and-bound
-// prunes, worker-pool evaluations, memo hits).
+// prunes, memo hits).
 type simScoringMetrics struct {
 	scored   atomic.Int64
 	replays  atomic.Int64
 	pruned   atomic.Int64
-	parallel atomic.Int64
 	memoHits atomic.Int64
 }
 
@@ -183,7 +182,6 @@ func (s *Server) recordSimStats(st hybridpart.SimScoreStats) {
 	s.simScoring.scored.Add(int64(st.Scored))
 	s.simScoring.replays.Add(int64(st.Replays))
 	s.simScoring.pruned.Add(int64(st.Pruned))
-	s.simScoring.parallel.Add(int64(st.Parallel))
 	s.simScoring.memoHits.Add(int64(st.MemoHits))
 }
 
@@ -316,7 +314,6 @@ type SimScoringStatsJSON struct {
 	Scored   int64 `json:"scored"`
 	Replays  int64 `json:"replays"`
 	Pruned   int64 `json:"pruned"`
-	Parallel int64 `json:"parallel"`
 	MemoHits int64 `json:"memo_hits"`
 }
 
@@ -533,7 +530,6 @@ func (s *Server) statsJSON() StatsJSON {
 		Scored:   s.simScoring.scored.Load(),
 		Replays:  s.simScoring.replays.Load(),
 		Pruned:   s.simScoring.pruned.Load(),
-		Parallel: s.simScoring.parallel.Load(),
 		MemoHits: s.simScoring.memoHits.Load(),
 	}
 	if cl := s.cluster; cl != nil {
@@ -741,10 +737,7 @@ func (s *Server) servePartition(w http.ResponseWriter, r *http.Request, energy b
 
 func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	s.servePartition(w, r, false, func(ctx context.Context, req *PartitionRequest, opts hybridpart.Options) ([]byte, error) {
-		eng, err := hybridpart.NewEngine(
-			hybridpart.WithOptions(opts),
-			hybridpart.WithWorkers(s.cfg.Workers),
-		)
+		eng, err := hybridpart.NewEngine(hybridpart.WithOptions(opts))
 		if err != nil {
 			return nil, err
 		}
@@ -836,10 +829,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	s.serveCached(w, r, "/v1/simulate", req.fingerprint(opts), &req, simCost("simulate", opts),
 		func(ctx context.Context) ([]byte, error) {
-			eng, err := hybridpart.NewEngine(
-				hybridpart.WithOptions(opts),
-				hybridpart.WithWorkers(s.cfg.Workers),
-			)
+			eng, err := hybridpart.NewEngine(hybridpart.WithOptions(opts))
 			if err != nil {
 				return nil, err
 			}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -1049,5 +1050,19 @@ func TestPartitionDefaultObjective(t *testing.T) {
 	}
 	if st.SimScoring.Scored == 0 || st.SimScoring.Replays == 0 {
 		t.Fatalf("sim scoring stats empty after sim-scored runs: %+v", st.SimScoring)
+	}
+	var raw struct {
+		SimScoring map[string]int64 `json:"sim_scoring"`
+	}
+	if err := json.Unmarshal(stats.Body.Bytes(), &raw); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 0, len(raw.SimScoring))
+	for k := range raw.SimScoring {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if got, want := strings.Join(keys, ","), "memo_hits,pruned,replays,scored"; got != want {
+		t.Fatalf("sim_scoring rows %s, want %s", got, want)
 	}
 }

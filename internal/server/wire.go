@@ -271,7 +271,7 @@ func (r *PartitionRequest) resolveOptions() (hybridpart.Options, *httpError) {
 // applyDefaultObjective flips a plain /v1/partition request onto the
 // service's default move-loop objective, ObjectiveSimulated: the feedback-
 // directed selection beats the closed-form model on every benchmark in the
-// suite, and with pooled, branch-and-bound scoring it is cheap enough to be
+// suite, and with branch-and-bound scoring it is cheap enough to be
 // what a request gets when it does not ask. The flip applies only when the
 // request leaves the whole objective dimension untouched — no "objective"
 // field, no full "options" override, no "rerank" (re-ranking is mutually

@@ -4,12 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"hybridpart/internal/finegrain"
 	"hybridpart/internal/ir"
@@ -44,10 +42,9 @@ func ParseObjective(s string) (Objective, error) { return partition.ParseObjecti
 // even the walk when the moved kernel's fabric reassignment provably leaves
 // the crossing set unchanged. Pruned counts candidates the branch-and-bound
 // argmin pass skipped because their admissible lower bound already exceeded
-// a fully scored incumbent; Parallel counts candidates scored on worker-pool
-// goroutines and Workers records the pool width. Pruned and Parallel depend
-// on evaluation scheduling and may vary run to run — the chosen mapping
-// never does.
+// a fully scored incumbent. Scoring is serial and its evaluation order a
+// pure function of the workload and knobs, so every counter is
+// deterministic: the same run always reports the same stats.
 type SimScoreStats struct {
 	Scored      int `json:"scored"`
 	Replays     int `json:"replays"`
@@ -55,8 +52,6 @@ type SimScoreStats struct {
 	Incremental int `json:"incremental"`
 	MemoHits    int `json:"memo_hits"`
 	Pruned      int `json:"pruned"`
-	Parallel    int `json:"parallel"`
-	Workers     int `json:"workers"`
 }
 
 // scoringHooks switch off tiers of the sim-scoring path. The zero value is
@@ -67,9 +62,9 @@ type scoringHooks struct {
 	// serial restores the one-at-a-time scoring path: no batch argmin, no
 	// lower-bound pruning, no arena reuse — every candidate goes through the
 	// SimCost loop with a full-report replay. The equivalence suite uses it
-	// as the reference and BenchmarkObjectiveParallel as its baseline.
+	// as the reference and BenchmarkObjectiveScoring as its baseline.
 	serial bool
-	// noPruning keeps the batch path (pool, arenas, evaluation order) but
+	// noPruning keeps the batch path (bounds, arena, evaluation order) but
 	// scores every candidate instead of pruning; the admissibility property
 	// compares a pruned run against it.
 	noPruning bool
@@ -108,20 +103,19 @@ type scoredMapping struct {
 // plus the final report never replay the same mapping twice. Single-frame
 // no-prefetch candidates take the additive closed form instead of the event
 // engine, and consecutive trajectory prefixes whose move leaves the crossing
-// set unchanged take a pure delta update. Score serializes on the scorer's
-// lock; ScoreBatch scores replay-regime slates on a bounded worker pool
-// (workers wide, 0 = GOMAXPROCS) with per-worker arenas and branch-and-bound
-// pruning, so a simScorer is safe for concurrent use — but build one per
-// partitioning run, its memo is per-(workload, knob) tuple.
+// set unchanged take a pure delta update. Replay-regime slates go through
+// ScoreBatch's branch-and-bound on one reused arena. Score and ScoreBatch
+// serialize on the scorer's lock, so a simScorer is safe for concurrent use
+// — but build one per partitioning run, its memo is per-(workload, knob)
+// tuple.
 type simScorer struct {
-	rep     *sim.Replayer
-	cfg     sim.Config
-	plat    platform.Platform
-	tables  *ir.BlockTables
-	freq    []uint64
-	ratio   int64
-	workers int
-	hooks   scoringHooks
+	rep    *sim.Replayer
+	cfg    sim.Config
+	plat   platform.Platform
+	tables *ir.BlockTables
+	freq   []uint64
+	ratio  int64
+	hooks  scoringHooks
 
 	mu    sync.Mutex
 	arena sim.Arena
@@ -223,18 +217,18 @@ func (s *simScorer) fastRegime() bool {
 // ScoreBatch scores a whole candidate slate for the argmin pass. It has the
 // partition.Config.SimCostBatch signature.
 //
-// In the closed-form regime candidates evaluate serially in slate order —
-// that order is what feeds the incremental delta tier, and the closed form
-// is already cheaper than a lower bound plus scheduling. In the replay
-// regime the slate goes through best-first branch-and-bound: every
-// candidate's admissible lower bound (sim.Replayer.LowerBound) is computed
-// up front, candidates replay in ascending-bound order (ties on slate
-// index) across the worker pool, and any candidate whose bound strictly
-// exceeds the incumbent best makespan is pruned without replaying. Pruning
-// and parallel scheduling never change the selection: scored makespans are
-// exact and deterministic, and a pruned candidate is provably strictly
-// worse than the incumbent, so it can never be the index-ordered argmin —
-// only the Pruned/Parallel counters vary with scheduling.
+// In the closed-form regime candidates evaluate in slate order — that order
+// is what feeds the incremental delta tier, and the closed form is already
+// cheaper than a lower bound. In the replay regime the slate goes through
+// best-first branch-and-bound on the scorer's arena: every candidate's
+// admissible lower bound (sim.Replayer.LowerBound, FineWalkBound) is
+// computed up front, candidates replay in ascending-bound order (ties on
+// slate index), and any candidate whose bound strictly exceeds the
+// incumbent best makespan is pruned without replaying. Pruning never
+// changes the selection: scored makespans are exact, and a pruned candidate
+// is provably strictly worse than the incumbent, so it can never be the
+// index-ordered argmin. The evaluation order is a pure function of the
+// slate and the memo, so the Pruned/Scored counters are deterministic too.
 func (s *simScorer) ScoreBatch(ctx context.Context, candidates [][]ir.BlockID) ([]partition.SimScore, error) {
 	out := make([]partition.SimScore, len(candidates))
 	ctx, span := obs.Start(ctx, "sim.ScoreBatch", obs.Int("candidates", len(candidates)))
@@ -251,30 +245,27 @@ func (s *simScorer) ScoreBatch(ctx context.Context, candidates [][]ir.BlockID) (
 			out[i] = partition.SimScore{Cycles: v}
 		}
 		span.Set(obs.Int("scored", len(candidates)), obs.Int("pruned", 0),
-			obs.Int("workers", 1), obs.String("regime", "closed-form"))
+			obs.String("regime", "closed-form"))
 		return out, nil
 	}
 
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	// Memo hits resolve immediately and seed the incumbent: every memoized
 	// value is the exact makespan of a candidate in this slate.
 	incumbent := int64(math.MaxInt64)
 	pending := make([]int, 0, len(candidates))
 	keys := make([]string, len(candidates))
-	s.mu.Lock()
 	for i, moved := range candidates {
 		keys[i] = movedKey(moved)
 		if v, ok := s.memo[keys[i]]; ok {
 			s.stats.MemoHits++
 			out[i] = partition.SimScore{Cycles: v}
-			if v < incumbent {
-				incumbent = v
-			}
+			incumbent = min(incumbent, v)
 			continue
 		}
 		pending = append(pending, i)
 	}
-	workers := s.workers
-	s.mu.Unlock()
 	if len(pending) == 0 {
 		span.Set(obs.Int("scored", 0), obs.Int("pruned", 0),
 			obs.Int("memo_hits", len(candidates)), obs.String("regime", "replay"))
@@ -294,112 +285,37 @@ func (s *simScorer) ScoreBatch(ctx context.Context, candidates [][]ir.BlockID) (
 		if err != nil {
 			return nil, err
 		}
-		if wb, err := s.rep.FineWalkBound(s.cfg, candidates[i], &s.arena); err != nil {
+		wb, err := s.rep.FineWalkBound(s.cfg, candidates[i], &s.arena)
+		if err != nil {
 			return nil, err
-		} else if wb > b {
-			b = wb
 		}
-		bounds[i] = b
+		bounds[i] = max(b, wb)
 	}
 	sort.SliceStable(pending, func(a, b int) bool { return bounds[pending[a]] < bounds[pending[b]] })
 
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-
-	var best atomic.Int64
-	best.Store(incumbent)
-	var pruned atomic.Int64
-	// evalOne replays candidate i (unless its bound prunes it) into out[i].
-	evalOne := func(ctx context.Context, i int, arena *sim.Arena, parallel bool) error {
-		if !s.hooks.noPruning && bounds[i] > best.Load() {
+	pruned := 0
+	for _, i := range pending {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if !s.hooks.noPruning && bounds[i] > incumbent {
 			out[i] = partition.SimScore{Pruned: true}
-			pruned.Add(1)
-			return nil
+			pruned++
+			continue
 		}
-		v, err := s.rep.Makespan(ctx, s.cfg, candidates[i], arena)
+		v, err := s.rep.Makespan(ctx, s.cfg, candidates[i], &s.arena)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		for {
-			cur := best.Load()
-			if v >= cur || best.CompareAndSwap(cur, v) {
-				break
-			}
-		}
-		s.mu.Lock()
+		incumbent = min(incumbent, v)
 		s.stats.Scored++
 		s.stats.Replays++
-		if parallel {
-			s.stats.Parallel++
-		}
 		s.memo[keys[i]] = v
-		s.mu.Unlock()
 		out[i] = partition.SimScore{Cycles: v}
-		return nil
 	}
-
-	var err error
-	if workers <= 1 {
-		for _, i := range pending {
-			if err = ctx.Err(); err != nil {
-				break
-			}
-			if err = evalOne(ctx, i, &s.arena, false); err != nil {
-				break
-			}
-		}
-	} else {
-		poolCtx, cancel := context.WithCancel(ctx)
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		var errOnce sync.Once
-		fail := func(e error) {
-			errOnce.Do(func() {
-				err = e
-				cancel()
-			})
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var arena sim.Arena
-				for {
-					k := int(next.Add(1)) - 1
-					if k >= len(pending) {
-						return
-					}
-					if e := poolCtx.Err(); e != nil {
-						fail(e)
-						return
-					}
-					if e := evalOne(poolCtx, pending[k], &arena, true); e != nil {
-						fail(e)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		cancel()
-	}
-	if err == nil {
-		err = ctx.Err()
-	}
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.stats.Pruned += int(pruned.Load())
-	s.stats.Workers = workers
-	s.mu.Unlock()
-	span.Set(obs.Int("scored", len(pending)-int(pruned.Load())), obs.Int("pruned", int(pruned.Load())),
-		obs.Int("memo_hits", len(candidates)-len(pending)), obs.Int("workers", workers),
-		obs.String("regime", "replay"))
+	s.stats.Pruned += pruned
+	span.Set(obs.Int("scored", len(pending)-pruned), obs.Int("pruned", pruned),
+		obs.Int("memo_hits", len(candidates)-len(pending)), obs.String("regime", "replay"))
 	return out, nil
 }
 

@@ -3,6 +3,8 @@ package hybridpart
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 
 	"hybridpart/internal/ir"
@@ -56,5 +58,55 @@ func TestScoreBatchSpanEndsOnCancel(t *testing.T) {
 		if !found {
 			t.Errorf("frames=%d: sim.ScoreBatch span missing from the cancelled run's trace", spec.Frames)
 		}
+	}
+}
+
+// TestSimScoreStatsDeterministic: scoring stats are a function of the run,
+// never of scheduling. OFDM ×8 under the simulated objective runs twice in
+// a row and then on four goroutines sharing one Workload and one Engine;
+// every run must report the same full SimScoreStats, equal to the figures
+// README quotes (25 of 30 trajectory prefixes pruned, 6 replays).
+func TestSimScoreStatsDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping benchmark compilation in -short mode")
+	}
+	w, err := BenchmarkWorkload(BenchOFDM, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(WithConstraint(60000), WithSimFrames(8), WithObjective(ObjectiveSimulated))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := SimScoreStats{Scored: 6, Replays: 6, MemoHits: 1, Pruned: 25}
+	check := func(label string, res *Result) {
+		t.Helper()
+		if res.SimStats != want || res.SimulatedCycles != 236888 {
+			t.Errorf("%s: stats %+v, sim %d; want %+v, sim 236888", label, res.SimStats, res.SimulatedCycles, want)
+		}
+	}
+	for run := 0; run < 2; run++ {
+		res, err := eng.Partition(context.Background(), w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("serial run %d", run), res)
+	}
+	results := make([]*Result, 4)
+	errs := make([]error, len(results))
+	var wg sync.WaitGroup
+	for g := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[g], errs[g] = eng.Partition(context.Background(), w)
+		}()
+	}
+	wg.Wait()
+	for g, res := range results {
+		if errs[g] != nil {
+			t.Fatal(errs[g])
+		}
+		check(fmt.Sprintf("goroutine %d", g), res)
 	}
 }

@@ -486,15 +486,15 @@ func TestSweepSimPartialCancel(t *testing.T) {
 	}
 }
 
-// TestSimPropertyParallelEquivalence is the tentpole determinism pin: the
-// batched, parallel, branch-and-bound scorer must choose byte-for-byte the
-// same partition as the serial reference path for every worker count. The
-// reference runs with scoringHooks.serial (no batch argmin, no pruning);
-// each worker count then runs the live path, and the chosen mapping,
-// trajectory, analytical cycles, simulated makespan and the full SimReport
-// JSON must be identical. Scheduling-dependent counters (Pruned/Parallel/
-// Scored) are deliberately excluded — they are diagnostics, not results.
-func TestSimPropertyParallelEquivalence(t *testing.T) {
+// TestSimPropertyBatchEquivalence is the determinism pin of the live
+// scorer: the batched branch-and-bound argmin must choose byte-for-byte the
+// same partition as the serial reference path. The reference runs with
+// scoringHooks.serial (no batch argmin, no pruning, a full-report replay
+// per candidate); the live path then runs on the same draw, and the chosen
+// mapping, analytical cycles, simulated makespan and the full SimReport
+// JSON of each engine's own run must be identical. Scoring counters are
+// excluded — the two paths pay for their evaluations differently by design.
+func TestSimPropertyBatchEquivalence(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
 		t.Skip("skipping benchmark compilation in -short mode")
@@ -503,8 +503,8 @@ func TestSimPropertyParallelEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reportJSON := func(cfg propertyConfig, res *Result) []byte {
-		eng, err := NewEngine(cfg.engineOpts(WithObjective(ObjectiveSimulated))...)
+	reportJSON := func(opts ...Option) []byte {
+		eng, err := NewEngine(opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -523,23 +523,19 @@ func TestSimPropertyParallelEquivalence(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			cfg := drawConfig(rng)
 			t.Logf("seed=%d draw=%d %s", seed, i, cfg)
-			ref := partitionWith(t, app, prof,
-				cfg.engineOpts(WithObjective(ObjectiveSimulated), withHooks(scoringHooks{serial: true}))...)
-			refRep := reportJSON(cfg, ref)
-			for _, workers := range []int{1, 2, 4, 8} {
-				got := partitionWith(t, app, prof,
-					cfg.engineOpts(WithObjective(ObjectiveSimulated), WithWorkers(workers))...)
-				if fmt.Sprint(got.Moved) != fmt.Sprint(ref.Moved) ||
-					got.FinalCycles != ref.FinalCycles ||
-					got.SimulatedCycles != ref.SimulatedCycles {
-					t.Fatalf("seed=%d %s workers=%d: moved %v final %d sim %d, want moved %v final %d sim %d",
-						seed, cfg, workers, got.Moved, got.FinalCycles, got.SimulatedCycles,
-						ref.Moved, ref.FinalCycles, ref.SimulatedCycles)
-				}
-				if rep := reportJSON(cfg, got); !bytes.Equal(rep, refRep) {
-					t.Fatalf("seed=%d %s workers=%d: SimReport diverges:\n%s\nvs\n%s",
-						seed, cfg, workers, rep, refRep)
-				}
+			refOpts := cfg.engineOpts(WithObjective(ObjectiveSimulated), withHooks(scoringHooks{serial: true}))
+			liveOpts := cfg.engineOpts(WithObjective(ObjectiveSimulated))
+			ref := partitionWith(t, app, prof, refOpts...)
+			got := partitionWith(t, app, prof, liveOpts...)
+			if fmt.Sprint(got.Moved) != fmt.Sprint(ref.Moved) ||
+				got.FinalCycles != ref.FinalCycles ||
+				got.SimulatedCycles != ref.SimulatedCycles {
+				t.Fatalf("seed=%d %s: moved %v final %d sim %d, want moved %v final %d sim %d",
+					seed, cfg, got.Moved, got.FinalCycles, got.SimulatedCycles,
+					ref.Moved, ref.FinalCycles, ref.SimulatedCycles)
+			}
+			if rep, refRep := reportJSON(liveOpts...), reportJSON(refOpts...); !bytes.Equal(rep, refRep) {
+				t.Fatalf("seed=%d %s: SimReport diverges:\n%s\nvs\n%s", seed, cfg, rep, refRep)
 			}
 		}
 	}
