@@ -28,13 +28,14 @@
 //
 // Observability knobs:
 //
-//	-trace-ring N        keep the last N request traces in memory, served by
+//	-trace-ring N        keep up to N sampled request traces in memory (the
+//	                     error and slow traces are extra), served by
 //	                     GET /debug/traces and /debug/traces/{id} (Chrome
 //	                     trace-event JSON, Perfetto-loadable); 0 disables
 //	                     tracing entirely
 //	-trace-keep-slow K   tail-sampled retention: always keep error traces and
-//	                     the K slowest per endpoint, sample the unremarkable
-//	                     rest into the ring (0 = legacy overwrite-oldest)
+//	                     the K slowest per endpoint (K >= 1), sample the
+//	                     unremarkable rest into the ring
 //	-telemetry-interval D sample runtime/metrics (heap, GC, goroutines, sched
 //	                     latency) plus service-counter deltas every D into a
 //	                     bounded ring, served by GET /debug/telemetry and as
@@ -88,7 +89,7 @@ func main() {
 	forwardTimeout := flag.Duration("forward-timeout", 0, "per-forward deadline before falling back to local compute in fleet mode (0 = 2s default)")
 	maxSimCost := flag.Int("max-sim-cost", 0, "admission budget in simulated-cost units per second (0 = no admission control)")
 	traceRing := flag.Int("trace-ring", 256, "finished request traces kept for GET /debug/traces (0 = tracing off)")
-	traceKeepSlow := flag.Int("trace-keep-slow", 4, "always keep error traces and this many slowest per endpoint, sampling the rest (0 = overwrite-oldest)")
+	traceKeepSlow := flag.Int("trace-keep-slow", 4, "always keep error traces and this many slowest per endpoint, sampling the rest (at least 1)")
 	telemetryInterval := flag.Duration("telemetry-interval", 10*time.Second, "runtime telemetry sampling interval for GET /debug/telemetry (0 = off)")
 	slowMS := flag.Int("slow-ms", 0, "log a structured summary line for requests slower than this many milliseconds (0 = off)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this second listener (empty = off; never on the serving mux)")
@@ -114,8 +115,8 @@ func main() {
 	if *traceRing < 0 {
 		fail(fmt.Sprintf("-trace-ring must be non-negative, got %d", *traceRing))
 	}
-	if *traceKeepSlow < 0 {
-		fail(fmt.Sprintf("-trace-keep-slow must be non-negative, got %d", *traceKeepSlow))
+	if *traceKeepSlow < 1 {
+		fail(fmt.Sprintf("-trace-keep-slow must be at least 1, got %d", *traceKeepSlow))
 	}
 	if *telemetryInterval < 0 {
 		fail(fmt.Sprintf("-telemetry-interval must be non-negative, got %v", *telemetryInterval))

@@ -169,9 +169,10 @@
 // populated buckets, each resolvable at /debug/traces/{id} — the exemplar
 // line reads `... 3 # {trace_id="8a2f..."} 0.00132 1754612345.1`: bucket
 // count, then the witness trace, its observed seconds and end time.
-// Retention is tail-sampled (-trace-keep-slow): error traces and the K
-// slowest per endpoint are always kept, the rest sampled, with
-// kept_error/kept_slow/sampled_out counters on /debug/stats and /metrics.
+// Retention is always tail-sampled (-trace-keep-slow K, default 4, at
+// least 1): error traces and the K slowest per endpoint are always kept,
+// the rest sampled, with kept_error/kept_slow/sampled_out counters on
+// /debug/stats and /metrics.
 // -telemetry-interval samples runtime/metrics plus service-counter deltas
 // into a ring behind GET /debug/telemetry and hservd_runtime_* gauges, and
 // GET /debug/fleet fans out to every peer's stats and telemetry for one

@@ -1,3 +1,11 @@
+// Package finegrain implements the paper's mapping methodology for the
+// fine-grain (embedded FPGA) part of the architecture: the temporal
+// partitioning algorithm of Figure 3. DFG nodes are classified by their
+// ASAP levels and assigned level by level to temporal partitions; when the
+// usable area A_FPGA is exhausted, a new partition (a separate
+// configuration bit-stream) is opened. PackedMapping applies the walk
+// across the basic blocks of a whole CDFG and charges the reconfiguration
+// time of the device on every partition load.
 package finegrain
 
 import (

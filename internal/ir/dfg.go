@@ -19,9 +19,6 @@ type DFG struct {
 	// a level are mutually independent and may execute in parallel (the
 	// property the paper's fine-grain mapper exploits).
 	ASAP []int
-	// ALAP holds the As-Late-As-Possible level under the same unit-delay
-	// model, used for slack-based scheduling priorities.
-	ALAP []int
 	// MaxLevel is the maximum ASAP level (the DFG's depth); zero for an
 	// empty block.
 	MaxLevel int
@@ -136,7 +133,6 @@ func BuildDFG(f *Function, b *Block) *DFG {
 func (d *DFG) computeLevels() {
 	n := len(d.Succs)
 	d.ASAP = make([]int, n)
-	d.ALAP = make([]int, n)
 	if n == 0 {
 		d.MaxLevel = 0
 		return
@@ -153,18 +149,6 @@ func (d *DFG) computeLevels() {
 		d.ASAP[u] = lvl
 		if lvl > d.MaxLevel {
 			d.MaxLevel = lvl
-		}
-	}
-	// ALAP: latest level such that all successors still fit.
-	for i := range d.ALAP {
-		d.ALAP[i] = d.MaxLevel
-	}
-	for k := n - 1; k >= 0; k-- {
-		u := order[k]
-		for _, s := range d.Succs[u] {
-			if d.ALAP[s]-1 < d.ALAP[u] {
-				d.ALAP[u] = d.ALAP[s] - 1
-			}
 		}
 	}
 }
@@ -192,12 +176,6 @@ func (d *DFG) NodesAtLevel(lvl int) []int {
 	}
 	return out
 }
-
-// Slack returns ALAP−ASAP for node i (zero for critical-path nodes).
-func (d *DFG) Slack(i int) int { return d.ALAP[i] - d.ASAP[i] }
-
-// CriticalPathLen returns the DFG depth in levels (MaxLevel).
-func (d *DFG) CriticalPathLen() int { return d.MaxLevel }
 
 // NumNodes returns the node count.
 func (d *DFG) NumNodes() int { return len(d.Succs) }

@@ -137,29 +137,3 @@ func (op Op) HasDst() bool {
 	}
 	return true
 }
-
-// IsCommutative reports whether the operands of op may be swapped.
-func (op Op) IsCommutative() bool {
-	switch op {
-	case OpAdd, OpMul, OpAnd, OpOr, OpXor, OpEq, OpNe:
-		return true
-	}
-	return false
-}
-
-// NumOperands reports how many register/immediate source operands op reads
-// (excluding call arguments, which are carried separately).
-func (op Op) NumOperands() int {
-	switch op {
-	case OpConst:
-		return 0
-	case OpCopy, OpNeg, OpNot, OpLNot, OpLoad:
-		return 1
-	case OpCall:
-		return 0
-	case OpInvalid:
-		return 0
-	default:
-		return 2
-	}
-}

@@ -2,7 +2,6 @@ package ir
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -112,14 +111,6 @@ func (f *Function) Reachable() map[BlockID]bool {
 	return seen
 }
 
-// RegName returns the diagnostic name of r ("rN" for temporaries).
-func (f *Function) RegName(r RegID) string {
-	if n, ok := f.RegNames[r]; ok {
-		return n
-	}
-	return fmt.Sprintf("r%d", r)
-}
-
 func (f *Function) String() string {
 	var sb strings.Builder
 	params := make([]string, len(f.Params))
@@ -214,16 +205,6 @@ func (p *Program) ArrayByRef(f *Function, id ArrID) (*ArrayDecl, bool) {
 		return &f.Arrays[id], true
 	}
 	return nil, false
-}
-
-// FuncNames returns the sorted list of function names (for stable output).
-func (p *Program) FuncNames() []string {
-	names := make([]string, 0, len(p.Funcs))
-	for _, f := range p.Funcs {
-		names = append(names, f.Name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 func (p *Program) String() string {

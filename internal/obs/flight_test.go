@@ -89,23 +89,6 @@ func TestTailSamplingSlowKDisplacement(t *testing.T) {
 	}
 }
 
-func TestLegacyRetentionUnchangedByDefault(t *testing.T) {
-	tr := New(Config{RingSize: 2})
-	fakeTrace(tr, "/v1/partition", time.Hour, true) // slow AND error
-	id2 := fakeTrace(tr, "/v1/partition", time.Millisecond, false)
-	id3 := fakeTrace(tr, "/v1/partition", time.Millisecond, false)
-	st := tr.Stats()
-	if st.KeptError != 0 || st.KeptSlow != 0 || st.SampledOut != 0 {
-		t.Fatalf("policy counters moved in legacy mode: %+v", st)
-	}
-	if st.Depth != 2 || st.DroppedTraces != 1 {
-		t.Fatalf("legacy overwrite-oldest broken: %+v", st)
-	}
-	if tr.Get(id2) == nil || tr.Get(id3) == nil {
-		t.Fatalf("newest traces not retained in legacy mode")
-	}
-}
-
 func TestTraceEndpointAndError(t *testing.T) {
 	tr := New(Config{RingSize: 4})
 	ctx, root := tr.StartRoot(context.Background(), "GET /thing", SpanContext{}, String("endpoint", "/v1/thing"))

@@ -1,8 +1,8 @@
 // Package obs is a dependency-free tracing subsystem: request-scoped span
 // trees with monotonic timestamps and attributes, carried via
 // context.Context so call signatures below the instrumented facade do not
-// change. Finished traces land in a bounded in-memory ring; export.go
-// renders them as Chrome trace-event JSON loadable in Perfetto.
+// change. Finished traces are tail-sampled into bounded in-memory pools;
+// export.go renders them as Chrome trace-event JSON loadable in Perfetto.
 //
 // The design keeps the disabled path near-free: obs.Start on a context
 // without a span is one context.Value lookup returning a nil *Span, and
@@ -234,21 +234,22 @@ type Config struct {
 	// Service names this process in exported traces (e.g. the replica's
 	// -self URL, or "hpart"). Defaults to "hybridpart".
 	Service string
-	// RingSize bounds finished traces kept for /debug/traces. Default 256.
+	// RingSize bounds the sampled ring of finished traces kept for
+	// /debug/traces (the error and slow pools are extra). Default 256.
 	RingSize int
 	// MaxSpans bounds spans recorded per trace (sweeps can emit one span
 	// per move per cell). Default 4096.
 	MaxSpans int
-	// KeepSlow switches retention from plain overwrite-oldest to tail
-	// sampling: error traces are always kept (in a side pool of
-	// max(1, RingSize/4) slots), the KeepSlow slowest traces per endpoint
-	// are always kept, and the rest go to the sampled ring — admitted
-	// unconditionally while it has room, then with probability SampleRate.
-	// 0 (the default) keeps the legacy overwrite-oldest ring.
+	// KeepSlow sizes tail-sampled retention: error traces are always kept
+	// (in a side pool of max(1, RingSize/4) slots), the KeepSlow slowest
+	// traces per endpoint are always kept, and the rest go to the sampled
+	// ring — admitted unconditionally while it has room, then with
+	// probability SampleRate. Values <= 0 default to 4 (hservd's
+	// -trace-keep-slow default).
 	KeepSlow int
 	// SampleRate is the admission probability for unremarkable traces once
-	// the sampled ring is full; only meaningful with KeepSlow > 0. Values
-	// <= 0 default to 0.25; >= 1 always admits (overwrite-oldest).
+	// the sampled ring is full. Values <= 0 default to 0.25; >= 1 always
+	// admits, making the sampled ring plain overwrite-oldest.
 	SampleRate float64
 }
 
@@ -260,13 +261,13 @@ type Stats struct {
 	DroppedTraces int64 `json:"dropped_traces"` // finished traces evicted to admit newer ones
 	DroppedSpans  int64 `json:"dropped_spans"`  // spans discarded by the per-trace bound
 	Spans         int64 `json:"spans"`          // spans recorded locally, ever (never counts peer-merged spans)
-	// Tail-sampling policy counters; all zero when KeepSlow == 0.
+	// Tail-sampling policy counters.
 	KeptError  int64 `json:"kept_error"`  // traces retained because they carried an error
 	KeptSlow   int64 `json:"kept_slow"`   // traces retained as slowest-K for their endpoint
 	SampledOut int64 `json:"sampled_out"` // unremarkable traces dropped by probabilistic sampling
 }
 
-// Tracer records span trees into a bounded ring of finished traces. The
+// Tracer records span trees into bounded pools of finished traces. The
 // zero value is not usable; construct with New. A nil *Tracer is valid:
 // StartRoot on it returns a nil span, disabling tracing for the request.
 type Tracer struct {
@@ -292,7 +293,7 @@ type Tracer struct {
 	count         int
 	droppedTraces int64
 
-	// Tail-sampling pools, nil/empty when keepSlow == 0.
+	// Tail-sampling pools beside the sampled ring.
 	errRing           []*Trace // always-kept error traces, overwrite-oldest among themselves
 	errNext, errCount int
 	slow              map[string][]*Trace // per-endpoint slowest-K, sorted fastest-first
@@ -312,22 +313,22 @@ func New(cfg Config) *Tracer {
 	if cfg.MaxSpans <= 0 {
 		cfg.MaxSpans = 4096
 	}
+	if cfg.KeepSlow <= 0 {
+		cfg.KeepSlow = 4
+	}
 	if cfg.SampleRate <= 0 {
 		cfg.SampleRate = 0.25
 	}
-	t := &Tracer{
+	return &Tracer{
 		service:    cfg.Service,
 		maxSpans:   cfg.MaxSpans,
 		keepSlow:   cfg.KeepSlow,
 		sampleRate: cfg.SampleRate,
 		randFloat:  mrand.Float64,
 		ring:       make([]*Trace, cfg.RingSize),
+		errRing:    make([]*Trace, max(1, cfg.RingSize/4)),
+		slow:       make(map[string][]*Trace),
 	}
-	if cfg.KeepSlow > 0 {
-		t.errRing = make([]*Trace, max(1, cfg.RingSize/4))
-		t.slow = make(map[string][]*Trace)
-	}
-	return t
 }
 
 // SetOnFinalize registers fn to observe every finished trace right after
@@ -425,10 +426,9 @@ func (t *Tracer) record(at *activeTrace, data SpanData) {
 	t.spans.Add(1)
 }
 
-// finalize moves a completed trace into the ring. With KeepSlow == 0 the
-// policy is plain overwrite-oldest; otherwise tail sampling: errors always
-// kept, slowest-K per endpoint always kept, the rest admitted while there
-// is room and probabilistically once there is not.
+// finalize retains a completed trace by tail sampling: errors always
+// kept, slowest-K per endpoint always kept, the rest admitted to the
+// sampled ring while it has room and probabilistically once it has not.
 func (t *Tracer) finalize(id TraceID, at *activeTrace, root SpanData) {
 	at.mu.Lock()
 	tr := &Trace{
@@ -447,8 +447,6 @@ func (t *Tracer) finalize(id TraceID, at *activeTrace, root SpanData) {
 	kept := true
 	t.mu.Lock()
 	switch {
-	case t.keepSlow == 0:
-		t.admitSampled(tr)
 	case tr.Error:
 		t.keptError++
 		if t.errRing[t.errNext] != nil {
@@ -533,8 +531,8 @@ func (t *Tracer) Stats() Stats {
 	}
 }
 
-// Traces returns the finished traces, newest first (by start time when the
-// tail-sampling pools are in play; by finalize order otherwise).
+// Traces returns the finished traces of every retention pool, newest
+// first by start time.
 func (t *Tracer) Traces() []*Trace {
 	if t == nil {
 		return nil
@@ -545,9 +543,6 @@ func (t *Tracer) Traces() []*Trace {
 	for i := 1; i <= t.count; i++ {
 		// next-1 is the newest slot; walk backwards.
 		out = append(out, t.ring[((t.next-i)%len(t.ring)+len(t.ring))%len(t.ring)])
-	}
-	if t.keepSlow == 0 {
-		return out
 	}
 	for i := 1; i <= t.errCount; i++ {
 		out = append(out, t.errRing[((t.errNext-i)%len(t.errRing)+len(t.errRing))%len(t.errRing)])

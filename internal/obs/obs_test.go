@@ -39,7 +39,13 @@ func TestNilSafety(t *testing.T) {
 }
 
 func TestSpanTreeAndRing(t *testing.T) {
-	tr := New(Config{Service: "svc", RingSize: 2})
+	// Hour-long traces fill both endpoints' slow pools first, so every real
+	// trace below lands in the sampled ring, which SampleRate 1 makes plain
+	// overwrite-oldest.
+	tr := New(Config{Service: "svc", RingSize: 2, KeepSlow: 1, SampleRate: 1})
+	for _, ep := range []string{"/v1/x", "later"} {
+		fakeTrace(tr, ep, time.Hour, false)
+	}
 	ctx, root := tr.StartRoot(context.Background(), "req", SpanContext{}, String("endpoint", "/v1/x"))
 	cctx, child := Start(ctx, "compute")
 	_, grand := Start(cctx, "score", Int("candidates", 7))
@@ -49,8 +55,8 @@ func TestSpanTreeAndRing(t *testing.T) {
 	root.End()
 
 	traces := tr.Traces()
-	if len(traces) != 1 {
-		t.Fatalf("want 1 trace, got %d", len(traces))
+	if len(traces) != 3 {
+		t.Fatalf("want 1 sampled + 2 slow traces, got %d", len(traces))
 	}
 	got := traces[0]
 	if got.Root != "req" || got.Service != "svc" || len(got.Spans) != 3 {
@@ -70,7 +76,7 @@ func TestSpanTreeAndRing(t *testing.T) {
 		t.Fatalf("Get(%s) did not find the trace", got.ID)
 	}
 	st := tr.Stats()
-	if st.Depth != 1 || st.Capacity != 2 || st.Spans != 3 || st.DroppedTraces != 0 {
+	if st.Depth != 3 || st.Capacity != 2 || st.Spans != 3 || st.DroppedTraces != 0 || st.KeptSlow != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
 
@@ -80,13 +86,13 @@ func TestSpanTreeAndRing(t *testing.T) {
 		r.End()
 	}
 	st = tr.Stats()
-	if st.Depth != 2 || st.DroppedTraces != 1 {
+	if st.Depth != 4 || st.DroppedTraces != 1 || st.KeptSlow != 2 {
 		t.Fatalf("after overflow: %+v", st)
 	}
 	if tr.Get(got.ID) != nil {
 		t.Fatalf("evicted trace still retrievable")
 	}
-	if list := tr.Traces(); len(list) != 2 || list[0].Root != "later" {
+	if list := tr.Traces(); len(list) != 4 || list[0].Root != "later" || list[1].Root != "later" {
 		t.Fatalf("Traces() after overflow = %d entries", len(list))
 	}
 }

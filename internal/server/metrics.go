@@ -10,12 +10,13 @@ import (
 )
 
 // GET /metrics — Prometheus text exposition, rendered without any
-// dependency: the same counters /debug/stats reports, shaped for a
-// scraper. Cache hit/miss/coalesce/eviction counters, entry and byte
-// gauges, per-endpoint request/error/in-flight series and latency
-// histograms, per-endpoint × per-stage histograms derived from finished
-// traces, cluster forward/fallback counters, admission shed/token series,
-// and runtime-telemetry gauges.
+// dependency: the /debug/stats snapshot (statsJSON) shaped for a scraper,
+// plus the histograms and runtime gauges it does not carry. Cache
+// hit/miss/coalesce/eviction counters, entry and byte gauges, per-endpoint
+// request/error/in-flight series and latency histograms, per-endpoint ×
+// per-stage histograms derived from finished traces, cluster
+// forward/fallback counters, admission shed/token series, trace-retention
+// counters and runtime-telemetry gauges.
 //
 // The default scrape is format 0.0.4. A client sending
 // Accept: application/openmetrics-text gets the OpenMetrics flavor
@@ -81,10 +82,15 @@ type promSample struct {
 
 func one(value string) []promSample { return []promSample{{value: value}} }
 
-// writeMetrics renders every family. openMetrics additionally attaches
-// exemplars to the stage-histogram buckets (0.0.4 scrapers reject them).
+// writeMetrics renders every family. The scalar families all come from one
+// statsJSON snapshot, so a scrape agrees with /debug/stats taken at the
+// same moment; the latency buckets, stage histograms and runtime gauges,
+// which /debug/stats does not carry, keep their own sources. openMetrics
+// additionally attaches exemplars to the stage-histogram buckets (0.0.4
+// scrapers reject them).
 func (s *Server) writeMetrics(w io.Writer, openMetrics bool) {
-	cs := s.results.Stats()
+	st := s.statsJSON()
+	cs := st.Cache
 	promMetric(w, "hservd_cache_hits_total", "counter",
 		"Result-cache lookups served from a stored entry.", one(fmt.Sprint(cs.Hits)))
 	promMetric(w, "hservd_cache_misses_total", "counter",
@@ -110,30 +116,30 @@ func (s *Server) writeMetrics(w io.Writer, openMetrics bool) {
 
 	// Per-endpoint series, endpoints in sorted order so scrapes are
 	// deterministic and diffable.
-	names := make([]string, 0, len(s.metrics))
-	for name := range s.metrics {
+	names := make([]string, 0, len(st.Endpoints))
+	for name := range st.Endpoints {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	row := func(get func(m *endpointMetrics) string) []promSample {
+	row := func(get func(e EndpointStatsJSON) int64) []promSample {
 		out := make([]promSample, 0, len(names))
 		for _, name := range names {
-			out = append(out, promSample{labels: `endpoint="` + name + `"`, value: get(s.metrics[name])})
+			out = append(out, promSample{labels: `endpoint="` + name + `"`, value: fmt.Sprint(get(st.Endpoints[name]))})
 		}
 		return out
 	}
 	promMetric(w, "hservd_requests_total", "counter", "Requests received, by endpoint.",
-		row(func(m *endpointMetrics) string { return fmt.Sprint(m.requests.Load()) }))
+		row(func(e EndpointStatsJSON) int64 { return e.Requests }))
 	promMetric(w, "hservd_errors_total", "counter", "Non-2xx/3xx responses, by endpoint.",
-		row(func(m *endpointMetrics) string { return fmt.Sprint(m.errors.Load()) }))
+		row(func(e EndpointStatsJSON) int64 { return e.Errors }))
 	promMetric(w, "hservd_in_flight", "gauge", "Requests currently being served, by endpoint.",
-		row(func(m *endpointMetrics) string { return fmt.Sprint(m.inFlight.Load()) }))
+		row(func(e EndpointStatsJSON) int64 { return e.InFlight }))
 	promMetric(w, "hservd_endpoint_cache_hits_total", "counter",
 		"Requests served from the result cache, by endpoint.",
-		row(func(m *endpointMetrics) string { return fmt.Sprint(m.cacheHits.Load()) }))
+		row(func(e EndpointStatsJSON) int64 { return e.CacheHits }))
 	promMetric(w, "hservd_endpoint_cache_misses_total", "counter",
 		"Requests that ran the engine, by endpoint.",
-		row(func(m *endpointMetrics) string { return fmt.Sprint(m.cacheMisses.Load()) }))
+		row(func(e EndpointStatsJSON) int64 { return e.CacheMisses }))
 
 	var hist []promSample
 	for _, name := range names {
@@ -151,7 +157,7 @@ func (s *Server) writeMetrics(w io.Writer, openMetrics bool) {
 		hist = append(hist,
 			promSample{suffix: "_bucket", labels: fmt.Sprintf(`endpoint=%q,le="+Inf"`, name), value: fmt.Sprint(cum)},
 			promSample{suffix: "_sum", labels: fmt.Sprintf(`endpoint=%q`, name),
-				value: promFloat(float64(m.latencySum.Load()) / 1e6)},
+				value: promFloat(float64(st.Endpoints[name].latencySumMicros) / 1e6)},
 			promSample{suffix: "_count", labels: fmt.Sprintf(`endpoint=%q`, name), value: fmt.Sprint(cum)},
 		)
 	}
@@ -160,33 +166,32 @@ func (s *Server) writeMetrics(w io.Writer, openMetrics bool) {
 
 	s.writeStageMetrics(w, openMetrics)
 
-	if cl := s.cluster; cl != nil {
+	if cl := st.Cluster; cl != nil {
 		promMetric(w, "hservd_cluster_peers", "gauge",
-			"Replicas in the consistent-hash ring.", one(fmt.Sprint(len(cl.ring.Nodes()))))
+			"Replicas in the consistent-hash ring.", one(fmt.Sprint(cl.Peers)))
 		promMetric(w, "hservd_cluster_forwards_total", "counter",
-			"Requests forwarded to their owning replica.", one(fmt.Sprint(cl.forwards.Load())))
+			"Requests forwarded to their owning replica.", one(fmt.Sprint(cl.Forwards)))
 		promMetric(w, "hservd_cluster_forward_fallbacks_total", "counter",
-			"Forwards that failed over to local computation (owner unreachable).", one(fmt.Sprint(cl.fallbacks.Load())))
+			"Forwards that failed over to local computation (owner unreachable).", one(fmt.Sprint(cl.Fallbacks)))
 		promMetric(w, "hservd_cluster_forwarded_received_total", "counter",
-			"Forwarded requests served here as the owner.", one(fmt.Sprint(cl.received.Load())))
+			"Forwarded requests served here as the owner.", one(fmt.Sprint(cl.Received)))
 		promMetric(w, "hservd_cluster_relay_truncated_total", "counter",
-			"Relayed responses cut short by a mid-response peer disconnect.", one(fmt.Sprint(cl.relayTruncated.Load())))
+			"Relayed responses cut short by a mid-response peer disconnect.", one(fmt.Sprint(cl.RelayTruncated)))
 	}
-	if b := s.admit; b != nil {
+	if a := st.Admission; a != nil {
 		promMetric(w, "hservd_admission_shed_total", "counter",
-			"Requests shed with 429 by cost-based admission control.", one(fmt.Sprint(b.shed.Load())))
+			"Requests shed with 429 by cost-based admission control.", one(fmt.Sprint(a.Shed)))
 		promMetric(w, "hservd_admission_tokens", "gauge",
-			"Simulated-cost units currently available.", one(promFloat(b.level())))
+			"Simulated-cost units currently available.", one(promFloat(a.Tokens)))
 		promMetric(w, "hservd_admission_budget_units", "gauge",
-			"Configured simulated-cost units per second (bucket capacity).", one(promFloat(b.burst)))
+			"Configured simulated-cost units per second (bucket capacity).", one(promFloat(float64(a.Budget))))
 	}
 
-	if t := s.tracer; t != nil {
-		ts := t.Stats()
+	if ts := st.Traces; ts != nil {
 		promMetric(w, "hservd_trace_ring_depth", "gauge",
-			"Finished traces currently held in the in-memory ring.", one(fmt.Sprint(ts.Depth)))
+			"Finished traces currently held in the in-memory ring.", one(fmt.Sprint(ts.RingDepth)))
 		promMetric(w, "hservd_trace_ring_capacity", "gauge",
-			"Bound of the finished-trace ring.", one(fmt.Sprint(ts.Capacity)))
+			"Bound of the finished-trace ring.", one(fmt.Sprint(ts.RingCapacity)))
 		promMetric(w, "hservd_trace_dropped_total", "counter",
 			"Finished traces evicted from the ring to admit newer ones.", one(fmt.Sprint(ts.DroppedTraces)))
 		promMetric(w, "hservd_trace_spans_dropped_total", "counter",
@@ -221,21 +226,15 @@ func (s *Server) writeMetrics(w io.Writer, openMetrics bool) {
 			"Telemetry samples currently retained.", one(fmt.Sprint(len(c.Samples()))))
 	}
 
-	sim := []struct {
-		name string
-		v    int64
-	}{
-		{"scored", s.simScoring.scored.Load()},
-		{"replays", s.simScoring.replays.Load()},
-		{"pruned", s.simScoring.pruned.Load()},
-		{"memo_hits", s.simScoring.memoHits.Load()},
-	}
-	samples := make([]promSample, 0, len(sim))
-	for _, v := range sim {
-		samples = append(samples, promSample{labels: `kind="` + v.name + `"`, value: fmt.Sprint(v.v)})
-	}
+	sim := st.SimScoring
 	promMetric(w, "hservd_sim_scoring_total", "counter",
-		"Simulated-objective candidate-scoring counters, summed over engine runs.", samples)
+		"Simulated-objective candidate-scoring counters, summed over engine runs.",
+		[]promSample{
+			{labels: `kind="scored"`, value: fmt.Sprint(sim.Scored)},
+			{labels: `kind="replays"`, value: fmt.Sprint(sim.Replays)},
+			{labels: `kind="pruned"`, value: fmt.Sprint(sim.Pruned)},
+			{labels: `kind="memo_hits"`, value: fmt.Sprint(sim.MemoHits)},
+		})
 }
 
 // writeStageMetrics renders the span-derived per-endpoint × per-stage

@@ -1,11 +1,15 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"hybridpart/internal/obs"
 )
 
 // promFamily is one parsed metric family from a /metrics scrape.
@@ -125,18 +129,23 @@ func (f *promFamily) value(t *testing.T, want map[string]string) float64 {
 	return 0
 }
 
-// TestMetricsExposition drives traffic through a budgeted fleet-mode server
-// and checks the scrape: well-formed families, counters agreeing with the
-// /debug/stats numbers, and coherent histograms.
+// TestMetricsExposition drives traffic through a budgeted, traced
+// fleet-mode server and checks the scrape: well-formed families, every
+// scalar agreeing with the /debug/stats document, and coherent histograms.
 func TestMetricsExposition(t *testing.T) {
 	self := "http://127.0.0.1:1"
 	s := newTestServer(t, Config{
 		Self:       self,
 		Peers:      []string{self},
 		MaxSimCost: 100000,
+		Tracer:     obs.New(obs.Config{Service: "metrics"}),
 	})
+	// The default objective is sim: one miss that feeds the scoring counters.
+	if rec := post(t, s, "/v1/partition", fmt.Sprintf(`{"source": %q, "constraint": 9000}`, firSrc)); rec.Code != 200 {
+		t.Fatalf("sim partition: %d", rec.Code)
+	}
 	body := fmt.Sprintf(`{"source": %q, "objective": "model", "constraint": 9000}`, firSrc)
-	for i := 0; i < 3; i++ { // 1 miss + 2 hits
+	for i := 0; i < 4; i++ { // 1 miss + 3 hits
 		if rec := post(t, s, "/v1/partition", body); rec.Code != 200 {
 			t.Fatalf("partition: %d", rec.Code)
 		}
@@ -146,6 +155,23 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if rec := get(t, s, "/healthz"); rec.Code != 200 {
 		t.Fatalf("healthz: %d", rec.Code)
+	}
+	// Distinct values on the counters this traffic leaves at zero, so a
+	// family rendering the wrong field shows.
+	for i, c := range []*atomic.Int64{&s.cluster.forwards, &s.cluster.fallbacks, &s.cluster.received,
+		&s.cluster.relayTruncated, &s.admit.shed, &s.simScoring.replays, &s.simScoring.pruned} {
+		c.Add(int64(101 + i))
+	}
+
+	var st StatsJSON
+	if err := json.Unmarshal(get(t, s, "/debug/stats").Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Cluster == nil || st.Admission == nil || st.Traces == nil {
+		t.Fatalf("/debug/stats lacks a section: %+v", st)
+	}
+	if st.SimScoring.Scored == 0 || st.Traces.KeptError == 0 || st.Traces.Spans == 0 {
+		t.Fatalf("traffic left counters at zero: %+v %+v", st.SimScoring, *st.Traces)
 	}
 
 	rec := get(t, s, "/metrics")
@@ -190,23 +216,75 @@ func TestMetricsExposition(t *testing.T) {
 		}
 	}
 
-	// Counters must agree with the cache layer's own accounting.
-	cs := s.CacheStats()
-	if got := fams["hservd_cache_hits_total"].value(t, nil); got != float64(cs.Hits) {
-		t.Errorf("cache hits: scrape %v, stats %d", got, cs.Hits)
+	// Every scalar of /debug/stats equals its /metrics sample. Nothing ran
+	// between the two reads but the scrape itself, which counts its own
+	// request.
+	type check struct {
+		family string
+		labels map[string]string
+		want   float64
 	}
-	if got := fams["hservd_cache_misses_total"].value(t, nil); got != float64(cs.Misses) {
-		t.Errorf("cache misses: scrape %v, stats %d", got, cs.Misses)
+	lbl := func(k, v string) map[string]string { return map[string]string{k: v} }
+	checks := []check{
+		{"hservd_cache_hits_total", nil, float64(st.Cache.Hits)},
+		{"hservd_cache_misses_total", nil, float64(st.Cache.Misses)},
+		{"hservd_cache_coalesced_total", nil, float64(st.Cache.Coalesced)},
+		{"hservd_cache_evictions_total", nil, float64(st.Cache.Evictions)},
+		{"hservd_cache_entries", nil, float64(st.Cache.Size)},
+		{"hservd_cache_capacity_entries", nil, float64(st.Cache.Capacity)},
+		{"hservd_cluster_peers", nil, float64(st.Cluster.Peers)},
+		{"hservd_cluster_forwards_total", nil, float64(st.Cluster.Forwards)},
+		{"hservd_cluster_forward_fallbacks_total", nil, float64(st.Cluster.Fallbacks)},
+		{"hservd_cluster_forwarded_received_total", nil, float64(st.Cluster.Received)},
+		{"hservd_cluster_relay_truncated_total", nil, float64(st.Cluster.RelayTruncated)},
+		{"hservd_admission_shed_total", nil, float64(st.Admission.Shed)},
+		{"hservd_admission_budget_units", nil, float64(st.Admission.Budget)},
+		{"hservd_sim_scoring_total", lbl("kind", "scored"), float64(st.SimScoring.Scored)},
+		{"hservd_sim_scoring_total", lbl("kind", "replays"), float64(st.SimScoring.Replays)},
+		{"hservd_sim_scoring_total", lbl("kind", "pruned"), float64(st.SimScoring.Pruned)},
+		{"hservd_sim_scoring_total", lbl("kind", "memo_hits"), float64(st.SimScoring.MemoHits)},
+		{"hservd_trace_ring_depth", nil, float64(st.Traces.RingDepth)},
+		{"hservd_trace_ring_capacity", nil, float64(st.Traces.RingCapacity)},
+		{"hservd_trace_dropped_total", nil, float64(st.Traces.DroppedTraces)},
+		{"hservd_trace_spans_dropped_total", nil, float64(st.Traces.DroppedSpans)},
+		{"hservd_trace_spans_total", nil, float64(st.Traces.Spans)},
+		{"hservd_trace_retention_total", lbl("policy", "kept_error"), float64(st.Traces.KeptError)},
+		{"hservd_trace_retention_total", lbl("policy", "kept_slow"), float64(st.Traces.KeptSlow)},
+		{"hservd_trace_retention_total", lbl("policy", "sampled_out"), float64(st.Traces.SampledOut)},
 	}
+	for name, e := range st.Endpoints {
+		requests := e.Requests
+		if name == "/metrics" {
+			requests++
+		}
+		ep := lbl("endpoint", name)
+		checks = append(checks,
+			check{"hservd_requests_total", ep, float64(requests)},
+			check{"hservd_errors_total", ep, float64(e.Errors)},
+			check{"hservd_endpoint_cache_hits_total", ep, float64(e.CacheHits)},
+			check{"hservd_endpoint_cache_misses_total", ep, float64(e.CacheMisses)},
+		)
+	}
+	for _, c := range checks {
+		f := fams[c.family]
+		if f == nil {
+			t.Errorf("family %s missing", c.family)
+			continue
+		}
+		if got := f.value(t, c.labels); got != c.want {
+			t.Errorf("%s%v: scrape %v, /debug/stats %v", c.family, c.labels, got, c.want)
+		}
+	}
+
 	part := map[string]string{"endpoint": "/v1/partition"}
-	if got := fams["hservd_requests_total"].value(t, part); got != 4 {
-		t.Errorf("partition requests: %v, want 4", got)
+	if got := fams["hservd_requests_total"].value(t, part); got != 6 {
+		t.Errorf("partition requests: %v, want 6", got)
 	}
 	if got := fams["hservd_errors_total"].value(t, part); got != 1 {
 		t.Errorf("partition errors: %v, want 1", got)
 	}
-	if got := fams["hservd_endpoint_cache_hits_total"].value(t, part); got != 2 {
-		t.Errorf("partition cache hits: %v, want 2", got)
+	if got := fams["hservd_endpoint_cache_hits_total"].value(t, part); got != 3 {
+		t.Errorf("partition cache hits: %v, want 3", got)
 	}
 	if got := fams["hservd_admission_budget_units"].value(t, nil); got != 100000 {
 		t.Errorf("budget units: %v", got)
@@ -282,7 +360,7 @@ func TestMetricsExposition(t *testing.T) {
 			t.Errorf("%s: +Inf bucket %v != _count %v", endpoint, inf, a.count)
 		}
 	}
-	if a := byEndpoint["/v1/partition"]; a == nil || a.count != 4 {
+	if a := byEndpoint["/v1/partition"]; a == nil || a.count != 6 {
 		t.Errorf("partition histogram count: %+v", byEndpoint["/v1/partition"])
 	}
 }

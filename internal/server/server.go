@@ -246,33 +246,34 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 func (s *Server) Close() { s.telemetry.Stop() }
 
 // telemetryCounters is the service-counter snapshot the telemetry
-// collector diffs between samples: request/error totals over all
-// endpoints, cache traffic, and the shed/forward counters when armed.
+// collector diffs between samples, derived from the /debug/stats
+// snapshot: request/error totals over all endpoints, cache traffic, and
+// the shed/forward counters when armed.
 func (s *Server) telemetryCounters() map[string]int64 {
+	st := s.statsJSON()
 	var requests, errorsTotal int64
-	for _, m := range s.metrics {
-		requests += m.requests.Load()
-		errorsTotal += m.errors.Load()
+	for _, e := range st.Endpoints {
+		requests += e.Requests
+		errorsTotal += e.Errors
 	}
-	cs := s.results.Stats()
 	out := map[string]int64{
 		"requests":     requests,
 		"errors":       errorsTotal,
-		"cache_hits":   int64(cs.Hits),
-		"cache_misses": int64(cs.Misses),
+		"cache_hits":   int64(st.Cache.Hits),
+		"cache_misses": int64(st.Cache.Misses),
 	}
-	if b := s.admit; b != nil {
-		out["admission_shed"] = b.shed.Load()
+	if a := st.Admission; a != nil {
+		out["admission_shed"] = a.Shed
 	}
-	if cl := s.cluster; cl != nil {
-		out["cluster_forwards"] = cl.forwards.Load()
+	if cl := st.Cluster; cl != nil {
+		out["cluster_forwards"] = cl.Forwards
 	}
 	return out
 }
 
 // CacheStats snapshots the result-cache counters (exposed for tests and
-// operational tooling; /debug/stats serves the same numbers).
-func (s *Server) CacheStats() cache.Stats { return s.results.Stats() }
+// operational tooling), read from the /debug/stats snapshot.
+func (s *Server) CacheStats() cache.Stats { return s.statsJSON().Cache }
 
 // endpointMetrics is the per-endpoint counter set behind /debug/stats and
 // /metrics. latencyBucket holds per-bucket (non-cumulative) observation
@@ -298,6 +299,9 @@ type EndpointStatsJSON struct {
 	CacheMisses      int64 `json:"cache_misses"`
 	AvgLatencyMicros int64 `json:"avg_latency_micros"`
 	MaxLatencyMicros int64 `json:"max_latency_micros"`
+	// latencySumMicros feeds the /metrics histogram's _sum; the JSON body
+	// reports only the average.
+	latencySumMicros int64
 }
 
 // ProfileMemoJSON reports the process-wide benchmark profile memo behind
@@ -521,8 +525,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, s.statsJSON())
 }
 
-// statsJSON assembles the /debug/stats document; /debug/fleet reuses it
-// for the self entry of the merged health view.
+// statsJSON assembles the /debug/stats document. /metrics, the telemetry
+// collector, CacheStats and the self entry of /debug/fleet render this
+// snapshot rather than loading the cache, cluster, admission, tracer,
+// sim-scoring and per-endpoint counters themselves.
 func (s *Server) statsJSON() StatsJSON {
 	out := StatsJSON{Cache: s.results.Stats(), Endpoints: map[string]EndpointStatsJSON{}}
 	out.BenchProfiles.Size, out.BenchProfiles.Bound = hybridpart.ProfileMemoStats()
@@ -570,9 +576,10 @@ func (s *Server) statsJSON() StatsJSON {
 			CacheHits:        m.cacheHits.Load(),
 			CacheMisses:      m.cacheMisses.Load(),
 			MaxLatencyMicros: m.latencyMax.Load(),
+			latencySumMicros: m.latencySum.Load(),
 		}
 		if row.Requests > 0 {
-			row.AvgLatencyMicros = m.latencySum.Load() / row.Requests
+			row.AvgLatencyMicros = row.latencySumMicros / row.Requests
 		}
 		out.Endpoints[name] = row
 	}

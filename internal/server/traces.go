@@ -51,8 +51,7 @@ type TraceStatsJSON struct {
 	DroppedTraces int64 `json:"dropped_traces"`
 	DroppedSpans  int64 `json:"dropped_spans"`
 	Spans         int64 `json:"spans"`
-	// Tail-sampling policy counters (hservd -trace-keep-slow); all zero
-	// under plain overwrite-oldest retention.
+	// Tail-sampling policy counters (hservd -trace-keep-slow).
 	KeptError  int64 `json:"kept_error"`
 	KeptSlow   int64 `json:"kept_slow"`
 	SampledOut int64 `json:"sampled_out"`
