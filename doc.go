@@ -113,6 +113,14 @@
 //	)
 //	res, _ := eng.Partition(ctx, w) // res.SimulatedCycles < the model objective's
 //
+// The replayed trace is loop-compressed: sim.BuildTrace rebuilds the
+// canonical trace from the profile as (body, reps) tokens, folding each
+// loop's repetitions as its Hierholzer walk discovers them, and every
+// scorer walks the tokens — one pass at weight 1 and one at weight reps−1
+// for the load walks and FineWalkBound, a steady-state jump to the last
+// repetition for Makespan — so a candidate costs O(tokens), not
+// O(block visits).
+//
 // Simulated scoring is pruned: candidates are bounded by admissible lower
 // bounds (sim.Replayer.LowerBound, FineWalkBound) and only those that can
 // still beat the incumbent replay, one at a time in ascending-bound order

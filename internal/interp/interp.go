@@ -7,6 +7,7 @@
 package interp
 
 import (
+	"context"
 	"fmt"
 
 	"hybridpart/internal/ir"
@@ -89,6 +90,10 @@ type Machine struct {
 	// 2^32). The bound makes runaway loops fail deterministically in tests.
 	MaxSteps uint64
 	steps    uint64
+	// limit is the step count at which the instruction loop leaves its fast
+	// path: MaxSteps, or the next context poll when it comes sooner.
+	limit uint64
+	ctx   context.Context
 
 	// MaxDepth bounds the call stack (default 256).
 	MaxDepth int
@@ -147,6 +152,21 @@ func (m *Machine) Steps() uint64 { return m.steps }
 // Run executes the named function with the given arguments and returns its
 // result (0 for void functions).
 func (m *Machine) Run(fn string, args ...Arg) (int32, error) {
+	return m.RunContext(context.Background(), fn, args...)
+}
+
+// pollSteps is how many steps the interpreter runs between two polls of
+// the RunContext context.
+const pollSteps = 1 << 16
+
+// RunContext is Run abandoned once ctx is done: it returns ctx's error
+// within pollSteps executed steps of the cancellation.
+func (m *Machine) RunContext(ctx context.Context, fn string, args ...Arg) (int32, error) {
+	m.ctx = ctx
+	m.limit = m.MaxSteps
+	if ctx.Done() != nil {
+		m.limit = min(m.MaxSteps, m.steps+pollSteps)
+	}
 	f := m.prog.Func(fn)
 	if f == nil {
 		return 0, fmt.Errorf("interp: function %q not found", fn)
@@ -159,6 +179,20 @@ func (m *Machine) Run(fn string, args ...Arg) (int32, error) {
 		return 0, err
 	}
 	return m.exec(f, frame)
+}
+
+// pastLimit is the instruction loop's slow path, taken once the step count
+// passes limit: it traps past MaxSteps, returns the context's error once the
+// context is done, and otherwise schedules the next poll.
+func (m *Machine) pastLimit(fn string, pos int) error {
+	if m.steps > m.MaxSteps {
+		return &Trap{Func: fn, Pos: pos, Msg: "step limit exceeded"}
+	}
+	if err := m.ctx.Err(); err != nil {
+		return err
+	}
+	m.limit = min(m.MaxSteps, m.steps+pollSteps)
+	return nil
 }
 
 type frame struct {
@@ -246,8 +280,10 @@ func (m *Machine) exec(f *ir.Function, fr *frame) (int32, error) {
 		// A block entry charges one step even when the block is empty, so
 		// instruction-free infinite loops still hit the step limit.
 		m.steps++
-		if m.steps > m.MaxSteps {
-			return 0, &Trap{Func: f.Name, Msg: "step limit exceeded"}
+		if m.steps > m.limit {
+			if err := m.pastLimit(f.Name, 0); err != nil {
+				return 0, err
+			}
 		}
 		if counts != nil {
 			counts[b.ID]++
@@ -255,8 +291,10 @@ func (m *Machine) exec(f *ir.Function, fr *frame) (int32, error) {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			m.steps++
-			if m.steps > m.MaxSteps {
-				return 0, &Trap{Func: f.Name, Pos: in.Pos, Msg: "step limit exceeded"}
+			if m.steps > m.limit {
+				if err := m.pastLimit(f.Name, in.Pos); err != nil {
+					return 0, err
+				}
 			}
 			if m.profile != nil {
 				m.profile.Instrs++

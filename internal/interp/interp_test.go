@@ -1,7 +1,10 @@
 package interp
 
 import (
+	"context"
+	"errors"
 	"testing"
+	"time"
 
 	"hybridpart/internal/ir"
 )
@@ -145,6 +148,68 @@ func TestStepsAccounting(t *testing.T) {
 	}
 	if m.Steps() == 0 {
 		t.Fatal("no steps recorded")
+	}
+}
+
+// spinProgram builds spin() { while (1); }: an instruction-free loop block
+// that only the step limit or a context can stop.
+func spinProgram(t *testing.T) *ir.Program {
+	t.Helper()
+	p := ir.NewProgram()
+	f := ir.NewFunction("spin")
+	loop := f.AddBlock("loop")
+	f.Block(f.Entry).Term = ir.Terminator{Kind: ir.TermJump, Then: loop.ID}
+	loop.Term = ir.Terminator{Kind: ir.TermJump, Then: loop.ID}
+	if err := p.AddFunc(f); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestRunContextStopsRunaway: a cancelled or expired context stops an
+// endless loop within one poll interval, long before the step limit, and
+// a live context changes nothing.
+func TestRunContextStopsRunaway(t *testing.T) {
+	p := spinProgram(t)
+
+	m := New(p)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := m.RunContext(ctx, "spin"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v", err)
+	}
+	if m.Steps() > pollSteps+1 {
+		t.Fatalf("cancelled run took %d steps, want at most one poll interval (%d)", m.Steps(), pollSteps)
+	}
+
+	m = New(p)
+	ctx, cancel = context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if _, err := m.RunContext(ctx, "spin"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired run returned %v", err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("expired run stopped after %v", d)
+	}
+	if m.Steps() >= m.MaxSteps {
+		t.Fatalf("run hit the step limit (%d steps) instead of the deadline", m.Steps())
+	}
+
+	// The step limit still traps under a live context, at the same step.
+	m = New(p)
+	m.MaxSteps = 3*pollSteps + 5
+	_, err := m.RunContext(context.Background(), "spin")
+	var trap *Trap
+	if !errors.As(err, &trap) || m.Steps() != m.MaxSteps+1 {
+		t.Fatalf("step limit under a context: err %v after %d steps", err, m.Steps())
+	}
+	withCtx := New(p)
+	withCtx.MaxSteps = m.MaxSteps
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	if _, err := withCtx.RunContext(live, "spin"); !errors.As(err, &trap) || withCtx.Steps() != m.Steps() {
+		t.Fatalf("step limit under a cancellable context: err %v after %d steps, want trap after %d", err, withCtx.Steps(), m.Steps())
 	}
 }
 

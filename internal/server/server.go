@@ -637,7 +637,7 @@ func buildSourceWorkload(ctx context.Context, req *PartitionRequest) (*hybridpar
 		}
 	}
 	_, ps := obs.Start(ctx, "profile")
-	_, err = w.Run(req.Args...)
+	_, err = w.RunContext(ctx, req.Args...)
 	ps.End()
 	if err != nil {
 		return nil, fmt.Errorf("profiling run failed: %w", err)

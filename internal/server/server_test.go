@@ -302,6 +302,23 @@ func TestPartitionTimeout(t *testing.T) {
 	}
 }
 
+// TestPartitionTimeoutStopsRunawaySource: a client program that never
+// terminates is abandoned at the request deadline. The interpreter polls
+// the request context, so the POST answers 504 promptly instead of holding
+// a CPU until the interpreter's step limit (seconds later).
+func TestPartitionTimeoutStopsRunawaySource(t *testing.T) {
+	s := newTestServer(t, Config{Timeout: 50 * time.Millisecond})
+	spin := `int main_fn() { int x; x = 0; while (1) { x = x + 1; } return x; }`
+	start := time.Now()
+	rec := post(t, s, "/v1/partition", fmt.Sprintf(`{"source": %q, "entry": "main_fn", "constraint": 9000}`, spin))
+	if rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504 (body %s)", rec.Code, rec.Body)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("runaway source held the request for %v after a 50ms deadline", d)
+	}
+}
+
 // TestSingleflight is the coalescing acceptance test: 50 concurrent
 // identical requests must trigger exactly one engine run, and every client
 // sees the same bytes. Run under -race this doubles as the

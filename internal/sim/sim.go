@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"hybridpart/internal/coarsegrain"
@@ -121,6 +122,15 @@ func max64(a, b int64) int64 {
 // objective: each candidate pays only the packing and the replay, never a
 // trace reconstruction or a list-scheduling pass.
 //
+// The trace is held loop-compressed, as the (body, reps) tokens BuildTrace
+// emits, and every per-mapping walk — the closed-form load counts
+// (EntryLoads, RegionLoads), FineWalkBound and Makespan — costs O(tokens ·
+// body), not O(block visits): a sequencer state machine's state after one
+// pass over a body depends only on the body, so the walks play each token
+// once at weight 1 and once at weight reps−1, and the replay fast-forwards
+// each token from its first steady-state repetition to its last. Only
+// Simulate's per-kernel report plays every repetition.
+//
 // The DFGs, level order and live-in/out footprints come from the per-App
 // ir.BlockTables in Input.Tables, shared with the partitioning engine and
 // every other Replayer of the same application; the trace, floors and
@@ -130,15 +140,20 @@ func max64(a, b int64) int64 {
 // Concurrency contract: a Replayer is safe for concurrent use. Every table is
 // immutable after NewReplayer returns, and the lazy schedule memo behind
 // CoarseLatency is mutex-guarded, so any number of goroutines may call
-// Simulate, Makespan, LowerBound, CoarseLatency, TransferTicks and WalkTrace
-// on one shared Replayer. The only per-goroutine state is the Arena: an Arena
-// must not be shared between concurrent calls — give each worker its own.
+// Simulate, Makespan, LowerBound, FineWalkBound, EntryLoads, RegionLoads,
+// CoarseLatency and TransferTicks on one shared Replayer. The only
+// per-goroutine state is the Arena (and the caller's own mapping and
+// load buffers): an Arena must not be shared between concurrent calls —
+// give each worker its own.
 type Replayer struct {
 	in     Input
 	tables *ir.BlockTables
-	trace  []ir.BlockID
-	runs   int
-	arrLen coarsegrain.ArrLenFunc
+	trace  []Token
+	// traceLen is the expanded trace length (block visits per frame) and
+	// bodyLen the number of block IDs the tokens store.
+	traceLen, bodyLen int
+	runs              int
+	arrLen            coarsegrain.ArrLenFunc
 
 	// minFineT[b] is a packing-independent lower bound on block b's
 	// per-execution fine-grain cost in ticks: its cost when packed into one
@@ -196,6 +211,10 @@ func NewReplayer(in Input) (*Replayer, error) {
 		schedLat:  make([]int64, n),
 		schedErr:  make([]error, n),
 	}
+	for _, t := range trace {
+		r.bodyLen += len(t.Body)
+		r.traceLen += len(t.Body) * int(t.Reps)
+	}
 	// The execution floor is the packing into a single region no operator
 	// can overflow: no partition boundary ever splits a level.
 	var floor finegrain.PackedMapping
@@ -222,8 +241,9 @@ func NewReplayer(in Input) (*Replayer, error) {
 // Runs returns the number of profiled runs folded into the replayed trace.
 func (r *Replayer) Runs() int { return r.runs }
 
-// TraceLen returns the number of kernel invocations replayed per frame.
-func (r *Replayer) TraceLen() int { return len(r.trace) }
+// TraceLen returns the number of kernel invocations replayed per frame: the
+// expanded length of the loop-compressed trace.
+func (r *Replayer) TraceLen() int { return r.traceLen }
 
 // CoarseLatency returns block id's data-path latency in T_CGC cycles (the
 // same list schedule the partitioning engine uses), memoized across calls.
@@ -241,15 +261,6 @@ func (r *Replayer) CoarseLatency(id ir.BlockID) (int64, error) {
 		}
 	}
 	return r.schedLat[id], r.schedErr[id]
-}
-
-// WalkTrace calls fn for every kernel invocation of the canonical trace, in
-// replay order. Closed-form scorers use it to run reduced state machines
-// (e.g. the sequencer's loaded-partition walk) without the event engine.
-func (r *Replayer) WalkTrace(fn func(ir.BlockID)) {
-	for _, b := range r.trace {
-		fn(b)
-	}
 }
 
 // TransferTicks returns block id's per-invocation transfer-channel occupancy
@@ -290,26 +301,37 @@ func Simulate(ctx context.Context, in Input, cfg Config) (*Report, error) {
 
 // Arena is the reusable scratch of one replay: the moved mask, the
 // candidate's packing, the per-block cost tables, the per-region sequencer
-// state and the prefetch oracle. Makespan grows it on first use and reuses
-// the buffers afterwards, so a worker scoring thousands of candidate
-// mappings allocates only on its first call. An Arena belongs to exactly one
-// goroutine at a time; the zero value is ready to use.
+// state, the prefetch oracle and the fast-forward snapshots. Makespan,
+// FineWalkBound and RegionLoads grow it on first use and reuse the buffers
+// afterwards, so a worker scoring thousands of candidate mappings allocates
+// only on its first call. An Arena belongs to exactly one goroutine at a
+// time; the zero value is ready to use.
 type Arena struct {
-	moved    []bool
-	pm       finegrain.PackedMapping
-	latT     []int64 // kernel latency, in ticks (T_CGC cycles)
-	txT      []int64 // transfer-channel occupancy per invocation, ticks
-	execT    []int64 // fine-grain level cycles per execution, ticks
-	nextPart []int32 // prefetch oracle, one entry per trace position
+	moved []bool
+	pm    finegrain.PackedMapping
+	latT  []int64 // kernel latency, in ticks (T_CGC cycles)
+	txT   []int64 // transfer-channel occupancy per invocation, ticks
+	execT []int64 // fine-grain level cycles per execution, ticks
+	// Prefetch oracle: nextPart has one entry per stored body position (the
+	// next fine partition later in the same body, or -1), tails two per
+	// token (the need after the body's last fine block on a repetition
+	// that wraps around, and on the token's last repetition).
+	nextPart []int32
+	tails    []int32
 
 	// Per-region sequencer scratch, one entry per reconfigurable region:
-	// the resident partition (replay and walk), the fast-forward snapshot,
-	// and FineWalkBound's symbolic first-need record.
+	// the resident partition (replay and walks) and FineWalkBound's symbolic
+	// first-need record.
 	loadedR       []int
-	prevLoadedR   []int
 	firstNeed     []int
 	firstLead     []bool
 	firstStraddle []bool
+
+	// Steady-state fast-forward scratch of a makespan-only replay: the
+	// state snapshots one frame and one token repetition back, and the
+	// resources each token's body uses.
+	frameSnap, repSnap seqState
+	tokUse             []uint8
 }
 
 // grow sizes the per-block tables for n blocks (the prefetch oracle is grown
@@ -335,23 +357,169 @@ func (a *Arena) grow(n int) {
 func (a *Arena) growRegions(regions int) {
 	if cap(a.loadedR) < regions {
 		a.loadedR = make([]int, regions)
-		a.prevLoadedR = make([]int, regions)
 		a.firstNeed = make([]int, regions)
 		a.firstLead = make([]bool, regions)
 		a.firstStraddle = make([]bool, regions)
 	}
 	a.loadedR = a.loadedR[:regions]
-	a.prevLoadedR = a.prevLoadedR[:regions]
 	a.firstNeed = a.firstNeed[:regions]
 	a.firstLead = a.firstLead[:regions]
 	a.firstStraddle = a.firstStraddle[:regions]
 	for i := 0; i < regions; i++ {
 		a.loadedR[i] = -1
-		a.prevLoadedR[i] = -2
 		a.firstNeed[i] = -1
 		a.firstLead[i] = false
 		a.firstStraddle[i] = false
 	}
+}
+
+// seqState is the replay state an event reads besides prevEnd: each
+// resource's free time, the pending prefetch and every region's resident
+// partition. Times are in ticks.
+type seqState struct {
+	fineFree, coarseFree, memFree int64
+	// prefetchPart is the partition a pending prefetch loads, -1 when none
+	// is pending. The load is the fine fabric's last event, so it is ready
+	// at fineFree.
+	prefetchPart int
+	loadedR      []int
+}
+
+// Resources a stretch of the trace uses: the fine fabric (with its
+// prefetches) and the data-path (with its transfer channel).
+const (
+	useFine uint8 = 1 << iota
+	useCoarse
+)
+
+// saveTo copies s into snap, reusing snap's residency buffer.
+func (s *seqState) saveTo(snap *seqState) {
+	loaded := snap.loadedR
+	*snap = *s
+	snap.loadedR = append(loaded[:0], s.loadedR...)
+}
+
+// advance reports whether s is snap translated by one delta d, which it
+// returns: the same residency and pending prefetch, and the free time of
+// every resource in use exactly d later. A resource a stretch of the trace
+// does not use is never consulted there, so it is left out.
+func (s *seqState) advance(snap *seqState, use uint8) (int64, bool) {
+	d := s.coarseFree - snap.coarseFree
+	if use&useFine != 0 {
+		d = s.fineFree - snap.fineFree
+	}
+	if s.prefetchPart != snap.prefetchPart || !slices.Equal(s.loadedR, snap.loadedR) {
+		return 0, false
+	}
+	if use&useCoarse != 0 && (s.coarseFree-snap.coarseFree != d || s.memFree-snap.memFree != d) {
+		return 0, false
+	}
+	return d, true
+}
+
+// shift translates the free times of the resources in use by d.
+func (s *seqState) shift(d int64, use uint8) {
+	if use&useFine != 0 {
+		s.fineFree += d
+	}
+	if use&useCoarse != 0 {
+		s.coarseFree += d
+		s.memFree += d
+	}
+}
+
+// kernelTimes is one block's timeline in a report replay, in ticks: its
+// invocations, busy time, earliest start (-1 before the first) and latest
+// end.
+type kernelTimes struct {
+	invocations       uint64
+	busy, first, last int64
+}
+
+// note records one invocation running from start to end, busy for busy.
+func (k *kernelTimes) note(start, end, busy int64) {
+	k.invocations++
+	k.busy += busy
+	if k.first < 0 || start < k.first {
+		k.first = start
+	}
+	k.last = max64(k.last, end)
+}
+
+// passes yields every token's body twice for a state-machine scan: once
+// at weight 1 for its first repetition, then once at weight reps−1 for all
+// the later ones (skipped when the token plays once). This is exact for
+// any sequencer state machine whose state after one pass over a body
+// depends only on the body and whose counters add per block: passes 2..reps
+// all start in the state pass 1 leaves and count the same.
+func (r *Replayer) passes(yield func(body []ir.BlockID, w int64) bool) {
+	for _, t := range r.trace {
+		if !yield(t.Body, 1) {
+			return
+		}
+		if t.Reps > 1 && !yield(t.Body, int64(t.Reps-1)) {
+			return
+		}
+	}
+}
+
+// EntryLoads fills loads[b] with the number of on-demand configuration loads
+// a single-region sequencer performs entering block b over one frame of the
+// trace, when the blocks outside moved are packed as pm: a block loads on
+// entry when the partition it starts in is not the one its predecessor on
+// the fine fabric left resident. Straddle reloads inside a block are a
+// static per-execution count and are not included. len(loads) and
+// len(moved) must be the function's block count. Safe for concurrent use.
+func (r *Replayer) EntryLoads(pm *finegrain.PackedMapping, moved []bool, loads []int64) {
+	clear(loads)
+	loaded := -1
+	if pm.NumPartitions == 0 {
+		loaded = 0 // nothing to configure
+	}
+	for body, w := range r.passes {
+		for _, b := range body {
+			if moved[b] {
+				continue
+			}
+			if pm.FirstPart[b] != loaded {
+				loads[b] += w
+			}
+			loaded = pm.LastPart[b]
+		}
+	}
+}
+
+// RegionLoads returns the number of configuration loads, entry and straddle
+// alike, a multi-region sequencer performs over one frame of the trace when
+// the blocks outside moved are packed as pm: a partition loads only when its
+// region (partition p lives in region p mod pm.Regions) holds something
+// else. The arena provides the per-region residency scratch; nil allocates
+// a fresh one. Safe for concurrent use with per-goroutine arenas.
+func (r *Replayer) RegionLoads(pm *finegrain.PackedMapping, moved []bool, a *Arena) int64 {
+	if a == nil {
+		a = new(Arena)
+	}
+	regions := pm.Regions
+	a.growRegions(regions)
+	loadedR := a.loadedR
+	if pm.NumPartitions == 0 {
+		loadedR[0] = 0 // nothing to configure
+	}
+	var loads int64
+	for body, w := range r.passes {
+		for _, b := range body {
+			if moved[b] {
+				continue
+			}
+			for q := pm.FirstPart[b]; q <= pm.LastPart[b]; q++ {
+				if reg := q % regions; loadedR[reg] != q {
+					loads += w
+					loadedR[reg] = q
+				}
+			}
+		}
+	}
+	return loads
 }
 
 // Simulate replays the trace against the mapping that moves the given blocks
@@ -496,7 +664,8 @@ type frameWalk struct {
 // loaded-partition state machine — per-execution cycles, straddling
 // crossings, every configuration load and every moved window — for the
 // first frame and the steady-state frame, without event bookkeeping, so it
-// costs O(trace) instead of O(frames·trace) heavyweight events. It combines
+// costs one weighted pass pair per trace token instead of O(frames·trace)
+// heavyweight events. It combines
 // four floors, each justified by the replay's in-order service discipline:
 //
 //   - frame 1 is fully serial and later frames never delay it, so its whole
@@ -571,50 +740,52 @@ func (r *Replayer) FineWalkBound(cfg Config, movedBlocks []ir.BlockID, a *Arena)
 	a.growRegions(regions)
 	loadedR, firstNeed, firstLead, firstStraddle := a.loadedR, a.firstNeed, a.firstLead, a.firstStraddle
 	var w frameWalk
-	for _, b := range r.trace {
-		id := int(b)
-		if moved[id] {
-			w.coarse += latT[id]
-			w.mem += txT[id]
-			if !w.sawFine {
-				w.leadMoved += txT[id] + latT[id]
+	for body, wt := range r.passes {
+		for _, b := range body {
+			id := int(b)
+			if moved[id] {
+				w.coarse += wt * latT[id]
+				w.mem += wt * txT[id]
+				if !w.sawFine {
+					w.leadMoved += wt * (txT[id] + latT[id])
+				}
+				if !w.sawMoved {
+					w.firstMovedTx = txT[id]
+					w.sawMoved = true
+				}
+				continue
 			}
-			if !w.sawMoved {
-				w.firstMovedTx = txT[id]
-				w.sawMoved = true
-			}
-			continue
-		}
-		exec := execT[id]
-		var load int64
-		p := pm.FirstPart[id]
-		if reg := p % regions; firstNeed[reg] < 0 {
-			firstNeed[reg] = p
-			firstLead[reg] = !w.sawMoved
-			loadedR[reg] = p
-		} else if loadedR[reg] != p {
-			load = reconT
-			loadedR[reg] = p
-		}
-		// Straddling loads ride the execution window — there is no
-		// data-path window for prefetch to hide them in.
-		for q := p + 1; q <= pm.LastPart[id]; q++ {
-			if reg := q % regions; firstNeed[reg] < 0 {
-				firstNeed[reg] = q
+			exec := execT[id]
+			var load int64
+			p := pm.FirstPart[id]
+			if reg := p % regions; firstNeed[reg] < 0 {
+				firstNeed[reg] = p
 				firstLead[reg] = !w.sawMoved
-				firstStraddle[reg] = true
-				loadedR[reg] = q
-			} else if loadedR[reg] != q {
-				exec += reconT
-				loadedR[reg] = q
+				loadedR[reg] = p
+			} else if loadedR[reg] != p {
+				load = reconT
+				loadedR[reg] = p
 			}
+			// Straddling loads ride the execution window — there is no
+			// data-path window for prefetch to hide them in.
+			for q := p + 1; q <= pm.LastPart[id]; q++ {
+				if reg := q % regions; firstNeed[reg] < 0 {
+					firstNeed[reg] = q
+					firstLead[reg] = !w.sawMoved
+					firstStraddle[reg] = true
+					loadedR[reg] = q
+				} else if loadedR[reg] != q {
+					exec += reconT
+					loadedR[reg] = q
+				}
+			}
+			w.fineExec += wt * exec
+			w.fineLoad += wt * load
+			if !w.sawMoved {
+				w.leadFine += wt * (exec + load)
+			}
+			w.sawFine = true
 		}
-		w.fineExec += exec
-		w.fineLoad += load
-		if !w.sawMoved {
-			w.leadFine += exec + load
-		}
-		w.sawFine = true
 	}
 	// resolve charges each region's symbolic first load against a start
 	// residency: the empty fabric (initial=true; with no partitions at all
@@ -756,18 +927,36 @@ func (r *Replayer) replay(ctx context.Context, cfg Config, movedBlocks []ir.Bloc
 
 	// Prefetch oracle: the temporal partition the sequencer will need next
 	// on the fine fabric after each trace position (-1 when no fine-grain
-	// block follows). One backward pass, shared by every frame.
-	var nextPart []int32
+	// block follows). One backward pass over the tokens serves every frame
+	// and every repetition: inside a body the next need is fixed (nextPart,
+	// one entry per stored position, -1 past the body's last fine block);
+	// past it, a repetition that wraps around needs the body's first fine
+	// partition and the token's last repetition needs whatever follows the
+	// token (tails).
+	var nextPart, tails []int32
 	if cfg.Prefetch {
-		if cap(a.nextPart) < len(trace) {
-			a.nextPart = make([]int32, len(trace))
+		if cap(a.nextPart) < r.bodyLen {
+			a.nextPart = make([]int32, r.bodyLen)
 		}
-		nextPart = a.nextPart[:len(trace)]
-		need := int32(-1)
-		for i := len(trace) - 1; i >= 0; i-- {
-			nextPart[i] = need
-			if !moved[trace[i]] {
-				need = int32(pm.FirstPart[trace[i]])
+		if cap(a.tails) < 2*len(trace) {
+			a.tails = make([]int32, 2*len(trace))
+		}
+		nextPart, tails = a.nextPart[:r.bodyLen], a.tails[:2*len(trace)]
+		after := int32(-1)
+		pos := r.bodyLen
+		for t := len(trace) - 1; t >= 0; t-- {
+			body := trace[t].Body
+			pos -= len(body)
+			need := int32(-1)
+			for i := len(body) - 1; i >= 0; i-- {
+				nextPart[pos+i] = need
+				if !moved[body[i]] {
+					need = int32(pm.FirstPart[body[i]])
+				}
+			}
+			tails[2*t], tails[2*t+1] = after, after
+			if need >= 0 {
+				tails[2*t], after = need, need
 			}
 		}
 	}
@@ -778,189 +967,204 @@ func (r *Replayer) replay(ctx context.Context, cfg Config, movedBlocks []ir.Bloc
 	// division — which is what makes contention-free single-frame runs agree
 	// with the analytical model cycle for cycle.
 	var (
-		fineFree, coarseFree, memFree int64
-		fineBusyT, fineReconT         int64
-		coarseBusyT, memBusyT         int64
-		makespan                      int64
-		reconfigs, hiddenReconT       int64
-		prefetchPart                  = -1
-		prefetchReady                 int64
+		fineBusyT, fineReconT   int64
+		coarseBusyT, memBusyT   int64
+		makespan                int64
+		reconfigs, hiddenReconT int64
 	)
-	// Per-region sequencer state: loadedR[reg] is the partition resident in
-	// region reg (partition p lives in region p % regions). With one region
-	// this is the paper's single loaded-partition scalar.
+	// Per-region sequencer state: st.loadedR[reg] is the partition resident
+	// in region reg (partition p lives in region p % regions). With one
+	// region this is the paper's single loaded-partition scalar.
 	a.growRegions(regions)
-	loadedR := a.loadedR
+	st := seqState{prefetchPart: -1, loadedR: a.loadedR}
 	if pm.NumPartitions == 0 {
-		loadedR[0] = 0 // nothing to configure
+		st.loadedR[0] = 0 // nothing to configure
 	}
-	var invocations []uint64
-	var busyT, firstT, lastT []int64
-	note := func(ir.BlockID, int64, int64, int64) {}
+	var kernels []kernelTimes // per block; nil on makespan-only replays
 	if rep != nil {
-		invocations = make([]uint64, n)
-		busyT = make([]int64, n)
-		firstT = make([]int64, n)
-		lastT = make([]int64, n)
-		for i := range firstT {
-			firstT[i] = -1
-		}
-		note = func(id ir.BlockID, start, end, busy int64) {
-			invocations[id]++
-			busyT[id] += busy
-			if firstT[id] < 0 || start < firstT[id] {
-				firstT[id] = start
-			}
-			if end > lastT[id] {
-				lastT[id] = end
-			}
+		kernels = make([]kernelTimes, n)
+		for i := range kernels {
+			kernels[i].first = -1
 		}
 	}
 
-	// Steady-state fast-forward (makespan-only replays): every frame runs
+	// Steady-state fast-forward (makespan-only replays). Every frame runs
 	// the identical trace, and within a frame events chain through prevEnd
-	// (reset to zero) plus the three resource free-times. If between two
-	// consecutive frame starts all three free-times advanced by the same
-	// delta and the sequencer state (loaded partition, pending prefetch)
-	// matches, the upcoming frame is the previous frame translated by that
-	// delta — and by induction so is every frame after it. The remaining
-	// frames then contribute exactly prevFrameMax + k*delta, so the replay
-	// can stop walking. Detailed reports and OnFrame callbacks need the
-	// per-frame events, so they opt out.
-	fastForward := rep == nil && cfg.OnFrame == nil
-	var (
-		pFine, pCoarse, pMem, pReady int64
-		pPrefetch                    = -2
-		frameMax                     int64
-	)
-	prevLoadedR := a.prevLoadedR // all -2 after growRegions: never matches frame 0's state
-	sameResidency := func() bool {
-		for i, v := range loadedR {
-			if prevLoadedR[i] != v {
-				return false
-			}
+	// (reset to zero) plus st. If st at a frame start is st at the previous
+	// frame start translated by one delta d, the upcoming frame is the
+	// previous one translated by d — and by induction so is every frame
+	// after it, so the remaining frames contribute exactly frameMax + k·d and
+	// the replay stops walking. The same argument holds inside a frame for
+	// the repetitions of a token, which play one body: once a repetition
+	// moves prevEnd and st by one d, every later one moves them by d again,
+	// so the replay jumps to the token's last repetition and plays that one
+	// explicitly, because its prefetch oracle differs past the body's last
+	// fine block. Both compare st only on the resources the period uses
+	// (tokUse). Reports need every event and OnFrame callbacks every frame,
+	// so they opt out of the respective fast-forward.
+	var tokUse []uint8
+	var traceUse uint8
+	if rep == nil {
+		if cap(a.tokUse) < len(trace) {
+			a.tokUse = make([]uint8, len(trace))
 		}
-		return true
+		tokUse = a.tokUse[:len(trace)]
+		for t, tok := range trace {
+			var use uint8
+			for _, b := range tok.Body {
+				if moved[b] {
+					use |= useCoarse
+				} else {
+					use |= useFine
+				}
+			}
+			tokUse[t] = use
+			traceUse |= use
+		}
 	}
+	frameForward := rep == nil && cfg.OnFrame == nil
+	var frameMax int64
+	budget := 1 << 16 // events until the next context poll
 	for frame := 0; frame < cfg.Frames; frame++ {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		if fastForward {
+		if frameForward {
 			// frameMax still holds the max event end of the frame that just
 			// finished — the one the remaining frames would replicate.
 			if frame > 0 {
-				// The common shift is the largest per-resource advance; a
-				// resource whose free time is still zero was never busy and
-				// is consulted only through max(x, 0) = x, so it does not
-				// constrain the translation (and lands on the shifted
-				// pattern itself once its zero-length events move).
-				d := max64(fineFree-pFine, max64(coarseFree-pCoarse, memFree-pMem))
-				okR := func(free, prev int64) bool {
-					return free-prev == d || (prev == 0 && free == 0)
-				}
-				if okR(fineFree, pFine) && okR(coarseFree, pCoarse) && okR(memFree, pMem) &&
-					sameResidency() && prefetchPart == pPrefetch &&
-					(prefetchPart < 0 || prefetchReady-pReady == d) {
-					if m := frameMax + int64(cfg.Frames-frame)*d; m > makespan {
-						makespan = m
-					}
+				if d, ok := st.advance(&a.frameSnap, traceUse); ok {
+					makespan = max64(makespan, frameMax+int64(cfg.Frames-frame)*d)
 					break
 				}
 			}
-			pFine, pCoarse, pMem, pReady = fineFree, coarseFree, memFree, prefetchReady
-			copy(prevLoadedR, loadedR)
-			pPrefetch = prefetchPart
-			frameMax = 0
+			st.saveTo(&a.frameSnap)
 		}
-		var prevEnd int64 // program-order completion within this frame
-		for idx, b := range trace {
-			if idx&0xffff == 0xffff {
-				if err := ctx.Err(); err != nil {
-					return 0, err
-				}
+		// prevEnd is the program-order completion within this frame: every
+		// event starts no earlier and ends there, so it is also the frame's
+		// latest event end.
+		var prevEnd int64
+		pos := 0 // stored position of the current body's first block
+		for t, tok := range trace {
+			body := tok.Body
+			var use uint8
+			if tok.Reps > 2 && tokUse != nil {
+				use = tokUse[t]
 			}
-			id := int(b)
-			if moved[id] {
-				// Transfer live-ins/outs through the shared memory, then
-				// execute on the data-path. Both resources serve pipelined
-				// frames in order.
-				mStart := max64(prevEnd, memFree)
-				mEnd := mStart + txT[id]
-				memFree = mEnd
-				memBusyT += txT[id]
-				cStart := max64(mEnd, coarseFree)
-				cEnd := cStart + latT[id]
-				coarseFree = cEnd
-				coarseBusyT += latT[id]
-				prevEnd = cEnd
-				if cEnd > makespan {
-					makespan = cEnd
+			for k := uint64(1); k <= tok.Reps; k++ {
+				// Snapshot the state when a repetition after the next one
+				// could still be skipped.
+				check := use != 0 && k+1 < tok.Reps
+				var sPrev int64
+				if check {
+					sPrev = prevEnd
+					st.saveTo(&a.repSnap)
 				}
-				if cEnd > frameMax {
-					frameMax = cEnd
-				}
-				note(b, mStart, cEnd, latT[id])
+				for i, b := range body {
+					if budget--; budget == 0 {
+						budget = 1 << 16
+						if err := ctx.Err(); err != nil {
+							return 0, err
+						}
+					}
+					id := int(b)
+					if moved[id] {
+						// Transfer live-ins/outs through the shared memory, then
+						// execute on the data-path. Both resources serve
+						// pipelined frames in order.
+						mStart := max64(prevEnd, st.memFree)
+						mEnd := mStart + txT[id]
+						st.memFree = mEnd
+						memBusyT += txT[id]
+						cStart := max64(mEnd, st.coarseFree)
+						cEnd := cStart + latT[id]
+						st.coarseFree = cEnd
+						coarseBusyT += latT[id]
+						prevEnd = cEnd
+						if kernels != nil {
+							kernels[id].note(mStart, cEnd, latT[id])
+						}
 
-				// The fine fabric idles under this window: with prefetch the
-				// sequencer uses it to load the next block's configuration.
-				if cfg.Prefetch && prefetchPart < 0 {
-					if need := int(nextPart[idx]); need >= 0 && loadedR[need%regions] != need {
-						loadStart := max64(fineFree, mStart)
-						prefetchReady = loadStart + reconT
-						fineFree = prefetchReady
-						fineReconT += reconT
-						reconfigs++
-						prefetchPart = need
+						// The fine fabric idles under this window: with
+						// prefetch the sequencer uses it to load the next
+						// block's configuration — past the body's last fine
+						// block, the one a wrapping repetition or the token's
+						// last repetition needs.
+						if cfg.Prefetch && st.prefetchPart < 0 {
+							need := int(nextPart[pos+i])
+							if need < 0 {
+								if k < tok.Reps {
+									need = int(tails[2*t])
+								} else {
+									need = int(tails[2*t+1])
+								}
+							}
+							if need >= 0 && st.loadedR[need%regions] != need {
+								st.fineFree = max64(st.fineFree, mStart) + reconT
+								fineReconT += reconT
+								reconfigs++
+								st.prefetchPart = need
+							}
+						}
+						continue
+					}
+
+					start := max64(prevEnd, st.fineFree)
+					need := pm.FirstPart[id]
+					if reg := need % regions; st.loadedR[reg] != need {
+						if st.prefetchPart == need {
+							// Configuration already (being) loaded during a
+							// previous data-path window — the load is the
+							// fabric's last event, so start already waits for
+							// it; any remaining load time still stalls.
+							stall := max64(0, st.fineFree-prevEnd)
+							hiddenReconT += max64(0, reconT-stall)
+						} else {
+							// On-demand load: the region reconfigures, then
+							// executes.
+							reconfigs++
+							fineReconT += reconT
+							start += reconT
+						}
+						st.loadedR[reg] = need
+					}
+					st.prefetchPart = -1
+					// Straddling the block across partitions reloads a region
+					// only when the next partition's region holds something
+					// else — with one region that is every boundary, the
+					// paper's model; with more, consecutive partitions land in
+					// different regions and only wrap-around revisits reload.
+					var strT int64
+					for q := need + 1; q <= pm.LastPart[id]; q++ {
+						if reg := q % regions; st.loadedR[reg] != q {
+							strT += reconT
+							reconfigs++
+							st.loadedR[reg] = q
+						}
+					}
+					end := start + execT[id] + strT
+					fineBusyT += execT[id]
+					fineReconT += strT
+					st.fineFree = end
+					prevEnd = end
+					if kernels != nil {
+						kernels[id].note(start, end, execT[id])
 					}
 				}
-				continue
-			}
-
-			start := max64(prevEnd, fineFree)
-			need := pm.FirstPart[id]
-			if reg := need % regions; loadedR[reg] != need {
-				if prefetchPart == need {
-					// Configuration already (being) loaded during a previous
-					// data-path window; any remaining load time still stalls.
-					stall := max64(0, prefetchReady-prevEnd)
-					hiddenReconT += max64(0, reconT-stall)
-					start = max64(start, prefetchReady)
-				} else {
-					// On-demand load: the region reconfigures, then executes.
-					reconfigs++
-					fineReconT += reconT
-					start += reconT
+				if !check {
+					continue
 				}
-				loadedR[reg] = need
-			}
-			prefetchPart = -1
-			// Straddling the block across partitions reloads a region only
-			// when the next partition's region holds something else — with
-			// one region that is every boundary, the paper's model; with
-			// more, consecutive partitions land in different regions and
-			// only wrap-around revisits reload.
-			var strT int64
-			for q := need + 1; q <= pm.LastPart[id]; q++ {
-				if reg := q % regions; loadedR[reg] != q {
-					strT += reconT
-					reconfigs++
-					loadedR[reg] = q
+				if d, ok := st.advance(&a.repSnap, use); ok && prevEnd-sPrev == d {
+					skip := int64(tok.Reps-1-k) * d
+					prevEnd += skip
+					st.shift(skip, use)
+					k = tok.Reps - 1
 				}
 			}
-			end := start + execT[id] + strT
-			fineBusyT += execT[id]
-			fineReconT += strT
-			fineFree = end
-			prevEnd = end
-			if end > makespan {
-				makespan = end
-			}
-			if end > frameMax {
-				frameMax = end
-			}
-			note(b, start, end, execT[id])
+			pos += len(body)
 		}
+		frameMax = prevEnd
+		makespan = max64(makespan, prevEnd)
 		if cfg.OnFrame != nil {
 			cfg.OnFrame(frame+1, ceilDiv(makespan, ratio))
 		}
@@ -985,7 +1189,8 @@ func (r *Replayer) replay(ctx context.Context, cfg Config, movedBlocks []ir.Bloc
 	rep.HiddenReconfigCycles = ceilDiv(hiddenReconT, ratio)
 
 	for id := 0; id < n; id++ {
-		if invocations[id] == 0 {
+		k := kernels[id]
+		if k.invocations == 0 {
 			continue
 		}
 		fabric := "fine"
@@ -996,10 +1201,10 @@ func (r *Replayer) replay(ctx context.Context, cfg Config, movedBlocks []ir.Bloc
 			Block:       ir.BlockID(id),
 			Name:        f.Blocks[id].Name,
 			Fabric:      fabric,
-			Invocations: invocations[id],
-			BusyCycles:  ceilDiv(busyT[id], ratio),
-			FirstStart:  firstT[id] / ratio,
-			LastEnd:     ceilDiv(lastT[id], ratio),
+			Invocations: k.invocations,
+			BusyCycles:  ceilDiv(k.busy, ratio),
+			FirstStart:  k.first / ratio,
+			LastEnd:     ceilDiv(k.last, ratio),
 		})
 	}
 	return makespan, nil

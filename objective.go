@@ -37,14 +37,15 @@ func ParseObjective(s string) (Objective, error) { return partition.ParseObjecti
 // for its candidate evaluations. Scored counts distinct mappings; every
 // further request for one of them is a memo hit. Of the distinct mappings,
 // Replays went through the full discrete-event engine, ClosedForm through
-// the additive single-frame fast path (an O(trace) reconfiguration walk, no
-// event bookkeeping), and Incremental through the delta update that skips
-// even the walk when the moved kernel's fabric reassignment provably leaves
-// the crossing set unchanged. Pruned counts candidates the branch-and-bound
-// argmin pass skipped because their admissible lower bound already exceeded
-// a fully scored incumbent. Scoring is serial and its evaluation order a
-// pure function of the workload and knobs, so every counter is
-// deterministic: the same run always reports the same stats.
+// the additive single-frame fast path (a reconfiguration walk over the
+// loop-compressed trace, no event bookkeeping), and Incremental through the
+// delta update that skips even the walk when the moved kernel's fabric
+// reassignment provably leaves the crossing set unchanged. Pruned counts
+// candidates the branch-and-bound argmin pass skipped because their
+// admissible lower bound already exceeded a fully scored incumbent. Scoring
+// is serial and its evaluation order a pure function of the workload and
+// knobs, so every counter is deterministic: the same run always reports the
+// same stats.
 type SimScoreStats struct {
 	Scored      int `json:"scored"`
 	Replays     int `json:"replays"`
@@ -122,10 +123,12 @@ type simScorer struct {
 	memo  map[string]int64
 	last  *scoredMapping
 	stats SimScoreStats
-	// Closed-form scratch, guarded by mu: the moved mask and two packings,
-	// one of which last may still reference for the incremental tier.
+	// Closed-form scratch, guarded by mu: the moved mask, and two packings
+	// and two entry-load vectors, one of each of which last may still
+	// reference for the incremental tier.
 	mask  []bool
 	packs [2]finegrain.PackedMapping
+	loads [2][]int64
 }
 
 // newSimScorer builds the scorer for one (application, profile, platform,
@@ -276,9 +279,9 @@ func (s *simScorer) ScoreBatch(ctx context.Context, candidates [][]ir.BlockID) (
 	// likely to be the argmin replays first, which drops the incumbent
 	// early and lets the bound prune the tail. Two tiers: the closed-form
 	// resource floor (O(moved)) and the exact fine-fabric occupancy walk
-	// (O(trace), still far below a full replay) — the walk is exact on
-	// fine-dominated candidates, so once the incumbent is near the optimum
-	// almost every other candidate's bound exceeds it.
+	// (O(trace tokens), still far below a full replay) — the walk is exact
+	// on fine-dominated candidates, so once the incumbent is near the
+	// optimum almost every other candidate's bound exceeds it.
 	bounds := make([]int64, len(candidates))
 	for _, i := range pending {
 		b, err := s.rep.LowerBound(s.cfg, candidates[i])
@@ -382,31 +385,7 @@ func (s *simScorer) closedForm(moved []ir.BlockID) (int64, error) {
 		// entry and straddle needs alike. Entry and straddle loads are both
 		// residency-dependent here, so the incremental tier (which reuses a
 		// static entry-load vector) does not apply.
-		loadedR := make([]int, regions)
-		for i := range loadedR {
-			loadedR[i] = -1
-		}
-		if pm.NumPartitions == 0 {
-			loadedR[0] = 0 // nothing to configure
-		}
-		var loads int64
-		s.rep.WalkTrace(func(b ir.BlockID) {
-			if movedMask[b] {
-				return
-			}
-			need := pm.FirstPart[b]
-			if reg := need % regions; loadedR[reg] != need {
-				loads++
-				loadedR[reg] = need
-			}
-			for q := need + 1; q <= pm.LastPart[b]; q++ {
-				if reg := q % regions; loadedR[reg] != q {
-					loads++
-					loadedR[reg] = q
-				}
-			}
-		})
-		ticks += loads * reconT
+		ticks += s.rep.RegionLoads(pm, movedMask, &s.arena) * reconT
 		s.stats.ClosedForm++
 		s.last = nil
 		return ceilDiv64(ticks, s.ratio), nil
@@ -433,22 +412,16 @@ func (s *simScorer) closedForm(moved []ir.BlockID) (int64, error) {
 
 	// Reconfiguration walk: replay only the sequencer's loaded-partition
 	// state machine over the canonical trace — the one quantity of the
-	// single-frame makespan that needs the trace at all.
-	entryLoads := make([]int64, n)
-	loaded := -1
-	if pm.NumPartitions == 0 {
-		loaded = 0 // nothing to configure
+	// single-frame makespan that needs the trace at all — into whichever
+	// load vector the incremental state does not hold.
+	if len(s.loads[0]) != n {
+		s.loads = [2][]int64{make([]int64, n), make([]int64, n)}
 	}
-	s.rep.WalkTrace(func(b ir.BlockID) {
-		if movedMask[b] {
-			return
-		}
-		if pm.FirstPart[b] != loaded {
-			entryLoads[b]++
-			loaded = pm.FirstPart[b]
-		}
-		loaded = pm.LastPart[b]
-	})
+	entryLoads := s.loads[0]
+	if s.last != nil && &s.last.entryLoads[0] == &entryLoads[0] {
+		entryLoads = s.loads[1]
+	}
+	s.rep.EntryLoads(pm, movedMask, entryLoads)
 	ticks += sumLoads(entryLoads) * reconT
 	s.stats.ClosedForm++
 	s.last = &scoredMapping{moved: append([]ir.BlockID(nil), moved...), pm: pm, entryLoads: entryLoads, ticks: ticks}

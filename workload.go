@@ -1,6 +1,7 @@
 package hybridpart
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -106,11 +107,18 @@ func (w *Workload) Data(name string) []int32 { return w.m.Global(name) }
 // one more profiled execution (one more "frame") folded into the workload's
 // dynamic analysis.
 func (w *Workload) Run(args ...int32) (int32, error) {
+	return w.RunContext(context.Background(), args...)
+}
+
+// RunContext is Run abandoned with ctx's error once ctx is done; the
+// interpreter polls ctx every 2^16 executed instructions, so a runaway
+// program stops shortly after its caller gives up.
+func (w *Workload) RunContext(ctx context.Context, args ...int32) (int32, error) {
 	iargs := make([]interp.Arg, len(args))
 	for i, v := range args {
 		iargs[i] = interp.Int(v)
 	}
-	return w.m.Run(w.app.entry, iargs...)
+	return w.m.RunContext(ctx, w.app.entry, iargs...)
 }
 
 // InstructionsExecuted returns the dynamic instruction count so far.
