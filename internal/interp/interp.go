@@ -4,6 +4,15 @@
 // with Lex-inserted counters, compile and run it on representative input
 // vectors, we interpret the lowered CDFG directly — producing the same
 // artifact, the execution frequency of every basic block.
+//
+// The interpreter does not walk the CDFG itself. On its first call a
+// function is decoded into a flat array of register-operand ops (immediates
+// become constant registers, array operands become indices into a per-frame
+// table) and a block table giving each block's op range and terminator, and
+// that decoded form is what runs. A block is charged its steps in one add at
+// entry whenever the step limit cannot fall inside it, and its taken
+// successor edges are counted in two dense slots per block that are folded
+// into Profile.Edges when the run returns.
 package interp
 
 import (
@@ -81,17 +90,29 @@ func Int(v int32) Arg { return Arg{Scalar: v} }
 func Array(s []int32) Arg { return Arg{Arr: s, IsArray: true} }
 
 // Machine executes one program. Globals persist across Run calls.
+//
+// Each function runs from its decoded form (see decode), built once per
+// Machine on the function's first call. Step accounting is per block: a
+// block whose entry step and instructions all fit under the current limit
+// (MaxSteps or the next context poll) is charged in one add, and only a
+// block that may cross the limit, or that holds a call, counts its steps one
+// instruction at a time. A step trap therefore fires on the same step and
+// source line as a per-instruction count would give, and a trap raised
+// mid-block refunds the steps charged for the instructions after it. Taken
+// edges are counted per block in a then slot and an else slot and folded
+// into Profile.Edges when the run returns, on every path.
 type Machine struct {
 	prog    *ir.Program
 	globals [][]int32
 	profile *Profile
+	code    map[*ir.Function]*code
 
 	// MaxSteps bounds the number of executed instructions (0 = default of
 	// 2^32). The bound makes runaway loops fail deterministically in tests.
 	MaxSteps uint64
 	steps    uint64
-	// limit is the step count at which the instruction loop leaves its fast
-	// path: MaxSteps, or the next context poll when it comes sooner.
+	// limit is the step count at which the block loop leaves its fast path:
+	// MaxSteps, or the next context poll when it comes sooner.
 	limit uint64
 	ctx   context.Context
 
@@ -103,7 +124,7 @@ type Machine struct {
 // New creates a machine for prog with global arrays allocated and
 // initialized.
 func New(prog *ir.Program) *Machine {
-	m := &Machine{prog: prog, MaxSteps: 1 << 32, MaxDepth: 256}
+	m := &Machine{prog: prog, MaxSteps: 1 << 32, MaxDepth: 256, code: map[*ir.Function]*code{}}
 	m.globals = make([][]int32, len(prog.Globals))
 	for i, g := range prog.Globals {
 		m.globals[i] = make([]int32, g.Len)
@@ -174,11 +195,22 @@ func (m *Machine) RunContext(ctx context.Context, fn string, args ...Arg) (int32
 	if len(args) != len(f.Params) {
 		return 0, fmt.Errorf("interp: %s takes %d arguments, got %d", fn, len(f.Params), len(args))
 	}
-	frame, err := m.newFrame(f, args)
-	if err != nil {
-		return 0, err
+	c := m.decode(f)
+	regs, arrs := m.newFrame(c)
+	for i, p := range f.Params {
+		a := args[i]
+		if p.IsArray != a.IsArray {
+			return 0, fmt.Errorf("interp: %s: argument %d array/scalar mismatch", f.Name, i+1)
+		}
+		if p.IsArray {
+			arrs[p.Arr] = a.Arr
+		} else {
+			regs[p.Reg] = a.Scalar
+		}
 	}
-	return m.exec(f, frame)
+	ret, err := m.exec(c, regs, arrs)
+	m.foldEdges()
+	return ret, err
 }
 
 // pastLimit is the instruction loop's slow path, taken once the step count
@@ -195,248 +227,411 @@ func (m *Machine) pastLimit(fn string, pos int) error {
 	return nil
 }
 
-type frame struct {
-	regs   []int32
-	arrays [][]int32
+// opBadArray is the decoded form of a Load or Store whose array operand
+// names no local or global array; it traps when executed. It follows the
+// last ir opcode so the op switch stays one dense jump table.
+const opBadArray = ir.OpCall + 1
+
+// op is one decoded instruction. a and b index the frame's register file,
+// where the function's immediates sit in constant registers after NumRegs;
+// x is the array-table index of a Load or Store and the call-site index of a
+// Call. Const decodes to a Copy from a constant register.
+type op struct {
+	code      ir.Op
+	dst, a, b int32
+	x         int32
 }
 
-func (m *Machine) newFrame(f *ir.Function, args []Arg) (*frame, error) {
-	fr := &frame{
-		regs:   make([]int32, f.NumRegs),
-		arrays: make([][]int32, len(f.Arrays)),
+// block is one basic block of a decoded function: its ops are
+// ops[start:end], then the terminator runs.
+type block struct {
+	start, end int32
+	term       ir.TermKind
+	// call marks a block holding a call: its steps are counted one
+	// instruction at a time, so the callee runs on the caller's exact count.
+	call bool
+	cond int32 // Branch: condition register
+	then int32 // Jump and Branch: target block
+	els  int32 // Branch: fall-through block
+	ret  int32 // Return: value register, -1 for a void return
+}
+
+// callSite is one decoded call: per callee parameter, the caller register of
+// a scalar argument or the array-table index of an array argument (-1 when
+// the array is unresolved).
+type callSite struct {
+	name   string
+	callee *ir.Function // nil: the callee is undefined
+	code   *code        // callee's decoded form, set on its first call
+	args   []int32
+	hasDst bool
+}
+
+// code is a function's decoded form.
+type code struct {
+	fn     *ir.Function
+	ops    []op
+	pos    []int32 // source line of each op, read only by traps
+	blocks []block
+	calls  []callSite
+	// consts seed the constant registers NumRegs, NumRegs+1, ... of every
+	// frame.
+	consts []int32
+
+	// taken counts edges traversed in the current run: taken[2*b] the Jump
+	// or Branch-then edge out of block b, taken[2*b+1] its else edge.
+	taken []uint64
+}
+
+// decode returns f's decoded form, building it on f's first call.
+func (m *Machine) decode(f *ir.Function) *code {
+	if c := m.code[f]; c != nil {
+		return c
 	}
-	// Local arrays own storage; parameter slots stay nil until bound.
+	c := &code{fn: f, blocks: make([]block, len(f.Blocks)), taken: make([]uint64, 2*len(f.Blocks))}
+	constReg := map[int32]int32{}
+	operand := func(o ir.Operand) int32 {
+		if o.Kind != ir.OperandImm {
+			return int32(o.Reg)
+		}
+		r, ok := constReg[o.Imm]
+		if !ok {
+			r = int32(f.NumRegs + len(c.consts))
+			constReg[o.Imm] = r
+			c.consts = append(c.consts, o.Imm)
+		}
+		return r
+	}
+	// array resolves an array operand to its index in the frame's table of
+	// local arrays followed by the program's globals.
+	array := func(id ir.ArrID) int32 {
+		if ir.IsGlobalArr(id) {
+			if i := ir.GlobalIndex(id); i >= 0 && i < len(m.globals) {
+				return int32(len(f.Arrays) + i)
+			}
+			return -1
+		}
+		if id >= 0 && int(id) < len(f.Arrays) {
+			return int32(id)
+		}
+		return -1
+	}
+	for bi, b := range f.Blocks {
+		blk := block{start: int32(len(c.ops)), term: b.Term.Kind, then: int32(b.Term.Then), els: int32(b.Term.Else), ret: -1}
+		for i := range b.Instrs {
+			in := &b.Instrs[i]
+			o := op{code: in.Op, dst: int32(in.Dst), a: operand(in.A), b: operand(in.B)}
+			switch in.Op {
+			case ir.OpConst:
+				o.code, o.a = ir.OpCopy, operand(ir.Imm(in.A.Imm))
+			case ir.OpLoad, ir.OpStore:
+				if o.x = array(in.Arr); o.x < 0 {
+					o.code = opBadArray
+				}
+			case ir.OpCall:
+				blk.call = true
+				o.x = int32(len(c.calls))
+				c.calls = append(c.calls, m.decodeCall(in, array, operand))
+			}
+			c.ops = append(c.ops, o)
+			c.pos = append(c.pos, int32(in.Pos))
+		}
+		blk.end = int32(len(c.ops))
+		switch b.Term.Kind {
+		case ir.TermBranch:
+			blk.cond = operand(b.Term.Cond)
+		case ir.TermReturn:
+			if b.Term.HasVal {
+				blk.ret = operand(b.Term.Val)
+			}
+		}
+		c.blocks[bi] = blk
+	}
+	m.code[f] = c
+	return c
+}
+
+// decodeCall resolves a call's callee and binds each callee parameter to its
+// argument: the i-th scalar parameter to Args[i], the i-th array parameter
+// to ArrArgs[i].
+func (m *Machine) decodeCall(in *ir.Instr, array func(ir.ArrID) int32, operand func(ir.Operand) int32) callSite {
+	s := callSite{name: in.Callee, callee: m.prog.Func(in.Callee), hasDst: in.CallHasDst}
+	if s.callee == nil {
+		return s
+	}
+	si, ai := 0, 0
+	for _, p := range s.callee.Params {
+		if p.IsArray {
+			s.args = append(s.args, array(in.ArrArgs[ai]))
+			ai++
+		} else {
+			s.args = append(s.args, operand(in.Args[si]))
+			si++
+		}
+	}
+	return s
+}
+
+// newFrame allocates a register file with its constant registers filled and
+// an array table with the locals' fresh storage and the globals; parameter
+// slots stay nil until bound.
+func (m *Machine) newFrame(c *code) ([]int32, [][]int32) {
+	f := c.fn
+	regs := make([]int32, f.NumRegs+len(c.consts))
+	copy(regs[f.NumRegs:], c.consts)
+	arrs := make([][]int32, len(f.Arrays)+len(m.globals))
 	for i, a := range f.Arrays {
 		if !a.IsParam {
-			fr.arrays[i] = make([]int32, a.Len)
-			copy(fr.arrays[i], a.Init)
+			arrs[i] = make([]int32, a.Len)
+			copy(arrs[i], a.Init)
 		}
 	}
-	for i, p := range f.Params {
-		a := args[i]
-		if p.IsArray != a.IsArray {
-			return nil, fmt.Errorf("interp: %s: argument %d array/scalar mismatch", f.Name, i+1)
-		}
-		if p.IsArray {
-			fr.arrays[p.Arr] = a.Arr
-		} else {
-			fr.regs[p.Reg] = a.Scalar
-		}
-	}
-	return fr, nil
+	copy(arrs[len(f.Arrays):], m.globals)
+	return regs, arrs
 }
 
-func (m *Machine) arrayStorage(fr *frame, id ir.ArrID) ([]int32, bool) {
-	if ir.IsGlobalArr(id) {
-		i := ir.GlobalIndex(id)
-		if i < 0 || i >= len(m.globals) {
-			return nil, false
-		}
-		return m.globals[i], true
+// profileCounts returns the attached profile's block counts for c's
+// function, creating or growing them, and its edge map, as needed.
+func (m *Machine) profileCounts(c *code) []uint64 {
+	name := c.fn.Name
+	counts := m.profile.Counts[name]
+	if len(counts) < len(c.blocks) {
+		grown := make([]uint64, len(c.blocks))
+		copy(grown, counts)
+		counts = grown
+		m.profile.Counts[name] = counts
 	}
-	if id >= 0 && int(id) < len(fr.arrays) {
-		return fr.arrays[id], true
+	if m.profile.Edges[name] == nil {
+		m.profile.Edges[name] = map[EdgeKey]uint64{}
 	}
-	return nil, false
+	return counts
 }
 
-func (m *Machine) exec(f *ir.Function, fr *frame) (int32, error) {
+// foldEdges adds every decoded function's taken-edge slots into the
+// profile's edge map and clears them. The slots only count under a
+// profile.
+func (m *Machine) foldEdges() {
+	if m.profile == nil {
+		return
+	}
+	for _, c := range m.code {
+		edges := m.profile.Edges[c.fn.Name]
+		for i, n := range c.taken {
+			if n == 0 {
+				continue
+			}
+			b := &c.blocks[i/2]
+			to := b.then
+			if i%2 == 1 {
+				to = b.els
+			}
+			edges[Edge(ir.BlockID(i/2), ir.BlockID(to))] += n
+			c.taken[i] = 0
+		}
+	}
+}
+
+// trapAt builds the trap raised by op pc of block b. On the fast path the
+// whole block was charged at entry, so the steps and instructions of the ops
+// after pc are refunded first.
+func (m *Machine) trapAt(c *code, b *block, pc int32, checked bool, msg string) *Trap {
+	if !checked {
+		rest := uint64(b.end - pc - 1)
+		m.steps -= rest
+		if m.profile != nil {
+			m.profile.Instrs -= rest
+		}
+	}
+	return &Trap{Func: c.fn.Name, Pos: int(c.pos[pc]), Msg: msg}
+}
+
+func (m *Machine) exec(c *code, regs []int32, arrs [][]int32) (int32, error) {
 	m.depth++
 	defer func() { m.depth-- }()
 	maxDepth := m.MaxDepth
 	if maxDepth <= 0 {
 		maxDepth = 256
 	}
+	name := c.fn.Name
 	if m.depth > maxDepth {
-		return 0, &Trap{Func: f.Name, Msg: "call depth limit exceeded"}
+		return 0, &Trap{Func: name, Msg: "call depth limit exceeded"}
 	}
 
-	var counts []uint64
-	var edges map[EdgeKey]uint64
+	var counts, taken []uint64
 	if m.profile != nil {
-		counts = m.profile.Counts[f.Name]
-		if len(counts) < len(f.Blocks) {
-			grown := make([]uint64, len(f.Blocks))
-			copy(grown, counts)
-			counts = grown
-			m.profile.Counts[f.Name] = counts
-		}
-		edges = m.profile.Edges[f.Name]
-		if edges == nil {
-			edges = map[EdgeKey]uint64{}
-			m.profile.Edges[f.Name] = edges
-		}
+		counts, taken = m.profileCounts(c), c.taken
 	}
 
-	eval := func(o ir.Operand) int32 {
-		if o.Kind == ir.OperandImm {
-			return o.Imm
-		}
-		return fr.regs[o.Reg]
-	}
-
-	b := f.Block(f.Entry)
+	ops, blocks := c.ops, c.blocks
+	bi := int32(c.fn.Entry)
 	for {
+		b := &blocks[bi]
 		// A block entry charges one step even when the block is empty, so
 		// instruction-free infinite loops still hit the step limit.
-		m.steps++
-		if m.steps > m.limit {
-			if err := m.pastLimit(f.Name, 0); err != nil {
-				return 0, err
+		n := uint64(b.end - b.start)
+		checked := b.call || m.steps+1+n > m.limit
+		if checked {
+			m.steps++
+			if m.steps > m.limit {
+				if err := m.pastLimit(name, 0); err != nil {
+					return 0, err
+				}
+			}
+		} else {
+			m.steps += 1 + n
+			if counts != nil {
+				m.profile.Instrs += n
 			}
 		}
 		if counts != nil {
-			counts[b.ID]++
+			counts[bi]++
 		}
-		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			m.steps++
-			if m.steps > m.limit {
-				if err := m.pastLimit(f.Name, in.Pos); err != nil {
-					return 0, err
-				}
-			}
-			if m.profile != nil {
-				m.profile.Instrs++
-			}
-			switch in.Op {
-			case ir.OpConst:
-				fr.regs[in.Dst] = in.A.Imm
-			case ir.OpCopy:
-				fr.regs[in.Dst] = eval(in.A)
-			case ir.OpAdd:
-				fr.regs[in.Dst] = eval(in.A) + eval(in.B)
-			case ir.OpSub:
-				fr.regs[in.Dst] = eval(in.A) - eval(in.B)
-			case ir.OpNeg:
-				fr.regs[in.Dst] = -eval(in.A)
-			case ir.OpMul:
-				fr.regs[in.Dst] = eval(in.A) * eval(in.B)
-			case ir.OpDiv:
-				x, y := eval(in.A), eval(in.B)
-				if y == 0 {
-					return 0, &Trap{Func: f.Name, Pos: in.Pos, Msg: "division by zero"}
-				}
-				if x == -1<<31 && y == -1 {
-					return 0, &Trap{Func: f.Name, Pos: in.Pos, Msg: "division overflow"}
-				}
-				fr.regs[in.Dst] = x / y
-			case ir.OpRem:
-				x, y := eval(in.A), eval(in.B)
-				if y == 0 {
-					return 0, &Trap{Func: f.Name, Pos: in.Pos, Msg: "remainder by zero"}
-				}
-				if x == -1<<31 && y == -1 {
-					return 0, &Trap{Func: f.Name, Pos: in.Pos, Msg: "remainder overflow"}
-				}
-				fr.regs[in.Dst] = x % y
-			case ir.OpAnd:
-				fr.regs[in.Dst] = eval(in.A) & eval(in.B)
-			case ir.OpOr:
-				fr.regs[in.Dst] = eval(in.A) | eval(in.B)
-			case ir.OpXor:
-				fr.regs[in.Dst] = eval(in.A) ^ eval(in.B)
-			case ir.OpNot:
-				fr.regs[in.Dst] = ^eval(in.A)
-			case ir.OpShl:
-				fr.regs[in.Dst] = eval(in.A) << (uint32(eval(in.B)) & 31)
-			case ir.OpShr:
-				fr.regs[in.Dst] = eval(in.A) >> (uint32(eval(in.B)) & 31)
-			case ir.OpEq:
-				fr.regs[in.Dst] = b2i(eval(in.A) == eval(in.B))
-			case ir.OpNe:
-				fr.regs[in.Dst] = b2i(eval(in.A) != eval(in.B))
-			case ir.OpLt:
-				fr.regs[in.Dst] = b2i(eval(in.A) < eval(in.B))
-			case ir.OpLe:
-				fr.regs[in.Dst] = b2i(eval(in.A) <= eval(in.B))
-			case ir.OpGt:
-				fr.regs[in.Dst] = b2i(eval(in.A) > eval(in.B))
-			case ir.OpGe:
-				fr.regs[in.Dst] = b2i(eval(in.A) >= eval(in.B))
-			case ir.OpLNot:
-				fr.regs[in.Dst] = b2i(eval(in.A) == 0)
-			case ir.OpLoad:
-				arr, ok := m.arrayStorage(fr, in.Arr)
-				if !ok {
-					return 0, &Trap{Func: f.Name, Pos: in.Pos, Msg: "unresolved array"}
-				}
-				idx := eval(in.A)
-				if idx < 0 || int(idx) >= len(arr) {
-					return 0, &Trap{Func: f.Name, Pos: in.Pos,
-						Msg: fmt.Sprintf("load index %d out of range [0,%d)", idx, len(arr))}
-				}
-				fr.regs[in.Dst] = arr[idx]
-			case ir.OpStore:
-				arr, ok := m.arrayStorage(fr, in.Arr)
-				if !ok {
-					return 0, &Trap{Func: f.Name, Pos: in.Pos, Msg: "unresolved array"}
-				}
-				idx := eval(in.A)
-				if idx < 0 || int(idx) >= len(arr) {
-					return 0, &Trap{Func: f.Name, Pos: in.Pos,
-						Msg: fmt.Sprintf("store index %d out of range [0,%d)", idx, len(arr))}
-				}
-				arr[idx] = eval(in.B)
-			case ir.OpCall:
-				callee := m.prog.Func(in.Callee)
-				if callee == nil {
-					return 0, &Trap{Func: f.Name, Pos: in.Pos, Msg: "call to undefined " + in.Callee}
-				}
-				args := make([]Arg, 0, len(callee.Params))
-				si, ai := 0, 0
-				for _, p := range callee.Params {
-					if p.IsArray {
-						store, ok := m.arrayStorage(fr, in.ArrArgs[ai])
-						if !ok {
-							return 0, &Trap{Func: f.Name, Pos: in.Pos, Msg: "unresolved array argument"}
-						}
-						args = append(args, Array(store))
-						ai++
-					} else {
-						args = append(args, Int(eval(in.Args[si])))
-						si++
+		for pc := b.start; pc < b.end; pc++ {
+			if checked {
+				m.steps++
+				if m.steps > m.limit {
+					if err := m.pastLimit(name, int(c.pos[pc])); err != nil {
+						return 0, err
 					}
 				}
-				sub, err := m.newFrame(callee, args)
+				if counts != nil {
+					m.profile.Instrs++
+				}
+			}
+			o := &ops[pc]
+			switch o.code {
+			case ir.OpCopy:
+				regs[o.dst] = regs[o.a]
+			case ir.OpAdd:
+				regs[o.dst] = regs[o.a] + regs[o.b]
+			case ir.OpSub:
+				regs[o.dst] = regs[o.a] - regs[o.b]
+			case ir.OpNeg:
+				regs[o.dst] = -regs[o.a]
+			case ir.OpMul:
+				regs[o.dst] = regs[o.a] * regs[o.b]
+			case ir.OpDiv:
+				x, y := regs[o.a], regs[o.b]
+				if y == 0 {
+					return 0, m.trapAt(c, b, pc, checked, "division by zero")
+				}
+				if x == -1<<31 && y == -1 {
+					return 0, m.trapAt(c, b, pc, checked, "division overflow")
+				}
+				regs[o.dst] = x / y
+			case ir.OpRem:
+				x, y := regs[o.a], regs[o.b]
+				if y == 0 {
+					return 0, m.trapAt(c, b, pc, checked, "remainder by zero")
+				}
+				if x == -1<<31 && y == -1 {
+					return 0, m.trapAt(c, b, pc, checked, "remainder overflow")
+				}
+				regs[o.dst] = x % y
+			case ir.OpAnd:
+				regs[o.dst] = regs[o.a] & regs[o.b]
+			case ir.OpOr:
+				regs[o.dst] = regs[o.a] | regs[o.b]
+			case ir.OpXor:
+				regs[o.dst] = regs[o.a] ^ regs[o.b]
+			case ir.OpNot:
+				regs[o.dst] = ^regs[o.a]
+			case ir.OpShl:
+				regs[o.dst] = regs[o.a] << (uint32(regs[o.b]) & 31)
+			case ir.OpShr:
+				regs[o.dst] = regs[o.a] >> (uint32(regs[o.b]) & 31)
+			case ir.OpEq:
+				regs[o.dst] = b2i(regs[o.a] == regs[o.b])
+			case ir.OpNe:
+				regs[o.dst] = b2i(regs[o.a] != regs[o.b])
+			case ir.OpLt:
+				regs[o.dst] = b2i(regs[o.a] < regs[o.b])
+			case ir.OpLe:
+				regs[o.dst] = b2i(regs[o.a] <= regs[o.b])
+			case ir.OpGt:
+				regs[o.dst] = b2i(regs[o.a] > regs[o.b])
+			case ir.OpGe:
+				regs[o.dst] = b2i(regs[o.a] >= regs[o.b])
+			case ir.OpLNot:
+				regs[o.dst] = b2i(regs[o.a] == 0)
+			case ir.OpLoad:
+				arr, i := arrs[o.x], int(regs[o.a])
+				if uint(i) >= uint(len(arr)) {
+					return 0, m.trapAt(c, b, pc, checked, fmt.Sprintf("load index %d out of range [0,%d)", i, len(arr)))
+				}
+				regs[o.dst] = arr[i]
+			case ir.OpStore:
+				arr, i := arrs[o.x], int(regs[o.a])
+				if uint(i) >= uint(len(arr)) {
+					return 0, m.trapAt(c, b, pc, checked, fmt.Sprintf("store index %d out of range [0,%d)", i, len(arr)))
+				}
+				arr[i] = regs[o.b]
+			case opBadArray:
+				return 0, m.trapAt(c, b, pc, checked, "unresolved array")
+			case ir.OpCall:
+				ret, err := m.call(c, b, pc, regs, arrs)
 				if err != nil {
 					return 0, err
 				}
-				ret, err := m.exec(callee, sub)
-				if err != nil {
-					return 0, err
-				}
-				if in.CallHasDst {
-					fr.regs[in.Dst] = ret
+				if c.calls[o.x].hasDst {
+					regs[o.dst] = ret
 				}
 			default:
-				return 0, &Trap{Func: f.Name, Pos: in.Pos, Msg: "invalid opcode"}
+				return 0, m.trapAt(c, b, pc, checked, "invalid opcode")
 			}
 		}
-		switch b.Term.Kind {
+		switch b.term {
 		case ir.TermJump:
-			if edges != nil {
-				edges[Edge(b.ID, b.Term.Then)]++
+			if counts != nil {
+				taken[2*bi]++
 			}
-			b = f.Block(b.Term.Then)
+			bi = b.then
 		case ir.TermBranch:
-			next := b.Term.Else
-			if eval(b.Term.Cond) != 0 {
-				next = b.Term.Then
+			if regs[b.cond] != 0 {
+				if counts != nil {
+					taken[2*bi]++
+				}
+				bi = b.then
+			} else {
+				if counts != nil {
+					taken[2*bi+1]++
+				}
+				bi = b.els
 			}
-			if edges != nil {
-				edges[Edge(b.ID, next)]++
-			}
-			b = f.Block(next)
 		case ir.TermReturn:
-			if b.Term.HasVal {
-				return eval(b.Term.Val), nil
+			if b.ret < 0 {
+				return 0, nil
 			}
-			return 0, nil
+			return regs[b.ret], nil
 		default:
-			return 0, &Trap{Func: f.Name, Msg: "unterminated block"}
+			return 0, &Trap{Func: name, Msg: "unterminated block"}
 		}
 	}
+}
+
+// call runs the call at op pc of block b, which is on the checked path, in
+// a fresh callee frame bound to the call's arguments.
+func (m *Machine) call(c *code, b *block, pc int32, regs []int32, arrs [][]int32) (int32, error) {
+	s := &c.calls[c.ops[pc].x]
+	if s.callee == nil {
+		return 0, m.trapAt(c, b, pc, true, "call to undefined "+s.name)
+	}
+	if s.code == nil {
+		s.code = m.decode(s.callee)
+	}
+	sregs, sarrs := m.newFrame(s.code)
+	for i, p := range s.callee.Params {
+		src := s.args[i]
+		if !p.IsArray {
+			sregs[p.Reg] = regs[src]
+			continue
+		}
+		if src < 0 {
+			return 0, m.trapAt(c, b, pc, true, "unresolved array argument")
+		}
+		sarrs[p.Arr] = arrs[src]
+	}
+	return m.exec(s.code, sregs, sarrs)
 }
 
 func b2i(b bool) int32 {

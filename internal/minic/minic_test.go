@@ -182,23 +182,28 @@ func TestParsePrecedence(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	cases := []string{
-		"int f( {",                     // bad params
-		"int f() { return 1 }",         // missing semicolon
-		"int f() { 1 + 2; }",           // effect-free statement
-		"void f() { int a[0]; }",       // zero-size array
-		"void f() { int a[2][2][2]; }", // 3-D array
-		"int f() { if (1) }",           // missing statement
-		"float f() {}",                 // unknown type
-		"int f() { int x = ; }",        // missing initializer
-		"void f() { x = 1",             // unterminated
-		"const int C; void f() {}",     // const without init
-		"int x[3] = 5; void f() {}",    // scalar init on array
-		"int y = {1}; void f() {}",     // brace init on scalar
+		"int f( {",                          // bad params
+		"int f() { return 1 }",              // missing semicolon
+		"int f() { 1 + 2; }",                // effect-free statement
+		"void f() { int a[0]; }",            // zero-size array
+		"void f() { int a[2][2][2]; }",      // 3-D array
+		"int f() { if (1) }",                // missing statement
+		"float f() {}",                      // unknown type
+		"int f() { int x = ; }",             // missing initializer
+		"void f() { x = 1",                  // unterminated
+		"const int C; void f() {}",          // const without init
+		"int x[3] = 5; void f() {}",         // scalar init on array
+		"int y = {1}; void f() {}",          // brace init on scalar
+		"int g[16777217]; void f() {}",      // over MaxArrayLen
+		"void f() { int a[46341][46341]; }", // 2-D count overflows int32
 	}
 	for _, src := range cases {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", src)
 		}
+	}
+	if _, err := Parse("int g[4096][4096]; void f() {}"); err != nil {
+		t.Errorf("array of exactly MaxArrayLen elements rejected: %v", err)
 	}
 }
 

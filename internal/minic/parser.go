@@ -1,5 +1,11 @@
 package minic
 
+// MaxArrayLen bounds the element count of one declared array. Arrays are
+// allocated whole when a program runs, so the bound keeps a declaration
+// from demanding gigabytes (or overflowing the int32 length of a 2-D
+// array).
+const MaxArrayLen = 1 << 24
+
 // Parser is a recursive-descent parser producing the AST.
 type Parser struct {
 	toks []Token
@@ -183,6 +189,15 @@ func (p *Parser) parseVarRest(first Token, isConst, global bool) ([]*VarDecl, er
 		}
 		if p.at(LBrack) {
 			return nil, errf(name.Line, name.Col, "arrays of more than two dimensions are not supported")
+		}
+		if len(d.Dims) > 0 {
+			n := int64(d.Dims[0])
+			if len(d.Dims) == 2 {
+				n *= int64(d.Dims[1])
+			}
+			if n > MaxArrayLen {
+				return nil, errf(name.Line, name.Col, "array %s has %d elements, over the limit of %d", d.Name, n, MaxArrayLen)
+			}
 		}
 		if p.accept(Assign) {
 			if p.accept(LBrace) {

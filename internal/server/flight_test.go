@@ -121,6 +121,17 @@ func TestStageExemplarsResolve(t *testing.T) {
 	}
 }
 
+// slowSrc is a source workload whose profiling run executes about 20M
+// interpreter steps, so its cache miss is slow by construction: it
+// outlasts a cache hit of the same request by orders of magnitude, GC
+// pauses and scheduling noise included.
+const slowSrc = `int main_fn() {
+    int i; int s;
+    s = 0;
+    for (i = 0; i < 3000000; i++) { s = s ^ (i + 3); }
+    return s;
+}`
+
 // TestTailSamplingUnderHTTPLoad: with tail sampling armed and the sampled
 // ring under flood pressure, the forced-error and the forced-slow trace
 // stay retrievable while unremarkable hits are sampled out.
@@ -128,9 +139,10 @@ func TestTailSamplingUnderHTTPLoad(t *testing.T) {
 	tracer := obs.New(obs.Config{Service: "tail", RingSize: 2, KeepSlow: 1, SampleRate: 0.001})
 	s := newTestServer(t, Config{Tracer: tracer})
 
-	// The cache miss is the slow trace for /v1/partition: it compiles,
-	// profiles and runs the move loop, orders of magnitude over a hit.
-	slow := post(t, s, "/v1/partition", firBody())
+	// The cache miss is the slow trace for /v1/partition: its profiling run
+	// alone is orders of magnitude over a hit.
+	body := fmt.Sprintf(firReq, slowSrc)
+	slow := post(t, s, "/v1/partition", body)
 	if slow.Code != http.StatusOK {
 		t.Fatalf("miss: %d", slow.Code)
 	}
@@ -143,7 +155,7 @@ func TestTailSamplingUnderHTTPLoad(t *testing.T) {
 	errID := errRec.Header().Get("X-Trace-Id")
 
 	for i := 0; i < 40; i++ { // cache hits flooding the sampled ring
-		if rec := post(t, s, "/v1/partition", firBody()); rec.Code != http.StatusOK {
+		if rec := post(t, s, "/v1/partition", body); rec.Code != http.StatusOK {
 			t.Fatalf("hit %d: %d", i, rec.Code)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 
 	"hybridpart"
 )
@@ -332,15 +333,22 @@ func (r *PartitionRequest) fingerprint(kind string, opts hybridpart.Options) str
 	if r.Benchmark != "" {
 		fmt.Fprintf(h, "bench=%s\nseed=%d\n", r.Benchmark, r.Seed)
 	} else {
-		fmt.Fprintf(h, "src=%s\nentry=%s\nargs=%v\n",
-			hybridpart.SourceHash(r.Source), r.entryOrDefault(), r.Args)
+		fmt.Fprintf(h, "src=%s\nentry=%s\n", hybridpart.SourceHash(r.Source), r.entryOrDefault())
+		// The args and input lines are built with strconv in one reused
+		// buffer, byte for byte what fmt's %v prints: inputs run to 64K
+		// values, and fmt cost one allocation per value.
+		b := appendInts(append(make([]byte, 0, 256), "args="...), r.Args)
+		b = append(b, '\n')
+		h.Write(b)
 		names := make([]string, 0, len(r.Inputs))
 		for n := range r.Inputs {
 			names = append(names, n)
 		}
 		sort.Strings(names)
 		for _, n := range names {
-			fmt.Fprintf(h, "input:%s=%v\n", n, r.Inputs[n])
+			b = append(append(append(b[:0], "input:"...), n...), '=')
+			b = append(appendInts(b, r.Inputs[n]), '\n')
+			h.Write(b)
 		}
 	}
 	fmt.Fprintf(h, "opts=%s\n", opts.Fingerprint())
@@ -348,6 +356,18 @@ func (r *PartitionRequest) fingerprint(kind string, opts hybridpart.Options) str
 		fmt.Fprintf(h, "budget=%v\n", r.EnergyBudget)
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// appendInts appends vs as fmt's %v prints an []int32: "[v v ...]".
+func appendInts(b []byte, vs []int32) []byte {
+	b = append(b, '[')
+	for i, v := range vs {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return append(b, ']')
 }
 
 // SimulateRequest is the body of POST /v1/simulate: a PartitionRequest
