@@ -43,6 +43,10 @@ type Engine struct {
 	workers       int
 	// hooks are the test-only scoring switches handed to every simScorer.
 	hooks scoringHooks
+	// cellStart, when non-nil, runs at the start of every sweep cell's
+	// evaluation, on the worker goroutine. Tests use it to act from inside
+	// a cell, independent of worker timing.
+	cellStart func(SweepPoint)
 	// obsMu serializes observer delivery across concurrent runs on the
 	// same engine, upholding the Observer contract ("never invoked
 	// concurrently") even when Partition/Sweep are called from multiple
@@ -506,19 +510,25 @@ func (e *Engine) PartitionProfiled(ctx context.Context, a *App, p *RunProfile) (
 // It also returns the run's simScorer (nil when no sim knob is active) so
 // callers that keep simulating — Engine.Simulate replays both mappings for
 // its report — can reuse the scorer's Replayer instead of rebuilding the
-// trace and schedules. report=false skips the final/baseline scoring of the
+// trace. report=false skips the final/baseline scoring of the
 // chosen mapping for callers that are about to replay it anyway.
 func (e *Engine) partitionScored(ctx context.Context, a *App, p *RunProfile, opts Options,
 	costsSet bool, onMove func(partition.Move), onFrame func(frame int, cycles int64),
 	report bool) (*Result, *simScorer, error) {
-	rep := a.analyze(p.Freq, opts.weights())
 	plat := opts.platform(costsSet)
+	// Validate before the App schedules its kernels on plat's data-path:
+	// an invalid platform must not replace the App's latency table.
+	if err := plat.Validate(); err != nil {
+		return nil, nil, err
+	}
+	rep := a.analyze(p.Freq, opts.weights())
 	cfg := partition.Config{
 		Platform:         plat,
 		Constraint:       opts.Constraint,
 		Order:            opts.Order,
 		Edges:            p.edges,
 		Tables:           a.blockTables(),
+		Latencies:        a.coarseLatencies(plat.Coarse),
 		MaxMoves:         opts.MaxMoves,
 		SkipNonImproving: opts.SkipNonImproving,
 		OnMove:           onMove,
@@ -607,13 +617,18 @@ func (e *Engine) PartitionEnergyProfiled(ctx context.Context, a *App, p *RunProf
 	if e.budget <= 0 {
 		return nil, fmt.Errorf("hybridpart: PartitionEnergy needs a positive energy budget (use WithEnergyBudget)")
 	}
+	plat := e.opts.platform(e.costsSet)
+	if err := plat.Validate(); err != nil {
+		return nil, err
+	}
 	rep := a.analyze(p.Freq, e.opts.weights())
 	cfg := energy.Config{
-		Platform: e.opts.platform(e.costsSet),
-		Costs:    energy.DefaultCosts(),
-		Budget:   e.budget,
-		Order:    e.opts.Order,
-		Edges:    p.edges,
+		Platform:  plat,
+		Costs:     energy.DefaultCosts(),
+		Budget:    e.budget,
+		Order:     e.opts.Order,
+		Edges:     p.edges,
+		Latencies: a.coarseLatencies(plat.Coarse),
 	}
 	if e.observer != nil {
 		budget := e.budget
@@ -672,6 +687,9 @@ func (e *Engine) Sweep(ctx context.Context, spec SweepSpec) (*SweepResult, error
 	// deterministic for any worker count.
 	var simBuf sync.Map // cell index -> []SimEvent
 	eval := func(p SweepPoint) (SweepOutcome, error) {
+		if e.cellStart != nil {
+			e.cellStart(p)
+		}
 		app, prof, err := ProfileBenchmarkCached(p.Benchmark, spec.Seed)
 		if err != nil {
 			return SweepOutcome{}, err

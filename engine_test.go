@@ -258,14 +258,23 @@ func TestEngineSweepCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cells := 0
-	eng, err := NewEngine(WithObserver(func(ev Event) {
-		if _, ok := ev.(CellEvent); ok {
-			cells++
-			if cells == 2 {
+	// Cancel from inside cell 2's evaluation, not from the observer: the
+	// cell itself then never completes, and some earlier cell must have
+	// completed to free a worker for it, so the partial set is a strict,
+	// non-empty subset whatever the workers' relative speed.
+	cancelAtCell2 := func(e *Engine) error {
+		e.cellStart = func(p SweepPoint) {
+			if p.Index == 2 {
 				cancel()
 			}
 		}
-	}))
+		return nil
+	}
+	eng, err := NewEngine(WithObserver(func(ev Event) {
+		if _, ok := ev.(CellEvent); ok {
+			cells++
+		}
+	}), cancelAtCell2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,10 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"hybridpart/internal/analysis"
+	"hybridpart/internal/coarsegrain"
 	"hybridpart/internal/finegrain"
 	"hybridpart/internal/ir"
 	"hybridpart/internal/lower"
@@ -36,12 +38,32 @@ type App struct {
 	// terminators only, so the CFG-edge rewrite above cannot invalidate them.
 	tablesOnce sync.Once
 	tables     *ir.BlockTables
+
+	// latencies is flat's data-path latency table for the last coarse
+	// platform a run asked for. It holds one entry, never a map: the
+	// service shares one App per benchmark for the whole process while
+	// clients choose the platform, so a keyed memo would grow without
+	// bound. Runs alternating platforms rebuild it, each run keeping the
+	// table it loaded.
+	latencies atomic.Pointer[coarsegrain.LatencyTable]
 }
 
 // blockTables returns the App's mapping-independent block tables.
 func (a *App) blockTables() *ir.BlockTables {
 	a.tablesOnce.Do(func() { a.tables = ir.BuildBlockTables(a.flat) })
 	return a.tables
+}
+
+// coarseLatencies returns flat's data-path latency table on cg, scheduling
+// every block the first time cg is seen (or seen again after another
+// platform replaced it).
+func (a *App) coarseLatencies(cg platform.CoarseGrain) *coarsegrain.LatencyTable {
+	if t := a.latencies.Load(); t != nil && t.Coarse == cg {
+		return t
+	}
+	t := coarsegrain.BuildLatencyTable(a.fprog, a.blockTables(), cg)
+	a.latencies.Store(t)
+	return t
 }
 
 // analyze runs the analysis substrate under the App's mutex; everything

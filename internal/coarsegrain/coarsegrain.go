@@ -353,13 +353,47 @@ func (s *Schedule) Validate(cg platform.CoarseGrain) error {
 	return nil
 }
 
-// BlockCycles schedules block b of f (within prog, for array resolution)
-// and returns its per-execution latency in T_CGC cycles (t_to_coarse(BB)
-// in eq. 3).
-func BlockCycles(prog *ir.Program, f *ir.Function, b *ir.Block, cg platform.CoarseGrain) (int64, error) {
-	s, err := MapDFG(ir.BuildDFG(f, b), cg, ArrLenOf(prog, f))
-	if err != nil {
-		return 0, err
+// LatencyTable holds every block's data-path latency on one coarse-grain
+// platform: t_to_coarse(BB) of eq. 3 in T_CGC cycles, or the MapDFG error
+// that keeps the block off the data-path. A block's latency depends only on
+// its DFG and the platform — not on the constraint, the fine-grain side or
+// the moved set — so one table serves every partitioning run, replay and
+// energy run of a compiled application on that data-path. A LatencyTable is
+// read-only after BuildLatencyTable returns and safe for concurrent use.
+type LatencyTable struct {
+	// F is the function whose blocks the table covers; Coarse is the
+	// data-path they were scheduled on.
+	F      *ir.Function
+	Coarse platform.CoarseGrain
+	lat    []int64
+	err    []error
+}
+
+// BuildLatencyTable list-schedules every block of tables.F onto cg, resolving
+// array sizes against prog for the register-bank model.
+func BuildLatencyTable(prog *ir.Program, tables *ir.BlockTables, cg platform.CoarseGrain) *LatencyTable {
+	n := len(tables.DFG)
+	t := &LatencyTable{F: tables.F, Coarse: cg, lat: make([]int64, n), err: make([]error, n)}
+	arrLen := ArrLenOf(prog, tables.F)
+	for id, d := range tables.DFG {
+		s, err := MapDFG(d, cg, arrLen)
+		if err != nil {
+			t.err[id] = err
+			continue
+		}
+		t.lat[id] = s.Latency
 	}
-	return s.Latency, nil
+	return t
+}
+
+// Describes reports whether t covers f's blocks scheduled on cg.
+func (t *LatencyTable) Describes(f *ir.Function, cg platform.CoarseGrain) bool {
+	return t.F == f && t.Coarse == cg
+}
+
+// Latency returns block id's data-path latency in T_CGC cycles, or the
+// error MapDFG reported for it (wrapping ErrUnmappable for blocks the
+// data-path cannot execute).
+func (t *LatencyTable) Latency(id ir.BlockID) (int64, error) {
+	return t.lat[id], t.err[id]
 }

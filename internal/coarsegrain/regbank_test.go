@@ -114,14 +114,19 @@ func TestParamArraysNeverBankResident(t *testing.T) {
 	}
 }
 
-func TestBlockCyclesHelper(t *testing.T) {
+func TestLatencyTableBankModel(t *testing.T) {
 	prog, f, blk := bankFunc()
-	lat, err := BlockCycles(prog, f, blk, cgWithBank(1, 2, 2, 1, 256))
+	cg := cgWithBank(1, 2, 2, 1, 256)
+	tab := BuildLatencyTable(prog, ir.BuildBlockTables(f), cg)
+	if !tab.Describes(f, cg) || tab.Describes(f, cgWithBank(1, 2, 2, 1, 32)) {
+		t.Fatal("Describes does not match the (function, data-path) the table was built for")
+	}
+	lat, err := tab.Latency(blk.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lat != 2 {
-		t.Fatalf("BlockCycles = %d, want 2", lat)
+		t.Fatalf("table latency = %d, want 2 (bank-resident loads are free)", lat)
 	}
 }
 

@@ -115,6 +115,12 @@ type Config struct {
 	// Edges carries the profiled transition counts for the reconfiguration
 	// model.
 	Edges []finegrain.EdgeFreq
+	// Latencies are the function's data-path latencies on
+	// Platform.Coarse, shared read-only with every other consumer of the
+	// same compiled application; only their errors matter here (a kernel
+	// the data-path cannot execute stays on the FPGA). Nil builds them for
+	// this run.
+	Latencies *coarsegrain.LatencyTable
 	// OnMove, when non-nil, is called synchronously after every accepted
 	// kernel move with the move just recorded, in trajectory order.
 	OnMove func(Move)
@@ -212,6 +218,12 @@ func Partition(ctx context.Context, prog *ir.Program, tables *ir.BlockTables, re
 	if rep == nil || len(rep.Blocks) != len(f.Blocks) {
 		return nil, fmt.Errorf("energy: analysis report does not match function")
 	}
+	latencies := cfg.Latencies
+	if latencies == nil {
+		latencies = coarsegrain.BuildLatencyTable(prog, tables, cfg.Platform.Coarse)
+	} else if !latencies.Describes(f, cfg.Platform.Coarse) {
+		return nil, fmt.Errorf("energy: latency table does not describe function %q on the platform's data-path", f.Name)
+	}
 	freq := make([]uint64, len(f.Blocks))
 	for i := range rep.Blocks {
 		freq[i] = rep.Blocks[i].Freq
@@ -234,12 +246,11 @@ func Partition(ctx context.Context, prog *ir.Program, tables *ir.BlockTables, re
 		return res, nil
 	}
 
-	arrLen := coarsegrain.ArrLenOf(prog, f)
 	for _, k := range analysis.OrderKernels(rep, cfg.Order) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if _, err := coarsegrain.MapDFG(tables.DFG[k], cfg.Platform.Coarse, arrLen); err != nil {
+		if _, err := latencies.Latency(k); err != nil {
 			if errors.Is(err, coarsegrain.ErrUnmappable) {
 				res.Unmappable = append(res.Unmappable, k)
 				continue

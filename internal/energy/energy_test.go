@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hybridpart/internal/analysis"
+	"hybridpart/internal/coarsegrain"
 	"hybridpart/internal/finegrain"
 	"hybridpart/internal/interp"
 	"hybridpart/internal/ir"
@@ -169,6 +170,13 @@ func TestConfigValidation(t *testing.T) {
 		Platform: platform.Default(), Costs: bad, Budget: 100,
 	}); err == nil {
 		t.Fatal("negative cost accepted")
+	}
+	other := platform.Paper(1500, 3)
+	if _, err := Partition(context.Background(), a.prog, a.tables, a.rep, Config{
+		Platform: platform.Default(), Costs: DefaultCosts(), Budget: 100,
+		Latencies: coarsegrain.BuildLatencyTable(a.prog, a.tables, other.Coarse),
+	}); err == nil {
+		t.Fatal("latency table for another data-path accepted")
 	}
 	zero := DefaultCosts()
 	zero.CoarseALU = 0

@@ -1,6 +1,7 @@
 package minic
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -204,6 +205,27 @@ func TestParseErrors(t *testing.T) {
 	}
 	if _, err := Parse("int g[4096][4096]; void f() {}"); err != nil {
 		t.Errorf("array of exactly MaxArrayLen elements rejected: %v", err)
+	}
+}
+
+// TestProgramArrayTotalCap rejects a program whose declared arrays, each
+// within MaxArrayLen, add up past it, naming the declaration that crosses.
+func TestProgramArrayTotalCap(t *testing.T) {
+	var src strings.Builder
+	for i := 0; i < 16; i++ {
+		fmt.Fprintf(&src, "int g%d[1048576];\n", i)
+	}
+	if _, err := Parse(src.String() + "void f() {}"); err != nil {
+		t.Fatalf("16 arrays of 2^20 elements (exactly MaxArrayLen) rejected: %v", err)
+	}
+	_, err := Parse(src.String() + "int g16[1048576];\nvoid f() {}")
+	if err == nil || !strings.Contains(err.Error(), "array g16 ") {
+		t.Fatalf("17th array of 2^20 elements: err %v, want one naming g16", err)
+	}
+	// Locals count toward the same total.
+	_, err = Parse(src.String() + "void f() { int loc[1]; }")
+	if err == nil || !strings.Contains(err.Error(), "array loc ") {
+		t.Fatalf("local array over the program total: err %v, want one naming loc", err)
 	}
 }
 

@@ -1,9 +1,10 @@
 package minic
 
-// MaxArrayLen bounds the element count of one declared array. Arrays are
-// allocated whole when a program runs, so the bound keeps a declaration
-// from demanding gigabytes (or overflowing the int32 length of a 2-D
-// array).
+// MaxArrayLen bounds the element count of one declared array, and of all
+// global and local array declarations of a program together. Arrays are
+// allocated whole when a program runs, so the bound keeps a declaration —
+// or many of them — from demanding gigabytes (or overflowing the int32
+// length of a 2-D array).
 const MaxArrayLen = 1 << 24
 
 // Parser is a recursive-descent parser producing the AST.
@@ -13,6 +14,8 @@ type Parser struct {
 	// consts collects const int values seen so far so array dimensions can
 	// be folded during parsing.
 	consts map[string]int32
+	// arrayElems sums the elements of every array declared so far.
+	arrayElems int64
 }
 
 // Parse lexes and parses src into a File.
@@ -197,6 +200,10 @@ func (p *Parser) parseVarRest(first Token, isConst, global bool) ([]*VarDecl, er
 			}
 			if n > MaxArrayLen {
 				return nil, errf(name.Line, name.Col, "array %s has %d elements, over the limit of %d", d.Name, n, MaxArrayLen)
+			}
+			p.arrayElems += n
+			if p.arrayElems > MaxArrayLen {
+				return nil, errf(name.Line, name.Col, "array %s brings the program's declared array elements to %d, over the limit of %d", d.Name, p.arrayElems, MaxArrayLen)
 			}
 		}
 		if p.accept(Assign) {

@@ -46,6 +46,10 @@ type Config struct {
 	// other consumer of the same compiled application; nil builds them for
 	// this run.
 	Tables *ir.BlockTables
+	// Latencies are the function's per-block data-path latencies on
+	// Platform.Coarse (one list schedule per block), shared read-only like
+	// Tables; nil builds them for this run.
+	Latencies *coarsegrain.LatencyTable
 	// MaxMoves bounds the number of kernels moved (0 = all candidates).
 	MaxMoves int
 	// SkipNonImproving, when set, rejects moves that increase t_total
@@ -204,6 +208,12 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 	} else if tables.F != f {
 		return nil, fmt.Errorf("partition: block tables describe function %q, not %q", tables.F.Name, f.Name)
 	}
+	latencies := cfg.Latencies
+	if latencies == nil {
+		latencies = coarsegrain.BuildLatencyTable(prog, tables, cfg.Platform.Coarse)
+	} else if !latencies.Describes(f, cfg.Platform.Coarse) {
+		return nil, fmt.Errorf("partition: latency table does not describe function %q on the platform's data-path", f.Name)
+	}
 
 	plat := cfg.Platform
 	freq := make([]uint64, len(f.Blocks))
@@ -243,7 +253,6 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 	// Step 3 products: ordered kernels and live-in/out footprints.
 	kernels := analysis.OrderKernels(rep, cfg.Order)
 	liveIO := tables.LiveIO
-	arrLen := coarsegrain.ArrLenOf(prog, f)
 
 	moved := make([]bool, len(f.Blocks))
 	var coarseCGCCycles int64 // Σ latency×freq in T_CGC cycles (eq. 3)
@@ -270,7 +279,7 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 	tryMove := func(k ir.BlockID) (met bool, err error) {
 		_, span := obs.Start(ctx, "move", obs.Int("block", int(k)))
 		defer span.End()
-		sched, err := coarsegrain.MapDFG(tables.DFG[k], plat.Coarse, arrLen)
+		lat, err := latencies.Latency(k)
 		if err != nil {
 			if errors.Is(err, coarsegrain.ErrUnmappable) {
 				res.Unmappable = append(res.Unmappable, k)
@@ -281,7 +290,7 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 		}
 		io := liveIO[k]
 		moveComm := int64(freq[k]) * (int64(io.In+io.Out)*int64(plat.Comm.CyclesPerWord) + int64(plat.Comm.SyncCycles))
-		moveCGC := sched.Latency * int64(freq[k])
+		moveCGC := lat * int64(freq[k])
 
 		if cfg.SkipNonImproving {
 			// Does the move pay for itself? Compare the kernel's current
@@ -309,7 +318,7 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 		res.FinalCycles = total
 		res.CyclesInCGC = tCoarse
 		prefixes = append(prefixes, prefix{tFPGA: tFPGA, tCoarse: tCoarse, tComm: tComm, total: total})
-		mv := Move{Block: k, CGCCycles: sched.Latency, TotalAfter: total}
+		mv := Move{Block: k, CGCCycles: lat, TotalAfter: total}
 		res.Moves = append(res.Moves, mv)
 		if cfg.OnMove != nil {
 			cfg.OnMove(mv)

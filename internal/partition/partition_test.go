@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hybridpart/internal/analysis"
+	"hybridpart/internal/coarsegrain"
 	"hybridpart/internal/finegrain"
 	"hybridpart/internal/interp"
 	"hybridpart/internal/ir"
@@ -203,6 +204,26 @@ int f(int n) {
 				t.Fatalf("b%d both moved and unmappable", u)
 			}
 		}
+	}
+}
+
+// TestSharedLatencyTable requires a run on a supplied latency table to
+// equal a run that builds its own, and rejects a table for another
+// function or data-path.
+func TestSharedLatencyTable(t *testing.T) {
+	p := prepare(t, hotLoopSrc, "f", interp.Int(2))
+	plat := platform.Paper(1500, 2)
+	tables := ir.BuildBlockTables(p.fn)
+	own := p.run(t, Config{Platform: plat, Constraint: 1})
+	shared := p.run(t, Config{Platform: plat, Constraint: 1, Tables: tables,
+		Latencies: coarsegrain.BuildLatencyTable(p.prog, tables, plat.Coarse)})
+	if !reflect.DeepEqual(own, shared) {
+		t.Fatalf("shared-table run differs:\n own    %+v\n shared %+v", own, shared)
+	}
+	other := platform.Paper(1500, 3)
+	foreign := coarsegrain.BuildLatencyTable(p.prog, tables, other.Coarse)
+	if _, err := Partition(context.Background(), p.prog, p.fn, p.rep, Config{Platform: plat, Constraint: 1, Latencies: foreign}); err == nil {
+		t.Fatal("latency table for another data-path accepted")
 	}
 }
 

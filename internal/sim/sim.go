@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"hybridpart/internal/coarsegrain"
 	"hybridpart/internal/finegrain"
@@ -48,10 +47,13 @@ type Input struct {
 	// with every other consumer of the same compiled application; nil
 	// builds them for this Replayer.
 	Tables *ir.BlockTables
-	Plat   platform.Platform
-	Freq   []uint64
-	Edges  []finegrain.EdgeFreq
-	Moved  []ir.BlockID
+	// Latencies are F's data-path latencies on Plat.Coarse, shared
+	// read-only like Tables; nil builds them for this Replayer.
+	Latencies *coarsegrain.LatencyTable
+	Plat      platform.Platform
+	Freq      []uint64
+	Edges     []finegrain.EdgeFreq
+	Moved     []ir.BlockID
 }
 
 // KernelStat is one row of the per-kernel timeline: aggregate fabric
@@ -115,7 +117,7 @@ func max64(a, b int64) int64 {
 }
 
 // Replayer is the reusable half of the simulator: the canonical trace, the
-// per-block fine-grain floors and the per-kernel data-path schedules, all of
+// per-block fine-grain floors and the per-kernel data-path latencies, all of
 // which depend only on the application, its profile and the platform — not
 // on the mapping. Building one Replayer and calling Simulate per candidate
 // moved-set is what makes simulated makespan affordable as a move-loop
@@ -132,28 +134,28 @@ func max64(a, b int64) int64 {
 // Simulate's per-kernel report plays every repetition.
 //
 // The DFGs, level order and live-in/out footprints come from the per-App
-// ir.BlockTables in Input.Tables, shared with the partitioning engine and
-// every other Replayer of the same application; the trace, floors and
-// schedules are this Replayer's own (one per profile and platform), and the
-// packing of each candidate lives in the caller's Arena.
+// ir.BlockTables in Input.Tables, and the data-path latencies from the
+// per-App coarsegrain.LatencyTable in Input.Latencies; both are shared with
+// the partitioning engine and every other Replayer of the same application.
+// The trace and floors are this Replayer's own (one per profile and
+// platform), and the packing of each candidate lives in the caller's Arena.
 //
-// Concurrency contract: a Replayer is safe for concurrent use. Every table is
-// immutable after NewReplayer returns, and the lazy schedule memo behind
-// CoarseLatency is mutex-guarded, so any number of goroutines may call
-// Simulate, Makespan, LowerBound, FineWalkBound, EntryLoads, RegionLoads,
-// CoarseLatency and TransferTicks on one shared Replayer. The only
-// per-goroutine state is the Arena (and the caller's own mapping and
-// load buffers): an Arena must not be shared between concurrent calls —
-// give each worker its own.
+// Concurrency contract: a Replayer is safe for concurrent use without
+// locks. Every table it holds or shares is immutable after NewReplayer
+// returns, so any number of goroutines may call Simulate, Makespan,
+// LowerBound, FineWalkBound, EntryLoads, RegionLoads, CoarseLatency and
+// TransferTicks on one shared Replayer. The only per-goroutine state is the
+// Arena (and the caller's own mapping and load buffers): an Arena must not
+// be shared between concurrent calls — give each worker its own.
 type Replayer struct {
-	in     Input
-	tables *ir.BlockTables
-	trace  []Token
+	in        Input
+	tables    *ir.BlockTables
+	latencies *coarsegrain.LatencyTable
+	trace     []Token
 	// traceLen is the expanded trace length (block visits per frame) and
 	// bodyLen the number of block IDs the tokens store.
 	traceLen, bodyLen int
 	runs              int
-	arrLen            coarsegrain.ArrLenFunc
 
 	// minFineT[b] is a packing-independent lower bound on block b's
 	// per-execution fine-grain cost in ticks: its cost when packed into one
@@ -172,13 +174,6 @@ type Replayer struct {
 	// areaBase is Σ_b Freq[b]>0 · blockArea[b], the all-FPGA area demand of
 	// the trace-active blocks.
 	areaBase int64
-
-	// schedule memo: per-block data-path latency in T_CGC cycles, or the
-	// mapping error. Filled lazily — most blocks are never candidates.
-	schedMu   sync.Mutex
-	schedDone []bool
-	schedLat  []int64
-	schedErr  []error
 }
 
 // NewReplayer validates the platform, reconstructs the canonical trace and
@@ -194,6 +189,12 @@ func NewReplayer(in Input) (*Replayer, error) {
 	} else if tables.F != in.F {
 		return nil, fmt.Errorf("sim: block tables describe function %q, not %q", tables.F.Name, in.F.Name)
 	}
+	latencies := in.Latencies
+	if latencies == nil {
+		latencies = coarsegrain.BuildLatencyTable(in.Prog, tables, in.Plat.Coarse)
+	} else if !latencies.Describes(in.F, in.Plat.Coarse) {
+		return nil, fmt.Errorf("sim: latency table does not describe function %q on the platform's data-path", in.F.Name)
+	}
 	trace, runs, err := BuildTrace(in.F, in.Freq, in.Edges)
 	if err != nil {
 		return nil, err
@@ -202,14 +203,11 @@ func NewReplayer(in Input) (*Replayer, error) {
 	r := &Replayer{
 		in:        in,
 		tables:    tables,
+		latencies: latencies,
 		trace:     trace,
 		runs:      runs,
-		arrLen:    coarsegrain.ArrLenOf(in.Prog, in.F),
 		minFineT:  make([]int64, n),
 		blockArea: make([]int64, n),
-		schedDone: make([]bool, n),
-		schedLat:  make([]int64, n),
-		schedErr:  make([]error, n),
 	}
 	for _, t := range trace {
 		r.bodyLen += len(t.Body)
@@ -245,22 +243,15 @@ func (r *Replayer) Runs() int { return r.runs }
 // expanded length of the loop-compressed trace.
 func (r *Replayer) TraceLen() int { return r.traceLen }
 
-// CoarseLatency returns block id's data-path latency in T_CGC cycles (the
-// same list schedule the partitioning engine uses), memoized across calls.
-// Safe for concurrent use.
+// CoarseLatency returns block id's data-path latency in T_CGC cycles: the
+// latency table's entry, the same list schedule the partitioning engine
+// charges.
 func (r *Replayer) CoarseLatency(id ir.BlockID) (int64, error) {
-	r.schedMu.Lock()
-	defer r.schedMu.Unlock()
-	if !r.schedDone[id] {
-		r.schedDone[id] = true
-		sched, err := coarsegrain.MapDFG(r.tables.DFG[id], r.in.Plat.Coarse, r.arrLen)
-		if err != nil {
-			r.schedErr[id] = fmt.Errorf("sim: moved kernel b%d has no data-path schedule: %w", id, err)
-		} else {
-			r.schedLat[id] = sched.Latency
-		}
+	lat, err := r.latencies.Latency(id)
+	if err != nil {
+		return 0, fmt.Errorf("sim: moved kernel b%d has no data-path schedule: %w", id, err)
 	}
-	return r.schedLat[id], r.schedErr[id]
+	return lat, nil
 }
 
 // TransferTicks returns block id's per-invocation transfer-channel occupancy

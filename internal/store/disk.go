@@ -359,6 +359,10 @@ func readEntry(path, wantKey string) ([]byte, error) {
 		return nil, err
 	}
 	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
 	r := bufio.NewReader(f)
 	key, length, sum, _, err := parseHeader(r)
 	if err != nil {
@@ -366,6 +370,11 @@ func readEntry(path, wantKey string) ([]byte, error) {
 	}
 	if key != wantKey {
 		return nil, fmt.Errorf("store: entry %s holds key %q, want %q", path, key, wantKey)
+	}
+	// A payload longer than the file is truncation; checking before the
+	// allocation keeps a corrupt length from sizing a huge buffer.
+	if int64(length) > info.Size() {
+		return nil, fmt.Errorf("store: entry %s truncated: header claims %d payload bytes", path, length)
 	}
 	val := make([]byte, length)
 	if _, err := io.ReadFull(r, val); err != nil {

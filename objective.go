@@ -98,9 +98,9 @@ type scoredMapping struct {
 }
 
 // simScorer scores candidate mappings by simulated makespan for the move
-// loop. It memoizes everything mapping-independent once (canonical trace,
-// live-in/out footprints, data-path schedules, the all-FPGA baseline) and
-// every scored mapping forever, so a trajectory walk plus a re-rank pass
+// loop. It holds everything mapping-independent once (the Replayer's
+// canonical trace, the App's block and latency tables, the all-FPGA
+// baseline) and memoizes every scored mapping forever, so a trajectory walk plus a re-rank pass
 // plus the final report never replay the same mapping twice. Single-frame
 // no-prefetch candidates take the additive closed form instead of the event
 // engine, and consecutive trajectory prefixes whose move leaves the crossing
@@ -139,7 +139,15 @@ func newSimScorer(a *App, p *RunProfile, plat platform.Platform, spec SimSpec) (
 		return nil, err
 	}
 	tables := a.blockTables()
-	rep, err := sim.NewReplayer(sim.Input{Prog: a.fprog, F: a.flat, Tables: tables, Plat: plat, Freq: p.Freq, Edges: p.edges})
+	rep, err := sim.NewReplayer(sim.Input{
+		Prog:      a.fprog,
+		F:         a.flat,
+		Tables:    tables,
+		Latencies: a.coarseLatencies(plat.Coarse),
+		Plat:      plat,
+		Freq:      p.Freq,
+		Edges:     p.edges,
+	})
 	if err != nil {
 		return nil, err
 	}

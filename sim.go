@@ -226,9 +226,9 @@ func (e *Engine) SimulateProfiled(ctx context.Context, a *App, p *RunProfile, op
 	// caches — per-move events would be misleading here, the trajectory is
 	// not this call's product. report=false because this call replays the
 	// chosen mapping itself; when the run built a scorer (simulated
-	// objective, re-rank or engine sim knobs) its Replayer — trace,
-	// live-in/out footprints and data-path schedules — is reused for the
-	// report replays below instead of being rebuilt.
+	// objective, re-rank or engine sim knobs) its Replayer — trace and
+	// fine-grain floors — is reused for the report replays below instead
+	// of being rebuilt.
 	res, scorer, err := e.partitionScored(ctx, a, p, e.opts, e.costsSet, nil, nil, false)
 	if err != nil {
 		return nil, err
@@ -241,13 +241,15 @@ func (e *Engine) SimulateProfiled(ctx context.Context, a *App, p *RunProfile, op
 	if scorer != nil {
 		replayer = scorer.rep
 	} else {
+		plat := e.opts.platform(e.costsSet)
 		replayer, err = sim.NewReplayer(sim.Input{
-			Prog:   a.fprog,
-			F:      a.flat,
-			Tables: a.blockTables(),
-			Plat:   e.opts.platform(e.costsSet),
-			Freq:   p.Freq,
-			Edges:  p.edges,
+			Prog:      a.fprog,
+			F:         a.flat,
+			Tables:    a.blockTables(),
+			Latencies: a.coarseLatencies(plat.Coarse),
+			Plat:      plat,
+			Freq:      p.Freq,
+			Edges:     p.edges,
 		})
 		if err != nil {
 			return nil, err
