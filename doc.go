@@ -122,11 +122,18 @@
 // O(block visits).
 //
 // Simulated scoring is pruned: candidates are bounded by admissible lower
-// bounds (sim.Replayer.LowerBound, FineWalkBound) and only those that can
-// still beat the incumbent replay, one at a time in ascending-bound order
-// on a reused replay arena. The outcome is bit-identical to scoring every
-// candidate — ties break on trajectory index — and Result.SimStats reports
-// the scored/pruned counters, which are deterministic for a given run.
+// bounds and only those that can still beat the incumbent replay, one at a
+// time in ascending-bound order on a reused replay arena. The cheap
+// closed-form bound (sim.Replayer.LowerBound) orders a best-first queue;
+// the costlier fine-fabric walk (FineWalkBound) is taken only for a
+// candidate that reaches the front, so most pruned candidates never pay
+// for it. The outcome is bit-identical to scoring every candidate — ties
+// break on trajectory index — and Result.SimStats reports the
+// scored/pruned counters, which are deterministic for a given run. Every
+// mapping a run scores is a prefix of its move trajectory, so the scoring
+// memo is indexed by prefix length. The loop structure the analysis step
+// needs (dominators, natural loops) is built once per App by Compile; each
+// run only weighs its profile against it.
 //
 // # Service
 //

@@ -1,6 +1,7 @@
 package hybridpart
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -13,13 +14,18 @@ import (
 	"hybridpart/internal/finegrain"
 	"hybridpart/internal/ir"
 	"hybridpart/internal/lower"
+	"hybridpart/internal/minic"
 	"hybridpart/internal/platform"
 )
 
 // App is a compiled application: the lowered program plus the flattened
-// (fully inlined) entry function the methodology operates on. An App is
-// safe for concurrent use by Engine runs — the sweep engine shares one App
-// across its whole worker pool.
+// (fully inlined) entry function the methodology operates on, and the
+// analysis products that depend on nothing but that function. Compile
+// builds the function and its loop structure, and nothing edits either
+// afterwards; the per-block tables below are built on first use behind
+// their own synchronization. An App is therefore safe for concurrent use
+// by Engine runs — the sweep engine and the service share one App across
+// all their requests.
 type App struct {
 	entry   string
 	srcHash string      // SHA-256 of the source text (see SourceHash)
@@ -27,15 +33,13 @@ type App struct {
 	flat    *ir.Function
 	fprog   *ir.Program // single-function program holding flat + globals
 
-	// analysisMu serializes the analysis step: dominator and loop detection
-	// recompute flat's CFG edge lists in place, the one mutation of shared
-	// state on the partitioning path.
-	analysisMu sync.Mutex
+	// structure is flat's loop forest and per-block operation counts:
+	// every request's analysis step only weighs its profile against it.
+	structure *analysis.Structure
 
 	// tables are flat's per-block DFGs, level order and live-in/out
 	// footprints, built on first use and shared read-only by every packing,
-	// replay and scoring call on this App. They derive from instructions and
-	// terminators only, so the CFG-edge rewrite above cannot invalidate them.
+	// replay and scoring call on this App.
 	tablesOnce sync.Once
 	tables     *ir.BlockTables
 
@@ -66,18 +70,19 @@ func (a *App) coarseLatencies(cg platform.CoarseGrain) *coarsegrain.LatencyTable
 	return t
 }
 
-// analyze runs the analysis substrate under the App's mutex; everything
-// else a partitioning run does only reads the shared IR and may run
-// concurrently.
+// analyze runs the analysis step (Table 1) on one profile.
 func (a *App) analyze(freq []uint64, w analysis.Weights) *analysis.Report {
-	a.analysisMu.Lock()
-	defer a.analysisMu.Unlock()
-	return analysis.Analyze(a.flat, freq, w)
+	return a.structure.Analyze(freq, w)
 }
+
+// ErrBlockTooLarge reports a flattened basic block with more than
+// minic.MaxBlockInstrs instructions.
+var ErrBlockTooLarge = errors.New("hybridpart: basic block too large")
 
 // Compile parses, checks and lowers mini-C source text, then flattens the
 // given entry function into the single CDFG the analysis and mapping steps
-// consume (the paper's step 1).
+// consume (the paper's step 1). A flattened block over minic.MaxBlockInstrs
+// instructions fails with ErrBlockTooLarge.
 func Compile(src, entry string) (*App, error) {
 	prog, err := lower.LowerSource(src)
 	if err != nil {
@@ -87,6 +92,12 @@ func Compile(src, entry string) (*App, error) {
 	if err != nil {
 		return nil, err
 	}
+	for _, b := range flat.Blocks {
+		if len(b.Instrs) > minic.MaxBlockInstrs {
+			return nil, fmt.Errorf("%w: block %d (%s) of %s holds %d instructions after inlining, over the limit of %d",
+				ErrBlockTooLarge, b.ID, b.Name, entry, len(b.Instrs), minic.MaxBlockInstrs)
+		}
+	}
 	fprog := ir.NewProgram()
 	fprog.Globals = prog.Globals
 	if err := fprog.AddFunc(flat); err != nil {
@@ -95,7 +106,10 @@ func Compile(src, entry string) (*App, error) {
 	if err := fprog.Validate(); err != nil {
 		return nil, fmt.Errorf("hybridpart: flattened program invalid: %w", err)
 	}
-	return &App{entry: entry, srcHash: SourceHash(src), prog: prog, flat: flat, fprog: fprog}, nil
+	// The loop analysis rewrites flat's edge lists, so it runs here, before
+	// the App can be shared.
+	return &App{entry: entry, srcHash: SourceHash(src), prog: prog, flat: flat, fprog: fprog,
+		structure: analysis.NewStructure(flat)}, nil
 }
 
 // Entry returns the entry function name.

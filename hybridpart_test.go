@@ -3,8 +3,12 @@ package hybridpart
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
+
+	"hybridpart/internal/minic"
 )
 
 const firSrc = `
@@ -61,6 +65,32 @@ func TestCompileErrors(t *testing.T) {
 	}
 	if _, err := Compile("not C at all", "f"); err == nil {
 		t.Fatal("parse error accepted")
+	}
+}
+
+// TestCompileBlockCap: Compile accepts a flattened block of exactly
+// minic.MaxBlockInstrs instructions and rejects one more with
+// ErrBlockTooLarge, naming the block, its function and its size.
+func TestCompileBlockCap(t *testing.T) {
+	// "s += a;" lowers to one add, next to the entry block's own copy of a.
+	src := func(instrs int) string {
+		return "int f(int a) {\n int s = a;\n" + strings.Repeat(" s += a;\n", instrs-1) + " return s;\n}\n"
+	}
+	app, err := Compile(src(minic.MaxBlockInstrs), "f")
+	if err != nil {
+		t.Fatalf("block at the cap rejected: %v", err)
+	}
+	if n := len(app.flat.Blocks[app.flat.Entry].Instrs); n != minic.MaxBlockInstrs {
+		t.Fatalf("fixture block holds %d instructions, want %d", n, minic.MaxBlockInstrs)
+	}
+	_, err = Compile(src(minic.MaxBlockInstrs+1), "f")
+	if !errors.Is(err, ErrBlockTooLarge) {
+		t.Fatalf("block over the cap: err = %v, want ErrBlockTooLarge", err)
+	}
+	want := fmt.Sprintf("block 0 (entry) of f holds %d instructions after inlining, over the limit of %d",
+		minic.MaxBlockInstrs+1, minic.MaxBlockInstrs)
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name the block: want %q", err, want)
 	}
 }
 

@@ -105,19 +105,45 @@ func (r *Report) TopKernels(n int) []ir.BlockID {
 
 // Analyze runs the full analysis step on f: static weights per block, the
 // dynamic frequencies in freq (indexed by BlockID; missing entries count as
-// zero), loop detection, eq. 1 totals and kernel ordering.
+// zero), loop detection, eq. 1 totals and kernel ordering. It recomputes
+// f's edge lists; callers analyzing one function many times build its
+// Structure once instead.
 func Analyze(f *ir.Function, freq []uint64, w Weights) *Report {
-	dom := ComputeDominators(f)
-	loops := FindLoops(f, dom)
+	return NewStructure(f).Analyze(freq, w)
+}
 
-	r := &Report{Func: f.Name}
+// Structure is the profile-independent half of the analysis step: the
+// function's natural loops, found from its dominator tree. They depend
+// only on the CFG, so a compiled application builds its Structure once and
+// every request only weighs its own profile against it. A Structure is
+// read-only after NewStructure and safe for concurrent use, provided
+// nothing edits the function.
+type Structure struct {
+	f     *ir.Function
+	loops *LoopForest
+}
+
+// NewStructure finds f's natural loops. Like ComputeDominators it
+// recomputes f's edge lists in place first, so build it before f is
+// shared.
+func NewStructure(f *ir.Function) *Structure {
+	return &Structure{f: f, loops: FindLoops(f, ComputeDominators(f))}
+}
+
+// Analyze weighs the dynamic frequencies in freq (indexed by BlockID;
+// missing entries count as zero) against the structure: static weights per
+// block, eq. 1 totals and kernel ordering. The result equals the
+// package-level Analyze on the same function.
+func (s *Structure) Analyze(freq []uint64, w Weights) *Report {
+	f := s.f
+	r := &Report{Func: f.Name, Blocks: make([]BlockInfo, 0, len(f.Blocks))}
 	for _, b := range f.Blocks {
 		info := BlockInfo{
 			ID:       b.ID,
 			Name:     b.Name,
 			OpWeight: BlockWeight(b, w),
-			InLoop:   loops.InAnyLoop(b.ID),
-			Depth:    loops.Depth[b.ID],
+			InLoop:   s.loops.InAnyLoop(b.ID),
+			Depth:    s.loops.Depth[b.ID],
 			Ops:      len(b.Instrs),
 		}
 		for i := range b.Instrs {

@@ -232,11 +232,15 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 	// One span brackets the whole engine run — the move loop plus, under
 	// simulation-scored selection, the argmin pass. Like every span below it
 	// ends on error returns too, so a failed run still shows in its trace.
-	ctx, loopSpan := obs.Start(ctx, "partition.moveloop", obs.Int("kernels_total", len(f.Blocks)))
-	defer func() {
-		loopSpan.Set(obs.Int("moves", len(res.Moved)), obs.Bool("met", res.Met), obs.Int("sim_scored", res.SimScored))
-		loopSpan.End()
-	}()
+	ctx, loopSpan := obs.Start(ctx, "partition.moveloop")
+	defer loopSpan.End()
+	if loopSpan != nil {
+		loopSpan.Set(obs.Int("kernels_total", len(f.Blocks)))
+		// Deferred after End, so it runs first.
+		defer func() {
+			loopSpan.Set(obs.Int("moves", len(res.Moved)), obs.Bool("met", res.Met), obs.Int("sim_scored", res.SimScored))
+		}()
+	}
 	res.InitialCycles = pm.TotalCycles(freq, cfg.Edges, plat.Fine.ReconfigCycles)
 	res.InitialPartitions = pm.NumPartitions
 	res.FinalCycles = res.InitialCycles
@@ -277,13 +281,20 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 	// tryMove attempts to move kernel k under its own "move" span and
 	// reports whether the constraint is now met.
 	tryMove := func(k ir.BlockID) (met bool, err error) {
-		_, span := obs.Start(ctx, "move", obs.Int("block", int(k)))
+		// Attributes are built only on a live span: each one boxes its
+		// value, which an untraced run would pay for on every move.
+		_, span := obs.Start(ctx, "move")
 		defer span.End()
+		if span != nil {
+			span.Set(obs.Int("block", int(k)))
+		}
 		lat, err := latencies.Latency(k)
 		if err != nil {
 			if errors.Is(err, coarsegrain.ErrUnmappable) {
 				res.Unmappable = append(res.Unmappable, k)
-				span.Set(obs.String("outcome", "unmappable"))
+				if span != nil {
+					span.Set(obs.String("outcome", "unmappable"))
+				}
 				return false, nil
 			}
 			return false, err
@@ -300,7 +311,9 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 			coarseCost := (moveCGC+ratio-1)/ratio + moveComm
 			if coarseCost >= fpgaCost {
 				res.Skipped = append(res.Skipped, k)
-				span.Set(obs.String("outcome", "skipped"))
+				if span != nil {
+					span.Set(obs.String("outcome", "skipped"))
+				}
 				return false, nil
 			}
 		}
@@ -323,7 +336,9 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 		if cfg.OnMove != nil {
 			cfg.OnMove(mv)
 		}
-		span.Set(obs.String("outcome", "moved"), obs.Int64("t_total", total))
+		if span != nil {
+			span.Set(obs.String("outcome", "moved"), obs.Int64("t_total", total))
+		}
 		return total <= cfg.Constraint && !simSelect, nil
 	}
 	for _, k := range kernels {
@@ -369,9 +384,12 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 			candidate[i] = true
 		}
 	}
-	argCtx, argSpan := obs.Start(ctx, "sim.argmin", obs.Int("prefixes", len(prefixes)))
+	argCtx, argSpan := obs.Start(ctx, "sim.argmin")
 	ctx = argCtx
 	defer argSpan.End()
+	if argSpan != nil {
+		argSpan.Set(obs.Int("prefixes", len(prefixes)))
+	}
 	bestIdx, bestSim := -1, int64(0)
 	if cfg.SimCostBatch != nil {
 		// Batch path: hand the scorer the whole slate so it can order it
@@ -425,7 +443,9 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 			}
 		}
 	}
-	argSpan.Set(obs.Int("scored", res.SimScored), obs.Int("best_prefix", bestIdx))
+	if argSpan != nil {
+		argSpan.Set(obs.Int("scored", res.SimScored), obs.Int("best_prefix", bestIdx))
+	}
 	best := prefixes[bestIdx]
 	res.Moved = res.Moved[:bestIdx]
 	res.Moves = res.Moves[:bestIdx]

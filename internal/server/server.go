@@ -41,7 +41,8 @@
 // runs under a root span — joined across fleet forwards via the W3C
 // traceparent header — and finished traces are served by /debug/traces.
 //
-// Error contract: malformed bodies are 400, unknown presets/benchmarks 404,
+// Error contract: malformed bodies and source over a front-end size limit
+// (hybridpart.ErrBlockTooLarge) are 400, unknown presets/benchmarks 404,
 // workloads that fail to compile/profile/partition 422, admission-shed
 // requests 429 (with Retry-After), client-cancelled runs 499 (nginx
 // convention), deadline-exceeded runs 504. Every non-2xx body is
@@ -458,11 +459,14 @@ func notFound(msg string) *httpError   { return &httpError{status: http.StatusNo
 
 // runError maps an engine failure to its transport status: cancellation is
 // the client's doing (499), deadline expiry the server's bound (504), an
-// admission shed is overload (429 + Retry-After), everything else is a
+// admission shed is overload (429 + Retry-After), source with a block over
+// the compile-time size cap is a bad request (400), everything else is a
 // workload the engine cannot process (422).
 func runError(err error) *httpError {
 	var shed *admissionError
 	switch {
+	case errors.Is(err, hybridpart.ErrBlockTooLarge):
+		return badRequest(err.Error())
 	case errors.As(err, &shed):
 		return &httpError{status: http.StatusTooManyRequests, msg: shed.Error(), retryAfter: shed.retryAfter}
 	case errors.Is(err, context.Canceled):

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"hybridpart"
+	"hybridpart/internal/minic"
 )
 
 // firSrc is a small FIR filter in the mini-C subset: cheap to compile and
@@ -239,6 +240,19 @@ func TestPartitionBadRequests(t *testing.T) {
 	rec := post(t, s, "/v1/partition", `{"source":"not C at all"}`)
 	if rec.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("uncompilable source: status %d, want 422", rec.Code)
+	}
+	// A flattened block over the compile-time cap is a request over a
+	// size limit, like an oversized body: 400, naming the block.
+	huge := "int main_fn() { int s = 1; " + strings.Repeat("s += 3; ", minic.MaxBlockInstrs) + "return s; }"
+	body, err := json.Marshal(map[string]any{"source": huge, "objective": "model"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec = post(t, s, "/v1/partition", string(body))
+	var e ErrorJSON
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || rec.Code != http.StatusBadRequest ||
+		!strings.Contains(e.Error, "block 0 (entry) of main_fn") {
+		t.Fatalf("block over the cap: status %d, body %s; want 400 naming block 0", rec.Code, rec.Body)
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
-	"strconv"
 	"sync"
 
 	"hybridpart/internal/finegrain"
@@ -41,9 +39,11 @@ func ParseObjective(s string) (Objective, error) { return partition.ParseObjecti
 // loop-compressed trace, no event bookkeeping), and Incremental through the
 // delta update that skips even the walk when the moved kernel's fabric
 // reassignment provably leaves the crossing set unchanged. Pruned counts
-// candidates the branch-and-bound argmin pass skipped because their
-// admissible lower bound already exceeded a fully scored incumbent. Scoring
-// is serial and its evaluation order a pure function of the workload and
+// candidates the branch-and-bound argmin pass skipped because an admissible
+// lower bound already exceeded a fully scored incumbent — either the cheap
+// closed-form LowerBound alone, in which case the candidate never got a
+// fine-fabric walk bound, or the larger of it and FineWalkBound. Scoring is
+// serial and its evaluation order a pure function of the workload and
 // knobs, so every counter is deterministic: the same run always reports the
 // same stats.
 type SimScoreStats struct {
@@ -73,6 +73,25 @@ type scoringHooks struct {
 	// replay; the property suite uses it to pin the closed-form and
 	// incremental tiers to the replay cycle for cycle.
 	noFastPath bool
+	// observe, when set, receives the evaluation record of every
+	// replay-regime ScoreBatch call; the order-equivalence test checks it
+	// against the eager all-bounds-first reference.
+	observe func(batchRecord)
+}
+
+// batchRecord is how one replay-regime ScoreBatch call evaluated its slate.
+type batchRecord struct {
+	candidates [][]ir.BlockID
+	// pending lists the slate indices that missed the memo, in slate order.
+	pending []int
+	// seed is the incumbent the memo hits set before any bound was taken
+	// (math.MaxInt64 when none hit).
+	seed int64
+	// replayed lists slate indices in replay order; pruned lists the
+	// candidates skipped, in the order the queue held them.
+	replayed, pruned []int
+	// walkBounds counts the FineWalkBound calls.
+	walkBounds int
 }
 
 // simSpecOf materializes the engine-level co-simulation knobs.
@@ -100,15 +119,16 @@ type scoredMapping struct {
 // simScorer scores candidate mappings by simulated makespan for the move
 // loop. It holds everything mapping-independent once (the Replayer's
 // canonical trace, the App's block and latency tables, the all-FPGA
-// baseline) and memoizes every scored mapping forever, so a trajectory walk plus a re-rank pass
-// plus the final report never replay the same mapping twice. Single-frame
-// no-prefetch candidates take the additive closed form instead of the event
-// engine, and consecutive trajectory prefixes whose move leaves the crossing
-// set unchanged take a pure delta update. Replay-regime slates go through
+// baseline) and memoizes every scored prefix of the move trajectory
+// forever, so a trajectory walk plus a re-rank pass plus the final report
+// never replay the same mapping twice. Single-frame no-prefetch candidates
+// take the additive closed form instead of the event engine, and
+// consecutive trajectory prefixes whose move leaves the crossing set
+// unchanged take a pure delta update. Replay-regime slates go through
 // ScoreBatch's branch-and-bound on one reused arena. Score and ScoreBatch
 // serialize on the scorer's lock, so a simScorer is safe for concurrent use
-// — but build one per partitioning run, its memo is per-(workload, knob)
-// tuple.
+// — but build one per partitioning run: its memo is per (workload, knob)
+// tuple and per move trajectory.
 type simScorer struct {
 	rep    *sim.Replayer
 	cfg    sim.Config
@@ -120,7 +140,13 @@ type simScorer struct {
 
 	mu    sync.Mutex
 	arena sim.Arena
-	memo  map[string]int64
+	// traj is the longest move trajectory asked about so far and memo[n]
+	// the makespan of its prefix traj[:n], or -1 while unscored. Every
+	// mapping a partitioning run scores — each argmin slate, the chosen
+	// mapping, the all-FPGA baseline — is a prefix of its one trajectory,
+	// so the prefix length is the whole memo key.
+	traj  []ir.BlockID
+	memo  []int64
 	last  *scoredMapping
 	stats SimScoreStats
 	// Closed-form scratch, guarded by mu: the moved mask, and two packings
@@ -158,23 +184,24 @@ func newSimScorer(a *App, p *RunProfile, plat platform.Platform, spec SimSpec) (
 		tables: tables,
 		freq:   p.Freq,
 		ratio:  int64(plat.Coarse.ClockRatio),
-		memo:   map[string]int64{},
+		memo:   []int64{-1},
 	}, nil
 }
 
-// movedKey is the canonical memo key of a moved-set (order-independent):
-// the sorted block ids, each followed by a comma.
-func movedKey(moved []ir.BlockID) string {
-	var idBuf [64]ir.BlockID
-	var keyBuf [256]byte
-	ids := append(idBuf[:0], moved...)
-	slices.Sort(ids)
-	key := keyBuf[:0]
-	for _, id := range ids {
-		key = strconv.AppendInt(key, int64(id), 10)
-		key = append(key, ',')
+// memoSlot returns moved's memo index: its length, when moved is a prefix
+// of the recorded trajectory or extends it (the trajectory then grows to
+// moved). ok is false for a mapping off the trajectory, which the caller
+// scores without memoizing. Callers hold s.mu.
+func (s *simScorer) memoSlot(moved []ir.BlockID) (slot int, ok bool) {
+	n := min(len(moved), len(s.traj))
+	if !slices.Equal(moved[:n], s.traj[:n]) {
+		return 0, false
 	}
-	return string(key)
+	for len(s.traj) < len(moved) {
+		s.traj = append(s.traj, moved[len(s.traj)])
+		s.memo = append(s.memo, -1)
+	}
+	return len(moved), true
 }
 
 // Score returns the simulated makespan (FPGA cycles) of the mapping that
@@ -183,17 +210,19 @@ func movedKey(moved []ir.BlockID) string {
 func (s *simScorer) Score(ctx context.Context, moved []ir.BlockID) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	key := movedKey(moved)
-	if v, ok := s.memo[key]; ok {
+	slot, memoized := s.memoSlot(moved)
+	if memoized && s.memo[slot] >= 0 {
 		s.stats.MemoHits++
-		return v, nil
+		return s.memo[slot], nil
 	}
 	v, err := s.score(ctx, moved)
 	if err != nil {
 		return 0, err
 	}
 	s.stats.Scored++
-	s.memo[key] = v
+	if memoized {
+		s.memo[slot] = v
+	}
 	return v, nil
 }
 
@@ -231,19 +260,29 @@ func (s *simScorer) fastRegime() bool {
 // In the closed-form regime candidates evaluate in slate order — that order
 // is what feeds the incremental delta tier, and the closed form is already
 // cheaper than a lower bound. In the replay regime the slate goes through
-// best-first branch-and-bound on the scorer's arena: every candidate's
-// admissible lower bound (sim.Replayer.LowerBound, FineWalkBound) is
-// computed up front, candidates replay in ascending-bound order (ties on
-// slate index), and any candidate whose bound strictly exceeds the
-// incumbent best makespan is pruned without replaying. Pruning never
-// changes the selection: scored makespans are exact, and a pruned candidate
-// is provably strictly worse than the incumbent, so it can never be the
-// index-ordered argmin. The evaluation order is a pure function of the
-// slate and the memo, so the Pruned/Scored counters are deterministic too.
+// best-first branch-and-bound on the scorer's arena, with the costly bound
+// taken lazily. Every unmemoized candidate enters a queue keyed on its
+// closed-form sim.Replayer.LowerBound (O(moved)). The loop pops the
+// minimum key (ties: a candidate without its walk bound first, then slate
+// index): if the key strictly exceeds the incumbent best makespan, that
+// candidate and every one left are pruned without replaying; a candidate
+// popped without its walk bound gets sim.Replayer.FineWalkBound (O(trace
+// tokens)) and goes back keyed on the larger of the two; one popped with
+// it replays and may lower the incumbent. The replay order is therefore
+// exactly ascending max(LowerBound, FineWalkBound) with ties on slate
+// index, but a candidate pruned on LowerBound alone never pays for a walk.
+// Pruning never changes the selection: scored makespans are exact, and a
+// pruned candidate is provably strictly worse than the incumbent, so it can
+// never be the index-ordered argmin. The evaluation order is a pure
+// function of the slate and the memo, so the Pruned/Scored counters are
+// deterministic too.
 func (s *simScorer) ScoreBatch(ctx context.Context, candidates [][]ir.BlockID) ([]partition.SimScore, error) {
 	out := make([]partition.SimScore, len(candidates))
-	ctx, span := obs.Start(ctx, "sim.ScoreBatch", obs.Int("candidates", len(candidates)))
+	ctx, span := obs.Start(ctx, "sim.ScoreBatch")
 	defer span.End()
+	if span != nil {
+		span.Set(obs.Int("candidates", len(candidates)))
+	}
 	if s.fastRegime() {
 		for i, moved := range candidates {
 			if err := ctx.Err(); err != nil {
@@ -255,79 +294,128 @@ func (s *simScorer) ScoreBatch(ctx context.Context, candidates [][]ir.BlockID) (
 			}
 			out[i] = partition.SimScore{Cycles: v}
 		}
-		span.Set(obs.Int("scored", len(candidates)), obs.Int("pruned", 0),
-			obs.String("regime", "closed-form"))
+		if span != nil {
+			span.Set(obs.Int("scored", len(candidates)), obs.Int("pruned", 0),
+				obs.String("regime", "closed-form"))
+		}
 		return out, nil
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// Memo hits resolve immediately and seed the incumbent: every memoized
-	// value is the exact makespan of a candidate in this slate.
+	// value is the exact makespan of a candidate in this slate. Everything
+	// else queues on its closed-form bound.
 	incumbent := int64(math.MaxInt64)
-	pending := make([]int, 0, len(candidates))
-	keys := make([]string, len(candidates))
+	queue := make([]boundEntry, 0, len(candidates))
 	for i, moved := range candidates {
-		keys[i] = movedKey(moved)
-		if v, ok := s.memo[keys[i]]; ok {
+		if slot, ok := s.memoSlot(moved); ok && s.memo[slot] >= 0 {
 			s.stats.MemoHits++
-			out[i] = partition.SimScore{Cycles: v}
-			incumbent = min(incumbent, v)
+			out[i] = partition.SimScore{Cycles: s.memo[slot]}
+			incumbent = min(incumbent, s.memo[slot])
 			continue
 		}
-		pending = append(pending, i)
-	}
-	if len(pending) == 0 {
-		span.Set(obs.Int("scored", 0), obs.Int("pruned", 0),
-			obs.Int("memo_hits", len(candidates)), obs.String("regime", "replay"))
-		return out, nil
-	}
-
-	// Admissible lower bounds, then best-first order: the candidate most
-	// likely to be the argmin replays first, which drops the incumbent
-	// early and lets the bound prune the tail. Two tiers: the closed-form
-	// resource floor (O(moved)) and the exact fine-fabric occupancy walk
-	// (O(trace tokens), still far below a full replay) — the walk is exact
-	// on fine-dominated candidates, so once the incumbent is near the
-	// optimum almost every other candidate's bound exceeds it.
-	bounds := make([]int64, len(candidates))
-	for _, i := range pending {
-		b, err := s.rep.LowerBound(s.cfg, candidates[i])
+		lb, err := s.rep.LowerBound(s.cfg, moved)
 		if err != nil {
 			return nil, err
 		}
-		wb, err := s.rep.FineWalkBound(s.cfg, candidates[i], &s.arena)
-		if err != nil {
-			return nil, err
-		}
-		bounds[i] = max(b, wb)
+		queue = append(queue, boundEntry{key: lb, idx: i})
 	}
-	sort.SliceStable(pending, func(a, b int) bool { return bounds[pending[a]] < bounds[pending[b]] })
+	hits := len(candidates) - len(queue)
+	var rec *batchRecord
+	if s.hooks.observe != nil {
+		rec = &batchRecord{candidates: candidates, seed: incumbent}
+		for _, e := range queue {
+			rec.pending = append(rec.pending, e.idx)
+		}
+		defer func() { s.hooks.observe(*rec) }()
+	}
 
-	pruned := 0
-	for _, i := range pending {
+	// Best-first: the candidate most likely to be the argmin replays first,
+	// which drops the incumbent early and lets the bounds prune the tail.
+	// The queue holds at most one entry per trajectory prefix, so a linear
+	// scan for the minimum is enough.
+	scored, pruned := 0, 0
+	for len(queue) > 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if !s.hooks.noPruning && bounds[i] > incumbent {
-			out[i] = partition.SimScore{Pruned: true}
-			pruned++
+		j := 0
+		for k := 1; k < len(queue); k++ {
+			if queue[k].before(queue[j]) {
+				j = k
+			}
+		}
+		e := queue[j]
+		if !s.hooks.noPruning && e.key > incumbent {
+			// Every key left is at least e.key, and a key never exceeds
+			// its candidate's bound.
+			for _, r := range queue {
+				out[r.idx] = partition.SimScore{Pruned: true}
+				if rec != nil {
+					rec.pruned = append(rec.pruned, r.idx)
+				}
+			}
+			pruned = len(queue)
+			break
+		}
+		moved := candidates[e.idx]
+		if !e.walked {
+			wb, err := s.rep.FineWalkBound(s.cfg, moved, &s.arena)
+			if err != nil {
+				return nil, err
+			}
+			if rec != nil {
+				rec.walkBounds++
+			}
+			queue[j] = boundEntry{key: max(e.key, wb), idx: e.idx, walked: true}
 			continue
 		}
-		v, err := s.rep.Makespan(ctx, s.cfg, candidates[i], &s.arena)
+		queue[j] = queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		v, err := s.rep.Makespan(ctx, s.cfg, moved, &s.arena)
 		if err != nil {
 			return nil, err
 		}
+		if rec != nil {
+			rec.replayed = append(rec.replayed, e.idx)
+		}
 		incumbent = min(incumbent, v)
-		s.stats.Scored++
-		s.stats.Replays++
-		s.memo[keys[i]] = v
-		out[i] = partition.SimScore{Cycles: v}
+		scored++
+		if slot, ok := s.memoSlot(moved); ok {
+			s.memo[slot] = v
+		}
+		out[e.idx] = partition.SimScore{Cycles: v}
 	}
+	s.stats.Scored += scored
+	s.stats.Replays += scored
 	s.stats.Pruned += pruned
-	span.Set(obs.Int("scored", len(pending)-pruned), obs.Int("pruned", pruned),
-		obs.Int("memo_hits", len(candidates)-len(pending)), obs.String("regime", "replay"))
+	if span != nil {
+		span.Set(obs.Int("scored", scored), obs.Int("pruned", pruned),
+			obs.Int("memo_hits", hits), obs.String("regime", "replay"))
+	}
 	return out, nil
+}
+
+// boundEntry is one unscored candidate in ScoreBatch's best-first queue:
+// its slate index and its bound so far — LowerBound until the walk bound
+// is taken (walked), their maximum after.
+type boundEntry struct {
+	key    int64
+	idx    int
+	walked bool
+}
+
+// before orders the queue: lower key first, then a candidate still owed
+// its walk bound (its key may yet rise past the other's), then slate index.
+func (e boundEntry) before(o boundEntry) bool {
+	if e.key != o.key {
+		return e.key < o.key
+	}
+	if e.walked != o.walked {
+		return !e.walked
+	}
+	return e.idx < o.idx
 }
 
 // closedForm scores a single-frame no-prefetch candidate without the event

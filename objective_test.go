@@ -1,9 +1,11 @@
 package hybridpart
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -11,22 +13,77 @@ import (
 	"hybridpart/internal/obs"
 )
 
-// TestMovedKey: the memo key ignores move order, separates sets whose
-// digits concatenate alike, and costs one allocation — the string itself.
-func TestMovedKey(t *testing.T) {
-	if a, b := movedKey([]ir.BlockID{3, 1, 20}), movedKey([]ir.BlockID{20, 3, 1}); a != b || a != "1,3,20," {
-		t.Fatalf("order-dependent key: %q vs %q", a, b)
+// TestScorePrefixMemo pins the scorer's memo, which is keyed on the prefix
+// length of the one move trajectory a run scores: prefixes hit in any
+// order, a longer prefix extends the recorded trajectory, and a mapping off
+// the trajectory scores exactly but is never memoized.
+func TestScorePrefixMemo(t *testing.T) {
+	w, err := BenchmarkWorkload(BenchOFDM, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if movedKey([]ir.BlockID{1, 12}) == movedKey([]ir.BlockID{11, 2}) {
-		t.Fatal("distinct sets share a key")
+	app, prof, err := w.profiled()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if movedKey(nil) != "" {
-		t.Fatalf("empty set key %q", movedKey(nil))
+	// A constraint no mapping meets walks the whole kernel list.
+	res, err := mustEngine(t, WithConstraint(1)).PartitionProfiled(context.Background(), app, prof)
+	if err != nil {
+		t.Fatal(err)
 	}
-	moved := []ir.BlockID{29, 4, 17, 8, 11}
-	if n := testing.AllocsPerRun(100, func() { _ = movedKey(moved) }); n > 1 {
-		t.Fatalf("movedKey allocates %v times per call, want 1", n)
+	if len(res.Moved) < 6 {
+		t.Fatalf("trajectory of %d moves, want at least 6", len(res.Moved))
 	}
+	traj := make([]ir.BlockID, len(res.Moved))
+	for i, b := range res.Moved {
+		traj[i] = ir.BlockID(b)
+	}
+	plat := DefaultOptions().platform(false)
+	spec := SimSpec{Frames: 8}
+	s, err := newSimScorer(app, prof, plat, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := newSimScorer(app, prof, plat, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := func(moved []ir.BlockID) int64 {
+		t.Helper()
+		v, err := ref.rep.Makespan(context.Background(), ref.cfg, moved, &ref.arena)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	step := func(label string, moved []ir.BlockID, scored, hits, trajLen int) {
+		t.Helper()
+		v, err := s.Score(context.Background(), moved)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := want(moved); v != w {
+			t.Fatalf("%s: scored %d, replay says %d", label, v, w)
+		}
+		if s.stats.Scored != scored || s.stats.MemoHits != hits || len(s.traj) != trajLen {
+			t.Fatalf("%s: scored %d, hits %d, trajectory %d; want %d, %d, %d",
+				label, s.stats.Scored, s.stats.MemoHits, len(s.traj), scored, hits, trajLen)
+		}
+	}
+	step("prefix 3", traj[:3], 1, 0, 3)
+	step("prefix 3 again", traj[:3], 1, 1, 3)
+	step("shorter prefix", traj[:1], 2, 1, 3)
+	step("empty prefix", nil, 3, 1, 3)
+	step("extension", traj[:6], 4, 1, 6)
+	step("old prefix after extension", traj[:3], 4, 2, 6)
+	step("baseline again", nil, 4, 3, 6)
+	swapped := []ir.BlockID{traj[1], traj[0]}
+	step("off the trajectory", swapped, 5, 3, 6)
+	step("off the trajectory again", swapped, 6, 3, 6)
+	branch := append(append([]ir.BlockID{}, traj[:2]...), traj[4])
+	step("branching off a prefix", branch, 7, 3, 6)
+	step("prefix 2 still unscored", traj[:2], 8, 3, 6)
+	step("prefix 6 still memoized", traj[:6], 8, 4, 6)
 }
 
 // TestScoreBatchSpanEndsOnCancel: a ScoreBatch call that fails on a
@@ -108,5 +165,158 @@ func TestSimScoreStatsDeterministic(t *testing.T) {
 			t.Fatal(errs[g])
 		}
 		check(fmt.Sprintf("goroutine %d", g), res)
+	}
+}
+
+// scoringDesignPoints are the four engine configurations of the ofdm-sim
+// benchmark workload, one per scoring tier: the closed form with its
+// incremental tier, replay with bounds and pruning, the region sequencer,
+// and the prefetch oracle.
+var scoringDesignPoints = []struct {
+	name string
+	opts []Option
+}{
+	{"a1500x1", []Option{WithArea(1500), WithObjective(ObjectiveSimulated), WithSimFrames(1)}},
+	{"a1500x8", []Option{WithArea(1500), WithObjective(ObjectiveSimulated), WithSimFrames(8)}},
+	{"a1200x8r2", []Option{WithArea(1200), WithObjective(ObjectiveSimulated), WithSimFrames(8), WithRegions(2)}},
+	{"a1200x8pf", []Option{WithArea(1200), WithObjective(ObjectiveSimulated), WithSimFrames(8), WithSimPrefetch(true)}},
+}
+
+// TestScoreBatchLazyOrderMatchesEager pins ScoreBatch's lazy walk bound to
+// the eager reference it replaced: take every pending candidate's
+// max(LowerBound, FineWalkBound), stable-sort on it, and prune against the
+// running incumbent. On every scoring design point, for OFDM seeds 1 and 2
+// and for JPEG, the lazy queue must replay the same candidates in the same
+// order and prune the same set. On OFDM seed 1 the number of walk bounds
+// taken is pinned too: laziness is the point.
+func TestScoreBatchLazyOrderMatchesEager(t *testing.T) {
+	type workload struct {
+		bench string
+		seed  uint32
+	}
+	workloads := []workload{{BenchOFDM, 1}, {BenchOFDM, 2}}
+	if !testing.Short() {
+		workloads = append(workloads, workload{BenchJPEG, 1})
+	}
+	// Walk bounds taken on OFDM seed 1, against 30 pending candidates.
+	wantWalks := map[string]int{"a1500x1": 0, "a1500x8": 12, "a1200x8r2": 5, "a1200x8pf": 13}
+	for _, wl := range workloads {
+		app, prof, err := ProfileBenchmarkCached(wl.bench, wl.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range scoringDesignPoints {
+			var recs []batchRecord
+			observe := withHooks(scoringHooks{observe: func(r batchRecord) { recs = append(recs, r) }})
+			eng := mustEngine(t, append(append([]Option{}, d.opts...), observe)...)
+			if _, err := eng.PartitionProfiled(context.Background(), app, prof); err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%s seed %d %s", wl.bench, wl.seed, d.name)
+			if d.name == "a1500x1" && len(recs) != 0 {
+				t.Fatalf("%s: the closed-form regime went through the bound queue", label)
+			}
+			ref, err := newSimScorer(app, prof, eng.opts.platform(eng.costsSet), simSpecOf(eng.opts))
+			if err != nil {
+				t.Fatal(err)
+			}
+			walks := 0
+			for _, rec := range recs {
+				walks += rec.walkBounds
+				replayed, pruned := eagerScoreOrder(t, ref, rec)
+				if fmt.Sprint(rec.replayed) != fmt.Sprint(replayed) {
+					t.Errorf("%s: replay order %v, eager reference %v", label, rec.replayed, replayed)
+				}
+				got := slices.Sorted(slices.Values(rec.pruned))
+				if fmt.Sprint(got) != fmt.Sprint(pruned) {
+					t.Errorf("%s: pruned %v, eager reference %v", label, got, pruned)
+				}
+			}
+			t.Logf("%s: %d batches, %d walk bounds", label, len(recs), walks)
+			if wl.bench == BenchOFDM && wl.seed == 1 && walks != wantWalks[d.name] {
+				t.Errorf("%s: %d FineWalkBound calls, want %d", label, walks, wantWalks[d.name])
+			}
+		}
+	}
+}
+
+// eagerScoreOrder is the reference branch-and-bound of one recorded slate:
+// both bounds for every pending candidate up front, a stable sort on their
+// maximum, and a strict prune against the incumbent as it falls. It
+// returns the replay order and the pruned slate indices, sorted.
+func eagerScoreOrder(t *testing.T, ref *simScorer, rec batchRecord) (replayed, pruned []int) {
+	t.Helper()
+	bounds := map[int]int64{}
+	for _, i := range rec.pending {
+		lb, err := ref.rep.LowerBound(ref.cfg, rec.candidates[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		wb, err := ref.rep.FineWalkBound(ref.cfg, rec.candidates[i], &ref.arena)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bounds[i] = max(lb, wb)
+	}
+	order := slices.Clone(rec.pending)
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(bounds[a], bounds[b]) })
+	incumbent := rec.seed
+	for _, i := range order {
+		if bounds[i] > incumbent {
+			pruned = append(pruned, i)
+			continue
+		}
+		v, err := ref.rep.Makespan(context.Background(), ref.cfg, rec.candidates[i], &ref.arena)
+		if err != nil {
+			t.Fatal(err)
+		}
+		incumbent = min(incumbent, v)
+		replayed = append(replayed, i)
+	}
+	slices.Sort(pruned)
+	return replayed, pruned
+}
+
+// TestScoreBatchTies pins the two tie rules the lazy queue must keep to
+// replay in the eager order. A candidate whose bound equals the incumbent
+// still replays (pruning is strict): the all-FPGA mapping's walk bound is
+// exact on OFDM ×8, so a slate holding it twice must replay both copies.
+// And at equal keys a candidate still owed its walk bound pops before one
+// that has it, then the lower slate index first.
+func TestScoreBatchTies(t *testing.T) {
+	app, prof, err := ProfileBenchmarkCached(BenchOFDM, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := mustEngine(t, WithObjective(ObjectiveSimulated), WithSimFrames(8))
+	s, err := newSimScorer(app, prof, eng.opts.platform(eng.costsSet), simSpecOf(eng.opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []batchRecord
+	s.hooks.observe = func(r batchRecord) { recs = append(recs, r) }
+	out, err := s.ScoreBatch(context.Background(), [][]ir.BlockID{nil, nil})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || fmt.Sprint(recs[0].replayed) != "[0 1]" || out[1].Pruned || out[0].Cycles != out[1].Cycles {
+		t.Fatalf("duplicate all-FPGA slate: scores %+v, records %+v; want both replayed", out, recs)
+	}
+	if recs[0].walkBounds != 2 {
+		t.Fatalf("%d walk bounds, want 2", recs[0].walkBounds)
+	}
+
+	ordered := []boundEntry{
+		{key: 5, idx: 3},
+		{key: 5, idx: 0, walked: true},
+		{key: 5, idx: 1, walked: true},
+		{key: 6, idx: 0},
+	}
+	for i := range ordered {
+		for j := range ordered {
+			if got := ordered[i].before(ordered[j]); got != (i < j) {
+				t.Errorf("%+v before %+v = %v, want %v", ordered[i], ordered[j], got, i < j)
+			}
+		}
 	}
 }

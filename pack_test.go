@@ -10,6 +10,7 @@ import (
 
 	"hybridpart/internal/finegrain"
 	"hybridpart/internal/ir"
+	"hybridpart/internal/partition"
 	"hybridpart/internal/platform"
 	"hybridpart/internal/sim"
 )
@@ -258,16 +259,11 @@ func TestPartitionSharedWorkloadConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	points := [][]Option{
-		{WithArea(1500), WithObjective(ObjectiveSimulated), WithSimFrames(1)},
-		{WithArea(1500), WithObjective(ObjectiveSimulated), WithSimFrames(8)},
-		{WithArea(1200), WithObjective(ObjectiveSimulated), WithSimFrames(8), WithRegions(2)},
-		{WithArea(1200), WithObjective(ObjectiveSimulated), WithSimFrames(8), WithSimPrefetch(true)},
-	}
+	points := scoringDesignPoints
 	engines := make([]*Engine, len(points))
 	serial := make([]*Result, len(points))
-	for i, opts := range points {
-		if engines[i], err = NewEngine(append(opts, WithWorkers(1))...); err != nil {
+	for i, d := range points {
+		if engines[i], err = NewEngine(append(append([]Option{}, d.opts...), WithWorkers(1))...); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -306,5 +302,54 @@ func TestPartitionSharedWorkloadConcurrent(t *testing.T) {
 		if !reflect.DeepEqual(got[i], serial[i]) {
 			t.Errorf("point %d: concurrent result differs from serial\n got %+v\nwant %+v", i, got[i], serial[i])
 		}
+	}
+}
+
+// TestPartitionAllocs pins the allocations of one untraced OFDM ×8 run of
+// partition.Partition under the simulated objective, its argmin slate
+// scored by the engine's scorer with the memo cleared before each run (it
+// would otherwise answer every later run outright). Move-loop tracing
+// attributes box their values, so building them with tracing off used to
+// cost a handful of allocations per move (160 per run in all). The run
+// now measures 37 (go1.24, linux/amd64); the ceiling leaves room for
+// toolchain drift, not for one more allocation per move.
+func TestPartitionAllocs(t *testing.T) {
+	app, prof, err := ProfileBenchmarkCached(BenchOFDM, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := mustEngine(t, WithObjective(ObjectiveSimulated), WithSimFrames(8))
+	plat := eng.opts.platform(eng.costsSet)
+	s, err := newSimScorer(app, prof, plat, simSpecOf(eng.opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := app.analyze(prof.Freq, eng.opts.weights())
+	cfg := partition.Config{
+		Platform:     plat,
+		Constraint:   eng.opts.Constraint,
+		Edges:        prof.edges,
+		Tables:       app.blockTables(),
+		Latencies:    app.coarseLatencies(plat.Coarse),
+		Objective:    ObjectiveSimulated,
+		SimCost:      s.Score,
+		SimCostBatch: s.ScoreBatch,
+	}
+	ctx := context.Background()
+	var res *partition.Result
+	run := func() {
+		s.traj, s.memo = s.traj[:0], s.memo[:1]
+		s.memo[0] = -1
+		if res, err = partition.Partition(ctx, app.fprog, app.flat, rep, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := testing.AllocsPerRun(20, run)
+	if res.SimulatedCycles != 236888 {
+		t.Fatalf("simulated %d cycles, want 236888", res.SimulatedCycles)
+	}
+	const ceiling = 40
+	if n > ceiling {
+		t.Errorf("untraced OFDM ×8 Partition allocates %v times per run, ceiling %d", n, ceiling)
 	}
 }
