@@ -167,8 +167,8 @@ func main() {
 	}
 	if *trace && res.SimStats != (hybridpart.SimScoreStats{}) {
 		st := res.SimStats
-		fmt.Fprintf(os.Stderr, "hpart: sim scoring: %d scored (%d replays, %d closed-form, %d incremental), %d pruned, %d memo hits\n",
-			st.Scored, st.Replays, st.ClosedForm, st.Incremental, st.Pruned, st.MemoHits)
+		fmt.Fprintf(os.Stderr, "hpart: sim scoring: %d scored (%d replays), %d pruned, %d memo hits\n",
+			st.Scored, st.Replays, st.Pruned, st.MemoHits)
 	}
 	if *jsonOut {
 		// Machine-readable path: the same wire type the partitioning

@@ -117,13 +117,13 @@
 // canonical trace from the profile as (body, reps) tokens, folding each
 // loop's repetitions as its Hierholzer walk discovers them, and every
 // scorer walks the tokens — one pass at weight 1 and one at weight reps−1
-// for the load walks and FineWalkBound, a steady-state jump to the last
-// repetition for Makespan — so a candidate costs O(tokens), not
-// O(block visits).
+// for FineWalkBound, a steady-state jump to the last repetition for
+// Makespan — so a candidate costs O(tokens), not O(block visits).
 //
-// Simulated scoring is pruned: candidates are bounded by admissible lower
-// bounds and only those that can still beat the incumbent replay, one at a
-// time in ascending-bound order on a reused replay arena. The cheap
+// Simulated scoring is pruned, at every frame count: candidates are bounded
+// by admissible lower bounds and only those that can still beat the
+// incumbent replay, one at a time in ascending-bound order on a reused
+// replay arena. The cheap
 // closed-form bound (sim.Replayer.LowerBound) orders a best-first queue;
 // the costlier fine-fabric walk (FineWalkBound) is taken only for a
 // candidate that reaches the front, so most pruned candidates never pay

@@ -260,7 +260,7 @@ func TestTraceSimSpans(t *testing.T) {
 	if sb == nil {
 		t.Fatalf("no sim.ScoreBatch span in %d spans", len(tr.Spans))
 	}
-	for _, key := range []string{"scored", "pruned", "regime"} {
+	for _, key := range []string{"scored", "pruned"} {
 		if attrValue(sb, key) == nil {
 			t.Fatalf("sim.ScoreBatch missing %q attr: %+v", key, sb.Attrs)
 		}

@@ -125,13 +125,12 @@ func max64(a, b int64) int64 {
 // trace reconstruction or a list-scheduling pass.
 //
 // The trace is held loop-compressed, as the (body, reps) tokens BuildTrace
-// emits, and every per-mapping walk — the closed-form load counts
-// (EntryLoads, RegionLoads), FineWalkBound and Makespan — costs O(tokens ·
-// body), not O(block visits): a sequencer state machine's state after one
-// pass over a body depends only on the body, so the walks play each token
-// once at weight 1 and once at weight reps−1, and the replay fast-forwards
-// each token from its first steady-state repetition to its last. Only
-// Simulate's per-kernel report plays every repetition.
+// emits, and every per-mapping walk — FineWalkBound and Makespan — costs
+// O(tokens · body), not O(block visits): a sequencer state machine's state
+// after one pass over a body depends only on the body, so the walks play
+// each token once at weight 1 and once at weight reps−1, and the replay
+// fast-forwards each token from its first steady-state repetition to its
+// last. Only Simulate's per-kernel report plays every repetition.
 //
 // The DFGs, level order and live-in/out footprints come from the per-App
 // ir.BlockTables in Input.Tables, and the data-path latencies from the
@@ -143,10 +142,10 @@ func max64(a, b int64) int64 {
 // Concurrency contract: a Replayer is safe for concurrent use without
 // locks. Every table it holds or shares is immutable after NewReplayer
 // returns, so any number of goroutines may call Simulate, Makespan,
-// LowerBound, FineWalkBound, EntryLoads, RegionLoads, CoarseLatency and
-// TransferTicks on one shared Replayer. The only per-goroutine state is the
-// Arena (and the caller's own mapping and load buffers): an Arena must not
-// be shared between concurrent calls — give each worker its own.
+// LowerBound, FineWalkBound, CoarseLatency and TransferTicks on one shared
+// Replayer. The only per-goroutine state is the Arena (and the caller's own
+// mapping): an Arena must not be shared between concurrent calls — give
+// each worker its own.
 type Replayer struct {
 	in        Input
 	tables    *ir.BlockTables
@@ -292,11 +291,11 @@ func Simulate(ctx context.Context, in Input, cfg Config) (*Report, error) {
 
 // Arena is the reusable scratch of one replay: the moved mask, the
 // candidate's packing, the per-block cost tables, the per-region sequencer
-// state, the prefetch oracle and the fast-forward snapshots. Makespan,
-// FineWalkBound and RegionLoads grow it on first use and reuse the buffers
-// afterwards, so a worker scoring thousands of candidate mappings allocates
-// only on its first call. An Arena belongs to exactly one goroutine at a
-// time; the zero value is ready to use.
+// state, the prefetch oracle and the fast-forward snapshots. Makespan and
+// FineWalkBound grow it on first use and reuse the buffers afterwards, so a
+// worker scoring thousands of candidate mappings allocates only on its
+// first call. An Arena belongs to exactly one goroutine at a time; the
+// zero value is ready to use.
 type Arena struct {
 	moved []bool
 	pm    finegrain.PackedMapping
@@ -452,65 +451,6 @@ func (r *Replayer) passes(yield func(body []ir.BlockID, w int64) bool) {
 			return
 		}
 	}
-}
-
-// EntryLoads fills loads[b] with the number of on-demand configuration loads
-// a single-region sequencer performs entering block b over one frame of the
-// trace, when the blocks outside moved are packed as pm: a block loads on
-// entry when the partition it starts in is not the one its predecessor on
-// the fine fabric left resident. Straddle reloads inside a block are a
-// static per-execution count and are not included. len(loads) and
-// len(moved) must be the function's block count. Safe for concurrent use.
-func (r *Replayer) EntryLoads(pm *finegrain.PackedMapping, moved []bool, loads []int64) {
-	clear(loads)
-	loaded := -1
-	if pm.NumPartitions == 0 {
-		loaded = 0 // nothing to configure
-	}
-	for body, w := range r.passes {
-		for _, b := range body {
-			if moved[b] {
-				continue
-			}
-			if pm.FirstPart[b] != loaded {
-				loads[b] += w
-			}
-			loaded = pm.LastPart[b]
-		}
-	}
-}
-
-// RegionLoads returns the number of configuration loads, entry and straddle
-// alike, a multi-region sequencer performs over one frame of the trace when
-// the blocks outside moved are packed as pm: a partition loads only when its
-// region (partition p lives in region p mod pm.Regions) holds something
-// else. The arena provides the per-region residency scratch; nil allocates
-// a fresh one. Safe for concurrent use with per-goroutine arenas.
-func (r *Replayer) RegionLoads(pm *finegrain.PackedMapping, moved []bool, a *Arena) int64 {
-	if a == nil {
-		a = new(Arena)
-	}
-	regions := pm.Regions
-	a.growRegions(regions)
-	loadedR := a.loadedR
-	if pm.NumPartitions == 0 {
-		loadedR[0] = 0 // nothing to configure
-	}
-	var loads int64
-	for body, w := range r.passes {
-		for _, b := range body {
-			if moved[b] {
-				continue
-			}
-			for q := pm.FirstPart[b]; q <= pm.LastPart[b]; q++ {
-				if reg := q % regions; loadedR[reg] != q {
-					loads += w
-					loadedR[reg] = q
-				}
-			}
-		}
-	}
-	return loads
 }
 
 // Simulate replays the trace against the mapping that moves the given blocks

@@ -919,9 +919,9 @@ func TestLowerBoundAdmissible(t *testing.T) {
 // TestReplayerConcurrentUse is the race-detector pin for the documented
 // concurrency contract: one Replayer, 16 goroutines, each hammering the
 // full read API — Simulate, Makespan (with its own Arena), LowerBound,
-// FineWalkBound (with its own Arena), EntryLoads and RegionLoads (with their
-// own buffers), CoarseLatency and TransferTicks — while asserting every
-// result equals the serially computed golden value. Run under -race in CI.
+// FineWalkBound (with its own Arena), CoarseLatency and TransferTicks —
+// while asserting every result equals the serially computed golden value.
+// Run under -race in CI.
 func TestReplayerConcurrentUse(t *testing.T) {
 	prog, flat, freq, edges := prep(t, threeStageSrc, "main_fn", 1)
 	in := Input{Prog: prog, F: flat, Plat: smallPlat(320), Freq: freq, Edges: edges}
@@ -956,17 +956,6 @@ func TestReplayerConcurrentUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mask := make([]bool, len(flat.Blocks))
-	for _, b := range moved {
-		mask[b] = true
-	}
-	var pm finegrain.PackedMapping
-	if err := pm.Pack(r.tables, in.Plat.Fine, func(id ir.BlockID) bool { return !mask[id] }); err != nil {
-		t.Fatal(err)
-	}
-	goldenEntry := make([]int64, len(flat.Blocks))
-	r.EntryLoads(&pm, mask, goldenEntry)
-	goldenRegion := r.RegionLoads(&pm, mask, nil)
 
 	const goroutines = 16
 	var wg sync.WaitGroup
@@ -976,7 +965,6 @@ func TestReplayerConcurrentUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			var arena Arena // per-goroutine, per the contract
-			entry := make([]int64, len(flat.Blocks))
 			for i := 0; i < 20; i++ {
 				rep, err := r.Simulate(context.Background(), cfg, moved)
 				if err != nil {
@@ -1027,15 +1015,6 @@ func TestReplayerConcurrentUse(t *testing.T) {
 					errs <- fmt.Errorf("concurrent FineWalkBound: %d != %d", wb, goldenWalk)
 					return
 				}
-				r.EntryLoads(&pm, mask, entry)
-				if !slices.Equal(entry, goldenEntry) {
-					errs <- fmt.Errorf("concurrent EntryLoads: %v != %v", entry, goldenEntry)
-					return
-				}
-				if n := r.RegionLoads(&pm, mask, &arena); n != goldenRegion {
-					errs <- fmt.Errorf("concurrent RegionLoads: %d != %d", n, goldenRegion)
-					return
-				}
 			}
 		}()
 	}
@@ -1048,9 +1027,9 @@ func TestReplayerConcurrentUse(t *testing.T) {
 
 // TestCompressedMatchesUncompressed pins every token walk to the flat one.
 // On every fixture, for random moved sets × regions {1, 2, 4} × prefetch ×
-// frames {1, 8}, the compressed Replayer's closed-form loads (EntryLoads,
-// RegionLoads), FineWalkBound, Makespan and Simulate report equal those of
-// a Replayer that plays the reference flat trace block by block.
+// frames {1, 8}, the compressed Replayer's FineWalkBound, Makespan and
+// Simulate report equal those of a Replayer that plays the reference flat
+// trace block by block.
 func TestCompressedMatchesUncompressed(t *testing.T) {
 	for _, fx := range traceFixtures(t) {
 		t.Run(fx.name, func(t *testing.T) {
@@ -1074,30 +1053,13 @@ func TestCompressedMatchesUncompressed(t *testing.T) {
 						mappable = append(mappable, ir.BlockID(id))
 					}
 				}
-				n := len(fx.f.Blocks)
-				mask := make([]bool, n)
-				gotLoads, wantLoads := make([]int64, n), make([]int64, n)
-				var pm finegrain.PackedMapping
 				var ra, ua Arena
 				for m := 0; m < masks; m++ {
 					var moved []ir.BlockID
-					clear(mask)
 					for _, b := range mappable {
 						if m > 0 && rng.Intn(3) == 0 {
 							moved = append(moved, b)
-							mask[b] = true
 						}
-					}
-					if err := pm.Pack(r.tables, plat.Fine, func(id ir.BlockID) bool { return !mask[id] }); err != nil {
-						t.Fatal(err)
-					}
-					r.EntryLoads(&pm, mask, gotLoads)
-					u.EntryLoads(&pm, mask, wantLoads)
-					if !slices.Equal(gotLoads, wantLoads) {
-						t.Fatalf("R=%d moved=%v: EntryLoads %v, flat %v", regions, moved, gotLoads, wantLoads)
-					}
-					if got, want := r.RegionLoads(&pm, mask, &ra), u.RegionLoads(&pm, mask, &ua); got != want {
-						t.Fatalf("R=%d moved=%v: RegionLoads %d, flat %d", regions, moved, got, want)
 					}
 					for _, frames := range []int{1, 8} {
 						for _, prefetch := range []bool{false, true} {

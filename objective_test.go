@@ -87,11 +87,11 @@ func TestScorePrefixMemo(t *testing.T) {
 }
 
 // TestScoreBatchSpanEndsOnCancel: a ScoreBatch call that fails on a
-// cancelled context must still end its span, in both scoring regimes, so
+// cancelled context must still end its span, single-frame and pipelined, so
 // the trace of a cancelled request keeps its scoring stage.
 func TestScoreBatchSpanEndsOnCancel(t *testing.T) {
 	app, prof := compileFIR(t)
-	for _, spec := range []SimSpec{{}, {Frames: 2}} { // closed-form, replay
+	for _, spec := range []SimSpec{{}, {Frames: 2}} {
 		s, err := newSimScorer(app, prof, DefaultOptions().platform(false), spec)
 		if err != nil {
 			t.Fatal(err)
@@ -119,59 +119,75 @@ func TestScoreBatchSpanEndsOnCancel(t *testing.T) {
 }
 
 // TestSimScoreStatsDeterministic: scoring stats are a function of the run,
-// never of scheduling. OFDM ×8 under the simulated objective runs twice in
-// a row and then on four goroutines sharing one Workload and one Engine;
-// every run must report the same full SimScoreStats, equal to the figures
-// README quotes (25 of 30 trajectory prefixes pruned, 6 replays).
+// never of scheduling. Each case runs twice in a row and then on four
+// goroutines sharing one Workload and one Engine; every run must report the
+// same full SimScoreStats and makespan. OFDM ×8 at constraint 60000 is the
+// figure README quotes (25 of 30 trajectory prefixes pruned, 6 replays);
+// A1500 ×1 pins the single-frame slates, which go through the same bound
+// queue, on OFDM and (outside -short) JPEG.
 func TestSimScoreStatsDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping benchmark compilation in -short mode")
+	cases := []struct {
+		name   string
+		bench  string
+		opts   []Option
+		want   SimScoreStats
+		cycles int64
+	}{
+		{"ofdm x8", BenchOFDM, []Option{WithConstraint(60000), WithSimFrames(8), WithObjective(ObjectiveSimulated)},
+			SimScoreStats{Scored: 6, Replays: 6, MemoHits: 1, Pruned: 25}, 236888},
+		{"ofdm a1500x1", BenchOFDM, []Option{WithArea(1500), WithSimFrames(1), WithObjective(ObjectiveSimulated)},
+			SimScoreStats{Scored: 2, Replays: 2, MemoHits: 1, Pruned: 29}, 29639},
+		{"jpeg a1500x1", BenchJPEG, []Option{WithArea(1500), WithSimFrames(1), WithObjective(ObjectiveSimulated)},
+			SimScoreStats{Scored: 2, Replays: 2, MemoHits: 1, Pruned: 74}, 6697515},
 	}
-	w, err := BenchmarkWorkload(BenchOFDM, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewEngine(WithConstraint(60000), WithSimFrames(8), WithObjective(ObjectiveSimulated))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := SimScoreStats{Scored: 6, Replays: 6, MemoHits: 1, Pruned: 25}
-	check := func(label string, res *Result) {
-		t.Helper()
-		if res.SimStats != want || res.SimulatedCycles != 236888 {
-			t.Errorf("%s: stats %+v, sim %d; want %+v, sim 236888", label, res.SimStats, res.SimulatedCycles, want)
-		}
-	}
-	for run := 0; run < 2; run++ {
-		res, err := eng.Partition(context.Background(), w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(fmt.Sprintf("serial run %d", run), res)
-	}
-	results := make([]*Result, 4)
-	errs := make([]error, len(results))
-	var wg sync.WaitGroup
-	for g := range results {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[g], errs[g] = eng.Partition(context.Background(), w)
-		}()
-	}
-	wg.Wait()
-	for g, res := range results {
-		if errs[g] != nil {
-			t.Fatal(errs[g])
-		}
-		check(fmt.Sprintf("goroutine %d", g), res)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.bench == BenchJPEG && testing.Short() {
+				t.Skip("skipping JPEG profiling in -short mode")
+			}
+			w, err := BenchmarkWorkload(tc.bench, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := mustEngine(t, tc.opts...)
+			check := func(label string, res *Result) {
+				t.Helper()
+				if res.SimStats != tc.want || res.SimulatedCycles != tc.cycles {
+					t.Errorf("%s: stats %+v, sim %d; want %+v, sim %d",
+						label, res.SimStats, res.SimulatedCycles, tc.want, tc.cycles)
+				}
+			}
+			for run := 0; run < 2; run++ {
+				res, err := eng.Partition(context.Background(), w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("serial run %d", run), res)
+			}
+			results := make([]*Result, 4)
+			errs := make([]error, len(results))
+			var wg sync.WaitGroup
+			for g := range results {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					results[g], errs[g] = eng.Partition(context.Background(), w)
+				}()
+			}
+			wg.Wait()
+			for g, res := range results {
+				if errs[g] != nil {
+					t.Fatal(errs[g])
+				}
+				check(fmt.Sprintf("goroutine %d", g), res)
+			}
+		})
 	}
 }
 
 // scoringDesignPoints are the four engine configurations of the ofdm-sim
-// benchmark workload, one per scoring tier: the closed form with its
-// incremental tier, replay with bounds and pruning, the region sequencer,
-// and the prefetch oracle.
+// benchmark workload: a single frame, eight pipelined frames, the region
+// sequencer, and the prefetch oracle.
 var scoringDesignPoints = []struct {
 	name string
 	opts []Option
@@ -187,8 +203,9 @@ var scoringDesignPoints = []struct {
 // max(LowerBound, FineWalkBound), stable-sort on it, and prune against the
 // running incumbent. On every scoring design point, for OFDM seeds 1 and 2
 // and for JPEG, the lazy queue must replay the same candidates in the same
-// order and prune the same set. On OFDM seed 1 the number of walk bounds
-// taken is pinned too: laziness is the point.
+// order and prune the same set. Every design point, single-frame included,
+// must go through the queue. On OFDM seed 1 the number of walk bounds taken
+// is pinned too: laziness is the point.
 func TestScoreBatchLazyOrderMatchesEager(t *testing.T) {
 	type workload struct {
 		bench string
@@ -199,7 +216,7 @@ func TestScoreBatchLazyOrderMatchesEager(t *testing.T) {
 		workloads = append(workloads, workload{BenchJPEG, 1})
 	}
 	// Walk bounds taken on OFDM seed 1, against 30 pending candidates.
-	wantWalks := map[string]int{"a1500x1": 0, "a1500x8": 12, "a1200x8r2": 5, "a1200x8pf": 13}
+	wantWalks := map[string]int{"a1500x1": 12, "a1500x8": 12, "a1200x8r2": 5, "a1200x8pf": 13}
 	for _, wl := range workloads {
 		app, prof, err := ProfileBenchmarkCached(wl.bench, wl.seed)
 		if err != nil {
@@ -213,8 +230,8 @@ func TestScoreBatchLazyOrderMatchesEager(t *testing.T) {
 				t.Fatal(err)
 			}
 			label := fmt.Sprintf("%s seed %d %s", wl.bench, wl.seed, d.name)
-			if d.name == "a1500x1" && len(recs) != 0 {
-				t.Fatalf("%s: the closed-form regime went through the bound queue", label)
+			if len(recs) == 0 {
+				t.Fatalf("%s: no slate went through the bound queue", label)
 			}
 			ref, err := newSimScorer(app, prof, eng.opts.platform(eng.costsSet), simSpecOf(eng.opts))
 			if err != nil {
