@@ -66,10 +66,11 @@
 // the two-stage frame pipeline — and reports simulated cycles, per-fabric
 // utilization, a per-kernel timeline and a validation of the model's
 // prediction. On contention-free single-frame configurations the simulator
-// reproduces the model cycle for cycle; SimFrames, SimPorts and
-// SimPrefetch explore what the closed forms only idealize:
+// reproduces the model cycle for cycle; WithSimFrames, WithSimPorts and
+// WithSimPrefetch explore what the closed forms only idealize:
 //
-//	rep, _ := eng.Simulate(ctx, w, hybridpart.SimFrames(16), hybridpart.SimPrefetch(true))
+//	eng, _ := hybridpart.NewEngine(hybridpart.WithSimFrames(16), hybridpart.WithSimPrefetch(true))
+//	rep, _ := eng.Simulate(ctx, w)
 //	fmt.Println(rep.Validation.Exact, rep.Format())
 //
 // # Partial dynamic reconfiguration

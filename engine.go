@@ -344,7 +344,7 @@ func WithRerank(k int) Option {
 // WithSimFrames sets the engine-level co-simulation frame count (0 = 1, the
 // analytical model's operating point). The knob participates in
 // Options.Fingerprint and is shared by Simulate, the simulated objective and
-// re-ranking; per-call SimOptions override it for one Simulate call.
+// re-ranking.
 func WithSimFrames(n int) Option {
 	return func(e *Engine) error {
 		if n < 0 {
@@ -542,10 +542,7 @@ func (e *Engine) partitionScored(ctx context.Context, a *App, p *RunProfile, opt
 			return nil, nil, err
 		}
 		scorer.hooks = e.hooks
-		cfg.SimCost = scorer.Score
-		if !e.hooks.serial {
-			cfg.SimCostBatch = scorer.ScoreBatch
-		}
+		cfg.SimCostBatch = scorer.ScoreBatch
 	}
 	res, err := partition.Partition(ctx, a.fprog, a.flat, rep, cfg)
 	if err != nil {

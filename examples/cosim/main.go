@@ -37,8 +37,12 @@ func main() {
 
 	// A 16-frame stream with prefetch: the event-level pipeline vs the
 	// idealized two-stage model.
-	rep, err = eng.Simulate(context.Background(), w,
-		hybridpart.SimFrames(16), hybridpart.SimPrefetch(true))
+	eng, err = hybridpart.NewEngine(hybridpart.WithConstraint(60000),
+		hybridpart.WithSimFrames(16), hybridpart.WithSimPrefetch(true))
+	if err != nil {
+		log.Fatal(err)
+	}
+	rep, err = eng.Simulate(context.Background(), w)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -226,9 +226,9 @@ type Options struct {
 
 	// SimFrames, SimPorts and SimPrefetch are the co-simulation knobs shared
 	// by Simulate, the simulated objective and re-ranking (zero frames/ports
-	// mean 1, the analytical model's operating point). They live here — not
-	// only in per-call SimOptions — so they participate in Fingerprint() and
-	// two cached results that differ only in a sim knob can never collide.
+	// mean 1, the analytical model's operating point). They live here so
+	// they participate in Fingerprint() and two cached results that differ
+	// only in a sim knob can never collide.
 	SimFrames   int
 	SimPorts    int
 	SimPrefetch bool

@@ -10,7 +10,7 @@ import "fmt"
 //
 // ObjectiveSimulated replaces the closed form with executed reality: every
 // trajectory prefix is scored by replaying the profiled trace through the
-// discrete-event co-simulator (Config.SimCost), and the mapping with the
+// discrete-event co-simulator (Config.SimCostBatch), and the mapping with the
 // minimal simulated makespan wins — closing the estimation-vs-execution gap
 // the simulator exposed (frame pipelining, port contention and prefetch are
 // invisible to eq. 2, so the model can prefer a partition the simulator
@@ -21,7 +21,7 @@ const (
 	// ObjectiveModel optimizes the closed-form t_total (the default).
 	ObjectiveModel Objective = iota
 	// ObjectiveSimulated optimizes the simulated makespan of each candidate
-	// mapping (requires Config.SimCost).
+	// mapping (requires Config.SimCostBatch).
 	ObjectiveSimulated
 )
 

@@ -554,12 +554,12 @@ func TestSimulateParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := hybridpart.NewEngine(hybridpart.WithConstraint(60000))
+	eng, err := hybridpart.NewEngine(hybridpart.WithConstraint(60000),
+		hybridpart.WithSimFrames(4), hybridpart.WithSimPorts(2), hybridpart.WithSimPrefetch(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := eng.SimulateProfiled(context.Background(), app, prof,
-		hybridpart.SimFrames(4), hybridpart.SimPorts(2), hybridpart.SimPrefetch(true))
+	rep, err := eng.SimulateProfiled(context.Background(), app, prof)
 	if err != nil {
 		t.Fatal(err)
 	}

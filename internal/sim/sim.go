@@ -324,9 +324,16 @@ type Arena struct {
 	tokUse             []uint8
 }
 
-// grow sizes the per-block tables for n blocks (the prefetch oracle is grown
-// separately, only when a replay needs it).
-func (a *Arena) grow(n int) {
+// load sets the arena up for one candidate mapping of r's function: the
+// moved mask (range-checked), the fine-grain packing of the FPGA-resident
+// blocks — exactly as the partitioning engine's t_FPGA evaluation packs
+// them — and the per-block tables in ticks: data-path latency (from the
+// same list schedule the engine used) and transfer occupancy for moved
+// blocks, level cycles per execution for kept ones. Both branches write all
+// three tables, since the arena may hold a previous mapping's values. The
+// prefetch oracle is grown separately, only when a replay needs it.
+func (a *Arena) load(r *Replayer, ports int, movedBlocks []ir.BlockID) error {
+	n := len(r.in.F.Blocks)
 	if cap(a.moved) < n {
 		a.moved = make([]bool, n)
 		a.latT = make([]int64, n)
@@ -337,9 +344,37 @@ func (a *Arena) grow(n int) {
 	a.latT = a.latT[:n]
 	a.txT = a.txT[:n]
 	a.execT = a.execT[:n]
-	for i := range a.moved {
-		a.moved[i] = false
+	moved := a.moved
+	for i := range moved {
+		moved[i] = false
 	}
+	for _, b := range movedBlocks {
+		if int(b) < 0 || int(b) >= n {
+			return fmt.Errorf("sim: moved block %d outside the function", b)
+		}
+		moved[b] = true
+	}
+	if err := a.pm.Pack(r.tables, r.in.Plat.Fine, func(id ir.BlockID) bool { return !moved[id] }); err != nil {
+		return err
+	}
+	ratio := int64(r.in.Plat.Coarse.ClockRatio)
+	for id := 0; id < n; id++ {
+		b := ir.BlockID(id)
+		if moved[id] {
+			lat, err := r.CoarseLatency(b)
+			if err != nil {
+				return err
+			}
+			a.latT[id] = lat
+			a.txT[id] = r.TransferTicks(b, ports)
+			a.execT[id] = 0
+			continue
+		}
+		a.latT[id] = 0
+		a.txT[id] = 0
+		a.execT[id] = a.pm.PerBlockCycles[id] * ratio
+	}
+	return nil
 }
 
 // growRegions sizes the per-region sequencer scratch for R regions and
@@ -626,41 +661,14 @@ func (r *Replayer) FineWalkBound(cfg Config, movedBlocks []ir.BlockID, a *Arena)
 	if a == nil {
 		a = new(Arena)
 	}
-	n := len(r.in.F.Blocks)
-	a.grow(n)
-	moved := a.moved
-	for _, b := range movedBlocks {
-		if int(b) < 0 || int(b) >= n {
-			return 0, fmt.Errorf("sim: moved block %d outside the function", b)
-		}
-		moved[b] = true
-	}
-	pm := &a.pm
-	if err := pm.Pack(r.tables, r.in.Plat.Fine, func(id ir.BlockID) bool { return !moved[id] }); err != nil {
+	if err := a.load(r, cfg.Ports, movedBlocks); err != nil {
 		return 0, err
 	}
+	moved, pm := a.moved, &a.pm
+	latT, txT, execT := a.latT, a.txT, a.execT
 	ratio := int64(r.in.Plat.Coarse.ClockRatio)
 	reconT := int64(r.in.Plat.Fine.RegionReconfigCycles()) * ratio
 	regions := pm.Regions
-	// Per-block tables, filled exactly like the replay's (the arena may hold
-	// a previous mapping's values, so moved and kept entries both write).
-	latT, txT, execT := a.latT, a.txT, a.execT
-	for id := 0; id < n; id++ {
-		b := ir.BlockID(id)
-		if moved[id] {
-			lat, err := r.CoarseLatency(b)
-			if err != nil {
-				return 0, err
-			}
-			latT[id] = lat
-			txT[id] = r.TransferTicks(b, cfg.Ports)
-			execT[id] = 0
-			continue
-		}
-		latT[id] = 0
-		txT[id] = 0
-		execT[id] = pm.PerBlockCycles[id] * ratio
-	}
 	// A frame's walk depends on the initially resident partitions only
 	// through each region's first need: after a region is touched once, its
 	// state evolves identically for any starting residency. So one walk
@@ -813,46 +821,14 @@ func (r *Replayer) replay(ctx context.Context, cfg Config, movedBlocks []ir.Bloc
 	in := r.in
 	f := in.F
 	n := len(f.Blocks)
-	a.grow(n)
-	moved := a.moved
-	for _, b := range movedBlocks {
-		if int(b) < 0 || int(b) >= n {
-			return 0, fmt.Errorf("sim: moved block %d outside the function", b)
-		}
-		moved[b] = true
-	}
-
-	// The fine-grain side: pack the FPGA-resident blocks exactly as the
-	// partitioning engine's t_FPGA evaluation does.
-	pm := &a.pm
-	if err := pm.Pack(r.tables, in.Plat.Fine, func(id ir.BlockID) bool { return !moved[id] }); err != nil {
+	if err := a.load(r, cfg.Ports, movedBlocks); err != nil {
 		return 0, err
 	}
-
-	// The coarse-grain side: per-kernel data-path latency (T_CGC cycles)
-	// from the same list schedule the engine used, and per-invocation
-	// transfer words from the live-in/out footprints. Both branches write
-	// all three tables — the arena may hold a previous mapping's values.
+	moved, pm := a.moved, &a.pm
+	latT, txT, execT := a.latT, a.txT, a.execT
 	ratio := int64(in.Plat.Coarse.ClockRatio)
 	reconT := int64(in.Plat.Fine.RegionReconfigCycles()) * ratio
 	regions := pm.Regions
-	latT, txT, execT := a.latT, a.txT, a.execT
-	for id := 0; id < n; id++ {
-		b := ir.BlockID(id)
-		if moved[id] {
-			lat, err := r.CoarseLatency(b)
-			if err != nil {
-				return 0, err
-			}
-			latT[id] = lat
-			txT[id] = r.TransferTicks(b, cfg.Ports)
-			execT[id] = 0
-			continue
-		}
-		latT[id] = 0
-		txT[id] = 0
-		execT[id] = pm.PerBlockCycles[id] * ratio
-	}
 
 	trace := r.trace
 

@@ -56,10 +56,10 @@ type SimScoreStats struct {
 // builds, and only tests set them, so each test flips them on its own
 // engine instead of on shared state.
 type scoringHooks struct {
-	// serial restores the one-at-a-time scoring path: no batch argmin, no
-	// lower-bound pruning, no arena reuse — every candidate goes through the
-	// SimCost loop with a full-report replay. The equivalence suite uses it
-	// as the reference and BenchmarkObjectiveScoring as its baseline.
+	// serial makes ScoreBatch the reference path: every candidate in slate
+	// order through a full-report Simulate, with no bounds, no pruning and
+	// no arena reuse. The equivalence suite uses it as the reference and
+	// BenchmarkObjectiveScoring as its baseline.
 	serial bool
 	// noPruning keeps the batch path (bounds, arena, evaluation order) but
 	// scores every candidate instead of pruning; the admissibility property
@@ -170,19 +170,35 @@ func (s *simScorer) memoSlot(moved []ir.BlockID) (slot int, ok bool) {
 }
 
 // Score returns the simulated makespan (FPGA cycles) of the mapping that
-// moves the given blocks to the coarse-grain data-path. It has the
-// partition.Config.SimCost signature. Calls serialize on the scorer's lock.
+// moves the given blocks to the coarse-grain data-path. Calls serialize on
+// the scorer's lock.
 func (s *simScorer) Score(ctx context.Context, moved []ir.BlockID) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.scoreOne(ctx, moved)
+}
+
+// scoreOne is Score for a caller holding s.mu: a memo hit, or one replay —
+// a full-report Simulate under the serial hook, Makespan on the arena
+// otherwise.
+func (s *simScorer) scoreOne(ctx context.Context, moved []ir.BlockID) (int64, error) {
 	slot, memoized := s.memoSlot(moved)
 	if memoized && s.memo[slot] >= 0 {
 		s.stats.MemoHits++
 		return s.memo[slot], nil
 	}
-	v, err := s.score(ctx, moved)
-	if err != nil {
-		return 0, err
+	var v int64
+	if s.hooks.serial {
+		rep, err := s.rep.Simulate(ctx, s.cfg, moved)
+		if err != nil {
+			return 0, err
+		}
+		v = rep.TotalCycles
+	} else {
+		var err error
+		if v, err = s.rep.Makespan(ctx, s.cfg, moved, &s.arena); err != nil {
+			return 0, err
+		}
 	}
 	s.stats.Scored++
 	s.stats.Replays++
@@ -192,21 +208,9 @@ func (s *simScorer) Score(ctx context.Context, moved []ir.BlockID) (int64, error
 	return v, nil
 }
 
-// score replays one unmemoized mapping. Callers hold s.mu.
-func (s *simScorer) score(ctx context.Context, moved []ir.BlockID) (int64, error) {
-	if s.hooks.serial {
-		// The reference path: a full-report replay per candidate.
-		rep, err := s.rep.Simulate(ctx, s.cfg, moved)
-		if err != nil {
-			return 0, err
-		}
-		return rep.TotalCycles, nil
-	}
-	return s.rep.Makespan(ctx, s.cfg, moved, &s.arena)
-}
-
 // ScoreBatch scores a whole candidate slate for the argmin pass. It has the
-// partition.Config.SimCostBatch signature.
+// partition.Config.SimCostBatch signature. Under the test-only serial hook
+// it scores every candidate in slate order through scoreOne instead.
 //
 // Every slate, at any frame count, goes through best-first branch-and-bound
 // on the scorer's arena, with the costly bound taken lazily. Every
@@ -235,6 +239,19 @@ func (s *simScorer) ScoreBatch(ctx context.Context, candidates [][]ir.BlockID) (
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.hooks.serial {
+		for i, moved := range candidates {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			v, err := s.scoreOne(ctx, moved)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = partition.SimScore{Cycles: v}
+		}
+		return out, nil
+	}
 	// Memo hits resolve immediately and seed the incumbent: every memoized
 	// value is the exact makespan of a candidate in this slate. Everything
 	// else queues on its closed-form bound.

@@ -332,7 +332,6 @@ func TestPartitionAllocs(t *testing.T) {
 		Tables:       app.blockTables(),
 		Latencies:    app.coarseLatencies(plat.Coarse),
 		Objective:    ObjectiveSimulated,
-		SimCost:      s.Score,
 		SimCostBatch: s.ScoreBatch,
 	}
 	ctx := context.Background()

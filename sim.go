@@ -41,18 +41,6 @@ func (s SimSpec) normalized() (SimSpec, error) {
 	return s, nil
 }
 
-// SimOption configures one Simulate call.
-type SimOption func(*SimSpec)
-
-// SimFrames sets the number of application frames to replay.
-func SimFrames(n int) SimOption { return func(s *SimSpec) { s.Frames = n } }
-
-// SimPorts sets the transfer-channel width in shared-memory ports.
-func SimPorts(n int) SimOption { return func(s *SimSpec) { s.Ports = n } }
-
-// SimPrefetch enables or disables configuration prefetch.
-func SimPrefetch(on bool) SimOption { return func(s *SimSpec) { s.Prefetch = on } }
-
 // FabricUtil is one fabric's occupancy over the simulated makespan, in FPGA
 // cycles. Utilization is the busy fraction (reconfiguration time excluded).
 type FabricUtil struct {
@@ -191,33 +179,27 @@ func (r *SimReport) Format() string {
 //
 // The context is checked between simulated frames; cancellation returns
 // ctx.Err(). Frame completions stream to the observer as SimEvents. The
-// simulation is deterministic: equal workloads, knobs and spec produce an
-// identical SimReport.
-func (e *Engine) Simulate(ctx context.Context, w *Workload, opts ...SimOption) (*SimReport, error) {
+// simulation is deterministic: equal workloads and knobs produce an
+// identical SimReport. The engine's WithSimFrames, WithSimPorts and
+// WithSimPrefetch knobs set the operating point.
+func (e *Engine) Simulate(ctx context.Context, w *Workload) (*SimReport, error) {
 	app, prof, err := w.profiled()
 	if err != nil {
 		return nil, err
 	}
-	return e.SimulateProfiled(ctx, app, prof, opts...)
+	return e.SimulateProfiled(ctx, app, prof)
 }
 
 // SimulateProfiled is Simulate on a pre-compiled App and an explicit
 // profile snapshot — see PartitionProfiled for when to prefer it over the
 // Workload path.
-func (e *Engine) SimulateProfiled(ctx context.Context, a *App, p *RunProfile, opts ...SimOption) (*SimReport, error) {
+func (e *Engine) SimulateProfiled(ctx context.Context, a *App, p *RunProfile) (*SimReport, error) {
 	if a == nil || p == nil {
 		return nil, fmt.Errorf("hybridpart: SimulateProfiled needs a non-nil app and profile")
 	}
-	// The engine-level sim knobs (WithSimFrames/WithSimPorts/WithSimPrefetch,
-	// fingerprinted in Options) are the defaults; per-call SimOptions layer
-	// over them for this one simulation.
-	spec := simSpecOf(e.opts)
-	for _, opt := range opts {
-		if opt != nil {
-			opt(&spec)
-		}
-	}
-	spec, err := spec.normalized()
+	// The engine's sim knobs (WithSimFrames/WithSimPorts/WithSimPrefetch,
+	// fingerprinted in Options) are the operating point.
+	spec, err := simSpecOf(e.opts).normalized()
 	if err != nil {
 		return nil, err
 	}

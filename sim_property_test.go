@@ -109,7 +109,8 @@ func partitionWith(t *testing.T, app *App, prof *RunProfile, opts ...Option) *Re
 // 8 pipelined frames, both the full simulated objective and rerank(3) find
 // a partition whose simulated makespan is strictly lower than the one the
 // closed-form model objective picks — the estimation-vs-execution gap the
-// feedback loop exists to close.
+// feedback loop exists to close — and the simulated objective's simulated
+// speedup is strictly higher.
 func TestObjectiveSimulatedBeatsModelOFDM(t *testing.T) {
 	t.Parallel()
 	app, prof, err := ProfileBenchmarkCached(BenchOFDM, 1)
@@ -125,6 +126,10 @@ func TestObjectiveSimulatedBeatsModelOFDM(t *testing.T) {
 	if simObj.SimulatedCycles >= model.SimulatedCycles {
 		t.Fatalf("simulated objective did not improve: %d >= %d (moved %v vs %v)",
 			simObj.SimulatedCycles, model.SimulatedCycles, simObj.Moved, model.Moved)
+	}
+	if simObj.SimulatedSpeedup <= model.SimulatedSpeedup {
+		t.Fatalf("simulated objective's simulated speedup %.3f not above the model objective's %.3f",
+			simObj.SimulatedSpeedup, model.SimulatedSpeedup)
 	}
 	rerank := partitionWith(t, app, prof, append(base, WithRerank(3))...)
 	if rerank.SimulatedCycles >= model.SimulatedCycles {

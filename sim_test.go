@@ -93,16 +93,15 @@ func TestSimulateDeterministicJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(WithConstraint(60000))
+	eng, err := NewEngine(WithConstraint(60000), WithSimFrames(4), WithSimPorts(2), WithSimPrefetch(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := []SimOption{SimFrames(4), SimPorts(2), SimPrefetch(true)}
-	a, err := eng.SimulateProfiled(context.Background(), app, prof, opts...)
+	a, err := eng.SimulateProfiled(context.Background(), app, prof)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := eng.SimulateProfiled(context.Background(), app, prof, opts...)
+	b, err := eng.SimulateProfiled(context.Background(), app, prof)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,23 +156,52 @@ func TestSimulatePrefetchNeverSlower(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := NewEngine(WithConstraint(DefaultConstraint(bench)))
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, frames := range []int{1, 16} {
-			off, err := eng.SimulateProfiled(context.Background(), app, prof, SimFrames(frames))
-			if err != nil {
-				t.Fatal(err)
+			simulate := func(prefetch bool) *SimReport {
+				eng := mustEngine(t, WithConstraint(DefaultConstraint(bench)), WithSimFrames(frames), WithSimPrefetch(prefetch))
+				rep, err := eng.SimulateProfiled(context.Background(), app, prof)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rep
 			}
-			on, err := eng.SimulateProfiled(context.Background(), app, prof, SimFrames(frames), SimPrefetch(true))
-			if err != nil {
-				t.Fatal(err)
-			}
+			off, on := simulate(false), simulate(true)
 			if on.TotalCycles > off.TotalCycles {
 				t.Errorf("%s frames=%d: prefetch slower: %d > %d", bench, frames, on.TotalCycles, off.TotalCycles)
 			}
 		}
+	}
+}
+
+// TestSimulateRegionsHeadline pins the partial-dynamic-reconfiguration
+// headline on reconfiguration-bound OFDM (constraint 60000, A_FPGA 1200, 8
+// pipelined frames): the monolithic context simulates 399176 cycles with or
+// without prefetch, and two independently reconfigurable regions 358824.
+// Two regions must strictly beat the single-context model's best
+// mitigation, prefetch, and prefetch must never lose to the plain
+// monolithic run.
+func TestSimulateRegionsHeadline(t *testing.T) {
+	app, prof, err := ProfileBenchmarkCached(BenchOFDM, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	simulate := func(opt ...Option) int64 {
+		eng := mustEngine(t, append([]Option{WithConstraint(60000), WithArea(1200), WithSimFrames(8)}, opt...)...)
+		rep, err := eng.SimulateProfiled(context.Background(), app, prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.TotalCycles
+	}
+	r1, r1Prefetch, r2 := simulate(), simulate(WithSimPrefetch(true)), simulate(WithRegions(2))
+	if r1 != 399176 || r1Prefetch != 399176 || r2 != 358824 {
+		t.Errorf("R=1 %d, R=1 prefetch %d, R=2 %d; want 399176, 399176, 358824", r1, r1Prefetch, r2)
+	}
+	if r2 >= r1Prefetch {
+		t.Errorf("R=2 (%d cycles) does not beat R=1 with prefetch (%d)", r2, r1Prefetch)
+	}
+	if r1Prefetch > r1 {
+		t.Errorf("prefetch slower: %d > %d", r1Prefetch, r1)
 	}
 }
 
@@ -186,6 +214,7 @@ func TestSimulateEvents(t *testing.T) {
 	var events []SimEvent
 	eng, err := NewEngine(
 		WithConstraint(60000),
+		WithSimFrames(3),
 		WithObserver(func(ev Event) {
 			if se, ok := ev.(SimEvent); ok {
 				events = append(events, se)
@@ -199,7 +228,7 @@ func TestSimulateEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := eng.Simulate(context.Background(), w, SimFrames(3))
+	rep, err := eng.Simulate(context.Background(), w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,15 +263,15 @@ func TestSimulateSpecValidation(t *testing.T) {
 	if _, err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := NewEngine(WithSimFrames(-1)); err == nil {
+		t.Error("negative frames accepted")
+	}
+	if _, err := NewEngine(WithSimPorts(-2)); err == nil {
+		t.Error("negative ports accepted")
+	}
 	eng, err := NewEngine(WithConstraint(100))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := eng.Simulate(context.Background(), w, SimFrames(-1)); err == nil {
-		t.Error("negative frames accepted")
-	}
-	if _, err := eng.Simulate(context.Background(), w, SimPorts(-2)); err == nil {
-		t.Error("negative ports accepted")
 	}
 	if _, err := eng.Simulate(context.Background(), nil); err == nil {
 		t.Error("nil workload accepted")
