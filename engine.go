@@ -456,7 +456,7 @@ func (e *Engine) Analyze(w *Workload) (*Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep := app.analyze(prof.Freq, e.opts.weights())
+	rep := prof.analysisFor(app, e.opts.weights()).rep
 	out := &Analysis{rep: rep}
 	for _, id := range rep.Kernels {
 		b := rep.Block(id)
@@ -521,14 +521,19 @@ func (e *Engine) partitionScored(ctx context.Context, a *App, p *RunProfile, opt
 	if err := plat.Validate(); err != nil {
 		return nil, nil, err
 	}
-	rep := a.analyze(p.Freq, opts.weights())
+	lat, err := a.coarseLatencies(ctx, plat.Coarse)
+	if err != nil {
+		return nil, nil, err
+	}
+	an := p.analysisFor(a, opts.weights())
 	cfg := partition.Config{
 		Platform:         plat,
 		Constraint:       opts.Constraint,
 		Order:            opts.Order,
+		Kernels:          an.kernels(opts.Order),
 		Edges:            p.edges,
 		Tables:           a.blockTables(),
-		Latencies:        a.coarseLatencies(plat.Coarse),
+		Latencies:        lat,
 		MaxMoves:         opts.MaxMoves,
 		SkipNonImproving: opts.SkipNonImproving,
 		OnMove:           onMove,
@@ -537,14 +542,13 @@ func (e *Engine) partitionScored(ctx context.Context, a *App, p *RunProfile, opt
 	}
 	var scorer *simScorer
 	if simKnobsActive(opts) {
-		var err error
-		if scorer, err = newSimScorer(a, p, plat, simSpecOf(opts)); err != nil {
+		if scorer, err = newSimScorer(ctx, a, p, plat, simSpecOf(opts)); err != nil {
 			return nil, nil, err
 		}
 		scorer.hooks = e.hooks
 		cfg.SimCostBatch = scorer.ScoreBatch
 	}
-	res, err := partition.Partition(ctx, a.fprog, a.flat, rep, cfg)
+	res, err := partition.Partition(ctx, a.fprog, a.flat, an.rep, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -618,14 +622,18 @@ func (e *Engine) PartitionEnergyProfiled(ctx context.Context, a *App, p *RunProf
 	if err := plat.Validate(); err != nil {
 		return nil, err
 	}
-	rep := a.analyze(p.Freq, e.opts.weights())
+	lat, err := a.coarseLatencies(ctx, plat.Coarse)
+	if err != nil {
+		return nil, err
+	}
+	rep := p.analysisFor(a, e.opts.weights()).rep
 	cfg := energy.Config{
 		Platform:  plat,
 		Costs:     energy.DefaultCosts(),
 		Budget:    e.budget,
 		Order:     e.opts.Order,
 		Edges:     p.edges,
-		Latencies: a.coarseLatencies(plat.Coarse),
+		Latencies: lat,
 	}
 	if e.observer != nil {
 		budget := e.budget

@@ -1,6 +1,7 @@
 package hybridpart
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -16,6 +17,7 @@ import (
 	"hybridpart/internal/lower"
 	"hybridpart/internal/minic"
 	"hybridpart/internal/platform"
+	"hybridpart/internal/sim"
 )
 
 // App is a compiled application: the lowered program plus the flattened
@@ -60,19 +62,46 @@ func (a *App) blockTables() *ir.BlockTables {
 
 // coarseLatencies returns flat's data-path latency table on cg, scheduling
 // every block the first time cg is seen (or seen again after another
-// platform replaced it).
-func (a *App) coarseLatencies(cg platform.CoarseGrain) *coarsegrain.LatencyTable {
+// platform replaced it). The build checks ctx between blocks; a cancelled
+// build returns ctx's error and leaves the App's entry as it was.
+func (a *App) coarseLatencies(ctx context.Context, cg platform.CoarseGrain) (*coarsegrain.LatencyTable, error) {
 	if t := a.latencies.Load(); t != nil && t.Coarse == cg {
-		return t
+		return t, nil
 	}
-	t := coarsegrain.BuildLatencyTable(a.fprog, a.blockTables(), cg)
+	t, err := coarsegrain.BuildLatencyTableContext(ctx, a.fprog, a.blockTables(), cg)
+	if err != nil {
+		return nil, err
+	}
 	a.latencies.Store(t)
-	return t
+	return t, nil
 }
 
 // analyze runs the analysis step (Table 1) on one profile.
 func (a *App) analyze(freq []uint64, w analysis.Weights) *analysis.Report {
 	return a.structure.Analyze(freq, w)
+}
+
+// newReplayer builds the co-simulator's replayer for profile p on plat from
+// the App's block and latency tables and p's canonical trace.
+func (a *App) newReplayer(ctx context.Context, p *RunProfile, plat platform.Platform) (*sim.Replayer, error) {
+	lat, err := a.coarseLatencies(ctx, plat.Coarse)
+	if err != nil {
+		return nil, err
+	}
+	tr, err := p.canonicalTrace(a)
+	if err != nil {
+		return nil, err
+	}
+	return sim.NewReplayer(sim.Input{
+		Prog:      a.fprog,
+		F:         a.flat,
+		Tables:    a.blockTables(),
+		Latencies: lat,
+		Plat:      plat,
+		Freq:      p.Freq,
+		Edges:     p.edges,
+		Trace:     tr,
+	})
 }
 
 // ErrBlockTooLarge reports a flattened basic block with more than
@@ -147,9 +176,91 @@ func (a *App) WriteDFGDot(w io.Writer, id int) error {
 // calls: per-block execution counts plus taken control-flow transition
 // counts (the reconfiguration model charges partition crossings on the
 // latter).
+//
+// A RunProfile is a snapshot, immutable once handed to an Engine: callers
+// must not mutate Freq afterwards. Engine runs on the snapshot's own App
+// build its scoring context on first use and keep it here — the canonical
+// trace the co-simulator replays, the analysis report for the engine's
+// weights and the kernel order for each ordering strategy — so repeated
+// runs on one profile pay only for the platform- and mapping-dependent
+// work. The products are built race-free and shared read-only by every
+// run, concurrent ones included; the report is kept for the last weights
+// asked for.
 type RunProfile struct {
 	Freq  []uint64
 	edges []finegrain.EdgeFreq
+
+	// app is the App the snapshot profiles. The scoring context below
+	// serves runs on it only; a RunProfile built literally has none, and
+	// its runs build their own products.
+	app *App
+
+	traceOnce sync.Once
+	trace     *sim.Trace
+	traceErr  error
+
+	// analysis is the report for the last analysis weights asked for. It
+	// holds one entry, like App.latencies: the service shares one profile
+	// per benchmark while clients choose the weights.
+	analysis atomic.Pointer[profileAnalysis]
+}
+
+// canonicalTrace returns p's canonical trace for a run on a, built on
+// first use; nil (NewReplayer then builds one) when p does not profile a.
+func (p *RunProfile) canonicalTrace(a *App) (*sim.Trace, error) {
+	if p.app != a {
+		return nil, nil
+	}
+	p.traceOnce.Do(func() {
+		tokens, runs, err := sim.BuildTrace(a.flat, p.Freq, p.edges)
+		if err != nil {
+			p.traceErr = err
+			return
+		}
+		p.trace = &sim.Trace{Tokens: tokens, Runs: runs}
+	})
+	return p.trace, p.traceErr
+}
+
+// analysisFor returns the analysis step's output for p under weights w on
+// a, reusing the stored entry when w matches it.
+func (p *RunProfile) analysisFor(a *App, w analysis.Weights) *profileAnalysis {
+	if p.app != a {
+		return &profileAnalysis{w: w, rep: a.analyze(p.Freq, w)}
+	}
+	if pa := p.analysis.Load(); pa != nil && pa.w == w {
+		return pa
+	}
+	pa := &profileAnalysis{w: w, rep: a.analyze(p.Freq, w)}
+	p.analysis.Store(pa)
+	return pa
+}
+
+// profileAnalysis is one profile's analysis report under one weight
+// assignment, plus its kernel orders, each built on first use.
+type profileAnalysis struct {
+	w   analysis.Weights
+	rep *analysis.Report
+	// orders[i] is the kernel order under OrderByFreq (i = 0) and
+	// OrderByOpWeight (i = 1); rep.Kernels already holds eq. 1's.
+	orderOnce [2]sync.Once
+	orders    [2][]ir.BlockID
+}
+
+// kernels returns the report's candidate kernels in the given order.
+func (pa *profileAnalysis) kernels(order KernelOrder) []ir.BlockID {
+	var i int
+	switch order {
+	case OrderByFreq:
+		i = 0
+	case OrderByOpWeight:
+		i = 1
+	default:
+		// OrderKernels ranks every other strategy value by total weight.
+		return pa.rep.Kernels
+	}
+	pa.orderOnce[i].Do(func() { pa.orders[i] = analysis.OrderKernels(pa.rep, order) })
+	return pa.orders[i]
 }
 
 // KernelOrder re-exports the analysis ordering strategies.

@@ -16,6 +16,7 @@
 package coarsegrain
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -372,10 +373,22 @@ type LatencyTable struct {
 // BuildLatencyTable list-schedules every block of tables.F onto cg, resolving
 // array sizes against prog for the register-bank model.
 func BuildLatencyTable(prog *ir.Program, tables *ir.BlockTables, cg platform.CoarseGrain) *LatencyTable {
+	t, _ := BuildLatencyTableContext(context.Background(), prog, tables, cg)
+	return t
+}
+
+// BuildLatencyTableContext is BuildLatencyTable abandoned with ctx's error
+// once ctx is done: it checks ctx before scheduling each block, so a
+// source with hundreds of large blocks stops shortly after its caller
+// gives up. A cancelled build returns no table.
+func BuildLatencyTableContext(ctx context.Context, prog *ir.Program, tables *ir.BlockTables, cg platform.CoarseGrain) (*LatencyTable, error) {
 	n := len(tables.DFG)
 	t := &LatencyTable{F: tables.F, Coarse: cg, lat: make([]int64, n), err: make([]error, n)}
 	arrLen := ArrLenOf(prog, tables.F)
 	for id, d := range tables.DFG {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		s, err := MapDFG(d, cg, arrLen)
 		if err != nil {
 			t.err[id] = err
@@ -383,7 +396,7 @@ func BuildLatencyTable(prog *ir.Program, tables *ir.BlockTables, cg platform.Coa
 		}
 		t.lat[id] = s.Latency
 	}
-	return t
+	return t, nil
 }
 
 // Describes reports whether t covers f's blocks scheduled on cg.

@@ -1,6 +1,8 @@
 package coarsegrain
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"hybridpart/internal/ir"
@@ -163,5 +165,46 @@ func TestRoutedChainThroughBank(t *testing.T) {
 	// cycle >= 1 → latency 2.
 	if s.Latency != 2 {
 		t.Fatalf("Latency = %d, want 2", s.Latency)
+	}
+}
+
+// countdownCtx reports cancellation once Err has been asked n times.
+type countdownCtx struct {
+	context.Context
+	n int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.n--; c.n < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestLatencyTableContextStopsBetweenBlocks cancels a table build after its
+// second block: the build returns the context's error and no table, and an
+// uncancelled build of the same function schedules every block.
+func TestLatencyTableContextStopsBetweenBlocks(t *testing.T) {
+	prog, f, _ := bankFunc()
+	for i := 0; i < 3; i++ {
+		f.AddBlock("pad").Term = ir.Terminator{Kind: ir.TermReturn}
+	}
+	tables := ir.BuildBlockTables(f)
+	cg := cgWithBank(1, 2, 2, 1, 256)
+	ctx := &countdownCtx{Context: context.Background(), n: 2}
+	if tab, err := BuildLatencyTableContext(ctx, prog, tables, cg); !errors.Is(err, context.Canceled) || tab != nil {
+		t.Fatalf("cancelled build returned table %v, error %v; want nil, context.Canceled", tab, err)
+	}
+	if ctx.n != -1 {
+		t.Fatalf("build asked for the context's error %d times, want 3 (once per block until cancelled)", 2-ctx.n)
+	}
+	tab, err := BuildLatencyTableContext(context.Background(), prog, tables, cg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := range f.Blocks {
+		if _, err := tab.Latency(ir.BlockID(id)); err != nil {
+			t.Fatalf("block %d: %v", id, err)
+		}
 	}
 }

@@ -220,7 +220,10 @@ func Partition(ctx context.Context, prog *ir.Program, tables *ir.BlockTables, re
 	}
 	latencies := cfg.Latencies
 	if latencies == nil {
-		latencies = coarsegrain.BuildLatencyTable(prog, tables, cfg.Platform.Coarse)
+		var err error
+		if latencies, err = coarsegrain.BuildLatencyTableContext(ctx, prog, tables, cfg.Platform.Coarse); err != nil {
+			return nil, err
+		}
 	} else if !latencies.Describes(f, cfg.Platform.Coarse) {
 		return nil, fmt.Errorf("energy: latency table does not describe function %q on the platform's data-path", f.Name)
 	}

@@ -37,6 +37,10 @@ type Config struct {
 	Constraint int64
 	// Order selects the kernel ordering; the paper uses eq. 1 total weight.
 	Order analysis.KernelOrder
+	// Kernels, when non-nil, is analysis.OrderKernels(rep, Order) built
+	// once by the caller and shared read-only across runs on the same
+	// report; nil orders the report's kernels for this run.
+	Kernels []ir.BlockID
 	// Edges carries the profiled control-flow transition counts used by the
 	// reconfiguration model (empty = only the initial configuration is
 	// charged).
@@ -207,7 +211,10 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 	}
 	latencies := cfg.Latencies
 	if latencies == nil {
-		latencies = coarsegrain.BuildLatencyTable(prog, tables, cfg.Platform.Coarse)
+		var err error
+		if latencies, err = coarsegrain.BuildLatencyTableContext(ctx, prog, tables, cfg.Platform.Coarse); err != nil {
+			return nil, err
+		}
 	} else if !latencies.Describes(f, cfg.Platform.Coarse) {
 		return nil, fmt.Errorf("partition: latency table does not describe function %q on the platform's data-path", f.Name)
 	}
@@ -252,7 +259,10 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 	}
 
 	// Step 3 products: ordered kernels and live-in/out footprints.
-	kernels := analysis.OrderKernels(rep, cfg.Order)
+	kernels := cfg.Kernels
+	if kernels == nil {
+		kernels = analysis.OrderKernels(rep, cfg.Order)
+	}
 	liveIO := tables.LiveIO
 
 	moved := make([]bool, len(f.Blocks))

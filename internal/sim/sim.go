@@ -53,7 +53,20 @@ type Input struct {
 	Plat      platform.Platform
 	Freq      []uint64
 	Edges     []finegrain.EdgeFreq
-	Moved     []ir.BlockID
+	// Trace is the canonical trace BuildTrace builds from F, Freq and
+	// Edges, shared read-only by every Replayer of the same profile; nil
+	// builds it for this Replayer.
+	Trace *Trace
+	Moved []ir.BlockID
+}
+
+// Trace is a profile's loop-compressed canonical trace and the number of
+// profiled runs folded into it, as BuildTrace returns them. It depends on
+// the function and the profile only, never on the platform or the mapping,
+// and is immutable once built.
+type Trace struct {
+	Tokens []Token
+	Runs   int
 }
 
 // KernelStat is one row of the per-kernel timeline: aggregate fabric
@@ -136,8 +149,9 @@ func max64(a, b int64) int64 {
 // ir.BlockTables in Input.Tables, and the data-path latencies from the
 // per-App coarsegrain.LatencyTable in Input.Latencies; both are shared with
 // the partitioning engine and every other Replayer of the same application.
-// The trace and floors are this Replayer's own (one per profile and
-// platform), and the packing of each candidate lives in the caller's Arena.
+// The trace comes from Input.Trace when the caller keeps one per profile
+// (the facade does), the floors are this Replayer's own (one per platform),
+// and the packing of each candidate lives in the caller's Arena.
 //
 // Concurrency contract: a Replayer is safe for concurrent use without
 // locks. Every table it holds or shares is immutable after NewReplayer
@@ -175,9 +189,9 @@ type Replayer struct {
 	areaBase int64
 }
 
-// NewReplayer validates the platform, reconstructs the canonical trace and
-// computes the mapping-independent tables. in.Moved is ignored — the mapping
-// is chosen per Simulate call.
+// NewReplayer validates the platform, reconstructs the canonical trace
+// (unless in.Trace supplies it) and computes the mapping-independent
+// tables. in.Moved is ignored — the mapping is chosen per Simulate call.
 func NewReplayer(in Input) (*Replayer, error) {
 	if err := in.Plat.Validate(); err != nil {
 		return nil, err
@@ -194,10 +208,15 @@ func NewReplayer(in Input) (*Replayer, error) {
 	} else if !latencies.Describes(in.F, in.Plat.Coarse) {
 		return nil, fmt.Errorf("sim: latency table does not describe function %q on the platform's data-path", in.F.Name)
 	}
-	trace, runs, err := BuildTrace(in.F, in.Freq, in.Edges)
-	if err != nil {
-		return nil, err
+	tr := in.Trace
+	if tr == nil {
+		tokens, runs, err := BuildTrace(in.F, in.Freq, in.Edges)
+		if err != nil {
+			return nil, err
+		}
+		tr = &Trace{Tokens: tokens, Runs: runs}
 	}
+	trace, runs := tr.Tokens, tr.Runs
 	n := len(in.F.Blocks)
 	r := &Replayer{
 		in:        in,

@@ -129,20 +129,12 @@ type simScorer struct {
 
 // newSimScorer builds the scorer for one (application, profile, platform,
 // sim spec) tuple. The spec's zero frames/ports normalize to 1.
-func newSimScorer(a *App, p *RunProfile, plat platform.Platform, spec SimSpec) (*simScorer, error) {
+func newSimScorer(ctx context.Context, a *App, p *RunProfile, plat platform.Platform, spec SimSpec) (*simScorer, error) {
 	spec, err := spec.normalized()
 	if err != nil {
 		return nil, err
 	}
-	rep, err := sim.NewReplayer(sim.Input{
-		Prog:      a.fprog,
-		F:         a.flat,
-		Tables:    a.blockTables(),
-		Latencies: a.coarseLatencies(plat.Coarse),
-		Plat:      plat,
-		Freq:      p.Freq,
-		Edges:     p.edges,
-	})
+	rep, err := a.newReplayer(ctx, p, plat)
 	if err != nil {
 		return nil, err
 	}

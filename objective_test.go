@@ -40,11 +40,11 @@ func TestScorePrefixMemo(t *testing.T) {
 	}
 	plat := DefaultOptions().platform(false)
 	spec := SimSpec{Frames: 8}
-	s, err := newSimScorer(app, prof, plat, spec)
+	s, err := newSimScorer(context.Background(), app, prof, plat, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := newSimScorer(app, prof, plat, spec)
+	ref, err := newSimScorer(context.Background(), app, prof, plat, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestScorePrefixMemo(t *testing.T) {
 func TestScoreBatchSpanEndsOnCancel(t *testing.T) {
 	app, prof := compileFIR(t)
 	for _, spec := range []SimSpec{{}, {Frames: 2}} {
-		s, err := newSimScorer(app, prof, DefaultOptions().platform(false), spec)
+		s, err := newSimScorer(context.Background(), app, prof, DefaultOptions().platform(false), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +233,7 @@ func TestScoreBatchLazyOrderMatchesEager(t *testing.T) {
 			if len(recs) == 0 {
 				t.Fatalf("%s: no slate went through the bound queue", label)
 			}
-			ref, err := newSimScorer(app, prof, eng.opts.platform(eng.costsSet), simSpecOf(eng.opts))
+			ref, err := newSimScorer(context.Background(), app, prof, eng.opts.platform(eng.costsSet), simSpecOf(eng.opts))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -306,7 +306,7 @@ func TestScoreBatchTies(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := mustEngine(t, WithObjective(ObjectiveSimulated), WithSimFrames(8))
-	s, err := newSimScorer(app, prof, eng.opts.platform(eng.costsSet), simSpecOf(eng.opts))
+	s, err := newSimScorer(context.Background(), app, prof, eng.opts.platform(eng.costsSet), simSpecOf(eng.opts))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -252,10 +252,20 @@ func TestMakespanAllocs(t *testing.T) {
 }
 
 // TestPartitionSharedWorkloadConcurrent runs the ofdm-sim design points
-// from four goroutines on one shared Workload — and so on one App's shared
-// block tables — and requires every result to equal its serial run.
+// in parallel goroutines on one shared Workload and on one
+// ProfileBenchmarkCached profile — so on one App's shared tables and on
+// one snapshot's lazily built scoring context — and requires every result,
+// SimStats included, to equal its serial run on a fresh workload. Run it
+// under -race.
 func TestPartitionSharedWorkloadConcurrent(t *testing.T) {
-	w, err := BenchmarkWorkload(BenchOFDM, 1)
+	// A seed no other test profiles, so the concurrent runs below are the
+	// first users of the cached profile's scoring context.
+	const seed = 23
+	w, err := BenchmarkWorkload(BenchOFDM, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, prof, err := ProfileBenchmarkCached(BenchOFDM, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,13 +273,11 @@ func TestPartitionSharedWorkloadConcurrent(t *testing.T) {
 	engines := make([]*Engine, len(points))
 	serial := make([]*Result, len(points))
 	for i, d := range points {
-		if engines[i], err = NewEngine(append(append([]Option{}, d.opts...), WithWorkers(1))...); err != nil {
-			t.Fatal(err)
-		}
+		engines[i] = mustEngine(t, d.opts...)
 	}
 	// The serial reference runs on a fresh Workload so the concurrent runs
-	// below are the first users of the shared one's tables.
-	ref, err := BenchmarkWorkload(BenchOFDM, 1)
+	// below are the first users of the shared one's tables and snapshot.
+	ref, err := BenchmarkWorkload(BenchOFDM, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,29 +286,37 @@ func TestPartitionSharedWorkloadConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := make([]*Result, len(points))
-	var wg sync.WaitGroup
-	for i, eng := range engines {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res, err := eng.Partition(context.Background(), w)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			got[i] = res
-		}()
+	runs := []func(*Engine) (*Result, error){
+		func(eng *Engine) (*Result, error) { return eng.Partition(context.Background(), w) },
+		func(eng *Engine) (*Result, error) { return eng.PartitionProfiled(context.Background(), app, prof) },
 	}
-	wg.Wait()
-	for i := range points {
-		if got[i] == nil {
-			continue
+	// The first wave builds the scoring contexts concurrently, the second
+	// shares the warm ones. Each goroutine runs once per wave: later runs
+	// on the same goroutine would hide an unsynchronized build from the
+	// race detector.
+	for wave := range 2 {
+		var wg sync.WaitGroup
+		errs := make(chan error, len(runs)*len(points))
+		for r, run := range runs {
+			for i, eng := range engines {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got, err := run(eng)
+					if err == nil && !reflect.DeepEqual(got, serial[i]) {
+						err = fmt.Errorf("wave %d, %s on shared %s: concurrent result differs from serial\n got %+v\nwant %+v",
+							wave, points[i].name, []string{"workload", "profile"}[r], got, serial[i])
+					}
+					if err != nil {
+						errs <- err
+					}
+				}()
+			}
 		}
-		// Scheduling-dependent counters aside, the runs must be identical.
-		got[i].SimStats, serial[i].SimStats = SimScoreStats{}, SimScoreStats{}
-		if !reflect.DeepEqual(got[i], serial[i]) {
-			t.Errorf("point %d: concurrent result differs from serial\n got %+v\nwant %+v", i, got[i], serial[i])
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
 		}
 	}
 }
@@ -320,17 +336,21 @@ func TestPartitionAllocs(t *testing.T) {
 	}
 	eng := mustEngine(t, WithObjective(ObjectiveSimulated), WithSimFrames(8))
 	plat := eng.opts.platform(eng.costsSet)
-	s, err := newSimScorer(app, prof, plat, simSpecOf(eng.opts))
+	s, err := newSimScorer(context.Background(), app, prof, plat, simSpecOf(eng.opts))
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep := app.analyze(prof.Freq, eng.opts.weights())
+	lat, err := app.coarseLatencies(context.Background(), plat.Coarse)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := partition.Config{
 		Platform:     plat,
 		Constraint:   eng.opts.Constraint,
 		Edges:        prof.edges,
 		Tables:       app.blockTables(),
-		Latencies:    app.coarseLatencies(plat.Coarse),
+		Latencies:    lat,
 		Objective:    ObjectiveSimulated,
 		SimCostBatch: s.ScoreBatch,
 	}

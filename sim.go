@@ -222,20 +222,8 @@ func (e *Engine) SimulateProfiled(ctx context.Context, a *App, p *RunProfile) (*
 	var replayer *sim.Replayer
 	if scorer != nil {
 		replayer = scorer.rep
-	} else {
-		plat := e.opts.platform(e.costsSet)
-		replayer, err = sim.NewReplayer(sim.Input{
-			Prog:      a.fprog,
-			F:         a.flat,
-			Tables:    a.blockTables(),
-			Latencies: a.coarseLatencies(plat.Coarse),
-			Plat:      plat,
-			Freq:      p.Freq,
-			Edges:     p.edges,
-		})
-		if err != nil {
-			return nil, err
-		}
+	} else if replayer, err = a.newReplayer(ctx, p, e.opts.platform(e.costsSet)); err != nil {
+		return nil, err
 	}
 	onFrame := func(stage string) func(int, int64) {
 		if e.observer == nil {

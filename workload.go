@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"hybridpart/internal/finegrain"
 	"hybridpart/internal/interp"
@@ -19,12 +20,17 @@ import (
 //	res, _ := engine.Partition(ctx, w)
 //
 // Run and SetInput mutate the workload's interpreter state and must not be
-// called concurrently with each other; Engine methods only snapshot the
-// accumulated profile and may run concurrently with one another.
+// called concurrently with each other or with Engine methods. Engine
+// methods read one snapshot of the accumulated profile, taken by the first
+// of them after a Run and shared by the rest until the next Run, and may
+// run concurrently with one another.
 type Workload struct {
 	app  *App
 	m    *interp.Machine
 	prof *interp.Profile
+	// snap is the profile snapshot Engine methods share, together with the
+	// scoring context it builds (see RunProfile); every Run drops it.
+	snap atomic.Pointer[RunProfile]
 }
 
 // newWorkload wraps a compiled app in a fresh profiling interpreter
@@ -114,6 +120,9 @@ func (w *Workload) Run(args ...int32) (int32, error) {
 // interpreter polls ctx every 2^16 executed instructions, so a runaway
 // program stops shortly after its caller gives up.
 func (w *Workload) RunContext(ctx context.Context, args ...int32) (int32, error) {
+	// Even a failed run may have counted blocks, so every run ends the
+	// current snapshot.
+	defer w.snap.Store(nil)
 	iargs := make([]interp.Arg, len(args))
 	for i, v := range args {
 		iargs[i] = interp.Int(v)
@@ -125,11 +134,12 @@ func (w *Workload) RunContext(ctx context.Context, args ...int32) (int32, error)
 func (w *Workload) InstructionsExecuted() uint64 { return w.prof.Instrs }
 
 // Profile snapshots the accumulated dynamic analysis: per-block execution
-// counts plus control-flow transition counts, sorted by edge. Engine methods
-// call this implicitly; it is exported so one snapshot can be shared across
-// many knob sets through the *Profiled engine methods.
+// counts plus control-flow transition counts, sorted by edge. Each call
+// returns an independent copy; it is exported so one snapshot can be shared
+// across many knob sets through the *Profiled engine methods. Engine
+// methods on the Workload use their own shared snapshot instead.
 func (w *Workload) Profile() *RunProfile {
-	p := &RunProfile{Freq: make([]uint64, w.app.NumBlocks())}
+	p := &RunProfile{Freq: make([]uint64, w.app.NumBlocks()), app: w.app}
 	copy(p.Freq, w.prof.Counts[w.app.entry])
 	for k, n := range w.prof.Edges[w.app.entry] {
 		p.edges = append(p.edges, finegrain.EdgeFreq{From: k.From(), To: k.To(), N: n})
@@ -143,11 +153,19 @@ func (w *Workload) Profile() *RunProfile {
 	return p
 }
 
-// profiled returns the app and a profile snapshot, erroring on nil
-// workloads so Engine methods fail loudly instead of panicking.
+// profiled returns the app and the shared profile snapshot, taking it on
+// the first call after a Run, and errors on nil workloads so Engine methods
+// fail loudly instead of panicking.
 func (w *Workload) profiled() (*App, *RunProfile, error) {
 	if w == nil || w.app == nil {
 		return nil, nil, fmt.Errorf("hybridpart: nil workload")
 	}
-	return w.app, w.Profile(), nil
+	p := w.snap.Load()
+	if p == nil {
+		// Concurrent first calls may each take one; all keep the winner.
+		if p = w.Profile(); !w.snap.CompareAndSwap(nil, p) {
+			p = w.snap.Load()
+		}
+	}
+	return w.app, p, nil
 }
