@@ -118,23 +118,30 @@
 // canonical trace from the profile as (body, reps) tokens, folding each
 // loop's repetitions as its Hierholzer walk discovers them, and every
 // scorer walks the tokens — one pass at weight 1 and one at weight reps−1
-// for FineWalkBound, a steady-state jump to the last repetition for
-// Makespan — so a candidate costs O(tokens), not O(block visits).
+// for the walk bound, a steady-state jump to the last repetition for the
+// makespan — so a candidate costs O(tokens), not O(block visits).
+//
+// Every mapping a run scores is a prefix of its move trajectory, and the
+// move loop keeps one record per prefix (partition.Prefix): the moved
+// kernel, the eq. 2 components and the Figure 3 packing of the blocks left
+// on the FPGA, packed once, from the predecessor's packing at the block the
+// move took off. The scorer reads those packings instead of repacking, and
+// its memo is indexed by record. The records, the replay arena and the
+// memo are per-run scratch from one sync.Pool.
 //
 // Simulated scoring is pruned, at every frame count: candidates are bounded
 // by admissible lower bounds and only those that can still beat the
-// incumbent replay, one at a time in ascending-bound order on a reused
-// replay arena. The cheap
-// closed-form bound (sim.Replayer.LowerBound) orders a best-first queue;
-// the costlier fine-fabric walk (FineWalkBound) is taken only for a
-// candidate that reaches the front, so most pruned candidates never pay
-// for it. The outcome is bit-identical to scoring every candidate — ties
-// break on trajectory index — and Result.SimStats reports the
-// scored/pruned counters, which are deterministic for a given run. Every
-// mapping a run scores is a prefix of its move trajectory, so the scoring
-// memo is indexed by prefix length. The loop structure the analysis step
-// needs (dominators, natural loops) is built once per App by Compile; each
-// run only weighs its profile against it.
+// incumbent replay, one at a time in ascending-bound order on the run's
+// replay arena. The cheap closed-form bound (sim.Replayer.LowerBound,
+// taken for every prefix in one pass along the trajectory) orders a
+// best-first queue; the costlier fine-fabric walk (FineWalkBoundPacked) is
+// taken only for a candidate that reaches the front, so most pruned
+// candidates never pay for it. The outcome is bit-identical to scoring
+// every candidate — ties break on trajectory index — and Result.SimStats
+// reports the scored/pruned counters, which are deterministic for a given
+// run. The loop structure the analysis step needs (dominators, natural
+// loops) is built once per App by Compile; each run only weighs its
+// profile against it.
 //
 // # Service
 //

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"sync"
 
+	"hybridpart/internal/analysis"
 	"hybridpart/internal/energy"
 	"hybridpart/internal/explore"
 	"hybridpart/internal/obs"
 	"hybridpart/internal/partition"
 	"hybridpart/internal/platform"
+	"hybridpart/internal/sim"
 )
 
 // Engine is the entry point to the methodology: a fixed configuration of
@@ -507,51 +509,29 @@ func (e *Engine) PartitionProfiled(ctx context.Context, a *App, p *RunProfile) (
 // non-nil onFrame additionally replays the chosen mapping once with
 // per-frame callbacks (Sweep uses it to stream per-cell SimEvents).
 //
-// It also returns the run's simScorer (nil when no sim knob is active) so
+// It also returns the run's Replayer (nil when no sim knob is active) so
 // callers that keep simulating — Engine.Simulate replays both mappings for
-// its report — can reuse the scorer's Replayer instead of rebuilding the
-// trace. report=false skips the final/baseline scoring of the
-// chosen mapping for callers that are about to replay it anyway.
+// its report — can reuse it instead of rebuilding the floors. report=false
+// skips the final/baseline scoring of the chosen mapping for callers that
+// are about to replay it anyway.
+//
+// The run's trajectory records, arena and memo come from scratchPool and go
+// back when this call returns, after the report has read them.
 func (e *Engine) partitionScored(ctx context.Context, a *App, p *RunProfile, opts Options,
 	costsSet bool, onMove func(partition.Move), onFrame func(frame int, cycles int64),
-	report bool) (*Result, *simScorer, error) {
-	plat := opts.platform(costsSet)
-	// Validate before the App schedules its kernels on plat's data-path:
-	// an invalid platform must not replace the App's latency table.
-	if err := plat.Validate(); err != nil {
-		return nil, nil, err
-	}
-	lat, err := a.coarseLatencies(ctx, plat.Coarse)
+	report bool) (*Result, *sim.Replayer, error) {
+	sc := scratchPool.Get().(*runScratch)
+	defer scratchPool.Put(sc)
+	cfg, rep, scorer, err := e.runConfig(ctx, a, p, opts, costsSet, sc)
 	if err != nil {
 		return nil, nil, err
 	}
-	an := p.analysisFor(a, opts.weights())
-	cfg := partition.Config{
-		Platform:         plat,
-		Constraint:       opts.Constraint,
-		Order:            opts.Order,
-		Kernels:          an.kernels(opts.Order),
-		Edges:            p.edges,
-		Tables:           a.blockTables(),
-		Latencies:        lat,
-		MaxMoves:         opts.MaxMoves,
-		SkipNonImproving: opts.SkipNonImproving,
-		OnMove:           onMove,
-		Objective:        opts.Objective,
-		RerankK:          opts.RerankK,
-	}
-	var scorer *simScorer
-	if simKnobsActive(opts) {
-		if scorer, err = newSimScorer(ctx, a, p, plat, simSpecOf(opts)); err != nil {
-			return nil, nil, err
-		}
-		scorer.hooks = e.hooks
-		cfg.SimCostBatch = scorer.ScoreBatch
-	}
-	res, err := partition.Partition(ctx, a.fprog, a.flat, an.rep, cfg)
+	cfg.OnMove = onMove
+	res, err := partition.Partition(ctx, a.fprog, a.flat, rep, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
+	sc.prefixes = res.Prefixes
 	out := &Result{
 		InitialCycles:     res.InitialCycles,
 		InitialPartitions: res.InitialPartitions,
@@ -571,12 +551,13 @@ func (e *Engine) partitionScored(ctx context.Context, a *App, p *RunProfile, opt
 		repCtx, repSpan := obs.Start(ctx, "sim.report")
 		defer repSpan.End()
 		ctx = repCtx
-		// Both calls are memo hits when the objective already scored them.
-		total, err := scorer.Score(ctx, res.Moved)
+		// Both calls are memo hits when the objective already scored them:
+		// the chosen mapping is record len(Moved), the all-FPGA one record 0.
+		total, err := scorer.Score(ctx, res.Prefixes, len(res.Moved))
 		if err != nil {
 			return nil, nil, err
 		}
-		base, err := scorer.Score(ctx, nil)
+		base, err := scorer.Score(ctx, res.Prefixes, 0)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -594,7 +575,52 @@ func (e *Engine) partitionScored(ctx context.Context, a *App, p *RunProfile, opt
 			}
 		}
 	}
-	return out, scorer, nil
+	if scorer == nil {
+		return out, nil, nil
+	}
+	return out, scorer.rep, nil
+}
+
+// runConfig builds the move loop's configuration for one run of opts on a
+// and p, storing the trajectory records in sc, and returns it with the
+// analysis report the loop reads and the run's scorer, built on sc (nil
+// when no sim knob is active).
+func (e *Engine) runConfig(ctx context.Context, a *App, p *RunProfile, opts Options, costsSet bool,
+	sc *runScratch) (partition.Config, *analysis.Report, *simScorer, error) {
+	plat := opts.platform(costsSet)
+	// Validate before the App schedules its kernels on plat's data-path:
+	// an invalid platform must not replace the App's latency table.
+	if err := plat.Validate(); err != nil {
+		return partition.Config{}, nil, nil, err
+	}
+	lat, err := a.coarseLatencies(ctx, plat.Coarse)
+	if err != nil {
+		return partition.Config{}, nil, nil, err
+	}
+	an := p.analysisFor(a, opts.weights())
+	cfg := partition.Config{
+		Platform:         plat,
+		Constraint:       opts.Constraint,
+		Order:            opts.Order,
+		Kernels:          an.kernels(opts.Order),
+		Edges:            p.edges,
+		Tables:           a.blockTables(),
+		Latencies:        lat,
+		MaxMoves:         opts.MaxMoves,
+		SkipNonImproving: opts.SkipNonImproving,
+		Objective:        opts.Objective,
+		RerankK:          opts.RerankK,
+		Prefixes:         sc.prefixes,
+	}
+	var scorer *simScorer
+	if simKnobsActive(opts) {
+		if scorer, err = newSimScorer(ctx, a, p, plat, simSpecOf(opts), sc); err != nil {
+			return partition.Config{}, nil, nil, err
+		}
+		scorer.hooks = e.hooks
+		cfg.SimCostBatch = scorer.ScoreBatch
+	}
+	return cfg, an.rep, scorer, nil
 }
 
 // PartitionEnergy runs the energy-constrained engine against the budget set

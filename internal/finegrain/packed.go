@@ -45,6 +45,10 @@ type PackedMapping struct {
 	// (LastPart−FirstPart): every execution of a straddling block pays that
 	// many reconfigurations.
 	InternalCrossings []int
+	// AreaAfter is the area of partition LastPart the walk has covered when
+	// it leaves each block. With LastPart it is the walk's whole state at a
+	// block boundary, which is what PackFrom resumes from.
+	AreaAfter []int
 	// NumPartitions is the number of configuration bit-streams generated.
 	NumPartitions int
 	// Regions is the number of independently reconfigurable regions the
@@ -79,23 +83,64 @@ func PackFunction(f *ir.Function, fg platform.FineGrain, include func(ir.BlockID
 // operator; since partitions only grow along the walk, every group is one
 // contiguous run and a running max per run yields the sum.
 func (pm *PackedMapping) Pack(t *ir.BlockTables, fg platform.FineGrain, include func(ir.BlockID) bool) error {
-	n := len(t.F.Blocks)
+	pm.reset(len(t.F.Blocks), fg)
+	return pm.walk(t, fg, include, 0, 0, 0, false)
+}
+
+// PackFrom overwrites pm with the packing Pack(t, fg, include) computes,
+// starting from prev: a packing of t on fg whose include agreed with this
+// one on every block before from. Figure 3's walk visits blocks in order,
+// so those blocks pack identically: PackFrom copies their entries from prev
+// and resumes the walk at block from with the partition and covered area
+// prev had reached there. The move loop packs each trajectory prefix from
+// its predecessor this way, from the block the move took off the FPGA.
+// pm and prev must be distinct.
+func (pm *PackedMapping) PackFrom(prev *PackedMapping, from ir.BlockID, t *ir.BlockTables, fg platform.FineGrain, include func(ir.BlockID) bool) error {
+	n, k := len(t.F.Blocks), int(from)
+	if pm == prev || len(prev.Included) != n || prev.Regions != fg.NumRegions() || k < 0 || k > n {
+		return fmt.Errorf("finegrain: cannot resume a packing of %d blocks (%d regions) at block %d", len(prev.Included), prev.Regions, from)
+	}
+	pm.reset(n, fg)
+	copy(pm.Included, prev.Included[:k])
+	copy(pm.PerBlockCycles, prev.PerBlockCycles[:k])
+	copy(pm.FirstPart, prev.FirstPart[:k])
+	copy(pm.LastPart, prev.LastPart[:k])
+	copy(pm.InternalCrossings, prev.InternalCrossings[:k])
+	copy(pm.AreaAfter, prev.AreaAfter[:k])
+	part, area, usedAny := 0, 0, false
+	if k > 0 {
+		part, area = prev.LastPart[k-1], prev.AreaAfter[k-1]
+		for j := k - 1; j >= 0 && !usedAny; j-- {
+			usedAny = prev.Included[j] && len(t.Levels[j]) > 0
+		}
+	}
+	return pm.walk(t, fg, include, k, part, area, usedAny)
+}
+
+// reset sizes pm's slices for n blocks packed on fg.
+func (pm *PackedMapping) reset(n int, fg platform.FineGrain) {
 	pm.Included = resize(pm.Included, n)
 	pm.PerBlockCycles = resize(pm.PerBlockCycles, n)
 	pm.FirstPart = resize(pm.FirstPart, n)
 	pm.LastPart = resize(pm.LastPart, n)
 	pm.InternalCrossings = resize(pm.InternalCrossings, n)
+	pm.AreaAfter = resize(pm.AreaAfter, n)
 	pm.NumPartitions = 0
 	pm.Regions = fg.NumRegions()
+}
 
-	part := 0 // current partition index (0-based)
-	areaCovered := 0
-	usedAny := false
+// walk runs Figure 3's walk over blocks from..n−1, entering block from in
+// partition part with area covered and usedAny telling whether an earlier
+// block put a node on the fabric, and writes those blocks' entries and
+// NumPartitions.
+func (pm *PackedMapping) walk(t *ir.BlockTables, fg platform.FineGrain, include func(ir.BlockID) bool,
+	from, part, areaCovered int, usedAny bool) error {
 	// Each temporal partition fills one reconfigurable region; with one
 	// region this is the whole fabric and packing is the paper's Figure 3.
 	limit := fg.RegionArea()
 
-	for id, nodes := range t.Levels {
+	for id := from; id < len(t.Levels); id++ {
+		nodes := t.Levels[id]
 		b := ir.BlockID(id)
 		included := include == nil || include(b)
 		pm.Included[id] = included
@@ -103,6 +148,7 @@ func (pm *PackedMapping) Pack(t *ir.BlockTables, fg platform.FineGrain, include 
 		pm.FirstPart[id] = part
 		pm.LastPart[id] = part
 		pm.InternalCrossings[id] = 0
+		pm.AreaAfter[id] = areaCovered
 		if !included {
 			continue
 		}
@@ -150,6 +196,7 @@ func (pm *PackedMapping) Pack(t *ir.BlockTables, fg platform.FineGrain, include 
 		pm.FirstPart[id] = first
 		pm.LastPart[id] = part
 		pm.InternalCrossings[id] = part - first
+		pm.AreaAfter[id] = areaCovered
 	}
 	if usedAny {
 		pm.NumPartitions = part + 1

@@ -3,6 +3,7 @@ package finegrain
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -325,6 +326,55 @@ func TestTemporalPartitionInvariants(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPackFromMatchesPack: resuming a packing at the block a move takes off
+// the FPGA gives exactly the from-scratch packing, on random functions,
+// exclusions, regions and resume points, including cost tables where ALU
+// and memory operators take no area (so the walk can reach the resume
+// point with an empty partition 0 and still have put nodes on the fabric).
+// Both packings reuse their values across draws, so stale entries would
+// show.
+func TestPackFromMatchesPack(t *testing.T) {
+	var prev, got, want PackedMapping
+	check := func(seed int64, blocksRaw, areaRaw, excludeMask, fromRaw uint8, zeroArea, twoRegions bool) bool {
+		rng := rand.New(rand.NewSource(seed))
+		f := randomFunc(rng, int(blocksRaw%6)+1)
+		tables := ir.BuildBlockTables(f)
+		fg := platform.FineGrain{Area: int(areaRaw%96) + 33, ReconfigCycles: 7, Costs: testCosts()}
+		if zeroArea {
+			fg.Costs.AreaALU, fg.Costs.AreaMem = 0, 0
+		}
+		if twoRegions {
+			fg.Area, fg.Regions = 2*fg.Area, 2
+		}
+		from := ir.BlockID(int(fromRaw) % len(f.Blocks))
+		// prev still holds block from; the move takes it off.
+		include := func(id ir.BlockID) bool { return excludeMask>>id&1 == 0 && id != from }
+		if err := prev.Pack(tables, fg, func(id ir.BlockID) bool { return include(id) || id == from }); err != nil {
+			t.Log(err)
+			return false
+		}
+		if err := want.Pack(tables, fg, include); err != nil {
+			t.Log(err)
+			return false
+		}
+		if err := got.PackFrom(&prev, from, tables, fg, include); err != nil {
+			t.Log(err)
+			return false
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Logf("seed %d, resumed at b%d:\n got %+v\nwant %+v", seed, from, got, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	if err := got.PackFrom(&got, 0, ir.BuildBlockTables(twoBlockFunc()), fgWith(64, 1), nil); err == nil {
+		t.Fatal("PackFrom accepted its own packing as the predecessor")
 	}
 }
 

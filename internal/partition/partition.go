@@ -77,15 +77,80 @@ type Config struct {
 	// is equivalent to ObjectiveSimulated). Mutually exclusive with
 	// ObjectiveSimulated.
 	RerankK int
-	// SimCostBatch scores a whole slate of candidate moved-sets by their
-	// simulated makespans in FPGA cycles. Required when Objective is
-	// ObjectiveSimulated or RerankK is non-zero; the engine facade injects
-	// the co-simulator here, which keeps the move loop independent of
-	// internal/sim. The scorer may prune any candidate it can prove is not
-	// the argmin (bounded below above some fully scored candidate); a
-	// pruned entry carries no cycle count and is skipped by the selection.
-	// The returned slice must have one entry per candidate, index-aligned.
-	SimCostBatch func(ctx context.Context, candidates [][]ir.BlockID) ([]SimScore, error)
+	// SimCostBatch scores a whole slate of candidate trajectory prefixes by
+	// their simulated makespans in FPGA cycles: candidates are indices into
+	// prefixes, the run's whole trajectory (see Prefix), whose records
+	// carry each candidate's moved kernels and packing. Required when
+	// Objective is ObjectiveSimulated or RerankK is non-zero; the engine
+	// facade injects the co-simulator here, which keeps the move loop
+	// independent of internal/sim. The scorer may prune any candidate it
+	// can prove is not the argmin (bounded below above some fully scored
+	// candidate); a pruned entry carries no cycle count and is skipped by
+	// the selection. The returned slice must have one entry per candidate,
+	// index-aligned. The scorer only reads the records.
+	SimCostBatch func(ctx context.Context, prefixes []Prefix, candidates []int) ([]SimScore, error)
+
+	// Prefixes is scratch storage for the run's trajectory records:
+	// Partition overwrites it, packings included, and returns the records
+	// in Result.Prefixes, which share its storage. Reusing the previous
+	// run's Result.Prefixes here lets a warm run allocate no packing. nil
+	// allocates the records.
+	Prefixes []Prefix
+}
+
+// Prefix is one record of the move trajectory: the mapping after the first
+// i accepted moves, record 0 being the all-FPGA mapping. Every mapping a
+// run evaluates is one of these prefixes, so each is packed exactly once —
+// from its predecessor's packing (finegrain.PackedMapping.PackFrom) — and
+// the move loop's eq. 2 evaluation, the simulated scorer's bounds and its
+// replays all read the same record.
+type Prefix struct {
+	// Block is the kernel whose move produced this record; -1 on record 0.
+	// The moved set of record i is the Block of records 1..i.
+	Block ir.BlockID
+	// TFPGA, TCoarse and TComm are the mapping's eq. 2 components and Total
+	// their sum, t_total, all in FPGA cycles.
+	TFPGA, TCoarse, TComm, Total int64
+	// Pack is the Figure 3 packing of the blocks left on the FPGA.
+	Pack finegrain.PackedMapping
+}
+
+// AppendMoved appends the moved set of record i of the trajectory ps to dst
+// and returns it.
+func AppendMoved(dst []ir.BlockID, ps []Prefix, i int) []ir.BlockID {
+	for _, p := range ps[1 : i+1] {
+		dst = append(dst, p.Block)
+	}
+	return dst
+}
+
+// nextPrefix extends ps by one record, reusing the storage (packing
+// included) past len(ps) when there is capacity. Otherwise it grows the
+// capacity to at least want records (doubling past that) and carves the
+// packings of all the new records, for a function of n blocks, out of one
+// array per element type, so a cold run pays four allocations per growth
+// instead of six per record. The caller overwrites every field of the new
+// record.
+func nextPrefix(ps []Prefix, n, want int) []Prefix {
+	if len(ps) < cap(ps) {
+		return ps[:len(ps)+1]
+	}
+	grown := make([]Prefix, len(ps)+1, max(2*cap(ps), want, 1))
+	copy(grown, ps)
+	fresh := grown[len(ps):cap(grown)]
+	bools := make([]bool, len(fresh)*n)
+	cycles := make([]int64, len(fresh)*n)
+	ints := make([]int, 4*len(fresh)*n)
+	for j := range fresh {
+		pm := &fresh[j].Pack
+		lo, hi := j*n, (j+1)*n
+		pm.Included = bools[lo:hi:hi]
+		pm.PerBlockCycles = cycles[lo:hi:hi]
+		four := ints[4*lo : 4*hi : 4*hi]
+		pm.FirstPart, pm.LastPart = four[:n:n], four[n:2*n:2*n]
+		pm.InternalCrossings, pm.AreaAfter = four[2*n:3*n:3*n], four[3*n:]
+	}
+	return grown
 }
 
 // SimScore is one candidate's entry in a SimCostBatch result: either its
@@ -154,6 +219,16 @@ type Result struct {
 	// SimScored counts the candidate mappings SimCostBatch scored (pruned
 	// ones excluded).
 	SimScored int
+
+	// Prefixes holds one record per trajectory prefix the run walked:
+	// Prefixes[i] is the mapping after the first i accepted moves. Moved is
+	// cut to the chosen prefix under simulated selection while Prefixes
+	// keeps the whole trajectory, so Prefixes[len(Moved)] is always the
+	// chosen mapping and Prefixes[0] the all-FPGA one. The records share
+	// Config.Prefixes' storage.
+	Prefixes []Prefix
+	// Packs counts the Figure 3 packings the run performed: one per record.
+	Packs int
 }
 
 // ReductionPct returns the % cycles reduction over the all-FPGA solution
@@ -225,14 +300,29 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 		freq[i] = rep.Blocks[i].Freq
 	}
 
-	// Step 2: map everything to the fine-grain hardware. pm always holds the
-	// packing of the current moved set: all-FPGA here, repacked after every
-	// accepted move.
-	var pm finegrain.PackedMapping
-	if err := pm.Pack(tables, plat.Fine, nil); err != nil {
+	// Step 2: map everything to the fine-grain hardware: record 0 of the
+	// trajectory. Every accepted move appends the next record, packed from
+	// its predecessor.
+	res := &Result{Func: f.Name, Constraint: cfg.Constraint, Objective: cfg.Objective}
+	// Simulation-scored selection walks every kernel, so its records are
+	// sized for the whole trajectory at once; the paper's loop usually
+	// stops after a few moves and grows them as it goes.
+	records := 8
+	if simSelect {
+		records = len(rep.Kernels) + 1
+		if cfg.Kernels != nil {
+			records = len(cfg.Kernels) + 1
+		}
+	}
+	if cfg.MaxMoves > 0 {
+		records = min(records, cfg.MaxMoves+1)
+	}
+	res.Prefixes = nextPrefix(cfg.Prefixes[:0], len(f.Blocks), records)
+	rec := &res.Prefixes[0]
+	if err := rec.Pack.Pack(tables, plat.Fine, nil); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInfeasible, err)
 	}
-	res := &Result{Func: f.Name, Constraint: cfg.Constraint, Objective: cfg.Objective}
+	res.Packs++
 	// One span brackets the whole engine run — the move loop plus, under
 	// simulation-scored selection, the argmin pass. Like every span below it
 	// ends on error returns too, so a failed run still shows in its trace.
@@ -245,10 +335,12 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 			loopSpan.Set(obs.Int("moves", len(res.Moved)), obs.Bool("met", res.Met), obs.Int("sim_scored", res.SimScored))
 		}()
 	}
-	res.InitialCycles = pm.TotalCycles(freq, cfg.Edges, plat.Fine.ReconfigCycles)
-	res.InitialPartitions = pm.NumPartitions
+	res.InitialCycles = rec.Pack.TotalCycles(freq, cfg.Edges, plat.Fine.ReconfigCycles)
+	res.InitialPartitions = rec.Pack.NumPartitions
 	res.FinalCycles = res.InitialCycles
 	res.TFPGA = res.InitialCycles
+	rec.Block = -1
+	rec.TFPGA, rec.TCoarse, rec.TComm, rec.Total = res.InitialCycles, 0, 0, res.InitialCycles
 	if res.InitialCycles <= cfg.Constraint && !simSelect {
 		// Timing met by the all-FPGA solution: the methodology exits before
 		// the analysis/partitioning steps. Simulation-scored selection keeps
@@ -266,25 +358,14 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 	liveIO := tables.LiveIO
 
 	moved := make([]bool, len(f.Blocks))
+	include := func(id ir.BlockID) bool { return !moved[id] }
 	var coarseCGCCycles int64 // Σ latency×freq in T_CGC cycles (eq. 3)
 	var commCycles int64
 	ratio := int64(plat.Coarse.ClockRatio)
 
-	evalTotal := func() (tFPGA, tCoarse, tComm, total int64, err error) {
-		if err := pm.Pack(tables, plat.Fine, func(id ir.BlockID) bool { return !moved[id] }); err != nil {
-			return 0, 0, 0, 0, err
-		}
-		tFPGA = pm.TotalCycles(freq, cfg.Edges, plat.Fine.ReconfigCycles)
-		tCoarse = (coarseCGCCycles + ratio - 1) / ratio
-		tComm = commCycles
-		return tFPGA, tCoarse, tComm, tFPGA + tCoarse + tComm, nil
-	}
-
 	// Step 4: move kernels one by one until the constraint is met (under
 	// simulation-scored selection: until the candidates run out, recording
-	// the eq. 2 components of every prefix for the argmin pass).
-	type prefix struct{ tFPGA, tCoarse, tComm, total int64 }
-	prefixes := []prefix{{tFPGA: res.InitialCycles, total: res.InitialCycles}}
+	// every prefix for the argmin pass).
 	// tryMove attempts to move kernel k under its own "move" span and
 	// reports whether the constraint is now met.
 	tryMove := func(k ir.BlockID) (met bool, err error) {
@@ -312,9 +393,9 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 
 		if cfg.SkipNonImproving {
 			// Does the move pay for itself? Compare the kernel's current
-			// FPGA cost (pm still packs the current moved set) against its
-			// coarse cost plus communication.
-			fpgaCost := pm.PerBlockCycles[k] * int64(freq[k])
+			// FPGA cost (the last record packs the current moved set)
+			// against its coarse cost plus communication.
+			fpgaCost := res.Prefixes[len(res.Prefixes)-1].Pack.PerBlockCycles[k] * int64(freq[k])
 			coarseCost := (moveCGC+ratio-1)/ratio + moveComm
 			if coarseCost >= fpgaCost {
 				res.Skipped = append(res.Skipped, k)
@@ -330,14 +411,23 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 		commCycles += moveComm
 		res.Moved = append(res.Moved, k)
 
-		tFPGA, tCoarse, tComm, total, err := evalTotal()
-		if err != nil {
+		// The new record packs like its predecessor up to block k, the one
+		// this move took off the FPGA.
+		res.Prefixes = nextPrefix(res.Prefixes, len(f.Blocks), records)
+		n := len(res.Prefixes)
+		rec := &res.Prefixes[n-1]
+		if err := rec.Pack.PackFrom(&res.Prefixes[n-2].Pack, k, tables, plat.Fine, include); err != nil {
 			return false, err
 		}
+		res.Packs++
+		tFPGA := rec.Pack.TotalCycles(freq, cfg.Edges, plat.Fine.ReconfigCycles)
+		tCoarse := (coarseCGCCycles + ratio - 1) / ratio
+		tComm := commCycles
+		total := tFPGA + tCoarse + tComm
+		rec.Block, rec.TFPGA, rec.TCoarse, rec.TComm, rec.Total = k, tFPGA, tCoarse, tComm, total
 		res.TFPGA, res.TCoarse, res.TComm = tFPGA, tCoarse, tComm
 		res.FinalCycles = total
 		res.CyclesInCGC = tCoarse
-		prefixes = append(prefixes, prefix{tFPGA: tFPGA, tCoarse: tCoarse, tComm: tComm, total: total})
 		mv := Move{Block: k, CGCCycles: lat, TotalAfter: total}
 		res.Moves = append(res.Moves, mv)
 		if cfg.OnMove != nil {
@@ -376,20 +466,15 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 	// prefixes with the best model t_total (so rerank with k = -1 or
 	// k >= len(prefixes) degenerates to the full simulated objective —
 	// identical candidate set, identical traversal order and tie-break).
-	candidate := make([]bool, len(prefixes))
-	if cfg.Objective == ObjectiveSimulated || cfg.RerankK < 0 || cfg.RerankK >= len(prefixes) {
-		for i := range candidate {
-			candidate[i] = true
-		}
-	} else {
-		order := make([]int, len(prefixes))
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool { return prefixes[order[a]].total < prefixes[order[b]].total })
-		for _, i := range order[:cfg.RerankK] {
-			candidate[i] = true
-		}
+	prefixes := res.Prefixes
+	idxs := make([]int, len(prefixes))
+	for i := range idxs {
+		idxs[i] = i
+	}
+	if cfg.Objective != ObjectiveSimulated && cfg.RerankK > 0 && cfg.RerankK < len(prefixes) {
+		sort.SliceStable(idxs, func(a, b int) bool { return prefixes[idxs[a]].Total < prefixes[idxs[b]].Total })
+		idxs = idxs[:cfg.RerankK]
+		sort.Ints(idxs)
 	}
 	argCtx, argSpan := obs.Start(ctx, "sim.argmin")
 	ctx = argCtx
@@ -402,20 +487,12 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 	// comparison, so ties break on the lowest trajectory index — a pruned
 	// candidate is by contract strictly worse than some scored one, so
 	// skipping it never changes the argmin.
-	idxs := make([]int, 0, len(prefixes))
-	cands := make([][]ir.BlockID, 0, len(prefixes))
-	for i := range prefixes {
-		if candidate[i] {
-			idxs = append(idxs, i)
-			cands = append(cands, res.Moved[:i])
-		}
-	}
-	scores, err := cfg.SimCostBatch(ctx, cands)
+	scores, err := cfg.SimCostBatch(ctx, prefixes, idxs)
 	if err != nil {
 		return nil, err
 	}
-	if len(scores) != len(cands) {
-		return nil, fmt.Errorf("partition: SimCostBatch returned %d scores for %d candidates", len(scores), len(cands))
+	if len(scores) != len(idxs) {
+		return nil, fmt.Errorf("partition: SimCostBatch returned %d scores for %d candidates", len(scores), len(idxs))
 	}
 	bestIdx, bestSim := -1, int64(0)
 	for k, i := range idxs {
@@ -433,13 +510,13 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 	if argSpan != nil {
 		argSpan.Set(obs.Int("scored", res.SimScored), obs.Int("best_prefix", bestIdx))
 	}
-	best := prefixes[bestIdx]
+	best := &prefixes[bestIdx]
 	res.Moved = res.Moved[:bestIdx]
 	res.Moves = res.Moves[:bestIdx]
-	res.TFPGA, res.TCoarse, res.TComm = best.tFPGA, best.tCoarse, best.tComm
-	res.FinalCycles = best.total
-	res.CyclesInCGC = best.tCoarse
-	res.Met = best.total <= cfg.Constraint
+	res.TFPGA, res.TCoarse, res.TComm = best.TFPGA, best.TCoarse, best.TComm
+	res.FinalCycles = best.Total
+	res.CyclesInCGC = best.TCoarse
+	res.Met = best.Total <= cfg.Constraint
 	res.SimulatedCycles = bestSim
 	return res, nil
 }

@@ -390,15 +390,16 @@ func TestOnMoveMatchesMoves(t *testing.T) {
 }
 
 // batchStub builds a SimCostBatch stub whose scores are computed per slate
-// index, and records the last slate it saw.
-func batchStub(t *testing.T, score func(i int, moved []ir.BlockID) SimScore) (func(context.Context, [][]ir.BlockID) ([]SimScore, error), *[][]ir.BlockID) {
+// index, and records the moved sets of the last slate it saw.
+func batchStub(t *testing.T, score func(i int, moved []ir.BlockID) SimScore) (func(context.Context, []Prefix, []int) ([]SimScore, error), *[][]ir.BlockID) {
 	t.Helper()
 	var slates [][]ir.BlockID
-	batch := func(ctx context.Context, cands [][]ir.BlockID) ([]SimScore, error) {
-		slates = cands
+	batch := func(ctx context.Context, ps []Prefix, cands []int) ([]SimScore, error) {
+		slates = slates[:0]
 		out := make([]SimScore, len(cands))
-		for i, m := range cands {
-			out[i] = score(i, m)
+		for i, c := range cands {
+			slates = append(slates, AppendMoved(nil, ps, c))
+			out[i] = score(i, slates[i])
 		}
 		return out, nil
 	}
@@ -506,7 +507,7 @@ func TestSimCostBatchAllPrunedErrors(t *testing.T) {
 // result.
 func TestSimCostBatchLengthMismatchErrors(t *testing.T) {
 	p := prepare(t, hotLoopSrc, "f", interp.Int(8))
-	batch := func(ctx context.Context, cands [][]ir.BlockID) ([]SimScore, error) {
+	batch := func(ctx context.Context, _ []Prefix, cands []int) ([]SimScore, error) {
 		return make([]SimScore, len(cands)+1), nil
 	}
 	cfg := Config{
@@ -529,7 +530,7 @@ func TestSpansEndOnScoringError(t *testing.T) {
 	errScoring := errors.New("scoring failed")
 	cfg := Config{
 		Platform: platform.Paper(5000, 2), Constraint: 1, Objective: ObjectiveSimulated,
-		SimCostBatch: func(context.Context, [][]ir.BlockID) ([]SimScore, error) {
+		SimCostBatch: func(context.Context, []Prefix, []int) ([]SimScore, error) {
 			return nil, errScoring
 		},
 	}

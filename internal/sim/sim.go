@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
 
 	"hybridpart/internal/coarsegrain"
@@ -132,10 +131,12 @@ func max64(a, b int64) int64 {
 // Replayer is the reusable half of the simulator: the canonical trace, the
 // per-block fine-grain floors and the per-kernel data-path latencies, all of
 // which depend only on the application, its profile and the platform — not
-// on the mapping. Building one Replayer and calling Simulate per candidate
-// moved-set is what makes simulated makespan affordable as a move-loop
-// objective: each candidate pays only the packing and the replay, never a
-// trace reconstruction or a list-scheduling pass.
+// on the mapping. Building one Replayer and scoring each candidate mapping
+// on it is what makes simulated makespan affordable as a move-loop
+// objective: each candidate pays only its packing and its replay, never a
+// trace reconstruction or a list-scheduling pass — and a candidate that
+// arrives with its packing (MakespanPacked, FineWalkBoundPacked; the move
+// loop packs every trajectory prefix once) pays only the replay.
 //
 // The trace is held loop-compressed, as the (body, reps) tokens BuildTrace
 // emits, and every per-mapping walk — FineWalkBound and Makespan — costs
@@ -150,16 +151,18 @@ func max64(a, b int64) int64 {
 // per-App coarsegrain.LatencyTable in Input.Latencies; both are shared with
 // the partitioning engine and every other Replayer of the same application.
 // The trace comes from Input.Trace when the caller keeps one per profile
-// (the facade does), the floors are this Replayer's own (one per platform),
-// and the packing of each candidate lives in the caller's Arena.
+// (the facade does) and the floors are this Replayer's own (one per
+// platform). A candidate's packing is either the caller's own, passed to
+// the Packed entry points, or packed once into the caller's Arena by the
+// entry points that take a moved-block list.
 //
 // Concurrency contract: a Replayer is safe for concurrent use without
 // locks. Every table it holds or shares is immutable after NewReplayer
 // returns, so any number of goroutines may call Simulate, Makespan,
 // LowerBound, FineWalkBound, CoarseLatency and TransferTicks on one shared
 // Replayer. The only per-goroutine state is the Arena (and the caller's own
-// mapping): an Arena must not be shared between concurrent calls — give
-// each worker its own.
+// mapping and packing, which the Replayer only reads): an Arena must not be
+// shared between concurrent calls — give each worker its own.
 type Replayer struct {
 	in        Input
 	tables    *ir.BlockTables
@@ -173,9 +176,10 @@ type Replayer struct {
 	// minFineT[b] is a packing-independent lower bound on block b's
 	// per-execution fine-grain cost in ticks: its cost when packed into one
 	// unbounded region, i.e. the sum over DFG levels of the level's max node
-	// latency (min 1). Any packing only splits levels across partition
-	// boundaries, and a split level contributes at least its unsplit max, so
-	// PerBlockCycles >= minFineT/ratio for every mapping.
+	// latency (min 1; 1 for a block without DFG nodes). Any packing only
+	// splits levels across partition boundaries, and a split level
+	// contributes at least its unsplit max, so PerBlockCycles >=
+	// minFineT/ratio for every mapping.
 	minFineT []int64
 	// fineBase is the all-FPGA per-frame floor: Σ_b Freq[b]·minFineT[b].
 	fineBase int64
@@ -231,20 +235,23 @@ func NewReplayer(in Input) (*Replayer, error) {
 		r.bodyLen += len(t.Body)
 		r.traceLen += len(t.Body) * int(t.Reps)
 	}
-	// The execution floor is the packing into a single region no operator
-	// can overflow: no partition boundary ever splits a level.
-	var floor finegrain.PackedMapping
-	unbounded := platform.FineGrain{Area: math.MaxInt, Costs: in.Plat.Fine.Costs}
-	if err := floor.Pack(tables, unbounded, nil); err != nil {
-		return nil, err
-	}
+	// The execution floor is the cost in a single region no operator can
+	// overflow: no partition boundary ever splits a level, so each level
+	// costs its slowest node. Levels lists the nodes level-major.
+	costs := in.Plat.Fine.Costs
 	ratio := int64(in.Plat.Coarse.ClockRatio)
 	for _, b := range in.F.Blocks {
-		var area int64
+		var area, cycles int64
+		level, levelMax := int32(0), 0
 		for _, nd := range tables.Levels[b.ID] {
-			area += int64(in.Plat.Fine.Costs.Area(nd.Class))
+			area += int64(costs.Area(nd.Class))
+			if nd.Level != level {
+				cycles += int64(levelMax)
+				level, levelMax = nd.Level, 0
+			}
+			levelMax = max(levelMax, costs.Latency(nd.Class))
 		}
-		r.minFineT[b.ID] = floor.PerBlockCycles[b.ID] * ratio
+		r.minFineT[b.ID] = max(cycles+int64(levelMax), 1) * ratio
 		r.blockArea[b.ID] = area
 		if int(b.ID) < len(in.Freq) && in.Freq[b.ID] > 0 {
 			r.fineBase += int64(in.Freq[b.ID]) * r.minFineT[b.ID]
@@ -308,16 +315,19 @@ func Simulate(ctx context.Context, in Input, cfg Config) (*Report, error) {
 	return r.Simulate(ctx, cfg, in.Moved)
 }
 
-// Arena is the reusable scratch of one replay: the moved mask, the
-// candidate's packing, the per-block cost tables, the per-region sequencer
-// state, the prefetch oracle and the fast-forward snapshots. Makespan and
-// FineWalkBound grow it on first use and reuse the buffers afterwards, so a
-// worker scoring thousands of candidate mappings allocates only on its
-// first call. An Arena belongs to exactly one goroutine at a time; the
-// zero value is ready to use.
+// Arena is the reusable scratch of one replay: the moved mask, the per-block
+// cost tables, the per-region sequencer state, the prefetch oracle, the
+// fast-forward snapshots and, for the entry points that take a moved-block
+// list, the candidate's packing. Makespan and FineWalkBound grow it on
+// first use and reuse the buffers afterwards, so a worker scoring thousands
+// of candidate mappings allocates only on its first call. An Arena belongs
+// to exactly one goroutine at a time; the zero value is ready to use.
 type Arena struct {
 	moved []bool
+	// pm is the packing the moved-block entry points pack their candidate
+	// into; packs counts those packings.
 	pm    finegrain.PackedMapping
+	packs int
 	latT  []int64 // kernel latency, in ticks (T_CGC cycles)
 	txT   []int64 // transfer-channel occupancy per invocation, ticks
 	execT []int64 // fine-grain level cycles per execution, ticks
@@ -343,16 +353,13 @@ type Arena struct {
 	tokUse             []uint8
 }
 
-// load sets the arena up for one candidate mapping of r's function: the
-// moved mask (range-checked), the fine-grain packing of the FPGA-resident
-// blocks — exactly as the partitioning engine's t_FPGA evaluation packs
-// them — and the per-block tables in ticks: data-path latency (from the
-// same list schedule the engine used) and transfer occupancy for moved
-// blocks, level cycles per execution for kept ones. Both branches write all
-// three tables, since the arena may hold a previous mapping's values. The
-// prefetch oracle is grown separately, only when a replay needs it.
-func (a *Arena) load(r *Replayer, ports int, movedBlocks []ir.BlockID) error {
-	n := len(r.in.F.Blocks)
+// Packs returns how many candidate mappings the arena has packed itself:
+// one per Simulate, Makespan or FineWalkBound call. The Packed entry points
+// read the caller's packing and pack nothing.
+func (a *Arena) Packs() int { return a.packs }
+
+// grow sizes the per-block scratch for n blocks.
+func (a *Arena) grow(n int) {
 	if cap(a.moved) < n {
 		a.moved = make([]bool, n)
 		a.latT = make([]int64, n)
@@ -363,6 +370,14 @@ func (a *Arena) load(r *Replayer, ports int, movedBlocks []ir.BlockID) error {
 	a.latT = a.latT[:n]
 	a.txT = a.txT[:n]
 	a.execT = a.execT[:n]
+}
+
+// pack packs the mapping that moves movedBlocks (range-checked) into a.pm
+// exactly as the partitioning engine packs a trajectory prefix: every other
+// block stays on the FPGA.
+func (a *Arena) pack(r *Replayer, movedBlocks []ir.BlockID) error {
+	n := len(r.in.F.Blocks)
+	a.grow(n)
 	moved := a.moved
 	for i := range moved {
 		moved[i] = false
@@ -373,12 +388,30 @@ func (a *Arena) load(r *Replayer, ports int, movedBlocks []ir.BlockID) error {
 		}
 		moved[b] = true
 	}
-	if err := a.pm.Pack(r.tables, r.in.Plat.Fine, func(id ir.BlockID) bool { return !moved[id] }); err != nil {
-		return err
+	a.packs++
+	return a.pm.Pack(r.tables, r.in.Plat.Fine, func(id ir.BlockID) bool { return !moved[id] })
+}
+
+// load sets the arena up for one candidate mapping of r's function, given
+// its packing pm: the moved mask (every block pm leaves off the FPGA) and
+// the per-block tables in ticks: data-path latency (from the same list
+// schedule the engine used) and transfer occupancy for moved blocks, level
+// cycles per execution for kept ones. Both branches write all three
+// tables, since the arena may hold a previous mapping's values. The
+// prefetch oracle is grown separately, only when a replay needs it. load
+// packs nothing.
+func (a *Arena) load(r *Replayer, ports int, pm *finegrain.PackedMapping) error {
+	n := len(r.in.F.Blocks)
+	if len(pm.Included) != n || pm.Regions != r.in.Plat.Fine.NumRegions() {
+		return fmt.Errorf("sim: packing of %d blocks in %d regions does not describe %q (%d blocks) on the platform's %d regions",
+			len(pm.Included), pm.Regions, r.in.F.Name, n, r.in.Plat.Fine.NumRegions())
 	}
+	a.grow(n)
+	moved := a.moved
 	ratio := int64(r.in.Plat.Coarse.ClockRatio)
 	for id := 0; id < n; id++ {
 		b := ir.BlockID(id)
+		moved[id] = !pm.Included[id]
 		if moved[id] {
 			lat, err := r.CoarseLatency(b)
 			if err != nil {
@@ -391,7 +424,7 @@ func (a *Arena) load(r *Replayer, ports int, movedBlocks []ir.BlockID) error {
 		}
 		a.latT[id] = 0
 		a.txT[id] = 0
-		a.execT[id] = a.pm.PerBlockCycles[id] * ratio
+		a.execT[id] = pm.PerBlockCycles[id] * ratio
 	}
 	return nil
 }
@@ -522,19 +555,38 @@ func (r *Replayer) Simulate(ctx context.Context, cfg Config, movedBlocks []ir.Bl
 		Prefetch: cfg.Prefetch,
 		Runs:     r.runs,
 	}
-	if _, err := r.replay(ctx, cfg, movedBlocks, new(Arena), rep); err != nil {
+	a := new(Arena)
+	if err := a.pack(r, movedBlocks); err != nil {
+		return nil, err
+	}
+	if _, err := r.replay(ctx, cfg, &a.pm, a, rep); err != nil {
 		return nil, err
 	}
 	return rep, nil
 }
 
-// Makespan replays the trace against the given mapping and returns only the
-// makespan in FPGA cycles — the same value Simulate reports as TotalCycles —
-// without building the per-kernel timeline or the occupancy report. With a
-// reused Arena the steady state allocates ~nothing, which is what candidate
-// scoring wants: the move loop asks for thousands of makespans and exactly
-// one report. A nil arena allocates a fresh one.
+// Makespan packs the mapping that moves the given blocks into the arena and
+// returns MakespanPacked of that packing. A nil arena allocates a fresh
+// one.
 func (r *Replayer) Makespan(ctx context.Context, cfg Config, movedBlocks []ir.BlockID, a *Arena) (int64, error) {
+	if a == nil {
+		a = new(Arena)
+	}
+	if err := a.pack(r, movedBlocks); err != nil {
+		return 0, err
+	}
+	return r.MakespanPacked(ctx, cfg, &a.pm, a)
+}
+
+// MakespanPacked replays the trace against the mapping pm packs — every
+// block pm leaves off the FPGA runs on the data-path — and returns only the
+// makespan in FPGA cycles, the same value Simulate reports as TotalCycles,
+// without building the per-kernel timeline or the occupancy report. pm must
+// be a packing of r's function on the platform's fine fabric; it is only
+// read. With a reused Arena the steady state allocates nothing, which is
+// what candidate scoring wants: the move loop asks for thousands of
+// makespans and exactly one report. A nil arena allocates a fresh one.
+func (r *Replayer) MakespanPacked(ctx context.Context, cfg Config, pm *finegrain.PackedMapping, a *Arena) (int64, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -544,7 +596,7 @@ func (r *Replayer) Makespan(ctx context.Context, cfg Config, movedBlocks []ir.Bl
 	if a == nil {
 		a = new(Arena)
 	}
-	ticks, err := r.replay(ctx, cfg, movedBlocks, a, nil)
+	ticks, err := r.replay(ctx, cfg, pm, a, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -575,35 +627,76 @@ func (r *Replayer) LowerBound(cfg Config, movedBlocks []ir.BlockID) (int64, erro
 	if err := cfg.normalize(); err != nil {
 		return 0, err
 	}
-	n := len(r.in.F.Blocks)
-	frames := int64(cfg.Frames)
-	fine := r.fineBase
-	areaRem := r.areaBase
-	var coarse, mem int64
+	sums := r.boundSums()
 	for _, b := range movedBlocks {
-		if int(b) < 0 || int(b) >= n {
-			return 0, fmt.Errorf("sim: moved block %d outside the function", b)
-		}
-		var freq int64
-		if int(b) < len(r.in.Freq) {
-			freq = int64(r.in.Freq[b])
-		}
-		if freq == 0 {
-			continue
-		}
-		lat, err := r.CoarseLatency(b)
-		if err != nil {
+		if err := r.moveSums(&sums, b, cfg.Ports); err != nil {
 			return 0, err
 		}
-		fine -= freq * r.minFineT[b]
-		areaRem -= r.blockArea[b]
-		coarse += freq * lat
-		mem += freq * r.TransferTicks(b, cfg.Ports)
 	}
-	fineTotal := fine * frames
-	if areaRem > 0 {
+	return r.boundOf(sums, cfg), nil
+}
+
+// LowerBounds returns LowerBound of every prefix of one move trajectory in
+// a single pass along it: out[i] is the bound of the mapping that moves
+// moved[:i], for i = 0..len(moved). The per-resource sums a prefix's bound
+// reads only grow or shrink by the newly moved block's terms, so each
+// prefix costs O(1) instead of O(moved). out is reused when it has the
+// capacity.
+func (r *Replayer) LowerBounds(cfg Config, moved []ir.BlockID, out []int64) ([]int64, error) {
+	if err := cfg.normalize(); err != nil {
+		return nil, err
+	}
+	sums := r.boundSums()
+	out = append(out[:0], r.boundOf(sums, cfg))
+	for _, b := range moved {
+		if err := r.moveSums(&sums, b, cfg.Ports); err != nil {
+			return nil, err
+		}
+		out = append(out, r.boundOf(sums, cfg))
+	}
+	return out, nil
+}
+
+// lbSums are the per-frame sums LowerBound reads, in ticks: the fine-grain
+// execution floor and area demand still on the FPGA, and the data-path and
+// transfer-channel work of the moved blocks.
+type lbSums struct{ fine, area, coarse, mem int64 }
+
+// boundSums returns the all-FPGA sums.
+func (r *Replayer) boundSums() lbSums { return lbSums{fine: r.fineBase, area: r.areaBase} }
+
+// moveSums moves block b's terms from the fine-grain sums to the data-path
+// and transfer sums. A block the trace never executes changes nothing.
+func (r *Replayer) moveSums(s *lbSums, b ir.BlockID, ports int) error {
+	if int(b) < 0 || int(b) >= len(r.in.F.Blocks) {
+		return fmt.Errorf("sim: moved block %d outside the function", b)
+	}
+	var freq int64
+	if int(b) < len(r.in.Freq) {
+		freq = int64(r.in.Freq[b])
+	}
+	if freq == 0 {
+		return nil
+	}
+	lat, err := r.CoarseLatency(b)
+	if err != nil {
+		return err
+	}
+	s.fine -= freq * r.minFineT[b]
+	s.area -= r.blockArea[b]
+	s.coarse += freq * lat
+	s.mem += freq * r.TransferTicks(b, ports)
+	return nil
+}
+
+// boundOf is LowerBound's floor, in FPGA cycles, for the sums of one
+// mapping under the normalized cfg.
+func (r *Replayer) boundOf(s lbSums, cfg Config) int64 {
+	frames := int64(cfg.Frames)
+	fineTotal := s.fine * frames
+	if s.area > 0 {
 		fg := r.in.Plat.Fine
-		k := ceilDiv(areaRem, int64(fg.RegionArea()))
+		k := ceilDiv(s.area, int64(fg.RegionArea()))
 		loads := k
 		if extra := k - int64(fg.NumRegions()); extra > 0 {
 			loads += (frames - 1) * extra
@@ -611,16 +704,16 @@ func (r *Replayer) LowerBound(cfg Config, movedBlocks []ir.BlockID) (int64, erro
 		fineTotal += loads * int64(fg.RegionReconfigCycles()) * int64(r.in.Plat.Coarse.ClockRatio)
 	}
 	floor := fineTotal
-	if c := coarse * frames; c > floor {
+	if c := s.coarse * frames; c > floor {
 		floor = c
 	}
-	if m := mem * frames; m > floor {
+	if m := s.mem * frames; m > floor {
 		floor = m
 	}
 	if floor < 0 {
 		floor = 0
 	}
-	return ceilDiv(floor, int64(r.in.Plat.Coarse.ClockRatio)), nil
+	return ceilDiv(floor, int64(r.in.Plat.Coarse.ClockRatio))
 }
 
 // frameWalk is one pass of FineWalkBound's loaded-partition state machine
@@ -643,9 +736,22 @@ type frameWalk struct {
 	// end state.
 }
 
-// FineWalkBound returns a tighter admissible lower bound, in FPGA cycles,
-// than LowerBound, from the candidate's actual packing: it packs the
-// FPGA-resident blocks exactly as the replay does and walks the trace's
+// FineWalkBound packs the mapping that moves the given blocks into the
+// arena and returns FineWalkBoundPacked of that packing. A nil arena
+// allocates a fresh one.
+func (r *Replayer) FineWalkBound(cfg Config, movedBlocks []ir.BlockID, a *Arena) (int64, error) {
+	if a == nil {
+		a = new(Arena)
+	}
+	if err := a.pack(r, movedBlocks); err != nil {
+		return 0, err
+	}
+	return r.FineWalkBoundPacked(cfg, &a.pm, a)
+}
+
+// FineWalkBoundPacked returns a tighter admissible lower bound, in FPGA
+// cycles, than LowerBound, from the candidate's actual packing pm (the one
+// the replay uses; it is only read): it walks the trace's
 // loaded-partition state machine — per-execution cycles, straddling
 // crossings, every configuration load and every moved window — for the
 // first frame and the steady-state frame, without event bookkeeping, so it
@@ -670,20 +776,20 @@ type frameWalk struct {
 //
 // The bound is exact whenever one fabric dominates, which is what lets
 // branch-and-bound scoring kill most full replays once an incumbent near
-// the optimum is known. The arena is per-goroutine scratch, as in Makespan;
-// nil allocates a fresh one. Safe for concurrent use with per-goroutine
-// arenas.
-func (r *Replayer) FineWalkBound(cfg Config, movedBlocks []ir.BlockID, a *Arena) (int64, error) {
+// the optimum is known. The arena is per-goroutine scratch, as in
+// MakespanPacked; nil allocates a fresh one. Safe for concurrent use with
+// per-goroutine arenas.
+func (r *Replayer) FineWalkBoundPacked(cfg Config, pm *finegrain.PackedMapping, a *Arena) (int64, error) {
 	if err := cfg.normalize(); err != nil {
 		return 0, err
 	}
 	if a == nil {
 		a = new(Arena)
 	}
-	if err := a.load(r, cfg.Ports, movedBlocks); err != nil {
+	if err := a.load(r, cfg.Ports, pm); err != nil {
 		return 0, err
 	}
-	moved, pm := a.moved, &a.pm
+	moved := a.moved
 	latT, txT, execT := a.latT, a.txT, a.execT
 	ratio := int64(r.in.Plat.Coarse.ClockRatio)
 	reconT := int64(r.in.Plat.Fine.RegionReconfigCycles()) * ratio
@@ -831,19 +937,20 @@ func (r *Replayer) FineWalkBound(cfg Config, movedBlocks []ir.BlockID, a *Arena)
 	return ceilDiv(floor, ratio), nil
 }
 
-// replay is the event-driven core shared by Simulate and Makespan: it runs
-// the trace against the mapping and returns the makespan in ticks. cfg must
-// already be normalized and a must be non-nil. When rep is non-nil the full
-// occupancy report and per-kernel timeline are filled in; when it is nil the
-// loop tracks only the makespan and skips every per-kernel allocation.
-func (r *Replayer) replay(ctx context.Context, cfg Config, movedBlocks []ir.BlockID, a *Arena, rep *Report) (int64, error) {
+// replay is the event-driven core shared by Simulate and MakespanPacked: it
+// runs the trace against the mapping pm packs and returns the makespan in
+// ticks. cfg must already be normalized and a must be non-nil. When rep is
+// non-nil the full occupancy report and per-kernel timeline are filled in;
+// when it is nil the loop tracks only the makespan and skips every
+// per-kernel allocation.
+func (r *Replayer) replay(ctx context.Context, cfg Config, pm *finegrain.PackedMapping, a *Arena, rep *Report) (int64, error) {
 	in := r.in
 	f := in.F
 	n := len(f.Blocks)
-	if err := a.load(r, cfg.Ports, movedBlocks); err != nil {
+	if err := a.load(r, cfg.Ports, pm); err != nil {
 		return 0, err
 	}
-	moved, pm := a.moved, &a.pm
+	moved := a.moved
 	latT, txT, execT := a.latT, a.txT, a.execT
 	ratio := int64(in.Plat.Coarse.ClockRatio)
 	reconT := int64(in.Plat.Fine.RegionReconfigCycles()) * ratio

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -296,6 +297,38 @@ func traceFixtures(t *testing.T) []traceFixture {
 		add("jpeg", src, apps.JPEGEntry, 1, 2000, apps.JPEGImageArray, apps.GenImage(1))
 	}
 	return fx
+}
+
+// TestFineFloorMatchesUnboundedPack pins the Replayer's per-block
+// execution floor, computed straight from the level tables, to the packing
+// it stands for: every block packed into one region no operator can
+// overflow, at the paper's costs and at a cost table whose multiplier is
+// slower, on every fixture (OFDM, JPEG and FIR among them).
+func TestFineFloorMatchesUnboundedPack(t *testing.T) {
+	for _, fx := range traceFixtures(t) {
+		for _, mulLatency := range []int{0, 7} {
+			plat := smallPlat(fx.area)
+			plat.Coarse.ClockRatio = 3
+			if mulLatency > 0 {
+				plat.Fine.Costs.LatMul = mulLatency
+			}
+			r, err := NewReplayer(Input{Prog: fx.prog, F: fx.f, Plat: plat, Freq: fx.freq, Edges: fx.edges})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var floor finegrain.PackedMapping
+			unbounded := platform.FineGrain{Area: math.MaxInt, Costs: plat.Fine.Costs}
+			if err := floor.Pack(r.tables, unbounded, nil); err != nil {
+				t.Fatal(err)
+			}
+			for id := range fx.f.Blocks {
+				if want := floor.PerBlockCycles[id] * int64(plat.Coarse.ClockRatio); r.minFineT[id] != want {
+					t.Errorf("%s mul latency %d: block %d floor %d ticks, unbounded packing %d",
+						fx.name, mulLatency, id, r.minFineT[id], want)
+				}
+			}
+		}
+	}
 }
 
 // TestBuildTraceMatchesReference: the token trace expands to the flat

@@ -3,7 +3,6 @@ package hybridpart
 import (
 	"context"
 	"math"
-	"slices"
 	"sync"
 
 	"hybridpart/internal/ir"
@@ -73,6 +72,9 @@ type scoringHooks struct {
 
 // batchRecord is how one ScoreBatch call evaluated its slate.
 type batchRecord struct {
+	// candidates holds each slate entry's moved set, copied out of the
+	// run's trajectory records (which go back to the scratch pool when the
+	// run returns).
 	candidates [][]ir.BlockID
 	// pending lists the slate indices that missed the memo, in slate order.
 	pending []int
@@ -84,7 +86,27 @@ type batchRecord struct {
 	replayed, pruned []int
 	// walkBounds counts the FineWalkBound calls.
 	walkBounds int
+	// packs counts the packings the call performed itself; scoring reads
+	// each candidate's packing from its trajectory record, so it is 0.
+	packs int
 }
+
+// runScratch is the scratch of one partitioning run: the storage of its
+// trajectory records (partition.Prefix, packings included) and the
+// scorer's arena, memo and bound, trajectory and queue buffers. A run
+// takes one from scratchPool and returns it when nothing reads it any
+// more — after the report has scored the chosen mapping and the all-FPGA
+// baseline — so a warm run allocates none of it.
+type runScratch struct {
+	prefixes []partition.Prefix
+	arena    sim.Arena
+	memo     []int64
+	traj     []ir.BlockID
+	bounds   []int64
+	queue    []boundEntry
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(runScratch) }}
 
 // simSpecOf materializes the engine-level co-simulation knobs.
 func simSpecOf(o Options) SimSpec {
@@ -99,37 +121,37 @@ func simKnobsActive(o Options) bool {
 		o.SimFrames > 0 || o.SimPorts > 0 || o.SimPrefetch
 }
 
-// simScorer scores candidate mappings by simulated makespan for the move
-// loop. It holds everything mapping-independent once (the Replayer's
-// canonical trace, the App's block and latency tables, the all-FPGA
-// baseline) and memoizes every scored prefix of the move trajectory
-// forever, so a trajectory walk plus a re-rank pass plus the final report
-// never replay the same mapping twice. Every argmin slate, at any frame
-// count, goes through ScoreBatch's branch-and-bound on one reused arena;
-// Score replays a single mapping with Makespan. Score and ScoreBatch
-// serialize on the scorer's lock, so a simScorer is safe for concurrent use
-// — but build one per partitioning run: its memo is per (workload, knob)
-// tuple and per move trajectory.
+// simScorer scores the trajectory prefixes of one partitioning run by
+// simulated makespan. It holds everything mapping-independent once (the
+// Replayer's canonical trace, the App's block and latency tables, the
+// all-FPGA floors), reads each candidate's packing from its trajectory
+// record — the move loop packed it, so scoring packs nothing — and
+// memoizes every scored record, so a trajectory walk plus a re-rank pass
+// plus the final report never replay the same mapping twice. Every argmin
+// slate, at any frame count, goes through ScoreBatch's branch-and-bound on
+// the run's arena; Score replays a single record with MakespanPacked.
+// Score and ScoreBatch serialize on the scorer's lock, so a simScorer is
+// safe for concurrent use — but build one per partitioning run: its memo
+// is per (workload, knob) tuple and per move trajectory.
 type simScorer struct {
 	rep   *sim.Replayer
 	cfg   sim.Config
 	hooks scoringHooks
 
-	mu    sync.Mutex
-	arena sim.Arena
-	// traj is the longest move trajectory asked about so far and memo[n]
-	// the makespan of its prefix traj[:n], or -1 while unscored. Every
-	// mapping a partitioning run scores — each argmin slate, the chosen
-	// mapping, the all-FPGA baseline — is a prefix of its one trajectory,
-	// so the prefix length is the whole memo key.
-	traj  []ir.BlockID
-	memo  []int64
+	mu sync.Mutex
+	// sc is the run's scratch. Its memo[i] is the makespan of trajectory
+	// record i, or -1 while unscored: every mapping a partitioning run
+	// scores — each argmin slate, the chosen mapping, the all-FPGA
+	// baseline — is one of its records, so the record index is the whole
+	// memo key.
+	sc    *runScratch
 	stats SimScoreStats
 }
 
 // newSimScorer builds the scorer for one (application, profile, platform,
-// sim spec) tuple. The spec's zero frames/ports normalize to 1.
-func newSimScorer(ctx context.Context, a *App, p *RunProfile, plat platform.Platform, spec SimSpec) (*simScorer, error) {
+// sim spec) tuple on the run's scratch sc (nil allocates one). The spec's
+// zero frames/ports normalize to 1.
+func newSimScorer(ctx context.Context, a *App, p *RunProfile, plat platform.Platform, spec SimSpec, sc *runScratch) (*simScorer, error) {
 	spec, err := spec.normalized()
 	if err != nil {
 		return nil, err
@@ -138,65 +160,58 @@ func newSimScorer(ctx context.Context, a *App, p *RunProfile, plat platform.Plat
 	if err != nil {
 		return nil, err
 	}
+	if sc == nil {
+		sc = new(runScratch)
+	}
+	sc.memo = sc.memo[:0]
 	return &simScorer{
-		rep:  rep,
-		cfg:  sim.Config{Frames: spec.Frames, Ports: spec.Ports, Prefetch: spec.Prefetch},
-		memo: []int64{-1},
+		rep: rep,
+		cfg: sim.Config{Frames: spec.Frames, Ports: spec.Ports, Prefetch: spec.Prefetch},
+		sc:  sc,
 	}, nil
 }
 
-// memoSlot returns moved's memo index: its length, when moved is a prefix
-// of the recorded trajectory or extends it (the trajectory then grows to
-// moved). ok is false for a mapping off the trajectory, which the caller
-// scores without memoizing. Callers hold s.mu.
-func (s *simScorer) memoSlot(moved []ir.BlockID) (slot int, ok bool) {
-	n := min(len(moved), len(s.traj))
-	if !slices.Equal(moved[:n], s.traj[:n]) {
-		return 0, false
+// memoFor sizes the memo to the trajectory ps, marking records it has not
+// seen unscored. Callers hold s.mu.
+func (s *simScorer) memoFor(ps []partition.Prefix) {
+	for len(s.sc.memo) < len(ps) {
+		s.sc.memo = append(s.sc.memo, -1)
 	}
-	for len(s.traj) < len(moved) {
-		s.traj = append(s.traj, moved[len(s.traj)])
-		s.memo = append(s.memo, -1)
-	}
-	return len(moved), true
 }
 
-// Score returns the simulated makespan (FPGA cycles) of the mapping that
-// moves the given blocks to the coarse-grain data-path. Calls serialize on
-// the scorer's lock.
-func (s *simScorer) Score(ctx context.Context, moved []ir.BlockID) (int64, error) {
+// Score returns the simulated makespan (FPGA cycles) of record i of the
+// run's trajectory ps. Calls serialize on the scorer's lock.
+func (s *simScorer) Score(ctx context.Context, ps []partition.Prefix, i int) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.scoreOne(ctx, moved)
+	s.memoFor(ps)
+	return s.scoreOne(ctx, ps, i)
 }
 
-// scoreOne is Score for a caller holding s.mu: a memo hit, or one replay —
-// a full-report Simulate under the serial hook, Makespan on the arena
-// otherwise.
-func (s *simScorer) scoreOne(ctx context.Context, moved []ir.BlockID) (int64, error) {
-	slot, memoized := s.memoSlot(moved)
-	if memoized && s.memo[slot] >= 0 {
+// scoreOne is Score for a caller holding s.mu with the memo sized: a memo
+// hit, or one replay — a full-report Simulate of the record's moved set
+// under the serial hook, MakespanPacked of its packing otherwise.
+func (s *simScorer) scoreOne(ctx context.Context, ps []partition.Prefix, i int) (int64, error) {
+	if v := s.sc.memo[i]; v >= 0 {
 		s.stats.MemoHits++
-		return s.memo[slot], nil
+		return v, nil
 	}
 	var v int64
 	if s.hooks.serial {
-		rep, err := s.rep.Simulate(ctx, s.cfg, moved)
+		rep, err := s.rep.Simulate(ctx, s.cfg, partition.AppendMoved(nil, ps, i))
 		if err != nil {
 			return 0, err
 		}
 		v = rep.TotalCycles
 	} else {
 		var err error
-		if v, err = s.rep.Makespan(ctx, s.cfg, moved, &s.arena); err != nil {
+		if v, err = s.rep.MakespanPacked(ctx, s.cfg, &ps[i].Pack, &s.sc.arena); err != nil {
 			return 0, err
 		}
 	}
 	s.stats.Scored++
 	s.stats.Replays++
-	if memoized {
-		s.memo[slot] = v
-	}
+	s.sc.memo[i] = v
 	return v, nil
 }
 
@@ -205,23 +220,26 @@ func (s *simScorer) scoreOne(ctx context.Context, moved []ir.BlockID) (int64, er
 // it scores every candidate in slate order through scoreOne instead.
 //
 // Every slate, at any frame count, goes through best-first branch-and-bound
-// on the scorer's arena, with the costly bound taken lazily. Every
-// unmemoized candidate enters a queue keyed on its closed-form
-// sim.Replayer.LowerBound (O(moved)). The loop pops the
+// on the run's arena, with the costly bound taken lazily. Every unmemoized
+// candidate enters a queue keyed on its closed-form
+// sim.Replayer.LowerBound, taken for all of them in one pass along the
+// trajectory (sim.Replayer.LowerBounds, O(1) per prefix). The loop pops the
 // minimum key (ties: a candidate without its walk bound first, then slate
 // index): if the key strictly exceeds the incumbent best makespan, that
 // candidate and every one left are pruned without replaying; a candidate
-// popped without its walk bound gets sim.Replayer.FineWalkBound (O(trace
-// tokens)) and goes back keyed on the larger of the two; one popped with
-// it replays and may lower the incumbent. The replay order is therefore
-// exactly ascending max(LowerBound, FineWalkBound) with ties on slate
-// index, but a candidate pruned on LowerBound alone never pays for a walk.
+// popped without its walk bound gets sim.Replayer.FineWalkBoundPacked
+// (O(trace tokens)) and goes back keyed on the larger of the two; one
+// popped with it replays and may lower the incumbent. The walk bound and
+// the replay read the packing in the candidate's record, so the batch
+// packs nothing. The replay order is therefore exactly ascending
+// max(LowerBound, FineWalkBound) with ties on slate index, but a candidate
+// pruned on LowerBound alone never pays for a walk.
 // Pruning never changes the selection: scored makespans are exact, and a
 // pruned candidate is provably strictly worse than the incumbent, so it can
 // never be the index-ordered argmin. The evaluation order is a pure
 // function of the slate and the memo, so the Pruned/Scored counters are
 // deterministic too.
-func (s *simScorer) ScoreBatch(ctx context.Context, candidates [][]ir.BlockID) ([]partition.SimScore, error) {
+func (s *simScorer) ScoreBatch(ctx context.Context, ps []partition.Prefix, candidates []int) ([]partition.SimScore, error) {
 	out := make([]partition.SimScore, len(candidates))
 	ctx, span := obs.Start(ctx, "sim.ScoreBatch")
 	defer span.End()
@@ -231,16 +249,17 @@ func (s *simScorer) ScoreBatch(ctx context.Context, candidates [][]ir.BlockID) (
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.memoFor(ps)
 	if s.hooks.serial {
-		for i, moved := range candidates {
+		for k, i := range candidates {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			v, err := s.scoreOne(ctx, moved)
+			v, err := s.scoreOne(ctx, ps, i)
 			if err != nil {
 				return nil, err
 			}
-			out[i] = partition.SimScore{Cycles: v}
+			out[k] = partition.SimScore{Cycles: v}
 		}
 		return out, nil
 	}
@@ -248,28 +267,45 @@ func (s *simScorer) ScoreBatch(ctx context.Context, candidates [][]ir.BlockID) (
 	// value is the exact makespan of a candidate in this slate. Everything
 	// else queues on its closed-form bound.
 	incumbent := int64(math.MaxInt64)
-	queue := make([]boundEntry, 0, len(candidates))
-	for i, moved := range candidates {
-		if slot, ok := s.memoSlot(moved); ok && s.memo[slot] >= 0 {
+	queue := s.sc.queue[:0]
+	defer func() { s.sc.queue = queue[:0] }()
+	last := 0 // the longest pending prefix
+	for k, i := range candidates {
+		if v := s.sc.memo[i]; v >= 0 {
 			s.stats.MemoHits++
-			out[i] = partition.SimScore{Cycles: s.memo[slot]}
-			incumbent = min(incumbent, s.memo[slot])
+			out[k] = partition.SimScore{Cycles: v}
+			incumbent = min(incumbent, v)
 			continue
 		}
-		lb, err := s.rep.LowerBound(s.cfg, moved)
+		queue = append(queue, boundEntry{idx: k})
+		last = max(last, i)
+	}
+	if len(queue) > 0 {
+		s.sc.traj = partition.AppendMoved(s.sc.traj[:0], ps, last)
+		lbs, err := s.rep.LowerBounds(s.cfg, s.sc.traj, s.sc.bounds)
 		if err != nil {
 			return nil, err
 		}
-		queue = append(queue, boundEntry{key: lb, idx: i})
+		s.sc.bounds = lbs
+		for j := range queue {
+			queue[j].key = lbs[candidates[queue[j].idx]]
+		}
 	}
 	hits := len(candidates) - len(queue)
 	var rec *batchRecord
 	if s.hooks.observe != nil {
-		rec = &batchRecord{candidates: candidates, seed: incumbent}
+		rec = &batchRecord{seed: incumbent}
+		for _, i := range candidates {
+			rec.candidates = append(rec.candidates, partition.AppendMoved(nil, ps, i))
+		}
 		for _, e := range queue {
 			rec.pending = append(rec.pending, e.idx)
 		}
-		defer func() { s.hooks.observe(*rec) }()
+		packs := s.sc.arena.Packs()
+		defer func() {
+			rec.packs = s.sc.arena.Packs() - packs
+			s.hooks.observe(*rec)
+		}()
 	}
 
 	// Best-first: the candidate most likely to be the argmin replays first,
@@ -300,9 +336,9 @@ func (s *simScorer) ScoreBatch(ctx context.Context, candidates [][]ir.BlockID) (
 			pruned = len(queue)
 			break
 		}
-		moved := candidates[e.idx]
+		pm := &ps[candidates[e.idx]].Pack
 		if !e.walked {
-			wb, err := s.rep.FineWalkBound(s.cfg, moved, &s.arena)
+			wb, err := s.rep.FineWalkBoundPacked(s.cfg, pm, &s.sc.arena)
 			if err != nil {
 				return nil, err
 			}
@@ -314,7 +350,7 @@ func (s *simScorer) ScoreBatch(ctx context.Context, candidates [][]ir.BlockID) (
 		}
 		queue[j] = queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		v, err := s.rep.Makespan(ctx, s.cfg, moved, &s.arena)
+		v, err := s.rep.MakespanPacked(ctx, s.cfg, pm, &s.sc.arena)
 		if err != nil {
 			return nil, err
 		}
@@ -323,9 +359,7 @@ func (s *simScorer) ScoreBatch(ctx context.Context, candidates [][]ir.BlockID) (
 		}
 		incumbent = min(incumbent, v)
 		scored++
-		if slot, ok := s.memoSlot(moved); ok {
-			s.memo[slot] = v
-		}
+		s.sc.memo[candidates[e.idx]] = v
 		out[e.idx] = partition.SimScore{Cycles: v}
 	}
 	s.stats.Scored += scored

@@ -13,10 +13,10 @@ import (
 	"hybridpart/internal/obs"
 )
 
-// TestScorePrefixMemo pins the scorer's memo, which is keyed on the prefix
-// length of the one move trajectory a run scores: prefixes hit in any
-// order, a longer prefix extends the recorded trajectory, and a mapping off
-// the trajectory scores exactly but is never memoized.
+// TestScorePrefixMemo pins the scorer's memo, which is keyed on the record
+// index of the one move trajectory a run scores: records hit in any order,
+// a later record scores without disturbing earlier ones, and every value
+// equals the slate-fed replay of the same moved set.
 func TestScorePrefixMemo(t *testing.T) {
 	w, err := BenchmarkWorkload(BenchOFDM, 1)
 	if err != nil {
@@ -39,51 +39,46 @@ func TestScorePrefixMemo(t *testing.T) {
 		traj[i] = ir.BlockID(b)
 	}
 	plat := DefaultOptions().platform(false)
+	recs := trajectoryRecords(t, app, plat, traj)
 	spec := SimSpec{Frames: 8}
-	s, err := newSimScorer(context.Background(), app, prof, plat, spec)
+	s, err := newSimScorer(context.Background(), app, prof, plat, spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := newSimScorer(context.Background(), app, prof, plat, spec)
+	ref, err := newSimScorer(context.Background(), app, prof, plat, spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := func(moved []ir.BlockID) int64 {
+	step := func(label string, i, scored, hits int) {
 		t.Helper()
-		v, err := ref.rep.Makespan(context.Background(), ref.cfg, moved, &ref.arena)
+		v, err := s.Score(context.Background(), recs, i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return v
-	}
-	step := func(label string, moved []ir.BlockID, scored, hits, trajLen int) {
-		t.Helper()
-		v, err := s.Score(context.Background(), moved)
+		want, err := ref.rep.Makespan(context.Background(), ref.cfg, traj[:i], &ref.sc.arena)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if w := want(moved); v != w {
-			t.Fatalf("%s: scored %d, replay says %d", label, v, w)
+		if v != want {
+			t.Fatalf("%s: scored %d, slate-fed replay says %d", label, v, want)
 		}
-		if s.stats.Scored != scored || s.stats.MemoHits != hits || len(s.traj) != trajLen {
-			t.Fatalf("%s: scored %d, hits %d, trajectory %d; want %d, %d, %d",
-				label, s.stats.Scored, s.stats.MemoHits, len(s.traj), scored, hits, trajLen)
+		if s.stats.Scored != scored || s.stats.MemoHits != hits {
+			t.Fatalf("%s: scored %d, hits %d; want %d, %d",
+				label, s.stats.Scored, s.stats.MemoHits, scored, hits)
 		}
 	}
-	step("prefix 3", traj[:3], 1, 0, 3)
-	step("prefix 3 again", traj[:3], 1, 1, 3)
-	step("shorter prefix", traj[:1], 2, 1, 3)
-	step("empty prefix", nil, 3, 1, 3)
-	step("extension", traj[:6], 4, 1, 6)
-	step("old prefix after extension", traj[:3], 4, 2, 6)
-	step("baseline again", nil, 4, 3, 6)
-	swapped := []ir.BlockID{traj[1], traj[0]}
-	step("off the trajectory", swapped, 5, 3, 6)
-	step("off the trajectory again", swapped, 6, 3, 6)
-	branch := append(append([]ir.BlockID{}, traj[:2]...), traj[4])
-	step("branching off a prefix", branch, 7, 3, 6)
-	step("prefix 2 still unscored", traj[:2], 8, 3, 6)
-	step("prefix 6 still memoized", traj[:6], 8, 4, 6)
+	step("prefix 3", 3, 1, 0)
+	step("prefix 3 again", 3, 1, 1)
+	step("shorter prefix", 1, 2, 1)
+	step("empty prefix", 0, 3, 1)
+	step("longer prefix", 6, 4, 1)
+	step("old prefix after a longer one", 3, 4, 2)
+	step("baseline again", 0, 4, 3)
+	step("prefix 2 still unscored", 2, 5, 3)
+	step("prefix 6 still memoized", 6, 5, 4)
+	if n := s.sc.arena.Packs(); n != 0 {
+		t.Errorf("record-fed scoring packed %d mappings, want 0", n)
+	}
 }
 
 // TestScoreBatchSpanEndsOnCancel: a ScoreBatch call that fails on a
@@ -92,7 +87,8 @@ func TestScorePrefixMemo(t *testing.T) {
 func TestScoreBatchSpanEndsOnCancel(t *testing.T) {
 	app, prof := compileFIR(t)
 	for _, spec := range []SimSpec{{}, {Frames: 2}} {
-		s, err := newSimScorer(context.Background(), app, prof, DefaultOptions().platform(false), spec)
+		plat := DefaultOptions().platform(false)
+		s, err := newSimScorer(context.Background(), app, prof, plat, spec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +96,7 @@ func TestScoreBatchSpanEndsOnCancel(t *testing.T) {
 		rootCtx, root := tracer.StartRoot(context.Background(), "root", obs.SpanContext{})
 		ctx, cancel := context.WithCancel(rootCtx)
 		cancel()
-		if _, err := s.ScoreBatch(ctx, [][]ir.BlockID{nil}); !errors.Is(err, context.Canceled) {
+		if _, err := s.ScoreBatch(ctx, trajectoryRecords(t, app, plat, nil), []int{0}); !errors.Is(err, context.Canceled) {
 			t.Fatalf("frames=%d: err = %v, want context.Canceled", spec.Frames, err)
 		}
 		root.End()
@@ -233,7 +229,7 @@ func TestScoreBatchLazyOrderMatchesEager(t *testing.T) {
 			if len(recs) == 0 {
 				t.Fatalf("%s: no slate went through the bound queue", label)
 			}
-			ref, err := newSimScorer(context.Background(), app, prof, eng.opts.platform(eng.costsSet), simSpecOf(eng.opts))
+			ref, err := newSimScorer(context.Background(), app, prof, eng.opts.platform(eng.costsSet), simSpecOf(eng.opts), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -269,7 +265,7 @@ func eagerScoreOrder(t *testing.T, ref *simScorer, rec batchRecord) (replayed, p
 		if err != nil {
 			t.Fatal(err)
 		}
-		wb, err := ref.rep.FineWalkBound(ref.cfg, rec.candidates[i], &ref.arena)
+		wb, err := ref.rep.FineWalkBound(ref.cfg, rec.candidates[i], &ref.sc.arena)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,7 +279,7 @@ func eagerScoreOrder(t *testing.T, ref *simScorer, rec batchRecord) (replayed, p
 			pruned = append(pruned, i)
 			continue
 		}
-		v, err := ref.rep.Makespan(context.Background(), ref.cfg, rec.candidates[i], &ref.arena)
+		v, err := ref.rep.Makespan(context.Background(), ref.cfg, rec.candidates[i], &ref.sc.arena)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,13 +302,14 @@ func TestScoreBatchTies(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := mustEngine(t, WithObjective(ObjectiveSimulated), WithSimFrames(8))
-	s, err := newSimScorer(context.Background(), app, prof, eng.opts.platform(eng.costsSet), simSpecOf(eng.opts))
+	plat := eng.opts.platform(eng.costsSet)
+	s, err := newSimScorer(context.Background(), app, prof, plat, simSpecOf(eng.opts), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var recs []batchRecord
 	s.hooks.observe = func(r batchRecord) { recs = append(recs, r) }
-	out, err := s.ScoreBatch(context.Background(), [][]ir.BlockID{nil, nil})
+	out, err := s.ScoreBatch(context.Background(), trajectoryRecords(t, app, plat, nil), []int{0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}

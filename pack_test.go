@@ -18,7 +18,9 @@ import (
 // referencePack is the DFG-walking cross-block packer the table-driven
 // finegrain.PackedMapping.Pack replaced, kept verbatim as the equivalence
 // oracle: it rebuilds every included block's DFG, collects each level with
-// NodesAtLevel and sums a (partition, level) → max-latency map.
+// NodesAtLevel and sums a (partition, level) → max-latency map. It also
+// records the area covered after each block (AreaAfter), the walk state
+// PackFrom resumes from.
 func referencePack(f *ir.Function, fg platform.FineGrain, include func(ir.BlockID) bool) (*finegrain.PackedMapping, error) {
 	n := len(f.Blocks)
 	pm := &finegrain.PackedMapping{
@@ -27,6 +29,7 @@ func referencePack(f *ir.Function, fg platform.FineGrain, include func(ir.BlockI
 		FirstPart:         make([]int, n),
 		LastPart:          make([]int, n),
 		InternalCrossings: make([]int, n),
+		AreaAfter:         make([]int, n),
 		Regions:           fg.NumRegions(),
 	}
 	part := 0
@@ -34,6 +37,7 @@ func referencePack(f *ir.Function, fg platform.FineGrain, include func(ir.BlockI
 	usedAny := false
 	limit := fg.RegionArea()
 	for _, b := range f.Blocks {
+		pm.AreaAfter[b.ID] = areaCovered
 		if include != nil && !include(b.ID) {
 			pm.FirstPart[b.ID] = part
 			pm.LastPart[b.ID] = part
@@ -84,6 +88,7 @@ func referencePack(f *ir.Function, fg platform.FineGrain, include func(ir.BlockI
 		pm.FirstPart[b.ID] = first
 		pm.LastPart[b.ID] = part
 		pm.InternalCrossings[b.ID] = part - first
+		pm.AreaAfter[b.ID] = areaCovered
 	}
 	if usedAny {
 		pm.NumPartitions = part + 1
@@ -126,10 +131,33 @@ func trajectory(t *testing.T, app *App, prof *RunProfile, area, regions int) []i
 	return moved
 }
 
+// trajectoryRecords returns the trajectory records of moved on plat as a
+// slate-fed reference builds them: each prefix packed from scratch, with
+// Block set and the eq. 2 fields left zero.
+func trajectoryRecords(t testing.TB, app *App, plat platform.Platform, moved []ir.BlockID) []partition.Prefix {
+	t.Helper()
+	recs := make([]partition.Prefix, len(moved)+1)
+	off := make([]bool, len(app.flat.Blocks))
+	for i := range recs {
+		recs[i].Block = -1
+		if i > 0 {
+			recs[i].Block = moved[i-1]
+			off[moved[i-1]] = true
+		}
+		if err := recs[i].Pack.Pack(app.blockTables(), plat.Fine, func(id ir.BlockID) bool { return !off[id] }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return recs
+}
+
 // TestPackMatchesReference pins the table-driven packer to the DFG-walking
 // reference on every trajectory prefix of OFDM, JPEG and the FIR fixture,
 // over areas × regions, reusing one PackedMapping throughout so stale
-// entries from a previous candidate would show.
+// entries from a previous candidate would show. Each prefix is also packed
+// as the move loop packs its record — PackFrom its predecessor's resumed
+// packing, at the block the move took off — and must equal the reference
+// too.
 func TestPackMatchesReference(t *testing.T) {
 	areas := []int{1200, 1500, 5000}
 	if d := DefaultOptions().AFPGA; !slices.Contains(areas, d) {
@@ -147,6 +175,7 @@ func TestPackMatchesReference(t *testing.T) {
 	for name, app := range packFixtures(t) {
 		tables := app.blockTables()
 		var pm finegrain.PackedMapping
+		var chain [2]finegrain.PackedMapping // resumed records, alternating
 		for _, area := range areas {
 			for _, regions := range []int{1, 2, 4} {
 				fg := DefaultOptions().platform(false).Fine
@@ -171,6 +200,19 @@ func TestPackMatchesReference(t *testing.T) {
 					if !reflect.DeepEqual(&pm, want) {
 						t.Fatalf("%s a%d r%d prefix %d: packings differ\n got %+v\nwant %+v",
 							name, area, regions, k, pm, *want)
+					}
+					rec := &chain[k%2]
+					if k == 0 {
+						err = rec.Pack(tables, fg, include)
+					} else {
+						err = rec.PackFrom(&chain[(k-1)%2], traj[k-1], tables, fg, include)
+					}
+					if err != nil {
+						t.Fatalf("%s a%d r%d prefix %d: resumed: %v", name, area, regions, k, err)
+					}
+					if !reflect.DeepEqual(rec, want) {
+						t.Fatalf("%s a%d r%d prefix %d: resumed packing differs from the reference\n got %+v\nwant %+v",
+							name, area, regions, k, *rec, *want)
 					}
 				}
 			}
@@ -322,53 +364,153 @@ func TestPartitionSharedWorkloadConcurrent(t *testing.T) {
 }
 
 // TestPartitionAllocs pins the allocations of one untraced OFDM ×8 run of
-// partition.Partition under the simulated objective, its argmin slate
-// scored by the engine's scorer with the memo cleared before each run (it
-// would otherwise answer every later run outright). Move-loop tracing
-// attributes box their values, so building them with tracing off used to
-// cost a handful of allocations per move (160 per run in all). The run
-// now measures 37 (go1.24, linux/amd64); the ceiling leaves room for
-// toolchain drift, not for one more allocation per move.
+// partition.Partition under the simulated objective, configured as the
+// engine configures it, its argmin slate scored by the engine's scorer with
+// the memo cleared before each run (it would otherwise answer every later
+// run outright) and each run's trajectory records reused by the next, as
+// the engine's scratch pool reuses them. Move-loop tracing attributes box
+// their values, so building them with tracing off used to cost a handful
+// of allocations per move (160 per run in all); packing every prefix into
+// fresh records would cost six slices per move. The run now measures 16
+// (go1.24, linux/amd64); the ceiling leaves room for toolchain drift, not
+// for one more allocation per move.
 func TestPartitionAllocs(t *testing.T) {
 	app, prof, err := ProfileBenchmarkCached(BenchOFDM, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := mustEngine(t, WithObjective(ObjectiveSimulated), WithSimFrames(8))
-	plat := eng.opts.platform(eng.costsSet)
-	s, err := newSimScorer(context.Background(), app, prof, plat, simSpecOf(eng.opts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := app.analyze(prof.Freq, eng.opts.weights())
-	lat, err := app.coarseLatencies(context.Background(), plat.Coarse)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := partition.Config{
-		Platform:     plat,
-		Constraint:   eng.opts.Constraint,
-		Edges:        prof.edges,
-		Tables:       app.blockTables(),
-		Latencies:    lat,
-		Objective:    ObjectiveSimulated,
-		SimCostBatch: s.ScoreBatch,
-	}
 	ctx := context.Background()
+	cfg, rep, s, err := eng.runConfig(ctx, app, prof, eng.opts, eng.costsSet, new(runScratch))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var res *partition.Result
 	run := func() {
-		s.traj, s.memo = s.traj[:0], s.memo[:1]
-		s.memo[0] = -1
+		s.sc.memo = s.sc.memo[:0]
 		if res, err = partition.Partition(ctx, app.fprog, app.flat, rep, cfg); err != nil {
 			t.Fatal(err)
 		}
+		cfg.Prefixes = res.Prefixes
 	}
 	n := testing.AllocsPerRun(20, run)
 	if res.SimulatedCycles != 236888 {
 		t.Fatalf("simulated %d cycles, want 236888", res.SimulatedCycles)
 	}
-	const ceiling = 40
+	t.Logf("%v allocations per run", n)
+	const ceiling = 21
 	if n > ceiling {
 		t.Errorf("untraced OFDM ×8 Partition allocates %v times per run, ceiling %d", n, ceiling)
+	}
+}
+
+// TestRecordFedBoundsMatchSlateFed: at the four scoring design points, the
+// trajectory records the move loop builds (each packed from its
+// predecessor) must feed the scorer exactly what their moved sets give the
+// slate-fed entry points, which pack from scratch: the packing itself,
+// LowerBounds' one pass against LowerBound, FineWalkBoundPacked against
+// FineWalkBound and MakespanPacked against Makespan, on every prefix.
+func TestRecordFedBoundsMatchSlateFed(t *testing.T) {
+	app, prof, err := ProfileBenchmarkCached(BenchOFDM, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, d := range scoringDesignPoints {
+		eng := mustEngine(t, d.opts...)
+		cfg, rep, s, err := eng.runConfig(ctx, app, prof, eng.opts, eng.costsSet, new(runScratch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := partition.Partition(ctx, app.fprog, app.flat, rep, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := res.Prefixes
+		traj := partition.AppendMoved(nil, recs, len(recs)-1)
+		ref := trajectoryRecords(t, app, eng.opts.platform(eng.costsSet), traj)
+		lbs, err := s.rep.LowerBounds(s.cfg, traj, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var arena, refArena sim.Arena
+		for i := range recs {
+			moved := traj[:i]
+			if !reflect.DeepEqual(recs[i].Pack, ref[i].Pack) {
+				t.Fatalf("%s prefix %d: record packing differs from a fresh Pack", d.name, i)
+			}
+			lb, err := s.rep.LowerBound(s.cfg, moved)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wb, err := s.rep.FineWalkBoundPacked(s.cfg, &recs[i].Pack, &arena)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refWB, err := s.rep.FineWalkBound(s.cfg, moved, &refArena)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ms, err := s.rep.MakespanPacked(ctx, s.cfg, &recs[i].Pack, &arena)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refMS, err := s.rep.Makespan(ctx, s.cfg, moved, &refArena)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lbs[i] != lb || wb != refWB || ms != refMS {
+				t.Errorf("%s prefix %d: record-fed bounds %d/%d and makespan %d, slate-fed %d/%d and %d",
+					d.name, i, lbs[i], wb, ms, lb, refWB, refMS)
+			}
+		}
+		if arena.Packs() != 0 || refArena.Packs() != 2*len(recs) {
+			t.Errorf("%s: record-fed arena packed %d times, slate-fed %d; want 0 and %d",
+				d.name, arena.Packs(), refArena.Packs(), 2*len(recs))
+		}
+	}
+}
+
+// TestRunPacksOncePerPrefix pins the packing count of a simulation-scored
+// run at each scoring design point: the move loop packs each trajectory
+// record once — the moves plus the all-FPGA record — and neither
+// ScoreBatch nor the report's scoring of the chosen mapping and the
+// baseline packs anything.
+func TestRunPacksOncePerPrefix(t *testing.T) {
+	app, prof, err := ProfileBenchmarkCached(BenchOFDM, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, d := range scoringDesignPoints {
+		var batches []batchRecord
+		observe := withHooks(scoringHooks{observe: func(r batchRecord) { batches = append(batches, r) }})
+		eng := mustEngine(t, append(append([]Option{}, d.opts...), observe)...)
+		sc := new(runScratch)
+		cfg, rep, s, err := eng.runConfig(ctx, app, prof, eng.opts, eng.costsSet, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		moves := 0
+		cfg.OnMove = func(partition.Move) { moves++ }
+		res, err := partition.Partition(ctx, app.fprog, app.flat, rep, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if moves < 2 || res.Packs != moves+1 || len(res.Prefixes) != moves+1 {
+			t.Errorf("%s: %d moves, %d records, %d packings; want one packing per record, moves+1",
+				d.name, moves, len(res.Prefixes), res.Packs)
+		}
+		if len(batches) != 1 || batches[0].packs != 0 {
+			t.Fatalf("%s: batches %+v, want one that packs nothing", d.name, batches)
+		}
+		for _, i := range []int{len(res.Moved), 0} {
+			if _, err := s.Score(ctx, res.Prefixes, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := sc.arena.Packs(); n != 0 {
+			t.Errorf("%s: scoring packed %d mappings, want 0", d.name, n)
+		}
 	}
 }

@@ -221,9 +221,13 @@ func TestProfileKernelOrders(t *testing.T) {
 
 // TestEnginePartitionAllocs pins the allocations of a warm A1500 ×8
 // Engine.Partition on one workload: the snapshot, trace, report and kernel
-// order are reused, so a run pays only for its scorer, replayer floors,
-// arena and result. It measures 70 (go1.24, linux/amd64); rebuilding the
-// trace alone adds 60.
+// order are reused, and the run's trajectory records, arena and memo come
+// from the scratch pool, so a run pays only for its scorer, replayer floors
+// and result. It measures 26 (go1.24, linux/amd64; 70 before the pooled
+// records); rebuilding the trace alone adds 60. Under -race the pool drops
+// a random quarter of the returned scratch, so there the runs only
+// exercise the pooled scratch's lifetime and the count is logged, not
+// pinned.
 func TestEnginePartitionAllocs(t *testing.T) {
 	w, err := BenchmarkWorkload(BenchOFDM, 1)
 	if err != nil {
@@ -242,8 +246,9 @@ func TestEnginePartitionAllocs(t *testing.T) {
 	if res.SimulatedCycles != 236888 {
 		t.Fatalf("simulated %d cycles, want 236888", res.SimulatedCycles)
 	}
-	const ceiling = 75
-	if n > ceiling {
+	t.Logf("%v allocations per run", n)
+	const ceiling = 31
+	if n > ceiling && !raceEnabled {
 		t.Errorf("warm A1500 ×8 Engine.Partition allocates %v times per run, ceiling %d", n, ceiling)
 	}
 }

@@ -211,7 +211,7 @@ func (e *Engine) SimulateProfiled(ctx context.Context, a *App, p *RunProfile) (*
 	// objective, re-rank or engine sim knobs) its Replayer — trace and
 	// fine-grain floors — is reused for the report replays below instead
 	// of being rebuilt.
-	res, scorer, err := e.partitionScored(ctx, a, p, e.opts, e.costsSet, nil, nil, false)
+	res, replayer, err := e.partitionScored(ctx, a, p, e.opts, e.costsSet, nil, nil, false)
 	if err != nil {
 		return nil, err
 	}
@@ -219,11 +219,10 @@ func (e *Engine) SimulateProfiled(ctx context.Context, a *App, p *RunProfile) (*
 	for i, b := range res.Moved {
 		moved[i] = ir.BlockID(b)
 	}
-	var replayer *sim.Replayer
-	if scorer != nil {
-		replayer = scorer.rep
-	} else if replayer, err = a.newReplayer(ctx, p, e.opts.platform(e.costsSet)); err != nil {
-		return nil, err
+	if replayer == nil {
+		if replayer, err = a.newReplayer(ctx, p, e.opts.platform(e.costsSet)); err != nil {
+			return nil, err
+		}
 	}
 	onFrame := func(stage string) func(int, int64) {
 		if e.observer == nil {
