@@ -66,6 +66,12 @@ int f() { init(); return M[3][2]; }`,
 		`int A[4]; int f() { int i; int s = 0; for (i = 0; i < 6; i++) { s += A[i]; } return s; }`,
 		`int A[4]; void w(int B[], int i) { B[i] = i; } int f() { w(A, 3); w(A, -1); return A[3]; }`,
 		`int f() { int x = 0; while (1) { x = x + 1; } return x; }`,
+		// A multiply-accumulate loop whose index overruns B: the load of
+		// B[N] traps as the first op of the fast path's fused load+mul.
+		`const int N = 4;
+int A[N + 1] = {1, 2, 3, 4, 5};
+int B[N] = {5, 6, 7, 8};
+int f() { int i; int s = 0; for (i = 0; i <= N; i++) { s += A[i] * B[i]; } return s; }`,
 	}
 	for _, s := range seeds {
 		f.Add(s)

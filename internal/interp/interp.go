@@ -13,11 +13,21 @@
 // entry whenever the step limit cannot fall inside it, and its taken
 // successor edges are counted in two dense slots per block that are folded
 // into Profile.Edges when the run returns.
+//
+// Such a block runs on the fast path, from a second op array in which the
+// hot adjacent op pairs (add+load, mul+add, load+mul, load+add, add+add),
+// taken greedily left to right within a block, are fused: the first op of
+// the pair carries a fused code that executes both and skips the second. A
+// block that may cross the step limit, or that holds a call, runs on the
+// checked path from the plain array, one op per instruction, so step limits
+// and context polls stay exact. A trap in either half of a fused pair
+// reports that half's own source line.
 package interp
 
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"hybridpart/internal/ir"
 )
@@ -227,10 +237,37 @@ func (m *Machine) pastLimit(fn string, pos int) error {
 	return nil
 }
 
-// opBadArray is the decoded form of a Load or Store whose array operand
-// names no local or global array; it traps when executed. It follows the
-// last ir opcode so the op switch stays one dense jump table.
-const opBadArray = ir.OpCall + 1
+// The decoder's own op codes follow the last ir opcode, so the op switch
+// stays one dense jump table. opBadArray is the decoded form of a Load or
+// Store whose array operand names no local or global array; it traps when
+// executed. The fused codes appear only in the fast path's op array (see
+// fuse): each runs its own op and then the plain op after it.
+const (
+	opBadArray = ir.OpCall + 1 + iota
+	opAddLoad
+	opMulAdd
+	opLoadMul
+	opLoadAdd
+	opAddAdd
+)
+
+// fusedCode returns the fused code of the op pair (first, second), or 0
+// when the pair is not fused.
+func fusedCode(first, second ir.Op) ir.Op {
+	switch {
+	case first == ir.OpAdd && second == ir.OpLoad:
+		return opAddLoad
+	case first == ir.OpMul && second == ir.OpAdd:
+		return opMulAdd
+	case first == ir.OpLoad && second == ir.OpMul:
+		return opLoadMul
+	case first == ir.OpLoad && second == ir.OpAdd:
+		return opLoadAdd
+	case first == ir.OpAdd && second == ir.OpAdd:
+		return opAddAdd
+	}
+	return 0
+}
 
 // op is one decoded instruction. a and b index the frame's register file,
 // where the function's immediates sit in constant registers after NumRegs;
@@ -269,8 +306,10 @@ type callSite struct {
 
 // code is a function's decoded form.
 type code struct {
-	fn     *ir.Function
-	ops    []op
+	fn  *ir.Function
+	ops []op
+	// fast is ops with its hot pairs fused, run by blocks on the fast path.
+	fast   []op
 	pos    []int32 // source line of each op, read only by traps
 	blocks []block
 	calls  []callSite
@@ -347,8 +386,29 @@ func (m *Machine) decode(f *ir.Function) *code {
 		}
 		c.blocks[bi] = blk
 	}
+	c.fast = fuse(c.ops, c.blocks)
 	m.code[f] = c
 	return c
+}
+
+// fuse returns the fast path's op array: ops with the first op of each
+// fused pair, taken greedily left to right within a block, recoded to run
+// both. A block holding a call never runs on the fast path and is left
+// plain.
+func fuse(ops []op, blocks []block) []op {
+	fast := slices.Clone(ops)
+	for _, b := range blocks {
+		if b.call {
+			continue
+		}
+		for pc := b.start; pc+1 < b.end; pc++ {
+			if f := fusedCode(ops[pc].code, ops[pc+1].code); f != 0 {
+				fast[pc].code = f
+				pc++
+			}
+		}
+	}
+	return fast
 }
 
 // decodeCall resolves a call's callee and binds each callee parameter to its
@@ -445,6 +505,12 @@ func (m *Machine) trapAt(c *code, b *block, pc int32, checked bool, msg string) 
 	return &Trap{Func: c.fn.Name, Pos: int(c.pos[pc]), Msg: msg}
 }
 
+// loadTrap is trapAt for a load at op pc whose index i falls outside its
+// array of n elements.
+func (m *Machine) loadTrap(c *code, b *block, pc int32, checked bool, i, n int) *Trap {
+	return m.trapAt(c, b, pc, checked, fmt.Sprintf("load index %d out of range [0,%d)", i, n))
+}
+
 func (m *Machine) exec(c *code, regs []int32, arrs [][]int32) (int32, error) {
 	m.depth++
 	defer func() { m.depth-- }()
@@ -462,7 +528,7 @@ func (m *Machine) exec(c *code, regs []int32, arrs [][]int32) (int32, error) {
 		counts, taken = m.profileCounts(c), c.taken
 	}
 
-	ops, blocks := c.ops, c.blocks
+	ops, fast, blocks := c.ops, c.fast, c.blocks
 	bi := int32(c.fn.Entry)
 	for {
 		b := &blocks[bi]
@@ -486,6 +552,10 @@ func (m *Machine) exec(c *code, regs []int32, arrs [][]int32) (int32, error) {
 		if counts != nil {
 			counts[bi]++
 		}
+		run := fast
+		if checked {
+			run = ops
+		}
 		for pc := b.start; pc < b.end; pc++ {
 			if checked {
 				m.steps++
@@ -498,7 +568,7 @@ func (m *Machine) exec(c *code, regs []int32, arrs [][]int32) (int32, error) {
 					m.profile.Instrs++
 				}
 			}
-			o := &ops[pc]
+			o := &run[pc]
 			switch o.code {
 			case ir.OpCopy:
 				regs[o.dst] = regs[o.a]
@@ -557,7 +627,7 @@ func (m *Machine) exec(c *code, regs []int32, arrs [][]int32) (int32, error) {
 			case ir.OpLoad:
 				arr, i := arrs[o.x], int(regs[o.a])
 				if uint(i) >= uint(len(arr)) {
-					return 0, m.trapAt(c, b, pc, checked, fmt.Sprintf("load index %d out of range [0,%d)", i, len(arr)))
+					return 0, m.loadTrap(c, b, pc, checked, i, len(arr))
 				}
 				regs[o.dst] = arr[i]
 			case ir.OpStore:
@@ -576,6 +646,43 @@ func (m *Machine) exec(c *code, regs []int32, arrs [][]int32) (int32, error) {
 				if c.calls[o.x].hasDst {
 					regs[o.dst] = ret
 				}
+			case opAddLoad:
+				regs[o.dst] = regs[o.a] + regs[o.b]
+				pc++
+				o = &run[pc]
+				arr, i := arrs[o.x], int(regs[o.a])
+				if uint(i) >= uint(len(arr)) {
+					return 0, m.loadTrap(c, b, pc, checked, i, len(arr))
+				}
+				regs[o.dst] = arr[i]
+			case opMulAdd:
+				regs[o.dst] = regs[o.a] * regs[o.b]
+				pc++
+				o = &run[pc]
+				regs[o.dst] = regs[o.a] + regs[o.b]
+			case opLoadMul:
+				arr, i := arrs[o.x], int(regs[o.a])
+				if uint(i) >= uint(len(arr)) {
+					return 0, m.loadTrap(c, b, pc, checked, i, len(arr))
+				}
+				regs[o.dst] = arr[i]
+				pc++
+				o = &run[pc]
+				regs[o.dst] = regs[o.a] * regs[o.b]
+			case opLoadAdd:
+				arr, i := arrs[o.x], int(regs[o.a])
+				if uint(i) >= uint(len(arr)) {
+					return 0, m.loadTrap(c, b, pc, checked, i, len(arr))
+				}
+				regs[o.dst] = arr[i]
+				pc++
+				o = &run[pc]
+				regs[o.dst] = regs[o.a] + regs[o.b]
+			case opAddAdd:
+				regs[o.dst] = regs[o.a] + regs[o.b]
+				pc++
+				o = &run[pc]
+				regs[o.dst] = regs[o.a] + regs[o.b]
 			default:
 				return 0, m.trapAt(c, b, pc, checked, "invalid opcode")
 			}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -705,11 +706,14 @@ func TestDecodedMatchesReferenceBenchmarks(t *testing.T) {
 }
 
 // trapProgram builds t(x, y) around one instruction under test: a block of
-// two adds, the instruction (source line 3), two more adds, then a jump to
-// a return. instr may read x and y, write dst, and address the local array
-// L[4] or the global array G[2]. An instruction that traps on the block's
-// fast path leaves two charged instructions to refund.
-func trapProgram(t testing.TB, instr func(x, y, dst ir.RegID, l, g ir.ArrID) ir.Instr) *ir.Program {
+// first and an add, the instruction (source line 3), next and a xor, then a
+// jump to a return. instr may read x and y, write dst, and address the
+// local array L[4] or the global array G[2]. An instruction that traps on
+// the block's fast path leaves two charged instructions to refund. first
+// and next choose the fused pairs around the instruction: with two adds it
+// is the first op of a pair with next, with a xor first the second op of a
+// pair with the add before it.
+func trapProgram(t testing.TB, first ir.Op, instr func(x, y, dst ir.RegID, l, g ir.ArrID) ir.Instr, next ir.Op) *ir.Program {
 	t.Helper()
 	p := ir.NewProgram()
 	g := p.AddGlobal(ir.ArrayDecl{Name: "G", Len: 2, Init: []int32{5, 6}})
@@ -724,10 +728,10 @@ func trapProgram(t testing.TB, instr func(x, y, dst ir.RegID, l, g ir.ArrID) ir.
 	ret := f.AddBlock("ret")
 	entry := f.Block(f.Entry)
 	entry.Instrs = []ir.Instr{
-		{Op: ir.OpAdd, Dst: acc, A: ir.Reg(x), B: ir.Imm(1), Pos: 1},
+		{Op: first, Dst: acc, A: ir.Reg(x), B: ir.Imm(1), Pos: 1},
 		{Op: ir.OpAdd, Dst: acc, A: ir.Reg(acc), B: ir.Reg(y), Pos: 2},
 		in,
-		{Op: ir.OpAdd, Dst: acc, A: ir.Reg(acc), B: ir.Imm(7), Pos: 4},
+		{Op: next, Dst: acc, A: ir.Reg(acc), B: ir.Imm(7), Pos: 4},
 		{Op: ir.OpXor, Dst: acc, A: ir.Reg(acc), B: ir.Reg(dst), Pos: 5},
 	}
 	entry.Term = ir.Terminator{Kind: ir.TermJump, Then: ret.ID}
@@ -795,8 +799,15 @@ func trapCases(t testing.TB) []diffCase {
 	}
 	var out []diffCase
 	for _, c := range cases {
-		out = append(out, diffCase{name: c.name, prog: trapProgram(t, c.instr), fn: "t", args: c.args})
+		out = append(out, diffCase{name: c.name, prog: trapProgram(t, ir.OpAdd, c.instr, ir.OpAdd), fn: "t", args: c.args})
 	}
+	// The out-of-range load as either half of a fused pair on the fast path
+	// (load-local above is the first op of a load+add pair): the second op
+	// of an add+load pair behind a xor, and the first op of a load+mul pair.
+	loads := calls(3, 0, 4, 0, -1, 0)
+	out = append(out,
+		diffCase{name: "add-load", prog: trapProgram(t, ir.OpXor, load(local), ir.OpAdd), fn: "t", args: loads},
+		diffCase{name: "load-mul", prog: trapProgram(t, ir.OpAdd, load(local), ir.OpMul), fn: "t", args: loads})
 
 	// A branch whose two targets are one block: both slots fold into one
 	// edge, and the else side is taken on x == 0.
@@ -846,10 +857,28 @@ func trapCases(t testing.TB) []diffCase {
 // Func, Pos and Msg, and leaves the same steps, counts, edges, instruction
 // count and globals, including a trap raised mid-block on the fast path.
 func TestDecodedMatchesReferenceTraps(t *testing.T) {
+	// The fused-pair cases must decode to the pairs they are named for: the
+	// fast codes of t's entry block.
+	fused := map[string][]ir.Op{
+		"load-local": {opAddAdd, ir.OpAdd, opLoadAdd, ir.OpAdd, ir.OpXor},
+		"add-load":   {ir.OpXor, opAddLoad, ir.OpLoad, ir.OpAdd, ir.OpXor},
+		"load-mul":   {opAddAdd, ir.OpAdd, opLoadMul, ir.OpMul, ir.OpXor},
+	}
 	for _, c := range trapCases(t) {
 		o := checkSame(t, c)
 		if c.name != "shift" && c.name != "then-equals-else" && len(o.Traps) == 0 {
 			t.Errorf("%s: no call trapped", c.name)
+		}
+		if want, ok := fused[c.name]; ok {
+			code := New(c.prog).decode(c.prog.Func(c.fn))
+			b := code.blocks[c.prog.Func(c.fn).Entry]
+			var got []ir.Op
+			for _, o := range code.fast[b.start:b.end] {
+				got = append(got, o.code)
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("%s: fast codes %v, want %v", c.name, got, want)
+			}
 		}
 	}
 }
@@ -857,9 +886,10 @@ func TestDecodedMatchesReferenceTraps(t *testing.T) {
 // TestDecodedMatchesReferenceStepLimits sweeps MaxSteps over every value up
 // to past the end of a run, so the step limit falls on each block entry and
 // each instruction of multi-instruction blocks (and on the steps around a
-// mid-block trap); the trap step and Pos must match the reference at every
-// value. It also covers the context poll path around a poll boundary and
-// an instruction-free loop stopped by its limit and by a cancelled context.
+// mid-block trap, in either half of a fused pair); the trap step and Pos
+// must match the reference at every value. It also covers the context poll
+// path around a poll boundary and an instruction-free loop stopped by its
+// limit and by a cancelled context.
 func TestDecodedMatchesReferenceStepLimits(t *testing.T) {
 	sweep := func(name string, prog *ir.Program, fn string, args [][]Arg) {
 		total := checkSame(t, diffCase{name: name, prog: prog, fn: fn, args: args}).Steps
@@ -872,7 +902,8 @@ func TestDecodedMatchesReferenceStepLimits(t *testing.T) {
 	}
 	sweep("countdown", buildCountdown(), "f", [][]Arg{{Int(3)}})
 	for _, c := range trapCases(t) {
-		if c.name == "div" || c.name == "store-local" {
+		switch c.name {
+		case "div", "store-local", "load-local", "add-load", "load-mul":
 			sweep(c.name, c.prog, c.fn, c.args)
 		}
 	}
@@ -895,5 +926,57 @@ func TestDecodedMatchesReferenceStepLimits(t *testing.T) {
 		ctx: cancelled})
 	if len(o.Errs) != 1 {
 		t.Errorf("cancelled spin: errors %v", o.Errs)
+	}
+}
+
+// TestFusedDispatchesJPEG pins how much the fast path's pair fusion saves on
+// the profiled run of flattened JPEG. The dispatch count is computed from
+// the decoded fast array and the block counts, not counted at run time: a
+// block on the fast path dispatches once per plain op and once per fused
+// pair, and the run holds no call and stays far below the step limit, so
+// every block takes the fast path. A decoder change that stops fusing fails
+// here.
+func TestFusedDispatchesJPEG(t *testing.T) {
+	if testing.Short() {
+		t.Skip("profiles the JPEG benchmark")
+	}
+	const (
+		wantInstrs    = 9849492
+		maxDispatches = 6632668
+	)
+	jsrc, err := apps.JPEGSource()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, flat := compile(t, jsrc, apps.JPEGEntry)
+	m := New(flat)
+	copy(m.Global(apps.JPEGImageArray), apps.GenImage(1))
+	prof := m.EnableProfile()
+	if _, err := m.Run(apps.JPEGEntry); err != nil {
+		t.Fatal(err)
+	}
+	c := m.decode(flat.Func(apps.JPEGEntry))
+	counts := prof.Counts[apps.JPEGEntry]
+	var instrs, dispatches uint64
+	for bi, b := range c.blocks {
+		if b.call {
+			t.Fatalf("block %d of flattened JPEG holds a call", bi)
+		}
+		n := uint64(0)
+		for pc := b.start; pc < b.end; pc++ {
+			if c.fast[pc].code != c.ops[pc].code {
+				pc++
+			}
+			n++
+		}
+		instrs += counts[bi] * uint64(b.end-b.start)
+		dispatches += counts[bi] * n
+	}
+	if instrs != prof.Instrs || instrs != wantInstrs {
+		t.Fatalf("block counts give %d instructions, profile %d, want %d", instrs, prof.Instrs, wantInstrs)
+	}
+	t.Logf("%d dispatches for %d instructions (%.1f%% fewer)", dispatches, instrs, 100*(1-float64(dispatches)/float64(instrs)))
+	if dispatches > maxDispatches {
+		t.Errorf("%d dispatches, want at most %d", dispatches, maxDispatches)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 )
 
@@ -69,6 +70,12 @@ func FuzzPartitionRequest(f *testing.F) {
 		`{"benchmark": "ofdm", "energy_budget": 1e9}`,
 		`{"benchmark": "ofdm", "frames": 1025}`,
 		`{"benchmark": "nope", "unknown": true}`,
+		// Data after the body's one value.
+		`{"benchmark":"ofdm","seed":1,"constraint":60000} trailing garbage`,
+		`{"benchmark":"ofdm","seed":1,"constraint":60000}{"benchmark":"ofdm","seed":1,"constraint":60000}`,
+		// Input lists at the edges of Int32List.
+		`{"source": "int A[2]; int main_fn() { return A[0]; }", "inputs": {"A": [null, -0, 2147483647, -2147483648], "B": null, "C": []}}`,
+		`{"source": "int main_fn() { return 0; }", "inputs": {"A": [1.0]}}`,
 	} {
 		f.Add([]byte(s))
 	}
@@ -88,6 +95,44 @@ func FuzzPartitionRequest(f *testing.F) {
 		}
 		if got := wireKeys(back); got != keys {
 			t.Fatalf("cache keys changed across a JSON round trip:\n%s -> %v\n%s -> %v", body, keys, again, got)
+		}
+	})
+}
+
+// FuzzInt32List checks Int32List against encoding/json's reflective decoder
+// of a []int32: on every valid JSON input the two agree on acceptance and,
+// when they accept, on the values, a nil list included. The list is decoded
+// both through json.Unmarshal and by a direct UnmarshalJSON call on the raw
+// input, surrounding whitespace and all.
+func FuzzInt32List(f *testing.F) {
+	for _, s := range []string{
+		`[]`, `null`, `[null]`, `[-0]`, "[ 1 ,\n2 ]",
+		`[2147483647]`, `[2147483648]`, `[-2147483648]`, `[-2147483649]`,
+		`[1.0]`, `[1e2]`, `["1"]`, `[[1]]`, `{}`, `true`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if !json.Valid(data) {
+			return
+		}
+		var want []int32
+		wantErr := json.Unmarshal(data, &want)
+		var viaJSON, direct Int32List
+		for _, got := range []struct {
+			how string
+			err error
+			l   *Int32List
+		}{
+			{"json.Unmarshal", json.Unmarshal(data, &viaJSON), &viaJSON},
+			{"UnmarshalJSON", direct.UnmarshalJSON(data), &direct},
+		} {
+			if (got.err == nil) != (wantErr == nil) {
+				t.Fatalf("%q: %s error %v, encoding/json error %v", data, got.how, got.err, wantErr)
+			}
+			if got.err == nil && !reflect.DeepEqual([]int32(*got.l), want) {
+				t.Fatalf("%q: %s gives %#v, encoding/json %#v", data, got.how, []int32(*got.l), want)
+			}
 		}
 	})
 }

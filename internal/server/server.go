@@ -591,19 +591,28 @@ func (s *Server) statsJSON() StatsJSON {
 }
 
 // decodeBody strictly decodes r's JSON body into v, reading at most
-// maxBodyBytes: a longer body is a 413, a malformed one a 400.
+// maxBodyBytes: a longer body is a 413, a malformed one a 400. The body is
+// one JSON value: anything after it but whitespace is malformed.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) *httpError {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return &httpError{status: http.StatusRequestEntityTooLarge,
-				msg: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)}
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return nil
 		}
-		return badRequest("malformed request body: " + err.Error())
+		if err == nil || !errors.As(err, new(*http.MaxBytesError)) {
+			err = errors.New("data after the JSON value")
+		}
 	}
-	return nil
+	// Declared past the success path: errors.As makes it escape, and a
+	// heap allocation per request would be wasted on bodies that decode.
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return &httpError{status: http.StatusRequestEntityTooLarge,
+			msg: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)}
+	}
+	return badRequest("malformed request body: " + err.Error())
 }
 
 // decodePartitionRequest parses and shape-checks a partition body.

@@ -287,6 +287,43 @@ func TestBodyCap(t *testing.T) {
 	}
 }
 
+// TestTrailingBody: every POST decoder takes one JSON value as the whole
+// body. Trailing garbage or a second object after it is a 400 before the
+// request is looked at; trailing whitespace is fine (the unknown benchmark
+// is the 404 that proves the decoder saw the object), up to the body cap.
+func TestTrailingBody(t *testing.T) {
+	s := newTestServer(t, Config{})
+	const ofdm = `{"benchmark":"ofdm","seed":1,"constraint":60000}`
+	for _, body := range []string{ofdm + ` trailing garbage`, ofdm + ofdm, ofdm + "\n}"} {
+		if rec := post(t, s, "/v1/partition", body); rec.Code != http.StatusBadRequest ||
+			!strings.Contains(rec.Body.String(), "data after the JSON value") {
+			t.Fatalf("%q: status %d, body %s; want 400 naming the trailing data", body, rec.Code, rec.Body)
+		}
+	}
+	cases := []struct{ path, obj string }{
+		{"/v1/partition", `{"benchmark":"mp3"}`},
+		{"/v1/partition-energy", `{"benchmark":"mp3","energy_budget":5}`},
+		{"/v1/simulate", `{"benchmark":"mp3"}`},
+		{"/v1/sweep", `{"benchmarks":["mp3"]}`},
+	}
+	for _, tc := range cases {
+		t.Run(strings.TrimPrefix(tc.path, "/v1/"), func(t *testing.T) {
+			for _, tail := range []string{` trailing garbage`, tc.obj, `[]`, `0`} {
+				if rec := post(t, s, tc.path, tc.obj+tail); rec.Code != http.StatusBadRequest {
+					t.Fatalf("tail %q: status %d, want 400 (body %s)", tail, rec.Code, rec.Body)
+				}
+			}
+			if rec := post(t, s, tc.path, tc.obj+" \n\t\r"); rec.Code != http.StatusNotFound {
+				t.Fatalf("trailing whitespace: status %d, want 404 (body %s)", rec.Code, rec.Body)
+			}
+			padded := tc.obj + strings.Repeat(" ", maxBodyBytes+1-len(tc.obj))
+			if rec := post(t, s, tc.path, padded); rec.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("whitespace past the cap: status %d, want 413 (body %s)", rec.Code, rec.Body)
+			}
+		})
+	}
+}
+
 // TestPartitionCancellation covers the 499 path: a request whose context is
 // already dead reaches the engine, which aborts with context.Canceled; the
 // failed run must not poison the cache.

@@ -1,10 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -142,11 +145,14 @@ type PartitionRequest struct {
 
 	// Source is inline mini-C text; Entry the function to flatten and
 	// profile (default "main_fn"). Args are scalar arguments for the
-	// profiling run; Inputs preloads named global arrays before it.
-	Source string             `json:"source,omitempty"`
-	Entry  string             `json:"entry,omitempty"`
-	Args   []int32            `json:"args,omitempty"`
-	Inputs map[string][]int32 `json:"inputs,omitempty"`
+	// profiling run; Inputs preloads named global arrays before it. An
+	// input array can hold a whole image, so its values decode through
+	// Int32List's scanner rather than encoding/json's reflective one, with
+	// the same accepted and rejected spellings.
+	Source string               `json:"source,omitempty"`
+	Entry  string               `json:"entry,omitempty"`
+	Args   []int32              `json:"args,omitempty"`
+	Inputs map[string]Int32List `json:"inputs,omitempty"`
 
 	// Preset names a registered platform variant; Options replaces the
 	// whole knob set instead. Constraint, when positive, overrides the
@@ -175,6 +181,92 @@ type PartitionRequest struct {
 
 	// EnergyBudget is the energy bound for /v1/partition-energy.
 	EnergyBudget float64 `json:"energy_budget,omitempty"`
+}
+
+// Int32List is a JSON array of 32-bit integers. It decodes exactly what
+// encoding/json accepts for a []int32 — whitespace anywhere, null elements
+// (as 0), -0, and null for the whole list (as nil) — and rejects the rest:
+// fractions, exponents, out-of-range values, strings, bools, objects and
+// nested arrays. It scans the digits by hand into a slice presized from a
+// comma count, with no reflection per element.
+type Int32List []int32
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (l *Int32List) UnmarshalJSON(data []byte) error {
+	i := skipSpace(data, 0)
+	if bytes.HasPrefix(data[i:], []byte("null")) && skipSpace(data, i+4) == len(data) {
+		*l = nil
+		return nil
+	}
+	if i == len(data) || data[i] != '[' {
+		return errors.New("int32 list: want an array")
+	}
+	out := make([]int32, 0, bytes.Count(data, []byte{','})+1)
+	i = skipSpace(data, i+1)
+	for empty := i < len(data) && data[i] == ']'; !empty; {
+		v, next, err := scanInt32(data, i)
+		if err != nil {
+			return fmt.Errorf("int32 list: element %d: %w", len(out), err)
+		}
+		out = append(out, v)
+		i = skipSpace(data, next)
+		if i < len(data) && data[i] == ']' {
+			break
+		}
+		if i == len(data) || data[i] != ',' {
+			return fmt.Errorf("int32 list: want ',' or ']' after element %d", len(out)-1)
+		}
+		i = skipSpace(data, i+1)
+	}
+	if skipSpace(data, i+1) != len(data) {
+		return errors.New("int32 list: data after the array")
+	}
+	*l = out
+	return nil
+}
+
+// scanInt32 parses one list element at data[i:]: null (as 0) or a JSON
+// integer in int32 range. It returns the value and the index after it; a
+// number that goes on into a fraction or an exponent is left for the caller
+// to reject at the next byte.
+func scanInt32(data []byte, i int) (int32, int, error) {
+	if i < len(data) && data[i] == 'n' && bytes.HasPrefix(data[i:], []byte("null")) {
+		return 0, i + 4, nil
+	}
+	neg := i < len(data) && data[i] == '-'
+	if neg {
+		i++
+	}
+	start := i
+	var n int64
+	for ; i < len(data) && '0' <= data[i] && data[i] <= '9'; i++ {
+		n = n*10 + int64(data[i]-'0')
+		if n > 1<<31 {
+			return 0, i, errors.New("value out of int32 range")
+		}
+	}
+	switch {
+	case i == start:
+		return 0, i, errors.New("want an integer")
+	case data[start] == '0' && i > start+1:
+		return 0, i, errors.New("leading zero")
+	}
+	if neg {
+		n = -n
+	}
+	if n > math.MaxInt32 {
+		return 0, i, errors.New("value out of int32 range")
+	}
+	return int32(n), i, nil
+}
+
+// skipSpace returns the index of the first byte at or after i that is not
+// JSON whitespace.
+func skipSpace(data []byte, i int) int {
+	for i < len(data) && (data[i] == ' ' || data[i] == '\t' || data[i] == '\n' || data[i] == '\r') {
+		i++
+	}
+	return i
 }
 
 // validate checks the request shape (transport-independent: resolveOptions
