@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"reflect"
 	"strings"
@@ -167,6 +168,52 @@ func TestEnergyProfiledParity(t *testing.T) {
 	}
 	if _, err := noBudget.PartitionEnergy(context.Background(), w); err == nil {
 		t.Fatal("missing energy budget accepted")
+	}
+}
+
+// TestEnergyGolden pins the energy-constrained trajectories of the OFDM and
+// JPEG benchmarks (seed 1, default costs) to testdata/energy_golden.txt,
+// byte for byte: at a loose budget and at 0.5× and 0.1× the all-FPGA
+// energy, the moved and unmappable kernels, Met, every EnergyMoveEvent's
+// EnergyAfter and the initial and final breakdowns. %v prints float64s
+// at full precision, so a change in summation order shows.
+func TestEnergyGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping benchmark compilation in -short mode")
+	}
+	const golden = "testdata/energy_golden.txt"
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	ctx := context.Background()
+	for _, bench := range []string{BenchOFDM, BenchJPEG} {
+		app, prof, err := ProfileBenchmarkCached(bench, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loose, err := mustEngine(t, WithEnergyBudget(1e18)).PartitionEnergyProfiled(ctx, app, prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, budget := range []float64{1e18, loose.InitialEnergy * 0.5, loose.InitialEnergy * 0.1} {
+			var after []float64
+			eng := mustEngine(t, WithEnergyBudget(budget), WithObserver(func(ev Event) {
+				if e, ok := ev.(EnergyMoveEvent); ok {
+					after = append(after, e.EnergyAfter)
+				}
+			}))
+			res, err := eng.PartitionEnergyProfiled(ctx, app, prof)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&got, "%s budget=%v met=%v moved=%v unmappable=%v\n", bench, budget, res.Met, res.Moved, res.Unmappable)
+			fmt.Fprintf(&got, "  energy_after=%v\n  initial=%v\n  final=%v\n", after, res.Initial, res.Final)
+		}
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("energy trajectories diverge from %s:\n--- got ---\n%s--- want ---\n%s", golden, got.Bytes(), want)
 	}
 }
 
