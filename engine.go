@@ -587,40 +587,53 @@ func (e *Engine) partitionScored(ctx context.Context, a *App, p *RunProfile, opt
 // when no sim knob is active).
 func (e *Engine) runConfig(ctx context.Context, a *App, p *RunProfile, opts Options, costsSet bool,
 	sc *runScratch) (partition.Config, *analysis.Report, *simScorer, error) {
-	plat := opts.platform(costsSet)
-	// Validate before the App schedules its kernels on plat's data-path:
-	// an invalid platform must not replace the App's latency table.
-	if err := plat.Validate(); err != nil {
-		return partition.Config{}, nil, nil, err
-	}
-	lat, err := a.coarseLatencies(ctx, plat.Coarse)
+	cfg, rep, err := loopConfig(ctx, a, p, opts, costsSet, sc)
 	if err != nil {
 		return partition.Config{}, nil, nil, err
 	}
-	an := p.analysisFor(a, opts.weights())
-	cfg := partition.Config{
-		Platform:         plat,
-		Constraint:       opts.Constraint,
-		Order:            opts.Order,
-		Kernels:          an.kernels(opts.Order),
-		Edges:            p.edges,
-		Tables:           a.blockTables(),
-		Latencies:        lat,
-		MaxMoves:         opts.MaxMoves,
-		SkipNonImproving: opts.SkipNonImproving,
-		Objective:        opts.Objective,
-		RerankK:          opts.RerankK,
-		Prefixes:         sc.prefixes,
-	}
+	cfg.Constraint = opts.Constraint
+	cfg.MaxMoves = opts.MaxMoves
+	cfg.SkipNonImproving = opts.SkipNonImproving
+	cfg.Objective = opts.Objective
+	cfg.RerankK = opts.RerankK
 	var scorer *simScorer
 	if simKnobsActive(opts) {
-		if scorer, err = newSimScorer(ctx, a, p, plat, simSpecOf(opts), sc); err != nil {
+		if scorer, err = newSimScorer(ctx, a, p, cfg.Platform, simSpecOf(opts), sc); err != nil {
 			return partition.Config{}, nil, nil, err
 		}
 		scorer.hooks = e.hooks
 		cfg.SimCostBatch = scorer.ScoreBatch
 	}
-	return cfg, an.rep, scorer, nil
+	return cfg, rep, scorer, nil
+}
+
+// loopConfig builds the part of the move loop's configuration that time
+// and energy runs of opts on a and p share — the platform, kernel order,
+// edges, and the App's block and latency tables — with the trajectory
+// records stored in sc, and returns it with the analysis report the loop
+// reads.
+func loopConfig(ctx context.Context, a *App, p *RunProfile, opts Options, costsSet bool,
+	sc *runScratch) (partition.Config, *analysis.Report, error) {
+	plat := opts.platform(costsSet)
+	// Validate before the App schedules its kernels on plat's data-path:
+	// an invalid platform must not replace the App's latency table.
+	if err := plat.Validate(); err != nil {
+		return partition.Config{}, nil, err
+	}
+	lat, err := a.coarseLatencies(ctx, plat.Coarse)
+	if err != nil {
+		return partition.Config{}, nil, err
+	}
+	an := p.analysisFor(a, opts.weights())
+	return partition.Config{
+		Platform:  plat,
+		Order:     opts.Order,
+		Kernels:   an.kernels(opts.Order),
+		Edges:     p.edges,
+		Tables:    a.blockTables(),
+		Latencies: lat,
+		Prefixes:  sc.prefixes,
+	}, an.rep, nil
 }
 
 // PartitionEnergy runs the energy-constrained engine against the budget set
@@ -637,6 +650,11 @@ func (e *Engine) PartitionEnergy(ctx context.Context, w *Workload) (*EnergyResul
 // PartitionEnergyProfiled is PartitionEnergy on a pre-compiled App and an
 // explicit profile snapshot — see PartitionProfiled for when to prefer it
 // over the Workload path.
+//
+// It runs the paper's move loop with the energy model as the stop test:
+// each trajectory record is priced from its packing, and the run stops at
+// the first record within the budget. The engine's move limit, skip
+// switch, objective and rerank knobs do not apply to energy runs.
 func (e *Engine) PartitionEnergyProfiled(ctx context.Context, a *App, p *RunProfile) (*EnergyResult, error) {
 	if a == nil || p == nil {
 		return nil, fmt.Errorf("hybridpart: PartitionEnergyProfiled needs a non-nil app and profile")
@@ -644,51 +662,38 @@ func (e *Engine) PartitionEnergyProfiled(ctx context.Context, a *App, p *RunProf
 	if e.budget <= 0 {
 		return nil, fmt.Errorf("hybridpart: PartitionEnergy needs a positive energy budget (use WithEnergyBudget)")
 	}
-	plat := e.opts.platform(e.costsSet)
-	if err := plat.Validate(); err != nil {
-		return nil, err
-	}
-	lat, err := a.coarseLatencies(ctx, plat.Coarse)
+	sc := scratchPool.Get().(*runScratch)
+	defer scratchPool.Put(sc)
+	cfg, rep, err := loopConfig(ctx, a, p, e.opts, e.costsSet, sc)
 	if err != nil {
 		return nil, err
 	}
-	rep := p.analysisFor(a, e.opts.weights()).rep
-	cfg := energy.Config{
-		Platform:  plat,
-		Costs:     energy.DefaultCosts(),
-		Budget:    e.budget,
-		Order:     e.opts.Order,
-		Edges:     p.edges,
-		Latencies: lat,
-	}
-	if e.observer != nil {
-		budget := e.budget
-		seq := 0
-		cfg.OnMove = func(m energy.Move) {
+	out := &EnergyResult{Budget: e.budget}
+	costs := energy.DefaultCosts()
+	seq := 0
+	cfg.Stop = func(rec *partition.Prefix) bool {
+		bd := EnergyBreakdown(energy.Evaluate(cfg.Tables, p.Freq, &rec.Pack, costs, cfg.Edges))
+		total := bd.Total()
+		met := total <= out.Budget
+		if rec.Block < 0 {
+			out.Initial = bd
+		} else if e.observer != nil {
 			seq++
-			e.emit(EnergyMoveEvent{
-				Seq:         seq,
-				Block:       int(m.Block),
-				EnergyAfter: m.EnergyAfter,
-				Budget:      budget,
-				Met:         m.EnergyAfter <= budget,
-			})
+			e.emit(EnergyMoveEvent{Seq: seq, Block: int(rec.Block), EnergyAfter: total, Budget: out.Budget, Met: met})
 		}
+		out.Final = bd
+		return met
 	}
-	res, err := energy.Partition(ctx, a.fprog, a.blockTables(), rep, cfg)
+	res, err := partition.Partition(ctx, a.fprog, a.flat, rep, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &EnergyResult{
-		InitialEnergy: res.InitialEnergy,
-		FinalEnergy:   res.FinalEnergy,
-		Initial:       EnergyBreakdown(res.Initial),
-		Final:         EnergyBreakdown(res.Final),
-		Budget:        res.Budget,
-		Met:           res.Met,
-		Moved:         blockIDsToInts(res.Moved),
-		Unmappable:    blockIDsToInts(res.Unmappable),
-	}, nil
+	sc.prefixes = res.Prefixes
+	out.InitialEnergy, out.FinalEnergy = out.Initial.Total(), out.Final.Total()
+	out.Met = res.Met
+	out.Moved = blockIDsToInts(res.Moved)
+	out.Unmappable = blockIDsToInts(res.Unmappable)
+	return out, nil
 }
 
 // Sweep runs the design-space-exploration engine over the spec: each

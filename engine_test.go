@@ -156,8 +156,8 @@ func TestEnergyProfiledParity(t *testing.T) {
 			t.Fatalf("event %d malformed: %+v (moved %v)", i, ev, got.Moved)
 		}
 	}
-	if !events[len(events)-1].Met {
-		t.Fatal("final energy move event not marked Met")
+	if last := events[len(events)-1]; !last.Met || last.EnergyAfter != got.FinalEnergy {
+		t.Fatalf("final energy move event %+v not marked Met at the final energy %v", last, got.FinalEnergy)
 	}
 	if _, err := eng.PartitionEnergy(context.Background(), nil); err == nil {
 		t.Fatal("nil workload accepted")
@@ -254,17 +254,20 @@ func TestTables23Golden(t *testing.T) {
 }
 
 // TestEnginePartitionCancellation cancels mid-trajectory from inside the
-// observer and expects a prompt ctx.Err() return.
+// observer and expects a prompt ctx.Err() return, from the timing and the
+// energy engine alike.
 func TestEnginePartitionCancellation(t *testing.T) {
 	w := firWorkload(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	var cancel context.CancelFunc
 	moves := 0
 	eng, err := NewEngine(
-		// Unreachable constraint: the trajectory would run to exhaustion.
+		// Unreachable constraint and budget: either trajectory would run to
+		// exhaustion.
 		WithConstraint(1),
+		WithEnergyBudget(0.001),
 		WithObserver(func(ev Event) {
-			if _, ok := ev.(MoveEvent); ok {
+			switch ev.(type) {
+			case MoveEvent, EnergyMoveEvent:
 				moves++
 				cancel()
 			}
@@ -273,19 +276,27 @@ func TestEnginePartitionCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Partition(ctx, w)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got res=%v err=%v", res, err)
-	}
-	if moves != 1 {
-		t.Fatalf("engine kept moving after cancellation: %d moves observed", moves)
-	}
+	for _, run := range []struct {
+		name string
+		run  func(context.Context) error
+	}{
+		{"time", func(ctx context.Context) error { _, err := eng.Partition(ctx, w); return err }},
+		{"energy", func(ctx context.Context) error { _, err := eng.PartitionEnergy(ctx, w); return err }},
+	} {
+		ctx, stop := context.WithCancel(context.Background())
+		defer stop()
+		cancel, moves = stop, 0
+		if err := run.run(ctx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: want context.Canceled, got %v", run.name, err)
+		}
+		if moves != 1 {
+			t.Fatalf("%s: engine kept moving after cancellation: %d moves observed", run.name, moves)
+		}
 
-	// An already-cancelled context never starts the run at all.
-	dead, cancel2 := context.WithCancel(context.Background())
-	cancel2()
-	if _, err := eng.Partition(dead, w); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-cancelled context not honored: %v", err)
+		// An already-cancelled context never starts the run at all.
+		if err := run.run(ctx); !errors.Is(err, context.Canceled) || moves != 1 {
+			t.Fatalf("%s: pre-cancelled context not honored: %v after %d moves", run.name, err, moves)
+		}
 	}
 }
 

@@ -191,3 +191,58 @@ func ExampleEngine_Simulate() {
 	// exact: true
 	// speedup: 3.878
 }
+
+// ExampleEngine_PartitionEnergy partitions the OFDM transmitter against an
+// energy budget instead of a timing constraint (the paper's future work),
+// sweeping the budget to show the energy/moves trade-off.
+func ExampleEngine_PartitionEnergy() {
+	w, err := hybridpart.BenchmarkWorkload(hybridpart.BenchOFDM, 1)
+	if err != nil {
+		fmt.Println("workload failed:", err)
+		return
+	}
+	partitionAt := func(budget float64) (*hybridpart.EnergyResult, error) {
+		eng, err := hybridpart.NewEngine(hybridpart.WithEnergyBudget(budget))
+		if err != nil {
+			return nil, err
+		}
+		return eng.PartitionEnergy(context.Background(), w)
+	}
+
+	loose, err := partitionAt(1e18)
+	if err != nil {
+		fmt.Println("partition failed:", err)
+		return
+	}
+	fmt.Printf("all-FPGA energy: %.0f units\n", loose.InitialEnergy)
+	fmt.Printf("  fine=%.0f reconfig=%.0f\n\n", loose.Initial.Fine, loose.Initial.Reconfig)
+
+	fmt.Printf("%-10s %-12s %-8s %-8s %s\n", "budget", "final", "met", "moves", "%reduction")
+	var half *hybridpart.EnergyResult
+	for _, frac := range []float64{0.9, 0.7, 0.5, 0.3, 0.1} {
+		res, err := partitionAt(loose.InitialEnergy * frac)
+		if err != nil {
+			fmt.Println("partition failed:", err)
+			return
+		}
+		if frac == 0.5 {
+			half = res
+		}
+		fmt.Printf("%-10.0f %-12.0f %-8v %-8d %.1f\n",
+			res.Budget, res.FinalEnergy, res.Met, len(res.Moved), res.ReductionPct())
+	}
+	fmt.Printf("\nbreakdown at 50%% budget: fine=%.0f coarse=%.0f reconfig=%.0f comm=%.0f\n",
+		half.Final.Fine, half.Final.Coarse, half.Final.Reconfig, half.Final.Comm)
+	// Output:
+	// all-FPGA energy: 24666948 units
+	//   fine=541948 reconfig=24125000
+	//
+	// budget     final        met      moves    %reduction
+	// 22200253   12853188     true     1        47.9
+	// 17266864   12853188     true     1        47.9
+	// 12333474   8490852      true     2        65.6
+	// 7400084    4269732      true     4        82.7
+	// 2466695    445026       true     6        98.2
+	//
+	// breakdown at 50% budget: fine=79132 coarse=98208 reconfig=8285000 comm=28512
+}

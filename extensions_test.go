@@ -46,6 +46,36 @@ func TestPartitionEnergyInfeasibleBudget(t *testing.T) {
 	if res.FinalEnergy > res.InitialEnergy {
 		t.Fatalf("energy increased: %v -> %v", res.InitialEnergy, res.FinalEnergy)
 	}
+	if len(res.Moved) == 0 {
+		t.Fatal("engine gave up without trying kernels")
+	}
+
+	// The data-path cannot divide: a division kernel stays on the FPGA and
+	// is reported unmappable while the engine tries every candidate.
+	w, err := NewWorkload(`
+int data[64];
+int main_fn() {
+    int i;
+    int s = 0;
+    for (i = 0; i < 50; i++) {
+        int j;
+        for (j = 1; j <= 64; j++) { s += data[j - 1] / j; }
+    }
+    return s;
+}`, "main_fn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	div, err := mustEngine(t, WithEnergyBudget(0.001)).PartitionEnergy(context.Background(), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(div.Unmappable) == 0 || div.Met {
+		t.Fatalf("division kernel not reported unmappable: %+v", div)
+	}
 }
 
 func TestPipelineModelProperties(t *testing.T) {

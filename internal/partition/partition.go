@@ -65,6 +65,14 @@ type Config struct {
 	// kernel move with the move just recorded. It runs on the engine's own
 	// goroutine, so callbacks observe moves in trajectory order.
 	OnMove func(Move)
+	// Stop, when non-nil, replaces the eq. 2 test against Constraint (which
+	// it makes unused): the loop calls it on record 0, the all-FPGA
+	// mapping, and then on the record of every accepted move, in
+	// trajectory order on the engine's own goroutine, and stops with Met
+	// set at the first record it accepts. The energy-constrained variant
+	// prices each record here. Not allowed with simulation-scored
+	// selection, which never stops early.
+	Stop func(*Prefix) bool
 
 	// Objective selects the move-loop objective. Under ObjectiveSimulated
 	// the loop walks the full trajectory (ignoring the constraint-met early
@@ -240,6 +248,15 @@ func (r *Result) ReductionPct() float64 {
 	return 100 * float64(r.InitialCycles-r.FinalCycles) / float64(r.InitialCycles)
 }
 
+// stop reports whether the loop stops at record p: cfg.Stop's verdict when
+// set, eq. 2's t_total against the constraint otherwise.
+func (cfg *Config) stop(p *Prefix) bool {
+	if cfg.Stop != nil {
+		return cfg.Stop(p)
+	}
+	return p.Total <= cfg.Constraint
+}
+
 // ErrInfeasible reports that a mapping step failed outright (for example an
 // operator wider than A_FPGA).
 var ErrInfeasible = errors.New("partition: mapping infeasible")
@@ -258,7 +275,7 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 	if err := cfg.Platform.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Constraint <= 0 {
+	if cfg.Constraint <= 0 && cfg.Stop == nil {
 		return nil, fmt.Errorf("partition: timing constraint must be positive, got %d", cfg.Constraint)
 	}
 	if rep == nil || len(rep.Blocks) != len(f.Blocks) {
@@ -276,6 +293,9 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 	simSelect := cfg.Objective == ObjectiveSimulated || cfg.RerankK != 0
 	if simSelect && cfg.SimCostBatch == nil {
 		return nil, fmt.Errorf("partition: objective %v (rerank %d) needs a SimCostBatch evaluator", cfg.Objective, cfg.RerankK)
+	}
+	if simSelect && cfg.Stop != nil {
+		return nil, fmt.Errorf("partition: a stop test and simulation-scored selection are mutually exclusive")
 	}
 
 	tables := cfg.Tables
@@ -341,11 +361,11 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 	res.TFPGA = res.InitialCycles
 	rec.Block = -1
 	rec.TFPGA, rec.TCoarse, rec.TComm, rec.Total = res.InitialCycles, 0, 0, res.InitialCycles
-	if res.InitialCycles <= cfg.Constraint && !simSelect {
-		// Timing met by the all-FPGA solution: the methodology exits before
-		// the analysis/partitioning steps. Simulation-scored selection keeps
-		// walking — moving kernels can still lower the simulated makespan
-		// even when the closed form is already under the constraint.
+	if !simSelect && cfg.stop(rec) {
+		// Constraint met by the all-FPGA solution: the methodology exits
+		// before the analysis/partitioning steps. Simulation-scored selection
+		// keeps walking — moving kernels can still lower the simulated
+		// makespan even when the closed form is already under the constraint.
 		res.Met = true
 		return res, nil
 	}
@@ -436,7 +456,7 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 		if span != nil {
 			span.Set(obs.String("outcome", "moved"), obs.Int64("t_total", total))
 		}
-		return total <= cfg.Constraint && !simSelect, nil
+		return !simSelect && cfg.stop(rec), nil
 	}
 	for _, k := range kernels {
 		if err := ctx.Err(); err != nil {

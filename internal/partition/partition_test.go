@@ -389,6 +389,38 @@ func TestOnMoveMatchesMoves(t *testing.T) {
 	}
 }
 
+// TestStopReplacesConstraint: a stop test sees record 0 and then the record
+// of every accepted move, in trajectory order; the run ends with Met at the
+// first record it accepts, needs no constraint, and is refused next to
+// simulation-scored selection.
+func TestStopReplacesConstraint(t *testing.T) {
+	p := prepare(t, hotLoopSrc, "f", interp.Int(4))
+	var seen []ir.BlockID
+	res := p.run(t, Config{Platform: platform.Default(), Stop: func(rec *Prefix) bool {
+		seen = append(seen, rec.Block)
+		return len(seen) == 3
+	}})
+	if !res.Met || len(res.Moved) != 2 {
+		t.Fatalf("stop after the second move: met %v, moved %v", res.Met, res.Moved)
+	}
+	if want := append([]ir.BlockID{-1}, res.Moved...); !reflect.DeepEqual(seen, want) {
+		t.Fatalf("stop test saw records %v, want %v", seen, want)
+	}
+	if res := p.run(t, Config{Platform: platform.Default(), Stop: func(*Prefix) bool { return true }}); !res.Met || len(res.Moved) != 0 {
+		t.Fatalf("stop at the all-FPGA record: met %v, moved %v", res.Met, res.Moved)
+	}
+	if res := p.run(t, Config{Platform: platform.Default(), Stop: func(*Prefix) bool { return false }}); res.Met || len(res.Moved) == 0 {
+		t.Fatalf("a stop test that never accepts: met %v, moved %v", res.Met, res.Moved)
+	}
+	batch, _ := batchStub(t, func(int, []ir.BlockID) SimScore { return SimScore{Cycles: 1} })
+	if _, err := Partition(context.Background(), p.prog, p.fn, p.rep, Config{
+		Platform: platform.Default(), Constraint: 1, Objective: ObjectiveSimulated, SimCostBatch: batch,
+		Stop: func(*Prefix) bool { return true },
+	}); err == nil {
+		t.Fatal("stop test accepted with the simulated objective")
+	}
+}
+
 // batchStub builds a SimCostBatch stub whose scores are computed per slate
 // index, and records the moved sets of the last slate it saw.
 func batchStub(t *testing.T, score func(i int, moved []ir.BlockID) SimScore) (func(context.Context, []Prefix, []int) ([]SimScore, error), *[][]ir.BlockID) {

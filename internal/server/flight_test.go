@@ -323,6 +323,21 @@ func TestTelemetryEndpoint(t *testing.T) {
 	}
 }
 
+// TestTelemetryStartsAfterRoutes builds servers whose collector ticks as
+// often as the ticker allows. The ticks read the endpoint metrics that New
+// fills while it registers routes, so under -race a collector started
+// before the last route is reported as a data race.
+func TestTelemetryStartsAfterRoutes(t *testing.T) {
+	for range 20 {
+		s := New(Config{TelemetryInterval: time.Nanosecond})
+		rec := get(t, s, "/debug/telemetry")
+		s.Close()
+		if rec.Code != http.StatusOK {
+			t.Fatalf("/debug/telemetry: %d", rec.Code)
+		}
+	}
+}
+
 // TestFleetHealth: /debug/fleet on a two-replica fleet merges both
 // replicas' stats and telemetry into one document, with the serving
 // replica marked self.

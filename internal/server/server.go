@@ -216,13 +216,6 @@ func New(cfg Config) *Server {
 		s.stages = obs.NewStageAgg(nil, nil)
 		s.tracer.SetOnFinalize(s.stages.Observe)
 	}
-	if cfg.TelemetryInterval > 0 {
-		s.telemetry = obs.NewCollector(obs.CollectorConfig{
-			Interval: cfg.TelemetryInterval,
-			Counters: s.telemetryCounters,
-		})
-		s.telemetry.Start()
-	}
 	s.route("GET /healthz", "/healthz", s.handleHealthz)
 	s.route("GET /v1/presets", "/v1/presets", s.handlePresets)
 	s.route("GET /debug/stats", "/debug/stats", s.handleStats)
@@ -235,6 +228,15 @@ func New(cfg Config) *Server {
 	s.route("POST /v1/partition-energy", "/v1/partition-energy", s.handlePartitionEnergy)
 	s.route("POST /v1/sweep", "/v1/sweep", s.handleSweep)
 	s.route("POST /v1/simulate", "/v1/simulate", s.handleSimulate)
+	// The collector's ticks read s.metrics, so it starts only after the
+	// last route is registered.
+	if cfg.TelemetryInterval > 0 {
+		s.telemetry = obs.NewCollector(obs.CollectorConfig{
+			Interval: cfg.TelemetryInterval,
+			Counters: s.telemetryCounters,
+		})
+		s.telemetry.Start()
+	}
 	return s
 }
 

@@ -297,8 +297,9 @@ func TestMakespanAllocs(t *testing.T) {
 // in parallel goroutines on one shared Workload and on one
 // ProfileBenchmarkCached profile — so on one App's shared tables and on
 // one snapshot's lazily built scoring context — and requires every result,
-// SimStats included, to equal its serial run on a fresh workload. Run it
-// under -race.
+// SimStats included, to equal its serial run on a fresh workload. Energy
+// runs on the shared profile join them: they take their trajectory records
+// from the same scratch pool. Run it under -race.
 func TestPartitionSharedWorkloadConcurrent(t *testing.T) {
 	// A seed no other test profiles, so the concurrent runs below are the
 	// first users of the cached profile's scoring context.
@@ -314,8 +315,9 @@ func TestPartitionSharedWorkloadConcurrent(t *testing.T) {
 	points := scoringDesignPoints
 	engines := make([]*Engine, len(points))
 	serial := make([]*Result, len(points))
+	serialEnergy := make([]*EnergyResult, len(points))
 	for i, d := range points {
-		engines[i] = mustEngine(t, d.opts...)
+		engines[i] = mustEngine(t, append(d.opts, WithEnergyBudget(1.2e7))...)
 	}
 	// The serial reference runs on a fresh Workload so the concurrent runs
 	// below are the first users of the shared one's tables and snapshot.
@@ -327,10 +329,23 @@ func TestPartitionSharedWorkloadConcurrent(t *testing.T) {
 		if serial[i], err = eng.Partition(context.Background(), ref); err != nil {
 			t.Fatal(err)
 		}
+		if serialEnergy[i], err = eng.PartitionEnergy(context.Background(), ref); err != nil {
+			t.Fatal(err)
+		}
 	}
-	runs := []func(*Engine) (*Result, error){
-		func(eng *Engine) (*Result, error) { return eng.Partition(context.Background(), w) },
-		func(eng *Engine) (*Result, error) { return eng.PartitionProfiled(context.Background(), app, prof) },
+	runs := []func(eng *Engine, i int) (got, want any, err error){
+		func(eng *Engine, i int) (any, any, error) {
+			got, err := eng.Partition(context.Background(), w)
+			return got, serial[i], err
+		},
+		func(eng *Engine, i int) (any, any, error) {
+			got, err := eng.PartitionProfiled(context.Background(), app, prof)
+			return got, serial[i], err
+		},
+		func(eng *Engine, i int) (any, any, error) {
+			got, err := eng.PartitionEnergyProfiled(context.Background(), app, prof)
+			return got, serialEnergy[i], err
+		},
 	}
 	// The first wave builds the scoring contexts concurrently, the second
 	// shares the warm ones. Each goroutine runs once per wave: later runs
@@ -344,10 +359,10 @@ func TestPartitionSharedWorkloadConcurrent(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					got, err := run(eng)
-					if err == nil && !reflect.DeepEqual(got, serial[i]) {
+					got, want, err := run(eng, i)
+					if err == nil && !reflect.DeepEqual(got, want) {
 						err = fmt.Errorf("wave %d, %s on shared %s: concurrent result differs from serial\n got %+v\nwant %+v",
-							wave, points[i].name, []string{"workload", "profile"}[r], got, serial[i])
+							wave, points[i].name, []string{"workload", "profile", "profile (energy)"}[r], got, want)
 					}
 					if err != nil {
 						errs <- err
