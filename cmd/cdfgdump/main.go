@@ -11,59 +11,42 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"os"
 
 	"hybridpart"
+	"hybridpart/internal/cliutil"
 )
 
+const tool = cliutil.Tool("cdfgdump")
+
 func main() {
-	bench := flag.String("bench", "", fmt.Sprintf("built-in benchmark %v", hybridpart.Benchmarks()))
-	src := flag.String("src", "", "mini-C source file (alternative to -bench)")
-	entry := flag.String("entry", "main_fn", "entry function for -src")
+	sel := cliutil.AddSelection(flag.CommandLine, false)
 	block := flag.Int("block", -1, "dump the DFG of this basic block instead of the CFG")
 	flag.Parse()
 
 	// Validate flags up front: one clear line instead of a deep failure.
-	switch {
-	case *bench == "" && *src == "":
-		fail("need -bench or -src")
-	case *bench != "" && *src != "":
-		fail("-bench and -src are mutually exclusive")
-	case *bench != "" && !hybridpart.IsBenchmark(*bench):
-		fail(fmt.Sprintf("unknown benchmark %q (have %v)", *bench, hybridpart.Benchmarks()))
-	case *block < -1:
-		fail(fmt.Sprintf("-block must be a block number (or -1 for the CFG), got %d", *block))
+	tool.Usage(sel.Check())
+	if *block < -1 {
+		tool.Usagef("-block must be a block number (or -1 for the CFG), got %d", *block)
 	}
 
 	var (
 		app *hybridpart.App
 		err error
 	)
-	if *bench != "" {
-		app, err = hybridpart.BenchmarkApp(*bench)
+	if sel.Bench != "" {
+		app, err = hybridpart.BenchmarkApp(sel.Bench)
 	} else {
 		var text []byte
-		if text, err = os.ReadFile(*src); err == nil {
-			app, err = hybridpart.Compile(string(text), *entry)
+		if text, err = os.ReadFile(sel.Src); err == nil {
+			app, err = hybridpart.Compile(string(text), sel.Entry)
 		}
 	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cdfgdump: %v\n", err)
-		os.Exit(1)
-	}
+	tool.Fatal(err)
 	if *block >= 0 {
 		err = app.WriteDFGDot(os.Stdout, *block)
 	} else {
 		err = app.WriteCFGDot(os.Stdout)
 	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cdfgdump: %v\n", err)
-		os.Exit(1)
-	}
-}
-
-func fail(msg string) {
-	fmt.Fprintf(os.Stderr, "cdfgdump: %s\n", msg)
-	os.Exit(2)
+	tool.Fatal(err)
 }

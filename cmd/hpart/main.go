@@ -37,7 +37,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -48,19 +47,13 @@ import (
 	"hybridpart/internal/server"
 )
 
+const tool = cliutil.Tool("hpart")
+
 func main() {
-	bench := flag.String("bench", "", fmt.Sprintf("built-in benchmark %v", hybridpart.Benchmarks()))
-	src := flag.String("src", "", "mini-C source file (alternative to -bench)")
-	entry := flag.String("entry", "main_fn", "entry function for -src")
-	args := flag.String("args", "", "comma-separated scalar arguments for the entry function")
-	seed := flag.Uint("seed", 1, "benchmark input seed")
-	preset := flag.String("preset", "", "platform preset to start from (see hsweep -list-presets)")
-	afpga := flag.Int("afpga", 1500, "usable fine-grain area A_FPGA")
-	cgcs := flag.Int("cgcs", 2, "number of 2x2 CGCs in the data-path")
-	regions := flag.Int("regions", 1, "independently reconfigurable fine-grain regions (1 = monolithic context)")
+	sel := cliutil.AddSelection(flag.CommandLine, true)
+	plat := cliutil.AddPlatform(flag.CommandLine)
 	constraint := flag.Int64("constraint", 60000, "timing constraint in FPGA cycles")
-	objective := flag.String("objective", "model", `move-loop objective: "model" (closed-form t_total) or "sim" (simulated makespan)`)
-	rerank := flag.Int("rerank", 0, "re-score the top-k model trajectories by simulation (0 = off, -1 = all)")
+	objective := cliutil.AddObjective(flag.CommandLine, `move-loop objective: "model" (closed-form t_total) or "sim" (simulated makespan)`)
 	frames := flag.Int("frames", 0, "co-simulation frame count for the objective/report (0 = no simulation unless -objective sim)")
 	ports := flag.Int("ports", 0, "co-simulation transfer-port width (0 = 1)")
 	prefetch := flag.Bool("prefetch", false, "co-simulate with configuration prefetch")
@@ -72,59 +65,25 @@ func main() {
 
 	// Validate every flag up front so bad input dies with one clear line
 	// instead of an opaque failure deep in the flow.
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	tool.Usage(sel.Check())
+	tool.Usage(plat.Check())
 	switch {
-	case *bench == "" && *src == "":
-		fail("need -bench or -src")
-	case *bench != "" && *src != "":
-		fail("-bench and -src are mutually exclusive")
-	case *bench != "" && !hybridpart.IsBenchmark(*bench):
-		fail(fmt.Sprintf("unknown benchmark %q (have %v)", *bench, hybridpart.Benchmarks()))
-	case *afpga <= 0:
-		fail(fmt.Sprintf("-afpga must be positive, got %d", *afpga))
-	case *cgcs <= 0:
-		fail(fmt.Sprintf("-cgcs must be positive, got %d", *cgcs))
-	case *regions <= 0:
-		fail(fmt.Sprintf("-regions must be positive, got %d", *regions))
 	case *constraint <= 0:
-		fail(fmt.Sprintf("-constraint must be positive, got %d", *constraint))
+		tool.Usagef("-constraint must be positive, got %d", *constraint)
 	case *pipelineN < 0:
-		fail(fmt.Sprintf("-pipeline-frames must be non-negative, got %d", *pipelineN))
+		tool.Usagef("-pipeline-frames must be non-negative, got %d", *pipelineN)
 	case *jsonOut && *pipelineN > 0:
-		fail("-json and -pipeline-frames are mutually exclusive (the pipeline report is table-only)")
+		tool.Usagef("-json and -pipeline-frames are mutually exclusive (the pipeline report is table-only)")
 	case *frames < 0:
-		fail(fmt.Sprintf("-frames must be non-negative, got %d", *frames))
+		tool.Usagef("-frames must be non-negative, got %d", *frames)
 	case *ports < 0:
-		fail(fmt.Sprintf("-ports must be non-negative, got %d", *ports))
-	case *rerank < -1:
-		fail(fmt.Sprintf("-rerank must be -1 (all), 0 (off) or positive, got %d", *rerank))
+		tool.Usagef("-ports must be non-negative, got %d", *ports)
 	}
-	obj, err := hybridpart.ParseObjective(*objective)
-	if err != nil {
-		fail(err.Error())
-	}
-	if obj == hybridpart.ObjectiveSimulated && *rerank != 0 {
-		fail("-objective sim and -rerank are mutually exclusive (rerank already ends with a simulated selection)")
-	}
+	objOpts, err := objective.Options()
+	tool.Usage(err)
 
-	// Engine configuration: the preset (if any) lays down the platform;
-	// explicitly-given flags override its individual fields.
-	var engineOpts []hybridpart.Option
-	if *preset != "" {
-		engineOpts = append(engineOpts, hybridpart.WithPlatform(*preset))
-	}
-	if *preset == "" || set["afpga"] {
-		engineOpts = append(engineOpts, hybridpart.WithArea(*afpga))
-	}
-	if *preset == "" || set["cgcs"] {
-		engineOpts = append(engineOpts, hybridpart.WithCGCs(*cgcs))
-	}
-	if *preset == "" || set["regions"] {
-		engineOpts = append(engineOpts, hybridpart.WithRegions(*regions))
-	}
+	engineOpts := append(plat.Options(), objOpts...)
 	engineOpts = append(engineOpts, hybridpart.WithConstraint(*constraint),
-		hybridpart.WithObjective(obj), hybridpart.WithRerank(*rerank),
 		hybridpart.WithSimFrames(*frames), hybridpart.WithSimPorts(*ports),
 		hybridpart.WithSimPrefetch(*prefetch))
 	if *trace {
@@ -136,20 +95,10 @@ func main() {
 		}))
 	}
 	eng, err := hybridpart.NewEngine(engineOpts...)
-	if err != nil {
-		fail(err.Error())
-	}
+	tool.Usage(err)
 
-	var w *hybridpart.Workload
-	if *bench != "" {
-		w, err = hybridpart.BenchmarkWorkload(*bench, uint32(*seed))
-	} else {
-		w, err = cliutil.SourceWorkload(*src, *entry, *args)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hpart: %v\n", err)
-		os.Exit(1)
-	}
+	w, err := sel.Load()
+	tool.Fatal(err)
 
 	if !*jsonOut {
 		fmt.Printf("application: %s (%d basic blocks)\n", w.Entry(), w.NumBlocks())
@@ -158,13 +107,9 @@ func main() {
 		"hpart", "hpart partition", obs.String("workload", w.Entry()))
 	res, err := eng.Partition(ctx, w)
 	if werr := runTrace.Close(); werr != nil {
-		fmt.Fprintf(os.Stderr, "hpart: -trace-out: %v\n", werr)
-		os.Exit(1)
+		tool.Fatal(fmt.Errorf("-trace-out: %w", werr))
 	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hpart: %v\n", err)
-		os.Exit(1)
-	}
+	tool.Fatal(err)
 	if *trace && res.SimStats != (hybridpart.SimScoreStats{}) {
 		st := res.SimStats
 		fmt.Fprintf(os.Stderr, "hpart: sim scoring: %d scored (%d replays), %d pruned, %d memo hits\n",
@@ -172,13 +117,8 @@ func main() {
 	}
 	if *jsonOut {
 		// Machine-readable path: the same wire type the partitioning
-		// service returns from POST /v1/partition, indented for terminals.
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(server.NewResultJSON(res)); err != nil {
-			fmt.Fprintf(os.Stderr, "hpart: %v\n", err)
-			os.Exit(1)
-		}
+		// service returns from POST /v1/partition.
+		tool.Fatal(cliutil.WriteJSON(server.NewResultJSON(res)))
 	} else {
 		fmt.Print(res.Format())
 		if len(res.Unmappable) > 0 {
@@ -191,7 +131,7 @@ func main() {
 		}
 		if *pipelineN > 0 {
 			fmt.Printf("\nFrame pipelining over %d frames:\n%s", *pipelineN,
-				res.Pipeline().Report([]int{1, *pipelineN / 10, *pipelineN}))
+				res.Pipeline().Report(pipelineRows(*pipelineN)))
 		}
 	}
 	if !res.Met {
@@ -199,7 +139,15 @@ func main() {
 	}
 }
 
-func fail(msg string) {
-	fmt.Fprintf(os.Stderr, "hpart: %s\n", msg)
-	os.Exit(2)
+// pipelineRows returns the frame counts the pipelining report prints for
+// -pipeline-frames n: the distinct positive values of 1, n/10 and n, in
+// ascending order.
+func pipelineRows(n int) []int {
+	rows := []int{1}
+	for _, v := range []int{n / 10, n} {
+		if v > rows[len(rows)-1] {
+			rows = append(rows, v)
+		}
+	}
+	return rows
 }

@@ -12,63 +12,31 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 
 	"hybridpart"
 	"hybridpart/internal/cliutil"
 )
 
+const tool = cliutil.Tool("hprof")
+
 func main() {
-	bench := flag.String("bench", "", fmt.Sprintf("built-in benchmark %v", hybridpart.Benchmarks()))
-	src := flag.String("src", "", "mini-C source file (alternative to -bench)")
-	entry := flag.String("entry", "main_fn", "entry function for -src")
-	args := flag.String("args", "", "comma-separated scalar arguments for the entry function")
-	seed := flag.Uint("seed", 1, "benchmark input seed")
+	sel := cliutil.AddSelection(flag.CommandLine, true)
 	top := flag.Int("top", 8, "number of kernels to print")
 	flag.Parse()
 
 	// Validate flags up front: one clear line instead of a deep failure.
-	switch {
-	case *bench == "" && *src == "":
-		fail("need -bench or -src")
-	case *bench != "" && *src != "":
-		fail("-bench and -src are mutually exclusive")
-	case *bench != "" && !hybridpart.IsBenchmark(*bench):
-		fail(fmt.Sprintf("unknown benchmark %q (have %v)", *bench, hybridpart.Benchmarks()))
-	case *top <= 0:
-		fail(fmt.Sprintf("-top must be positive, got %d", *top))
+	tool.Usage(sel.Check())
+	if *top <= 0 {
+		tool.Usagef("-top must be positive, got %d", *top)
 	}
 
-	var (
-		w   *hybridpart.Workload
-		err error
-	)
-	if *bench != "" {
-		w, err = hybridpart.BenchmarkWorkload(*bench, uint32(*seed))
-	} else {
-		w, err = cliutil.SourceWorkload(*src, *entry, *args)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hprof: %v\n", err)
-		os.Exit(1)
-	}
-
+	w, err := sel.Load()
+	tool.Fatal(err)
 	eng, err := hybridpart.NewEngine()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hprof: %v\n", err)
-		os.Exit(1)
-	}
+	tool.Fatal(err)
 	an, err := eng.Analyze(w)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hprof: %v\n", err)
-		os.Exit(1)
-	}
+	tool.Fatal(err)
 	fmt.Printf("application: %s (%d basic blocks, %d candidate kernels)\n\n",
 		w.Entry(), w.NumBlocks(), len(an.Kernels))
 	fmt.Print(an.FormatTable(*top))
-}
-
-func fail(msg string) {
-	fmt.Fprintf(os.Stderr, "hprof: %s\n", msg)
-	os.Exit(2)
 }

@@ -24,7 +24,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -35,22 +34,16 @@ import (
 	"hybridpart/internal/server"
 )
 
+const tool = cliutil.Tool("hsim")
+
 func main() {
-	bench := flag.String("bench", "", fmt.Sprintf("built-in benchmark %v", hybridpart.Benchmarks()))
-	src := flag.String("src", "", "mini-C source file (alternative to -bench)")
-	entry := flag.String("entry", "main_fn", "entry function for -src")
-	args := flag.String("args", "", "comma-separated scalar arguments for the entry function")
-	seed := flag.Uint("seed", 1, "benchmark input seed")
-	preset := flag.String("preset", "", "platform preset to start from (see hsweep -list-presets)")
-	afpga := flag.Int("afpga", 1500, "usable fine-grain area A_FPGA")
-	cgcs := flag.Int("cgcs", 2, "number of 2x2 CGCs in the data-path")
-	regions := flag.Int("regions", 1, "independently reconfigurable fine-grain regions (1 = monolithic context)")
+	sel := cliutil.AddSelection(flag.CommandLine, true)
+	plat := cliutil.AddPlatform(flag.CommandLine)
 	constraint := flag.Int64("constraint", 0, "timing constraint in FPGA cycles (0 = the benchmark's paper default)")
 	frames := flag.Int("frames", 1, "application frames to replay (the frame pipeline overlaps the fabrics)")
 	ports := flag.Int("ports", 1, "fabric-to-fabric transfer ports (the model assumes 1)")
 	prefetch := flag.Bool("prefetch", false, "overlap configuration loads with data-path execution")
-	objective := flag.String("objective", "model", `move-loop objective of the simulated partitioning: "model" or "sim"`)
-	rerank := flag.Int("rerank", 0, "re-score the top-k model trajectories by simulation (0 = off, -1 = all)")
+	objective := cliutil.AddObjective(flag.CommandLine, `move-loop objective of the simulated partitioning: "model" or "sim"`)
 	trace := flag.Bool("trace", false, "stream per-frame simulation events to stderr")
 	jsonOut := flag.Bool("json", false, "emit the report as JSON (the service wire format) instead of the table")
 	traceOut := flag.String("trace-out", "", "write the run's span trace to this file as Chrome trace-event JSON (Perfetto-loadable)")
@@ -58,63 +51,29 @@ func main() {
 
 	// Validate every flag up front so bad input dies with one clear line
 	// instead of an opaque failure deep in the flow.
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	tool.Usage(sel.Check())
+	tool.Usage(plat.Check())
 	switch {
-	case *bench == "" && *src == "":
-		fail("need -bench or -src")
-	case *bench != "" && *src != "":
-		fail("-bench and -src are mutually exclusive")
-	case *bench != "" && !hybridpart.IsBenchmark(*bench):
-		fail(fmt.Sprintf("unknown benchmark %q (have %v)", *bench, hybridpart.Benchmarks()))
-	case *afpga <= 0:
-		fail(fmt.Sprintf("-afpga must be positive, got %d", *afpga))
-	case *cgcs <= 0:
-		fail(fmt.Sprintf("-cgcs must be positive, got %d", *cgcs))
-	case *regions <= 0:
-		fail(fmt.Sprintf("-regions must be positive, got %d", *regions))
 	case *constraint < 0:
-		fail(fmt.Sprintf("-constraint must be positive, got %d", *constraint))
-	case *constraint == 0 && *src != "":
-		fail("need -constraint with -src (no paper default for custom sources)")
+		tool.Usagef("-constraint must be positive, got %d", *constraint)
+	case *constraint == 0 && sel.Src != "":
+		tool.Usagef("need -constraint with -src (no paper default for custom sources)")
 	case *frames <= 0:
-		fail(fmt.Sprintf("-frames must be positive, got %d", *frames))
+		tool.Usagef("-frames must be positive, got %d", *frames)
 	case *ports <= 0:
-		fail(fmt.Sprintf("-ports must be positive, got %d", *ports))
-	case *rerank < -1:
-		fail(fmt.Sprintf("-rerank must be -1 (all), 0 (off) or positive, got %d", *rerank))
+		tool.Usagef("-ports must be positive, got %d", *ports)
 	}
-	obj, err := hybridpart.ParseObjective(*objective)
-	if err != nil {
-		fail(err.Error())
-	}
-	if obj == hybridpart.ObjectiveSimulated && *rerank != 0 {
-		fail("-objective sim and -rerank are mutually exclusive (rerank already ends with a simulated selection)")
-	}
+	objOpts, err := objective.Options()
+	tool.Usage(err)
 	if *constraint == 0 {
-		*constraint = hybridpart.DefaultConstraint(*bench)
+		*constraint = hybridpart.DefaultConstraint(sel.Bench)
 	}
 
-	// Engine configuration: the preset (if any) lays down the platform;
-	// explicitly-given flags override its individual fields.
-	var engineOpts []hybridpart.Option
-	if *preset != "" {
-		engineOpts = append(engineOpts, hybridpart.WithPlatform(*preset))
-	}
-	if *preset == "" || set["afpga"] {
-		engineOpts = append(engineOpts, hybridpart.WithArea(*afpga))
-	}
-	if *preset == "" || set["cgcs"] {
-		engineOpts = append(engineOpts, hybridpart.WithCGCs(*cgcs))
-	}
-	if *preset == "" || set["regions"] {
-		engineOpts = append(engineOpts, hybridpart.WithRegions(*regions))
-	}
 	// The knobs go on the engine (not just this Simulate call) so a
 	// simulated objective or re-rank scores candidates at the same operating
 	// point the report replays.
+	engineOpts := append(plat.Options(), objOpts...)
 	engineOpts = append(engineOpts, hybridpart.WithConstraint(*constraint),
-		hybridpart.WithObjective(obj), hybridpart.WithRerank(*rerank),
 		hybridpart.WithSimFrames(*frames), hybridpart.WithSimPorts(*ports),
 		hybridpart.WithSimPrefetch(*prefetch))
 	if *trace {
@@ -126,46 +85,22 @@ func main() {
 		}))
 	}
 	eng, err := hybridpart.NewEngine(engineOpts...)
-	if err != nil {
-		fail(err.Error())
-	}
+	tool.Usage(err)
 
-	var w *hybridpart.Workload
-	if *bench != "" {
-		w, err = hybridpart.BenchmarkWorkload(*bench, uint32(*seed))
-	} else {
-		w, err = cliutil.SourceWorkload(*src, *entry, *args)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hsim: %v\n", err)
-		os.Exit(1)
-	}
+	w, err := sel.Load()
+	tool.Fatal(err)
 
 	ctx, runTrace := cliutil.TraceRun(context.Background(), *traceOut,
 		"hsim", "hsim simulate", obs.String("workload", w.Entry()))
 	rep, err := eng.Simulate(ctx, w)
 	if werr := runTrace.Close(); werr != nil {
-		fmt.Fprintf(os.Stderr, "hsim: -trace-out: %v\n", werr)
-		os.Exit(1)
+		tool.Fatal(fmt.Errorf("-trace-out: %w", werr))
 	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hsim: %v\n", err)
-		os.Exit(1)
-	}
+	tool.Fatal(err)
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(server.NewSimReportJSON(rep)); err != nil {
-			fmt.Fprintf(os.Stderr, "hsim: %v\n", err)
-			os.Exit(1)
-		}
+		tool.Fatal(cliutil.WriteJSON(server.NewSimReportJSON(rep)))
 		return
 	}
 	fmt.Printf("application: %s (%d basic blocks, constraint %d)\n\n", w.Entry(), w.NumBlocks(), *constraint)
 	fmt.Print(rep.Format())
-}
-
-func fail(msg string) {
-	fmt.Fprintf(os.Stderr, "hsim: %s\n", msg)
-	os.Exit(2)
 }

@@ -87,25 +87,25 @@ func main() {
 		Workers:    *workers,
 	}
 	var err error
-	if spec.Areas, err = parseInts(*areas); err != nil {
+	if spec.Areas, err = parseList(*areas, strconv.Atoi); err != nil {
 		fatal("-areas", err)
 	}
-	if spec.CGCs, err = parseInts(*cgcs); err != nil {
+	if spec.CGCs, err = parseList(*cgcs, strconv.Atoi); err != nil {
 		fatal("-cgcs", err)
 	}
-	if spec.Regions, err = parseInts(*regions); err != nil {
+	if spec.Regions, err = parseList(*regions, strconv.Atoi); err != nil {
 		fatal("-regions", err)
 	}
-	if spec.Constraints, err = parseInt64s(*constraints); err != nil {
+	if spec.Constraints, err = parseList(*constraints, parseInt64); err != nil {
 		fatal("-constraints", err)
 	}
-	if spec.Frames, err = parseInts(*frames); err != nil {
+	if spec.Frames, err = parseList(*frames, strconv.Atoi); err != nil {
 		fatal("-frames", err)
 	}
-	if spec.Ports, err = parseInts(*ports); err != nil {
+	if spec.Ports, err = parseList(*ports, strconv.Atoi); err != nil {
 		fatal("-ports", err)
 	}
-	if spec.Prefetch, err = parseBools(*prefetch); err != nil {
+	if spec.Prefetch, err = parseList(*prefetch, strconv.ParseBool); err != nil {
 		fatal("-prefetch", err)
 	}
 	spec.Objectives = splitList(*objectives)
@@ -239,10 +239,11 @@ func splitList(s string) []string {
 	return out
 }
 
-func parseInts(s string) ([]int, error) {
-	var out []int
+// parseList parses every element of a comma-separated list with parse.
+func parseList[T any](s string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
 	for _, p := range splitList(s) {
-		v, err := strconv.Atoi(p)
+		v, err := parse(p)
 		if err != nil {
 			return nil, err
 		}
@@ -251,26 +252,4 @@ func parseInts(s string) ([]int, error) {
 	return out, nil
 }
 
-func parseInt64s(s string) ([]int64, error) {
-	var out []int64
-	for _, p := range splitList(s) {
-		v, err := strconv.ParseInt(p, 10, 64)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseBools(s string) ([]bool, error) {
-	var out []bool
-	for _, p := range splitList(s) {
-		v, err := strconv.ParseBool(p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
+func parseInt64(s string) (int64, error) { return strconv.ParseInt(s, 10, 64) }

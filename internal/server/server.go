@@ -629,17 +629,30 @@ func decodePartitionRequest(w http.ResponseWriter, r *http.Request, energy bool)
 	return &req, nil
 }
 
+// requestProfile returns the request's compiled app and its profile. A
+// benchmark comes from the process-wide ProfileBenchmarkCached, so a cache
+// miss on a new knob set reuses the benchmark's one compile+profile;
+// inline source is compiled and profiled afresh.
+func requestProfile(ctx context.Context, req *PartitionRequest) (*hybridpart.App, *hybridpart.RunProfile, error) {
+	if req.Benchmark == "" {
+		return buildSourceWorkload(ctx, req)
+	}
+	// A memo hit shows up as a near-zero-width "profile" span.
+	_, ps := obs.Start(ctx, "profile", obs.String("benchmark", req.Benchmark))
+	app, prof, err := hybridpart.ProfileBenchmarkCached(req.Benchmark, req.Seed)
+	ps.End()
+	return app, prof, err
+}
+
 // buildSourceWorkload compiles the request's inline source, feeds it its
 // inputs (in sorted name order, for determinism) and profiles it with one
-// run. Benchmark requests never come here: they go through the
-// process-wide ProfileBenchmarkCached, so a cache miss on a new knob set
-// reuses the benchmark's one compile+profile.
-func buildSourceWorkload(ctx context.Context, req *PartitionRequest) (*hybridpart.Workload, error) {
+// run.
+func buildSourceWorkload(ctx context.Context, req *PartitionRequest) (*hybridpart.App, *hybridpart.RunProfile, error) {
 	_, cs := obs.Start(ctx, "compile", obs.Int("source_bytes", len(req.Source)))
 	w, err := hybridpart.NewWorkload(req.Source, req.entryOrDefault())
 	cs.End()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	names := make([]string, 0, len(req.Inputs))
 	for n := range req.Inputs {
@@ -648,25 +661,16 @@ func buildSourceWorkload(ctx context.Context, req *PartitionRequest) (*hybridpar
 	sort.Strings(names)
 	for _, n := range names {
 		if err := w.SetInput(n, req.Inputs[n]); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	_, ps := obs.Start(ctx, "profile")
 	_, err = w.RunContext(ctx, req.Args...)
 	ps.End()
 	if err != nil {
-		return nil, fmt.Errorf("profiling run failed: %w", err)
+		return nil, nil, fmt.Errorf("profiling run failed: %w", err)
 	}
-	return w, nil
-}
-
-// profileBenchmark wraps the process-wide benchmark profile memo in a
-// "profile" span (a memo hit shows up as a near-zero-width span).
-func profileBenchmark(ctx context.Context, bench string, seed uint32) (*hybridpart.App, *hybridpart.RunProfile, error) {
-	_, ps := obs.Start(ctx, "profile", obs.String("benchmark", bench))
-	app, prof, err := hybridpart.ProfileBenchmarkCached(bench, seed)
-	ps.End()
-	return app, prof, err
+	return w.App(), w.Profile(), nil
 }
 
 // serveCached is the cache-fronted tail shared by every fingerprint-keyed
@@ -763,24 +767,13 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		var res *hybridpart.Result
-		if req.Benchmark != "" {
-			app, prof, err := profileBenchmark(ctx, req.Benchmark, req.Seed)
-			if err != nil {
-				return nil, err
-			}
-			res, err = eng.PartitionProfiled(ctx, app, prof)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			wl, err := buildSourceWorkload(ctx, req)
-			if err != nil {
-				return nil, err
-			}
-			if res, err = eng.Partition(ctx, wl); err != nil {
-				return nil, err
-			}
+		app, prof, err := requestProfile(ctx, req)
+		if err != nil {
+			return nil, err
+		}
+		res, err := eng.PartitionProfiled(ctx, app, prof)
+		if err != nil {
+			return nil, err
 		}
 		s.recordSimStats(res.SimStats)
 		return MarshalResult(res)
@@ -796,24 +789,13 @@ func (s *Server) handlePartitionEnergy(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		var res *hybridpart.EnergyResult
-		if req.Benchmark != "" {
-			app, prof, err := profileBenchmark(ctx, req.Benchmark, req.Seed)
-			if err != nil {
-				return nil, err
-			}
-			res, err = eng.PartitionEnergyProfiled(ctx, app, prof)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			wl, err := buildSourceWorkload(ctx, req)
-			if err != nil {
-				return nil, err
-			}
-			if res, err = eng.PartitionEnergy(ctx, wl); err != nil {
-				return nil, err
-			}
+		app, prof, err := requestProfile(ctx, req)
+		if err != nil {
+			return nil, err
+		}
+		res, err := eng.PartitionEnergyProfiled(ctx, app, prof)
+		if err != nil {
+			return nil, err
 		}
 		return MarshalEnergyResult(res)
 	})
@@ -855,24 +837,13 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return nil, err
 			}
-			var rep *hybridpart.SimReport
-			if req.Benchmark != "" {
-				app, prof, err := profileBenchmark(ctx, req.Benchmark, req.Seed)
-				if err != nil {
-					return nil, err
-				}
-				rep, err = eng.SimulateProfiled(ctx, app, prof)
-				if err != nil {
-					return nil, err
-				}
-			} else {
-				wl, err := buildSourceWorkload(ctx, &req.PartitionRequest)
-				if err != nil {
-					return nil, err
-				}
-				if rep, err = eng.Simulate(ctx, wl); err != nil {
-					return nil, err
-				}
+			app, prof, err := requestProfile(ctx, &req.PartitionRequest)
+			if err != nil {
+				return nil, err
+			}
+			rep, err := eng.SimulateProfiled(ctx, app, prof)
+			if err != nil {
+				return nil, err
 			}
 			return MarshalSimReport(rep)
 		})
