@@ -55,7 +55,7 @@ func main() {
 	tool.Usage(plat.Check())
 	switch {
 	case *constraint < 0:
-		tool.Usagef("-constraint must be positive, got %d", *constraint)
+		tool.Usagef("-constraint must be non-negative (0 selects the benchmark's paper default), got %d", *constraint)
 	case *constraint == 0 && sel.Src != "":
 		tool.Usagef("need -constraint with -src (no paper default for custom sources)")
 	case *frames <= 0:

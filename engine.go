@@ -672,7 +672,7 @@ func (e *Engine) PartitionEnergyProfiled(ctx context.Context, a *App, p *RunProf
 	costs := energy.DefaultCosts()
 	seq := 0
 	cfg.Stop = func(rec *partition.Prefix) bool {
-		bd := EnergyBreakdown(energy.Evaluate(cfg.Tables, p.Freq, &rec.Pack, costs, cfg.Edges))
+		bd := EnergyBreakdown(energy.Evaluate(cfg.Tables, p.Freq, &rec.Pack, rec.Crossings, costs))
 		total := bd.Total()
 		met := total <= out.Budget
 		if rec.Block < 0 {

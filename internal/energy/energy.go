@@ -85,11 +85,12 @@ func (b Breakdown) Total() float64 { return b.Fine + b.Coarse + b.Reconfig + b.C
 // Evaluate computes the energy breakdown of the mapping whose fine-grain
 // packing is pm, a packing of t's function: a block pm does not include
 // executes on the coarse-grain data-path. freq holds the profiled block
-// counts and edges the transitions the reconfiguration model charges.
-// Blocks are summed in order, so equal mappings give bit-identical totals.
-func Evaluate(t *ir.BlockTables, freq []uint64, pm *finegrain.PackedMapping, costs Costs, edges []finegrain.EdgeFreq) Breakdown {
+// counts and crossings the packing's reconfiguration count
+// (finegrain.PackedMapping.Crossings over the profiled edges). Blocks are
+// summed in order, so equal mappings give bit-identical totals.
+func Evaluate(t *ir.BlockTables, freq []uint64, pm *finegrain.PackedMapping, crossings int64, costs Costs) Breakdown {
 	var bd Breakdown
-	bd.Reconfig = float64(pm.Crossings(freq, edges)) * costs.Reconfig
+	bd.Reconfig = float64(crossings) * costs.Reconfig
 	liveIO := t.LiveIO
 	for _, b := range t.F.Blocks {
 		var n uint64

@@ -72,7 +72,7 @@ func evaluate(t *testing.T, a testApp, plat platform.Platform, moved ...ir.Block
 	if err := pm.Pack(a.tables, plat.Fine, func(id ir.BlockID) bool { return !slices.Contains(moved, id) }); err != nil {
 		t.Fatal(err)
 	}
-	return Evaluate(a.tables, a.freq, &pm, DefaultCosts(), a.edges)
+	return Evaluate(a.tables, a.freq, &pm, pm.Crossings(a.freq, a.edges), DefaultCosts())
 }
 
 func TestEvaluateAllFineVsAllMoved(t *testing.T) {

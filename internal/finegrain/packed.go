@@ -298,6 +298,12 @@ func (pm *PackedMapping) LevelCycles(freq []uint64) int64 {
 // multiple regions each load swaps one region's proportionally smaller
 // bitstream.
 func (pm *PackedMapping) TotalCycles(freq []uint64, edges []EdgeFreq, reconfigCycles int) int64 {
+	return pm.CrossedCycles(freq, pm.Crossings(freq, edges), reconfigCycles)
+}
+
+// CrossedCycles is TotalCycles for a caller that already holds the
+// mapping's Crossings count.
+func (pm *PackedMapping) CrossedCycles(freq []uint64, crossings int64, reconfigCycles int) int64 {
 	regionReconfig := int64((reconfigCycles + pm.Regions - 1) / pm.Regions)
-	return pm.LevelCycles(freq) + pm.Crossings(freq, edges)*regionReconfig
+	return pm.LevelCycles(freq) + crossings*regionReconfig
 }

@@ -72,6 +72,13 @@ int f() { init(); return M[3][2]; }`,
 int A[N + 1] = {1, 2, 3, 4, 5};
 int B[N] = {5, 6, 7, 8};
 int f() { int i; int s = 0; for (i = 0; i <= N; i++) { s += A[i] * B[i]; } return s; }`,
+		// A compare's result read after the branch it feeds, beside the
+		// compare-and-branch loop test the fast path folds.
+		`int f() {
+    int i; int c = 0; int s = 0;
+    for (i = 0; i < 6; i++) { c = i < 3; if (c) { s += i; } }
+    return s * 10 + c + (i >= 6);
+}`,
 	}
 	for _, s := range seeds {
 		f.Add(s)

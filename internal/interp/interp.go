@@ -9,18 +9,24 @@
 // function is decoded into a flat array of register-operand ops (immediates
 // become constant registers, array operands become indices into a per-frame
 // table) and a block table giving each block's op range and terminator, and
-// that decoded form is what runs. A block is charged its steps in one add at
-// entry whenever the step limit cannot fall inside it, and its taken
-// successor edges are counted in two dense slots per block that are folded
-// into Profile.Edges when the run returns.
+// that decoded form is what runs. A block's header is one compare and one
+// add: whenever the step limit cannot fall inside the block, its precomputed
+// charge (one step for the entry plus one per instruction) is added at
+// entry. Its taken successor edges are counted in two dense slots per block
+// that are folded into Profile.Edges when the run returns, and
+// Profile.Instrs is derived then too, from the steps and the block entries
+// the run added.
 //
 // Such a block runs on the fast path, from a second op array in which the
 // hot adjacent op pairs (add+load, mul+add, load+mul, load+add, add+add),
 // taken greedily left to right within a block, are fused: the first op of
 // the pair carries a fused code that executes both and skips the second. A
-// block that may cross the step limit, or that holds a call, runs on the
-// checked path from the plain array, one op per instruction, so step limits
-// and context polls stay exact. A trap in either half of a fused pair
+// Branch block whose last op is the compare that writes its condition ends
+// the fast path one op early and runs that compare inside the terminator,
+// which still writes the condition register. A block that may cross the step
+// limit, or that holds a call, runs on the checked path from the plain
+// array, one op per instruction, with a plain Branch terminator, so step
+// limits and context polls stay exact. A trap in either half of a fused pair
 // reports that half's own source line.
 package interp
 
@@ -103,14 +109,19 @@ func Array(s []int32) Arg { return Arg{Arr: s, IsArray: true} }
 //
 // Each function runs from its decoded form (see decode), built once per
 // Machine on the function's first call. Step accounting is per block: a
-// block whose entry step and instructions all fit under the current limit
-// (MaxSteps or the next context poll) is charged in one add, and only a
-// block that may cross the limit, or that holds a call, counts its steps one
-// instruction at a time. A step trap therefore fires on the same step and
-// source line as a per-instruction count would give, and a trap raised
-// mid-block refunds the steps charged for the instructions after it. Taken
-// edges are counted per block in a then slot and an else slot and folded
-// into Profile.Edges when the run returns, on every path.
+// block whose charge (its entry step and instructions) fits under the
+// current limit (MaxSteps or the next context poll) is charged in one add
+// and runs on the fast path, where a folded compare runs in the Branch
+// terminator. Only a block that may cross the limit, or that holds a call
+// (whose charge never fits), counts its steps one instruction at a time. A
+// step trap therefore fires on the same step and source line as a
+// per-instruction count would give, and a trap raised mid-block refunds the
+// steps charged for the instructions after it. Nothing in the loop counts
+// instructions: when the run returns, on every path, Profile.Instrs gains
+// the steps the run added less its block entries, and less the one step
+// that pastLimit refused when it stopped the run. Taken edges are counted
+// per block in a then slot and an else slot and folded into Profile.Edges
+// then too.
 type Machine struct {
 	prog    *ir.Program
 	globals [][]int32
@@ -122,9 +133,13 @@ type Machine struct {
 	MaxSteps uint64
 	steps    uint64
 	// limit is the step count at which the block loop leaves its fast path:
-	// MaxSteps, or the next context poll when it comes sooner.
+	// MaxSteps, or the next context poll when it comes sooner, never above
+	// maxLimit.
 	limit uint64
 	ctx   context.Context
+	// stopped records that pastLimit ended the current run, on a step that
+	// was charged but neither entered a block nor ran an instruction.
+	stopped bool
 
 	// MaxDepth bounds the call stack (default 256).
 	MaxDepth int
@@ -194,9 +209,9 @@ const pollSteps = 1 << 16
 // within pollSteps executed steps of the cancellation.
 func (m *Machine) RunContext(ctx context.Context, fn string, args ...Arg) (int32, error) {
 	m.ctx = ctx
-	m.limit = m.MaxSteps
+	m.limit = min(m.MaxSteps, maxLimit)
 	if ctx.Done() != nil {
-		m.limit = min(m.MaxSteps, m.steps+pollSteps)
+		m.limit = min(m.limit, m.steps+pollSteps)
 	}
 	f := m.prog.Func(fn)
 	if f == nil {
@@ -218,22 +233,57 @@ func (m *Machine) RunContext(ctx context.Context, fn string, args ...Arg) (int32
 			regs[p.Reg] = a.Scalar
 		}
 	}
+	var steps, entries uint64
+	if m.profile != nil {
+		steps, entries = m.steps, m.profile.entries()
+	}
+	m.stopped = false
 	ret, err := m.exec(c, regs, arrs)
+	if m.profile != nil {
+		n := m.steps - steps - (m.profile.entries() - entries)
+		if m.stopped {
+			n--
+		}
+		m.profile.Instrs += n
+	}
 	m.foldEdges()
 	return ret, err
 }
 
+// entries is the number of block entries p has counted.
+func (p *Profile) entries() uint64 {
+	var n uint64
+	for _, counts := range p.Counts {
+		for _, c := range counts {
+			n += c
+		}
+	}
+	return n
+}
+
+// maxLimit caps limit, and callCharge is a call block's charge. Any step
+// count below 2^63 plus callCharge lands at or past 2^63, above every limit,
+// so a call block always runs on the checked path; a run would need 2^63
+// steps before that sum could wrap.
+const (
+	maxLimit   = 1 << 62
+	callCharge = 1 << 63
+)
+
 // pastLimit is the instruction loop's slow path, taken once the step count
 // passes limit: it traps past MaxSteps, returns the context's error once the
-// context is done, and otherwise schedules the next poll.
+// context is done, and otherwise schedules the next poll. A step it refuses
+// is neither a block entry nor an instruction, so it marks the run stopped.
 func (m *Machine) pastLimit(fn string, pos int) error {
 	if m.steps > m.MaxSteps {
+		m.stopped = true
 		return &Trap{Func: fn, Pos: pos, Msg: "step limit exceeded"}
 	}
 	if err := m.ctx.Err(); err != nil {
+		m.stopped = true
 		return err
 	}
-	m.limit = min(m.MaxSteps, m.steps+pollSteps)
+	m.limit = min(m.MaxSteps, m.steps+pollSteps, maxLimit)
 	return nil
 }
 
@@ -249,6 +299,19 @@ const (
 	opLoadMul
 	opLoadAdd
 	opAddAdd
+)
+
+// The fast path's compare-and-branch terminators follow the last ir
+// terminator kind, one per compare op from OpEq to OpGe in the same order:
+// each runs its block's folded compare, writes the result to the condition
+// register and branches on it.
+const (
+	termEq = ir.TermReturn + 1 + iota
+	termNe
+	termLt
+	termLe
+	termGt
+	termGe
 )
 
 // fusedCode returns the fused code of the op pair (first, second), or 0
@@ -280,17 +343,25 @@ type op struct {
 }
 
 // block is one basic block of a decoded function: its ops are
-// ops[start:end], then the terminator runs.
+// ops[start:end], then the terminator runs. The fast path runs
+// fast[start:fastEnd] and then fastTerm.
 type block struct {
 	start, end int32
-	term       ir.TermKind
-	// call marks a block holding a call: its steps are counted one
-	// instruction at a time, so the callee runs on the caller's exact count.
-	call bool
-	cond int32 // Branch: condition register
-	then int32 // Jump and Branch: target block
-	els  int32 // Branch: fall-through block
-	ret  int32 // Return: value register, -1 for a void return
+	// fastEnd is end, or end-1 when the last op is a compare folded into
+	// fastTerm.
+	fastEnd int32
+	// charge is the steps the fast path charges at entry: one for the entry
+	// and one per instruction. A block holding a call is charged callCharge,
+	// which never fits, so its steps are counted one instruction at a time
+	// and the callee runs on the caller's exact count.
+	charge   uint64
+	term     ir.TermKind
+	fastTerm ir.TermKind // term, or the folded compare's termEq...termGe
+	cond     int32       // Branch: condition register
+	ca, cb   int32       // folded compare: operand registers
+	then     int32       // Jump and Branch: target block
+	els      int32       // Branch: fall-through block
+	ret      int32       // Return: value register, -1 for a void return
 }
 
 // callSite is one decoded call: per callee parameter, the caller register of
@@ -356,7 +427,8 @@ func (m *Machine) decode(f *ir.Function) *code {
 		return -1
 	}
 	for bi, b := range f.Blocks {
-		blk := block{start: int32(len(c.ops)), term: b.Term.Kind, then: int32(b.Term.Then), els: int32(b.Term.Else), ret: -1}
+		blk := block{start: int32(len(c.ops)), term: b.Term.Kind, fastTerm: b.Term.Kind, then: int32(b.Term.Then), els: int32(b.Term.Else), ret: -1}
+		blk.charge = uint64(1 + len(b.Instrs))
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			o := op{code: in.Op, dst: int32(in.Dst), a: operand(in.A), b: operand(in.B)}
@@ -368,7 +440,7 @@ func (m *Machine) decode(f *ir.Function) *code {
 					o.code = opBadArray
 				}
 			case ir.OpCall:
-				blk.call = true
+				blk.charge = callCharge
 				o.x = int32(len(c.calls))
 				c.calls = append(c.calls, m.decodeCall(in, array, operand))
 			}
@@ -376,9 +448,17 @@ func (m *Machine) decode(f *ir.Function) *code {
 			c.pos = append(c.pos, int32(in.Pos))
 		}
 		blk.end = int32(len(c.ops))
+		blk.fastEnd = blk.end
 		switch b.Term.Kind {
 		case ir.TermBranch:
 			blk.cond = operand(b.Term.Cond)
+			if last := blk.end - 1; blk.charge != callCharge && last >= blk.start {
+				if o := c.ops[last]; o.code >= ir.OpEq && o.code <= ir.OpGe && o.dst == blk.cond {
+					blk.fastEnd = last
+					blk.fastTerm = termEq + ir.TermKind(o.code-ir.OpEq)
+					blk.ca, blk.cb = o.a, o.b
+				}
+			}
 		case ir.TermReturn:
 			if b.Term.HasVal {
 				blk.ret = operand(b.Term.Val)
@@ -392,16 +472,17 @@ func (m *Machine) decode(f *ir.Function) *code {
 }
 
 // fuse returns the fast path's op array: ops with the first op of each
-// fused pair, taken greedily left to right within a block, recoded to run
-// both. A block holding a call never runs on the fast path and is left
-// plain.
+// fused pair, taken greedily left to right within a block's fast-path ops,
+// recoded to run both. No pair absorbs a compare folded into the
+// terminator. A block holding a call never runs on the fast path and is
+// left plain.
 func fuse(ops []op, blocks []block) []op {
 	fast := slices.Clone(ops)
 	for _, b := range blocks {
-		if b.call {
+		if b.charge == callCharge {
 			continue
 		}
-		for pc := b.start; pc+1 < b.end; pc++ {
+		for pc := b.start; pc+1 < b.fastEnd; pc++ {
 			if f := fusedCode(ops[pc].code, ops[pc+1].code); f != 0 {
 				fast[pc].code = f
 				pc++
@@ -492,15 +573,11 @@ func (m *Machine) foldEdges() {
 }
 
 // trapAt builds the trap raised by op pc of block b. On the fast path the
-// whole block was charged at entry, so the steps and instructions of the ops
-// after pc are refunded first.
+// whole block was charged at entry, so the steps of the ops after pc are
+// refunded first.
 func (m *Machine) trapAt(c *code, b *block, pc int32, checked bool, msg string) *Trap {
 	if !checked {
-		rest := uint64(b.end - pc - 1)
-		m.steps -= rest
-		if m.profile != nil {
-			m.profile.Instrs -= rest
-		}
+		m.steps -= uint64(b.end - pc - 1)
 	}
 	return &Trap{Func: c.fn.Name, Pos: int(c.pos[pc]), Msg: msg}
 }
@@ -518,9 +595,8 @@ func (m *Machine) exec(c *code, regs []int32, arrs [][]int32) (int32, error) {
 	if maxDepth <= 0 {
 		maxDepth = 256
 	}
-	name := c.fn.Name
 	if m.depth > maxDepth {
-		return 0, &Trap{Func: name, Msg: "call depth limit exceeded"}
+		return 0, &Trap{Func: c.fn.Name, Msg: "call depth limit exceeded"}
 	}
 
 	var counts, taken []uint64
@@ -528,44 +604,34 @@ func (m *Machine) exec(c *code, regs []int32, arrs [][]int32) (int32, error) {
 		counts, taken = m.profileCounts(c), c.taken
 	}
 
-	ops, fast, blocks := c.ops, c.fast, c.blocks
 	bi := int32(c.fn.Entry)
 	for {
-		b := &blocks[bi]
+		b := &c.blocks[bi]
 		// A block entry charges one step even when the block is empty, so
 		// instruction-free infinite loops still hit the step limit.
-		n := uint64(b.end - b.start)
-		checked := b.call || m.steps+1+n > m.limit
-		if checked {
+		run, end, term := c.fast, b.fastEnd, b.fastTerm
+		checked := m.steps+b.charge > m.limit
+		if !checked {
+			m.steps += b.charge
+		} else {
+			run, end, term = c.ops, b.end, b.term
 			m.steps++
 			if m.steps > m.limit {
-				if err := m.pastLimit(name, 0); err != nil {
+				if err := m.pastLimit(c.fn.Name, 0); err != nil {
 					return 0, err
 				}
-			}
-		} else {
-			m.steps += 1 + n
-			if counts != nil {
-				m.profile.Instrs += n
 			}
 		}
 		if counts != nil {
 			counts[bi]++
 		}
-		run := fast
-		if checked {
-			run = ops
-		}
-		for pc := b.start; pc < b.end; pc++ {
+		for pc := b.start; pc < end; pc++ {
 			if checked {
 				m.steps++
 				if m.steps > m.limit {
-					if err := m.pastLimit(name, int(c.pos[pc])); err != nil {
+					if err := m.pastLimit(c.fn.Name, int(c.pos[pc])); err != nil {
 						return 0, err
 					}
-				}
-				if counts != nil {
-					m.profile.Instrs++
 				}
 			}
 			o := &run[pc]
@@ -687,31 +753,52 @@ func (m *Machine) exec(c *code, regs []int32, arrs [][]int32) (int32, error) {
 				return 0, m.trapAt(c, b, pc, checked, "invalid opcode")
 			}
 		}
-		switch b.term {
+		var cond bool
+		switch term {
 		case ir.TermJump:
 			if counts != nil {
 				taken[2*bi]++
 			}
 			bi = b.then
+			continue
 		case ir.TermBranch:
-			if regs[b.cond] != 0 {
-				if counts != nil {
-					taken[2*bi]++
-				}
-				bi = b.then
-			} else {
-				if counts != nil {
-					taken[2*bi+1]++
-				}
-				bi = b.els
-			}
+			cond = regs[b.cond] != 0
+		case termEq:
+			cond = regs[b.ca] == regs[b.cb]
+			regs[b.cond] = b2i(cond)
+		case termNe:
+			cond = regs[b.ca] != regs[b.cb]
+			regs[b.cond] = b2i(cond)
+		case termLt:
+			cond = regs[b.ca] < regs[b.cb]
+			regs[b.cond] = b2i(cond)
+		case termLe:
+			cond = regs[b.ca] <= regs[b.cb]
+			regs[b.cond] = b2i(cond)
+		case termGt:
+			cond = regs[b.ca] > regs[b.cb]
+			regs[b.cond] = b2i(cond)
+		case termGe:
+			cond = regs[b.ca] >= regs[b.cb]
+			regs[b.cond] = b2i(cond)
 		case ir.TermReturn:
 			if b.ret < 0 {
 				return 0, nil
 			}
 			return regs[b.ret], nil
 		default:
-			return 0, &Trap{Func: name, Msg: "unterminated block"}
+			return 0, &Trap{Func: c.fn.Name, Msg: "unterminated block"}
+		}
+		if cond {
+			if counts != nil {
+				taken[2*bi]++
+			}
+			bi = b.then
+		} else {
+			if counts != nil {
+				taken[2*bi+1]++
+			}
+			bi = b.els
 		}
 	}
 }

@@ -841,6 +841,34 @@ func trapCases(t testing.TB) []diffCase {
 	}
 	out = append(out, diffCase{name: "call-depth", prog: p, fn: "r", maxDepth: 50, args: make([][]Arg, 2)})
 
+	// A loop whose Branch block ends in the compare that writes its
+	// condition, which the fast path folds into the terminator, just behind
+	// an add+load pair whose load traps once i passes L's end (a trap that
+	// refunds the folded compare). The exit block reads the compare's result
+	// after the branch it fed.
+	p = ir.NewProgram()
+	f = ir.NewFunction("fold")
+	n := f.NewReg("n")
+	f.Params = []ir.Param{{Name: "n", Reg: n, Arr: ir.NoArr}}
+	f.HasRet = true
+	l := f.AddArray(ir.ArrayDecl{Name: "L", Len: 4, Init: []int32{1, 2, 3, 4}})
+	i, v, cond, r := f.NewReg("i"), f.NewReg("v"), f.NewReg("c"), f.NewReg("")
+	loop, exit := f.AddBlock("loop"), f.AddBlock("exit")
+	f.Block(f.Entry).Term = ir.Terminator{Kind: ir.TermJump, Then: loop.ID}
+	loop.Instrs = []ir.Instr{
+		{Op: ir.OpAdd, Dst: i, A: ir.Reg(i), B: ir.Imm(1), Pos: 11},
+		{Op: ir.OpLoad, Dst: v, A: ir.Reg(i), Arr: l, Pos: 12},
+		{Op: ir.OpGe, Dst: cond, A: ir.Reg(i), B: ir.Reg(n), Pos: 13},
+	}
+	loop.Term = ir.Terminator{Kind: ir.TermBranch, Cond: ir.Reg(cond), Then: exit.ID, Else: loop.ID}
+	exit.Instrs = []ir.Instr{{Op: ir.OpShl, Dst: r, A: ir.Reg(v), B: ir.Reg(cond), Pos: 14}}
+	exit.Term = ir.Terminator{Kind: ir.TermReturn, Val: ir.Reg(r), HasVal: true}
+	if err := p.AddFunc(f); err != nil {
+		t.Fatal(err)
+	}
+	out = append(out, diffCase{name: "folded-compare", prog: p, fn: "fold",
+		args: [][]Arg{{Int(3)}, {Int(0)}, {Int(5)}}})
+
 	// An unterminated block traps after its instructions run.
 	p = ir.NewProgram()
 	f = ir.NewFunction("u")
@@ -869,6 +897,18 @@ func TestDecodedMatchesReferenceTraps(t *testing.T) {
 		if c.name != "shift" && c.name != "then-equals-else" && len(o.Traps) == 0 {
 			t.Errorf("%s: no call trapped", c.name)
 		}
+		if c.name == "folded-compare" {
+			code := New(c.prog).decode(c.prog.Func(c.fn))
+			b := code.blocks[1]
+			var got []ir.Op
+			for _, o := range code.fast[b.start:b.fastEnd] {
+				got = append(got, o.code)
+			}
+			if want := []ir.Op{opAddLoad, ir.OpLoad}; !slices.Equal(got, want) || b.fastEnd != b.end-1 || b.fastTerm != termGe {
+				t.Errorf("%s: fast codes %v up to op %d of %d, terminator %d; want %v, the compare folded into termGe",
+					c.name, got, b.fastEnd-b.start, b.end-b.start, b.fastTerm, want)
+			}
+		}
 		if want, ok := fused[c.name]; ok {
 			code := New(c.prog).decode(c.prog.Func(c.fn))
 			b := code.blocks[c.prog.Func(c.fn).Entry]
@@ -886,7 +926,8 @@ func TestDecodedMatchesReferenceTraps(t *testing.T) {
 // TestDecodedMatchesReferenceStepLimits sweeps MaxSteps over every value up
 // to past the end of a run, so the step limit falls on each block entry and
 // each instruction of multi-instruction blocks (and on the steps around a
-// mid-block trap, in either half of a fused pair); the trap step and Pos
+// mid-block trap, in either half of a fused pair, and on a compare folded
+// into its Branch terminator and its refund); the trap step and Pos
 // must match the reference at every value. It also covers the context poll
 // path around a poll boundary and an instruction-free loop stopped by its
 // limit and by a cancelled context.
@@ -903,7 +944,7 @@ func TestDecodedMatchesReferenceStepLimits(t *testing.T) {
 	sweep("countdown", buildCountdown(), "f", [][]Arg{{Int(3)}})
 	for _, c := range trapCases(t) {
 		switch c.name {
-		case "div", "store-local", "load-local", "add-load", "load-mul":
+		case "div", "store-local", "load-local", "add-load", "load-mul", "folded-compare":
 			sweep(c.name, c.prog, c.fn, c.args)
 		}
 	}
@@ -929,20 +970,21 @@ func TestDecodedMatchesReferenceStepLimits(t *testing.T) {
 	}
 }
 
-// TestFusedDispatchesJPEG pins how much the fast path's pair fusion saves on
-// the profiled run of flattened JPEG. The dispatch count is computed from
-// the decoded fast array and the block counts, not counted at run time: a
-// block on the fast path dispatches once per plain op and once per fused
-// pair, and the run holds no call and stays far below the step limit, so
-// every block takes the fast path. A decoder change that stops fusing fails
-// here.
+// TestFusedDispatchesJPEG pins how much the fast path's pair fusion and
+// compare folding save on the profiled run of flattened JPEG. The dispatch
+// count is computed from the decoded fast array and the block counts, not
+// counted at run time: a block on the fast path dispatches once per plain op
+// and once per fused pair up to its fast-path end, and a compare folded into
+// the terminator is part of the terminator. The run holds no call and stays
+// far below the step limit, so every block takes the fast path. A decoder
+// change that stops fusing or folding fails here.
 func TestFusedDispatchesJPEG(t *testing.T) {
 	if testing.Short() {
 		t.Skip("profiles the JPEG benchmark")
 	}
 	const (
 		wantInstrs    = 9849492
-		maxDispatches = 6632668
+		maxDispatches = 5975257
 	)
 	jsrc, err := apps.JPEGSource()
 	if err != nil {
@@ -959,11 +1001,11 @@ func TestFusedDispatchesJPEG(t *testing.T) {
 	counts := prof.Counts[apps.JPEGEntry]
 	var instrs, dispatches uint64
 	for bi, b := range c.blocks {
-		if b.call {
+		if b.charge == callCharge {
 			t.Fatalf("block %d of flattened JPEG holds a call", bi)
 		}
 		n := uint64(0)
-		for pc := b.start; pc < b.end; pc++ {
+		for pc := b.start; pc < b.fastEnd; pc++ {
 			if c.fast[pc].code != c.ops[pc].code {
 				pc++
 			}
@@ -979,4 +1021,43 @@ func TestFusedDispatchesJPEG(t *testing.T) {
 	if dispatches > maxDispatches {
 		t.Errorf("%d dispatches, want at most %d", dispatches, maxDispatches)
 	}
+}
+
+// TestDecodeFoldsJPEGBranches: decode folds the compare of every Branch
+// block of flattened JPEG into its terminator, and folds none of the call
+// blocks of JPEG as lowered, which never run on the fast path.
+func TestDecodeFoldsJPEGBranches(t *testing.T) {
+	jsrc, err := apps.JPEGSource()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, flat := compile(t, jsrc, apps.JPEGEntry)
+	c := New(flat).decode(flat.Func(apps.JPEGEntry))
+	branches := 0
+	for bi, b := range c.blocks {
+		if b.term != ir.TermBranch {
+			continue
+		}
+		branches++
+		if b.fastTerm == ir.TermBranch || b.fastEnd != b.end-1 {
+			t.Errorf("flattened JPEG: Branch block %d not folded (ops %d, fast-path end %d)", bi, b.end-b.start, b.fastEnd-b.start)
+		}
+	}
+	m := New(prog)
+	callBlocks := 0
+	for _, f := range prog.Funcs {
+		for bi, b := range m.decode(f).blocks {
+			if b.charge != callCharge {
+				continue
+			}
+			callBlocks++
+			if b.fastTerm != b.term || b.fastEnd != b.end {
+				t.Errorf("lowered JPEG: call block %d of %s folded", bi, f.Name)
+			}
+		}
+	}
+	if branches == 0 || callBlocks == 0 {
+		t.Fatalf("%d Branch blocks flattened, %d call blocks lowered", branches, callBlocks)
+	}
+	t.Logf("%d Branch blocks folded; %d call blocks left plain", branches, callBlocks)
 }

@@ -119,6 +119,10 @@ type Prefix struct {
 	// TFPGA, TCoarse and TComm are the mapping's eq. 2 components and Total
 	// their sum, t_total, all in FPGA cycles.
 	TFPGA, TCoarse, TComm, Total int64
+	// Crossings is the packing's reconfiguration count
+	// (finegrain.PackedMapping.Crossings), counted once for TFPGA and kept
+	// for a Stop hook that prices it again.
+	Crossings int64
 	// Pack is the Figure 3 packing of the blocks left on the FPGA.
 	Pack finegrain.PackedMapping
 }
@@ -355,7 +359,8 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 			loopSpan.Set(obs.Int("moves", len(res.Moved)), obs.Bool("met", res.Met), obs.Int("sim_scored", res.SimScored))
 		}()
 	}
-	res.InitialCycles = rec.Pack.TotalCycles(freq, cfg.Edges, plat.Fine.ReconfigCycles)
+	rec.Crossings = rec.Pack.Crossings(freq, cfg.Edges)
+	res.InitialCycles = rec.Pack.CrossedCycles(freq, rec.Crossings, plat.Fine.ReconfigCycles)
 	res.InitialPartitions = rec.Pack.NumPartitions
 	res.FinalCycles = res.InitialCycles
 	res.TFPGA = res.InitialCycles
@@ -440,7 +445,8 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 			return false, err
 		}
 		res.Packs++
-		tFPGA := rec.Pack.TotalCycles(freq, cfg.Edges, plat.Fine.ReconfigCycles)
+		rec.Crossings = rec.Pack.Crossings(freq, cfg.Edges)
+		tFPGA := rec.Pack.CrossedCycles(freq, rec.Crossings, plat.Fine.ReconfigCycles)
 		tCoarse := (coarseCGCCycles + ratio - 1) / ratio
 		tComm := commCycles
 		total := tFPGA + tCoarse + tComm

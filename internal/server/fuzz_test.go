@@ -2,7 +2,11 @@ package server
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http/httptest"
 	"reflect"
 	"testing"
@@ -135,4 +139,41 @@ func FuzzInt32List(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzAppendInts checks appendInts against fmt.Sprint of the same []int32,
+// read as little-endian 4-byte values: once into a plain buffer, and once
+// hashed in chunks after a prefix, with the list repeated until it spans
+// several chunks, against the hash of fmt's text.
+func FuzzAppendInts(f *testing.F) {
+	for _, vs := range [][]int32{nil, {0}, {1, -1}, {math.MaxInt32}, {math.MinInt32}, {0, 1, -1, math.MaxInt32, math.MinInt32, 99, 100, -100}} {
+		f.Add(int32Bytes(vs))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		vs := make([]int32, len(data)/4)
+		for i := range vs {
+			vs[i] = int32(binary.LittleEndian.Uint32(data[4*i:]))
+		}
+		if got, want := string(appendInts(nil, nil, vs)), fmt.Sprint(vs); got != want {
+			t.Fatalf("appendInts(%v) = %q, want %q", vs, got, want)
+		}
+		long := vs
+		for len(long) > 0 && len(long) < 3*intsChunk/4 {
+			long = append(long, vs...)
+		}
+		h := sha256.New()
+		h.Write(appendInts(h, []byte("x="), long))
+		if want := sha256.Sum256([]byte("x=" + fmt.Sprint(long))); !bytes.Equal(h.Sum(nil), want[:]) {
+			t.Fatalf("chunked appendInts of %d values hashes unlike fmt.Sprint", len(long))
+		}
+	})
+}
+
+// int32Bytes encodes vs as FuzzAppendInts reads its input.
+func int32Bytes(vs []int32) []byte {
+	b := make([]byte, 0, 4*len(vs))
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint32(b, uint32(v))
+	}
+	return b
 }

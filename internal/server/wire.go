@@ -7,10 +7,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash"
 	"math"
 	"net/http"
 	"sort"
-	"strconv"
 
 	"hybridpart"
 )
@@ -426,12 +426,13 @@ func (r *PartitionRequest) fingerprint(kind string, opts hybridpart.Options) str
 		fmt.Fprintf(h, "bench=%s\nseed=%d\n", r.Benchmark, r.Seed)
 	} else {
 		fmt.Fprintf(h, "src=%s\nentry=%s\n", hybridpart.SourceHash(r.Source), r.entryOrDefault())
-		// The args and input lines are built with strconv in one reused
-		// buffer, byte for byte what fmt's %v prints: inputs run to 64K
-		// values, and fmt cost one allocation per value.
-		b := appendInts(append(make([]byte, 0, 256), "args="...), r.Args)
-		b = append(b, '\n')
-		h.Write(b)
+		// The args and input lines are formatted in one small reused buffer,
+		// byte for byte what fmt's %v prints, and written to the hash in
+		// chunks: inputs run to 64K values. The buffer holds a chunk plus
+		// one more value and the closing "]\n".
+		b := make([]byte, 0, intsChunk+16)
+		b = appendInts(h, append(b, "args="...), r.Args)
+		h.Write(append(b, '\n'))
 		names := make([]string, 0, len(r.Inputs))
 		for n := range r.Inputs {
 			names = append(names, n)
@@ -439,8 +440,8 @@ func (r *PartitionRequest) fingerprint(kind string, opts hybridpart.Options) str
 		sort.Strings(names)
 		for _, n := range names {
 			b = append(append(append(b[:0], "input:"...), n...), '=')
-			b = append(appendInts(b, r.Inputs[n]), '\n')
-			h.Write(b)
+			b = appendInts(h, b, r.Inputs[n])
+			h.Write(append(b, '\n'))
 		}
 	}
 	fmt.Fprintf(h, "opts=%s\n", opts.Fingerprint())
@@ -450,16 +451,59 @@ func (r *PartitionRequest) fingerprint(kind string, opts hybridpart.Options) str
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// appendInts appends vs as fmt's %v prints an []int32: "[v v ...]".
-func appendInts(b []byte, vs []int32) []byte {
+// intsChunk is how many bytes appendInts gathers before it writes them out.
+const intsChunk = 4096
+
+// appendInts appends vs to b as fmt's %v prints an []int32: "[v v ...]".
+// With a non-nil h, whenever b holds intsChunk bytes it writes b to h and
+// starts b over, so a long list is formatted in one small buffer; it returns
+// the bytes it has not written.
+func appendInts(h hash.Hash, b []byte, vs []int32) []byte {
 	b = append(b, '[')
 	for i, v := range vs {
+		if h != nil && len(b) >= intsChunk {
+			h.Write(b) // a hash.Hash never returns an error
+			b = b[:0]
+		}
 		if i > 0 {
 			b = append(b, ' ')
 		}
-		b = strconv.AppendInt(b, int64(v), 10)
+		b = appendInt(b, v)
 	}
 	return append(b, ']')
+}
+
+// digitPairs holds the two decimal digits of 00 to 99 in order.
+var digitPairs = func() (t [200]byte) {
+	for i := range 100 {
+		t[2*i], t[2*i+1] = byte('0'+i/10), byte('0'+i%10)
+	}
+	return t
+}()
+
+// appendInt appends v in decimal, two digits at a time.
+func appendInt(b []byte, v int32) []byte {
+	u := uint32(v)
+	if v < 0 {
+		b = append(b, '-')
+		u = -u
+	}
+	var d [10]byte
+	i := len(d)
+	for u >= 100 {
+		r := u % 100
+		u /= 100
+		i -= 2
+		d[i], d[i+1] = digitPairs[2*r], digitPairs[2*r+1]
+	}
+	if u >= 10 {
+		i -= 2
+		d[i], d[i+1] = digitPairs[2*u], digitPairs[2*u+1]
+	} else {
+		i--
+		d[i] = byte('0' + u)
+	}
+	return append(b, d[i:]...)
 }
 
 // SimulateRequest is the body of POST /v1/simulate: a PartitionRequest
