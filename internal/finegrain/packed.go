@@ -292,17 +292,11 @@ func (pm *PackedMapping) LevelCycles(freq []uint64) int64 {
 	return total
 }
 
-// TotalCycles evaluates the packed fine-grain execution time: eq. 4 level
-// cycles plus the per-region reconfiguration cost per dynamic crossing.
-// reconfigCycles is the full-fabric cost (FineGrain.ReconfigCycles); with
-// multiple regions each load swaps one region's proportionally smaller
-// bitstream.
-func (pm *PackedMapping) TotalCycles(freq []uint64, edges []EdgeFreq, reconfigCycles int) int64 {
-	return pm.CrossedCycles(freq, pm.Crossings(freq, edges), reconfigCycles)
-}
-
-// CrossedCycles is TotalCycles for a caller that already holds the
-// mapping's Crossings count.
+// CrossedCycles evaluates the packed fine-grain execution time given the
+// mapping's Crossings count: eq. 4 level cycles plus the per-region
+// reconfiguration cost per dynamic crossing. reconfigCycles is the
+// full-fabric cost (FineGrain.ReconfigCycles); with multiple regions each
+// load swaps one region's proportionally smaller bitstream.
 func (pm *PackedMapping) CrossedCycles(freq []uint64, crossings int64, reconfigCycles int) int64 {
 	regionReconfig := int64((reconfigCycles + pm.Regions - 1) / pm.Regions)
 	return pm.LevelCycles(freq) + crossings*regionReconfig

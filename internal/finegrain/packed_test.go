@@ -97,7 +97,7 @@ func TestPackOneBlock(t *testing.T) {
 			if pm.PerBlockCycles[0] != c.levelCyc {
 				t.Fatalf("level cycles = %d, want %d", pm.PerBlockCycles[0], c.levelCyc)
 			}
-			if got := pm.TotalCycles([]uint64{1}, nil, c.fg.ReconfigCycles); got != c.total {
+			if got := totalCycles(pm, []uint64{1}, nil, c.fg.ReconfigCycles); got != c.total {
 				t.Fatalf("one execution = %d cycles, want %d", got, c.total)
 			}
 		})
@@ -114,7 +114,7 @@ func TestMapDFGSinglePartition(t *testing.T) {
 	if pm.NumPartitions != 1 {
 		t.Fatalf("partitions = %d, want 1", pm.NumPartitions)
 	}
-	if got := pm.TotalCycles([]uint64{1}, nil, 32); got != 1+32 {
+	if got := totalCycles(pm, []uint64{1}, nil, 32); got != 1+32 {
 		t.Fatalf("one execution = %d cycles, want 33", got)
 	}
 }
@@ -124,7 +124,7 @@ func TestMapDFGEmptyBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := pm.TotalCycles([]uint64{1}, nil, 32); got != 1 || pm.NumPartitions != 0 {
+	if got := totalCycles(pm, []uint64{1}, nil, 32); got != 1 || pm.NumPartitions != 0 {
 		t.Fatalf("empty block: cycles=%d partitions=%d, want 1 and 0", got, pm.NumPartitions)
 	}
 }
@@ -171,8 +171,8 @@ func TestPackFunctionEq4(t *testing.T) {
 	}
 	// Both blocks share one partition: only the initial configuration.
 	edges := []EdgeFreq{{From: 0, To: 1, N: 5}}
-	if got, want := pm.TotalCycles(freq, edges, 10), int64(5*1+7*2)+10; got != want {
-		t.Fatalf("TotalCycles = %d, want %d", got, want)
+	if got, want := totalCycles(pm, freq, edges, 10), int64(5*1+7*2)+10; got != want {
+		t.Fatalf("totalCycles = %d, want %d", got, want)
 	}
 	// Restricted to block 1 only.
 	if err := pm.Pack(ir.BuildBlockTables(f), fg, func(id ir.BlockID) bool { return id == 1 }); err != nil {
@@ -194,7 +194,7 @@ func TestMoreAreaNeverSlower(t *testing.T) {
 		if err != nil {
 			t.Fatalf("area %d: %v", area, err)
 		}
-		got := pm.TotalCycles([]uint64{1}, nil, 32)
+		got := totalCycles(pm, []uint64{1}, nil, 32)
 		if got > prev {
 			t.Fatalf("area %d: cycles %d > previous %d", area, got, prev)
 		}
@@ -319,8 +319,8 @@ func TestTemporalPartitionInvariants(t *testing.T) {
 			ones[i] = 1
 		}
 		want := pm.LevelCycles(ones) + int64(crossings+min(np, 1))*int64(fg.ReconfigCycles)
-		if got := pm.TotalCycles(ones, nil, fg.ReconfigCycles); got != want {
-			return fail("TotalCycles = %d, want %d", got, want)
+		if got := totalCycles(&pm, ones, nil, fg.ReconfigCycles); got != want {
+			return fail("totalCycles = %d, want %d", got, want)
 		}
 		return true
 	}
@@ -411,9 +411,9 @@ func TestPackFunctionSharesPartitions(t *testing.T) {
 	// No crossings: total = freq-weighted level cycles + 1 initial config.
 	freq := []uint64{5, 5}
 	edges := []EdgeFreq{{From: 0, To: 1, N: 5}}
-	got := pm.TotalCycles(freq, edges, 10)
+	got := totalCycles(pm, freq, edges, 10)
 	if want := int64(5*1+5*1) + 10; got != want {
-		t.Fatalf("TotalCycles = %d, want %d", got, want)
+		t.Fatalf("totalCycles = %d, want %d", got, want)
 	}
 }
 
@@ -429,10 +429,10 @@ func TestPackFunctionCrossingCharged(t *testing.T) {
 	}
 	freq := []uint64{5, 5}
 	edges := []EdgeFreq{{From: 0, To: 1, N: 5}}
-	got := pm.TotalCycles(freq, edges, 10)
+	got := totalCycles(pm, freq, edges, 10)
 	// 10 level cycles + (5 crossings + 1 initial) × 10 reconfig.
 	if want := int64(10) + 6*10; got != want {
-		t.Fatalf("TotalCycles = %d, want %d", got, want)
+		t.Fatalf("totalCycles = %d, want %d", got, want)
 	}
 }
 
@@ -453,11 +453,11 @@ func TestPackFunctionStraddlingBlock(t *testing.T) {
 	if pm.InternalCrossings[0] != 1 {
 		t.Fatalf("internal crossings = %d, want 1", pm.InternalCrossings[0])
 	}
-	got := pm.TotalCycles([]uint64{7}, nil, 10)
+	got := totalCycles(pm, []uint64{7}, nil, 10)
 	// Per exec: 2 level-group cycles (level 1 split across two partitions)
 	// + 1 internal crossing; plus 1 initial config.
 	if want := int64(7*2) + (7+1)*10; got != want {
-		t.Fatalf("TotalCycles = %d, want %d", got, want)
+		t.Fatalf("totalCycles = %d, want %d", got, want)
 	}
 }
 
@@ -474,9 +474,9 @@ func TestPackFunctionExcludesBlocks(t *testing.T) {
 		t.Fatalf("partitions = %d, want 1 (half the work excluded)", pm.NumPartitions)
 	}
 	// Edges touching excluded blocks never charge reconfiguration.
-	got := pm.TotalCycles([]uint64{5, 5}, []EdgeFreq{{From: 0, To: 1, N: 5}}, 10)
+	got := totalCycles(pm, []uint64{5, 5}, []EdgeFreq{{From: 0, To: 1, N: 5}}, 10)
 	if want := int64(5) + 10; got != want {
-		t.Fatalf("TotalCycles = %d, want %d", got, want)
+		t.Fatalf("totalCycles = %d, want %d", got, want)
 	}
 }
 
@@ -490,8 +490,8 @@ func TestPackFunctionEmptyAndOversize(t *testing.T) {
 	if pm.NumPartitions != 0 {
 		t.Fatalf("empty function produced %d partitions", pm.NumPartitions)
 	}
-	if got := pm.TotalCycles([]uint64{3}, nil, 10); got != 3 {
-		t.Fatalf("TotalCycles = %d, want 3 (control only)", got)
+	if got := totalCycles(pm, []uint64{3}, nil, 10); got != 3 {
+		t.Fatalf("totalCycles = %d, want 3 (control only)", got)
 	}
 
 	g := ir.NewFunction("big")
@@ -514,10 +514,16 @@ func TestPackedMoreAreaNeverSlower(t *testing.T) {
 		if err != nil {
 			t.Fatalf("area %d: %v", area, err)
 		}
-		got := pm.TotalCycles(freq, edges, 25)
+		got := totalCycles(pm, freq, edges, 25)
 		if got > prev {
 			t.Fatalf("area %d slower: %d > %d", area, got, prev)
 		}
 		prev = got
 	}
+}
+
+// totalCycles is eq. 4 with every dynamic crossing charged: the reference
+// the packing tests check, from the mapping's own Crossings count.
+func totalCycles(pm *PackedMapping, freq []uint64, edges []EdgeFreq, reconfigCycles int) int64 {
+	return pm.CrossedCycles(freq, pm.Crossings(freq, edges), reconfigCycles)
 }

@@ -79,6 +79,10 @@ int f() { int i; int s = 0; for (i = 0; i <= N; i++) { s += A[i] * B[i]; } retur
     for (i = 0; i < 6; i++) { c = i < 3; if (c) { s += i; } }
     return s * 10 + c + (i >= 6);
 }`,
+		// Traps whose op writes one of its own operands: the message must
+		// show the operand's value from before the refused op.
+		`int A[4]; int f() { int i = 9; i = A[i]; return i; }`,
+		`int f() { int d = 0; d = 5 / d; return d; }`,
 	}
 	for _, s := range seeds {
 		f.Add(s)

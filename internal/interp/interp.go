@@ -26,8 +26,9 @@
 // which still writes the condition register. A block that may cross the step
 // limit, or that holds a call, runs on the checked path from the plain
 // array, one op per instruction, with a plain Branch terminator, so step
-// limits and context polls stay exact. A trap in either half of a fused pair
-// reports that half's own source line.
+// limits and context polls stay exact. Both paths run their ops through one
+// op switch. A trap in either half of a fused pair reports that half's own
+// source line.
 package interp
 
 import (
@@ -108,20 +109,27 @@ func Array(s []int32) Arg { return Arg{Arr: s, IsArray: true} }
 // Machine executes one program. Globals persist across Run calls.
 //
 // Each function runs from its decoded form (see decode), built once per
-// Machine on the function's first call. Step accounting is per block: a
-// block whose charge (its entry step and instructions) fits under the
-// current limit (MaxSteps or the next context poll) is charged in one add
-// and runs on the fast path, where a folded compare runs in the Branch
-// terminator. Only a block that may cross the limit, or that holds a call
-// (whose charge never fits), counts its steps one instruction at a time. A
-// step trap therefore fires on the same step and source line as a
-// per-instruction count would give, and a trap raised mid-block refunds the
-// steps charged for the instructions after it. Nothing in the loop counts
-// instructions: when the run returns, on every path, Profile.Instrs gains
-// the steps the run added less its block entries, and less the one step
-// that pastLimit refused when it stopped the run. Taken edges are counted
-// per block in a then slot and an else slot and folded into Profile.Edges
-// then too.
+// Machine on the function's first call. exec walks the blocks: it charges
+// each block's steps, counts the block and its taken edges, makes calls and
+// runs the terminators. A block's ops run in runOps, a leaf loop whose only
+// state is the op slice, the register file, the array table and the op
+// index, so all four stay in machine registers. A block whose charge (its
+// entry step and instructions) fits under the current limit (MaxSteps or
+// the next context poll) is charged in one add and runs on the fast path:
+// one runOps call over its fused ops up to fastEnd (none when that range is
+// empty), then a terminator that may run a folded compare. Only a block that may cross the limit, or that
+// holds a call (whose charge never fits), takes the checked path: exec
+// charges it one instruction at a time, runs each call itself and every
+// other op as a one-op runOps call over the plain ops. A step trap
+// therefore fires on the same step and source line as a per-instruction
+// count would give. runOps refuses a trapping op before it writes anything
+// and returns its index; opTrap rebuilds the message from that op and the
+// untouched registers, and trapAt refunds the steps charged for the
+// instructions after it. Nothing in the loop counts instructions: when the
+// run returns, on every path, Profile.Instrs gains the steps the run added
+// less its block entries, and less the one step that pastLimit refused when
+// it stopped the run. Taken edges are counted per block in a then slot and
+// an else slot and folded into Profile.Edges then too.
 type Machine struct {
 	prog    *ir.Program
 	globals [][]int32
@@ -582,10 +590,28 @@ func (m *Machine) trapAt(c *code, b *block, pc int32, checked bool, msg string) 
 	return &Trap{Func: c.fn.Name, Pos: int(c.pos[pc]), Msg: msg}
 }
 
-// loadTrap is trapAt for a load at op pc whose index i falls outside its
-// array of n elements.
-func (m *Machine) loadTrap(c *code, b *block, pc int32, checked bool, i, n int) *Trap {
-	return m.trapAt(c, b, pc, checked, fmt.Sprintf("load index %d out of range [0,%d)", i, n))
+// opTrap is trapAt for op pc, which runOps refused, with the message rebuilt
+// from the op and its untouched operands.
+func (m *Machine) opTrap(c *code, b *block, pc int32, checked bool, regs []int32, arrs [][]int32) *Trap {
+	o := &c.ops[pc]
+	msg := "invalid opcode"
+	switch o.code {
+	case ir.OpDiv, ir.OpRem:
+		msg = "division"
+		if o.code == ir.OpRem {
+			msg = "remainder"
+		}
+		if regs[o.b] == 0 {
+			msg += " by zero"
+		} else {
+			msg += " overflow"
+		}
+	case ir.OpLoad, ir.OpStore:
+		msg = fmt.Sprintf("%v index %d out of range [0,%d)", o.code, regs[o.a], len(arrs[o.x]))
+	case opBadArray:
+		msg = "unresolved array"
+	}
+	return m.trapAt(c, b, pc, checked, msg)
 }
 
 func (m *Machine) exec(c *code, regs []int32, arrs [][]int32) (int32, error) {
@@ -609,12 +635,10 @@ func (m *Machine) exec(c *code, regs []int32, arrs [][]int32) (int32, error) {
 		b := &c.blocks[bi]
 		// A block entry charges one step even when the block is empty, so
 		// instruction-free infinite loops still hit the step limit.
-		run, end, term := c.fast, b.fastEnd, b.fastTerm
 		checked := m.steps+b.charge > m.limit
 		if !checked {
 			m.steps += b.charge
 		} else {
-			run, end, term = c.ops, b.end, b.term
 			m.steps++
 			if m.steps > m.limit {
 				if err := m.pastLimit(c.fn.Name, 0); err != nil {
@@ -625,132 +649,33 @@ func (m *Machine) exec(c *code, regs []int32, arrs [][]int32) (int32, error) {
 		if counts != nil {
 			counts[bi]++
 		}
-		for pc := b.start; pc < end; pc++ {
-			if checked {
+		term := b.fastTerm
+		if checked {
+			term = b.term
+			for pc := b.start; pc < b.end; pc++ {
 				m.steps++
 				if m.steps > m.limit {
 					if err := m.pastLimit(c.fn.Name, int(c.pos[pc])); err != nil {
 						return 0, err
 					}
 				}
+				if o := &c.ops[pc]; o.code == ir.OpCall {
+					ret, err := m.call(c, b, pc, regs, arrs)
+					if err != nil {
+						return 0, err
+					}
+					if c.calls[o.x].hasDst {
+						regs[o.dst] = ret
+					}
+				} else if runOps(c.ops[pc:pc+1], regs, arrs) >= 0 {
+					return 0, m.opTrap(c, b, pc, true, regs, arrs)
+				}
 			}
-			o := &run[pc]
-			switch o.code {
-			case ir.OpCopy:
-				regs[o.dst] = regs[o.a]
-			case ir.OpAdd:
-				regs[o.dst] = regs[o.a] + regs[o.b]
-			case ir.OpSub:
-				regs[o.dst] = regs[o.a] - regs[o.b]
-			case ir.OpNeg:
-				regs[o.dst] = -regs[o.a]
-			case ir.OpMul:
-				regs[o.dst] = regs[o.a] * regs[o.b]
-			case ir.OpDiv:
-				x, y := regs[o.a], regs[o.b]
-				if y == 0 {
-					return 0, m.trapAt(c, b, pc, checked, "division by zero")
-				}
-				if x == -1<<31 && y == -1 {
-					return 0, m.trapAt(c, b, pc, checked, "division overflow")
-				}
-				regs[o.dst] = x / y
-			case ir.OpRem:
-				x, y := regs[o.a], regs[o.b]
-				if y == 0 {
-					return 0, m.trapAt(c, b, pc, checked, "remainder by zero")
-				}
-				if x == -1<<31 && y == -1 {
-					return 0, m.trapAt(c, b, pc, checked, "remainder overflow")
-				}
-				regs[o.dst] = x % y
-			case ir.OpAnd:
-				regs[o.dst] = regs[o.a] & regs[o.b]
-			case ir.OpOr:
-				regs[o.dst] = regs[o.a] | regs[o.b]
-			case ir.OpXor:
-				regs[o.dst] = regs[o.a] ^ regs[o.b]
-			case ir.OpNot:
-				regs[o.dst] = ^regs[o.a]
-			case ir.OpShl:
-				regs[o.dst] = regs[o.a] << (uint32(regs[o.b]) & 31)
-			case ir.OpShr:
-				regs[o.dst] = regs[o.a] >> (uint32(regs[o.b]) & 31)
-			case ir.OpEq:
-				regs[o.dst] = b2i(regs[o.a] == regs[o.b])
-			case ir.OpNe:
-				regs[o.dst] = b2i(regs[o.a] != regs[o.b])
-			case ir.OpLt:
-				regs[o.dst] = b2i(regs[o.a] < regs[o.b])
-			case ir.OpLe:
-				regs[o.dst] = b2i(regs[o.a] <= regs[o.b])
-			case ir.OpGt:
-				regs[o.dst] = b2i(regs[o.a] > regs[o.b])
-			case ir.OpGe:
-				regs[o.dst] = b2i(regs[o.a] >= regs[o.b])
-			case ir.OpLNot:
-				regs[o.dst] = b2i(regs[o.a] == 0)
-			case ir.OpLoad:
-				arr, i := arrs[o.x], int(regs[o.a])
-				if uint(i) >= uint(len(arr)) {
-					return 0, m.loadTrap(c, b, pc, checked, i, len(arr))
-				}
-				regs[o.dst] = arr[i]
-			case ir.OpStore:
-				arr, i := arrs[o.x], int(regs[o.a])
-				if uint(i) >= uint(len(arr)) {
-					return 0, m.trapAt(c, b, pc, checked, fmt.Sprintf("store index %d out of range [0,%d)", i, len(arr)))
-				}
-				arr[i] = regs[o.b]
-			case opBadArray:
-				return 0, m.trapAt(c, b, pc, checked, "unresolved array")
-			case ir.OpCall:
-				ret, err := m.call(c, b, pc, regs, arrs)
-				if err != nil {
-					return 0, err
-				}
-				if c.calls[o.x].hasDst {
-					regs[o.dst] = ret
-				}
-			case opAddLoad:
-				regs[o.dst] = regs[o.a] + regs[o.b]
-				pc++
-				o = &run[pc]
-				arr, i := arrs[o.x], int(regs[o.a])
-				if uint(i) >= uint(len(arr)) {
-					return 0, m.loadTrap(c, b, pc, checked, i, len(arr))
-				}
-				regs[o.dst] = arr[i]
-			case opMulAdd:
-				regs[o.dst] = regs[o.a] * regs[o.b]
-				pc++
-				o = &run[pc]
-				regs[o.dst] = regs[o.a] + regs[o.b]
-			case opLoadMul:
-				arr, i := arrs[o.x], int(regs[o.a])
-				if uint(i) >= uint(len(arr)) {
-					return 0, m.loadTrap(c, b, pc, checked, i, len(arr))
-				}
-				regs[o.dst] = arr[i]
-				pc++
-				o = &run[pc]
-				regs[o.dst] = regs[o.a] * regs[o.b]
-			case opLoadAdd:
-				arr, i := arrs[o.x], int(regs[o.a])
-				if uint(i) >= uint(len(arr)) {
-					return 0, m.loadTrap(c, b, pc, checked, i, len(arr))
-				}
-				regs[o.dst] = arr[i]
-				pc++
-				o = &run[pc]
-				regs[o.dst] = regs[o.a] + regs[o.b]
-			case opAddAdd:
-				regs[o.dst] = regs[o.a] + regs[o.b]
-				pc++
-				o = &run[pc]
-				regs[o.dst] = regs[o.a] + regs[o.b]
-			default:
-				return 0, m.trapAt(c, b, pc, checked, "invalid opcode")
+		} else if b.start < b.fastEnd {
+			// An empty range skips the call: in a third of flattened JPEG's
+			// block entries the block's one op is its folded compare.
+			if pc := runOps(c.fast[b.start:b.fastEnd], regs, arrs); pc >= 0 {
+				return 0, m.opTrap(c, b, b.start+pc, false, regs, arrs)
 			}
 		}
 		var cond bool
@@ -801,6 +726,120 @@ func (m *Machine) exec(c *code, regs []int32, arrs [][]int32) (int32, error) {
 			bi = b.els
 		}
 	}
+}
+
+// runOps runs ops, a block's fast-path ops or one checked op, and returns
+// -1, or the index of the op it refused: a division or remainder by zero or
+// overflow, a load or store index out of range, an unresolved array, a call
+// or an invalid opcode. A refused op writes nothing, so opTrap can rebuild
+// its message from the registers. It is a leaf holding only ops, regs, arrs
+// and its op index, which keeps all four in machine registers.
+func runOps(ops []op, regs []int32, arrs [][]int32) int32 {
+	for pc := 0; pc < len(ops); pc++ {
+		o := &ops[pc]
+		switch o.code {
+		case ir.OpCopy:
+			regs[o.dst] = regs[o.a]
+		case ir.OpAdd:
+			regs[o.dst] = regs[o.a] + regs[o.b]
+		case ir.OpSub:
+			regs[o.dst] = regs[o.a] - regs[o.b]
+		case ir.OpNeg:
+			regs[o.dst] = -regs[o.a]
+		case ir.OpMul:
+			regs[o.dst] = regs[o.a] * regs[o.b]
+		case ir.OpDiv:
+			x, y := regs[o.a], regs[o.b]
+			if y == 0 || x == -1<<31 && y == -1 {
+				return int32(pc)
+			}
+			regs[o.dst] = x / y
+		case ir.OpRem:
+			x, y := regs[o.a], regs[o.b]
+			if y == 0 || x == -1<<31 && y == -1 {
+				return int32(pc)
+			}
+			regs[o.dst] = x % y
+		case ir.OpAnd:
+			regs[o.dst] = regs[o.a] & regs[o.b]
+		case ir.OpOr:
+			regs[o.dst] = regs[o.a] | regs[o.b]
+		case ir.OpXor:
+			regs[o.dst] = regs[o.a] ^ regs[o.b]
+		case ir.OpNot:
+			regs[o.dst] = ^regs[o.a]
+		case ir.OpShl:
+			regs[o.dst] = regs[o.a] << (uint32(regs[o.b]) & 31)
+		case ir.OpShr:
+			regs[o.dst] = regs[o.a] >> (uint32(regs[o.b]) & 31)
+		case ir.OpEq:
+			regs[o.dst] = b2i(regs[o.a] == regs[o.b])
+		case ir.OpNe:
+			regs[o.dst] = b2i(regs[o.a] != regs[o.b])
+		case ir.OpLt:
+			regs[o.dst] = b2i(regs[o.a] < regs[o.b])
+		case ir.OpLe:
+			regs[o.dst] = b2i(regs[o.a] <= regs[o.b])
+		case ir.OpGt:
+			regs[o.dst] = b2i(regs[o.a] > regs[o.b])
+		case ir.OpGe:
+			regs[o.dst] = b2i(regs[o.a] >= regs[o.b])
+		case ir.OpLNot:
+			regs[o.dst] = b2i(regs[o.a] == 0)
+		case ir.OpLoad:
+			arr, i := arrs[o.x], uint(regs[o.a])
+			if i >= uint(len(arr)) {
+				return int32(pc)
+			}
+			regs[o.dst] = arr[i]
+		case ir.OpStore:
+			arr, i := arrs[o.x], uint(regs[o.a])
+			if i >= uint(len(arr)) {
+				return int32(pc)
+			}
+			arr[i] = regs[o.b]
+		case opAddLoad:
+			regs[o.dst] = regs[o.a] + regs[o.b]
+			pc++
+			o = &ops[pc]
+			arr, i := arrs[o.x], uint(regs[o.a])
+			if i >= uint(len(arr)) {
+				return int32(pc)
+			}
+			regs[o.dst] = arr[i]
+		case opMulAdd:
+			regs[o.dst] = regs[o.a] * regs[o.b]
+			pc++
+			o = &ops[pc]
+			regs[o.dst] = regs[o.a] + regs[o.b]
+		case opLoadMul:
+			arr, i := arrs[o.x], uint(regs[o.a])
+			if i >= uint(len(arr)) {
+				return int32(pc)
+			}
+			regs[o.dst] = arr[i]
+			pc++
+			o = &ops[pc]
+			regs[o.dst] = regs[o.a] * regs[o.b]
+		case opLoadAdd:
+			arr, i := arrs[o.x], uint(regs[o.a])
+			if i >= uint(len(arr)) {
+				return int32(pc)
+			}
+			regs[o.dst] = arr[i]
+			pc++
+			o = &ops[pc]
+			regs[o.dst] = regs[o.a] + regs[o.b]
+		case opAddAdd:
+			regs[o.dst] = regs[o.a] + regs[o.b]
+			pc++
+			o = &ops[pc]
+			regs[o.dst] = regs[o.a] + regs[o.b]
+		default:
+			return int32(pc)
+		}
+	}
+	return -1
 }
 
 // call runs the call at op pc of block b, which is on the checked path, in

@@ -796,6 +796,13 @@ func trapCases(t testing.TB) []diffCase {
 		{"call-undefined", func(_, _, _ ir.RegID, _, _ ir.ArrID) ir.Instr {
 			return ir.Instr{Op: ir.OpCall, Callee: "nope"}
 		}, calls(0, 0)},
+		// y = x / y and x = x % y: the refused op left y and x as they were.
+		{"alias-div", func(x, y, _ ir.RegID, _, _ ir.ArrID) ir.Instr {
+			return ir.Instr{Op: ir.OpDiv, Dst: y, A: ir.Reg(x), B: ir.Reg(y)}
+		}, calls(7, 2, 7, 0, minInt, -1)},
+		{"alias-rem", func(x, y, _ ir.RegID, _, _ ir.ArrID) ir.Instr {
+			return ir.Instr{Op: ir.OpRem, Dst: x, A: ir.Reg(x), B: ir.Reg(y)}
+		}, calls(minInt, -1, 7, 0, 7, 2)},
 	}
 	var out []diffCase
 	for _, c := range cases {
@@ -808,6 +815,17 @@ func trapCases(t testing.TB) []diffCase {
 	out = append(out,
 		diffCase{name: "add-load", prog: trapProgram(t, ir.OpXor, load(local), ir.OpAdd), fn: "t", args: loads},
 		diffCase{name: "load-mul", prog: trapProgram(t, ir.OpAdd, load(local), ir.OpMul), fn: "t", args: loads})
+
+	// A trapping op whose dst is one of its own operands writes nothing, so
+	// the trap reports the operand as it was (alias-div and alias-rem above
+	// too): x = L[x] as a plain op and as the second op of an add+load pair.
+	aliasLoad := func(x, _, _ ir.RegID, l, _ ir.ArrID) ir.Instr {
+		return ir.Instr{Op: ir.OpLoad, Dst: x, A: ir.Reg(x), Arr: l}
+	}
+	aliasLoads := calls(3, 0, 9, 0, -1, 0)
+	out = append(out,
+		diffCase{name: "alias-load", prog: trapProgram(t, ir.OpAdd, aliasLoad, ir.OpXor), fn: "t", args: aliasLoads},
+		diffCase{name: "alias-add-load", prog: trapProgram(t, ir.OpXor, aliasLoad, ir.OpAdd), fn: "t", args: aliasLoads})
 
 	// A branch whose two targets are one block: both slots fold into one
 	// edge, and the else side is taken on x == 0.
@@ -888,9 +906,11 @@ func TestDecodedMatchesReferenceTraps(t *testing.T) {
 	// The fused-pair cases must decode to the pairs they are named for: the
 	// fast codes of t's entry block.
 	fused := map[string][]ir.Op{
-		"load-local": {opAddAdd, ir.OpAdd, opLoadAdd, ir.OpAdd, ir.OpXor},
-		"add-load":   {ir.OpXor, opAddLoad, ir.OpLoad, ir.OpAdd, ir.OpXor},
-		"load-mul":   {opAddAdd, ir.OpAdd, opLoadMul, ir.OpMul, ir.OpXor},
+		"load-local":     {opAddAdd, ir.OpAdd, opLoadAdd, ir.OpAdd, ir.OpXor},
+		"add-load":       {ir.OpXor, opAddLoad, ir.OpLoad, ir.OpAdd, ir.OpXor},
+		"load-mul":       {opAddAdd, ir.OpAdd, opLoadMul, ir.OpMul, ir.OpXor},
+		"alias-load":     {opAddAdd, ir.OpAdd, ir.OpLoad, ir.OpXor, ir.OpXor},
+		"alias-add-load": {ir.OpXor, opAddLoad, ir.OpLoad, ir.OpAdd, ir.OpXor},
 	}
 	for _, c := range trapCases(t) {
 		o := checkSame(t, c)
@@ -944,7 +964,8 @@ func TestDecodedMatchesReferenceStepLimits(t *testing.T) {
 	sweep("countdown", buildCountdown(), "f", [][]Arg{{Int(3)}})
 	for _, c := range trapCases(t) {
 		switch c.name {
-		case "div", "store-local", "load-local", "add-load", "load-mul", "folded-compare":
+		case "div", "store-local", "load-local", "add-load", "load-mul", "folded-compare",
+			"alias-load", "alias-add-load", "alias-div", "alias-rem":
 			sweep(c.name, c.prog, c.fn, c.args)
 		}
 	}

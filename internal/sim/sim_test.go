@@ -461,7 +461,8 @@ func TestBuildTraceInconsistentProfile(t *testing.T) {
 
 // TestBaselineMatchesPackedModel pins the all-FPGA simulation to the
 // analytical fine-grain model: with every block on the FPGA, one frame and
-// no contention, the simulated makespan is exactly PackedMapping.TotalCycles.
+// no contention, the simulated makespan is exactly the packed model, eq. 4
+// level cycles plus one reconfiguration per crossing (CrossedCycles).
 func TestBaselineMatchesPackedModel(t *testing.T) {
 	fp, flat, freq, edges := prep(t, threeStageSrc, "main_fn", 1)
 	for _, afpga := range []int{256, 320, 448, 1500} {
@@ -470,7 +471,7 @@ func TestBaselineMatchesPackedModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := pm.TotalCycles(freq, edges, plat.Fine.ReconfigCycles)
+		want := pm.CrossedCycles(freq, pm.Crossings(freq, edges), plat.Fine.ReconfigCycles)
 		rep, err := Simulate(context.Background(), Input{Prog: fp, F: flat, Plat: plat, Freq: freq, Edges: edges}, Config{})
 		if err != nil {
 			t.Fatal(err)
