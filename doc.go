@@ -155,9 +155,12 @@
 // by a bounded content-addressed result cache with request coalescing
 // (internal/cache). The cache keys combine a workload's SourceHash with
 // Options.Fingerprint — the canonical, field-order-independent hash of the
-// full knob set — and sweep progress streams to clients as server-sent
-// events via WriteSSE. POST /v1/simulate serves the co-simulator through
-// the same cache. See the README's "Running as a service" section.
+// full knob set: one "Name=value" line per field in sorted name order,
+// appended without reflection or fmt and byte for byte the lines a
+// reflective walk prints, so stored keys never move — and sweep progress
+// streams to clients as server-sent events via WriteSSE. POST /v1/simulate
+// serves the co-simulator through the same cache. See the README's
+// "Running as a service" section.
 //
 // The store behind the cache is pluggable (internal/store): the default
 // in-memory LRU, or a disk-backed content-addressed store (-cache-dir) so

@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
 	"net/http/httptest"
 	"reflect"
+	"sort"
 	"testing"
+
+	"hybridpart"
 )
 
 // wireKeys runs a decoded request through the same shape checks, knob
@@ -17,8 +21,10 @@ import (
 // /v1/partition, /v1/partition-energy and /v1/simulate, in that order — and
 // returns the cache key of every endpoint that accepts it (empty for one
 // that rejects it). req is a copy, so the partition path's in-place
-// objective default never leaks into the other endpoints.
-func wireKeys(req PartitionRequest) [3]string {
+// objective default never leaks into the other endpoints. Every key must
+// equal the one referenceKey builds with fmt.
+func wireKeys(t testing.TB, req PartitionRequest) [3]string {
+	t.Helper()
 	var keys [3]string
 	for i, kind := range []string{"partition", "energy"} {
 		r, energy := req, kind == "energy"
@@ -33,6 +39,7 @@ func wireKeys(req PartitionRequest) [3]string {
 			continue
 		}
 		keys[i] = r.fingerprint(kind, opts)
+		checkReferenceKey(t, &r, kind, opts, keys[i])
 	}
 	sim := SimulateRequest{req}
 	if sim.validate() == nil {
@@ -40,10 +47,44 @@ func wireKeys(req PartitionRequest) [3]string {
 			normalizeSimOptions(&opts)
 			if checkScoringCost(opts) == nil {
 				keys[2] = sim.fingerprint(opts)
+				checkReferenceKey(t, &sim.PartitionRequest, "simulate", opts, keys[2])
 			}
 		}
 	}
 	return keys
+}
+
+// referenceKey is the fmt-based request key encoder fingerprint replaced,
+// kept as its oracle.
+func referenceKey(r *PartitionRequest, kind string, opts hybridpart.Options) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "kind=%s\n", kind)
+	if r.Benchmark != "" {
+		fmt.Fprintf(h, "bench=%s\nseed=%d\n", r.Benchmark, r.Seed)
+	} else {
+		fmt.Fprintf(h, "src=%s\nentry=%s\n", hybridpart.SourceHash(r.Source), r.entryOrDefault())
+		fmt.Fprintf(h, "args=%v\n", r.Args)
+		names := make([]string, 0, len(r.Inputs))
+		for n := range r.Inputs {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		for _, n := range names {
+			fmt.Fprintf(h, "input:%s=%v\n", n, r.Inputs[n])
+		}
+	}
+	fmt.Fprintf(h, "opts=%s\n", opts.Fingerprint())
+	if kind == "energy" {
+		fmt.Fprintf(h, "budget=%v\n", r.EnergyBudget)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func checkReferenceKey(t testing.TB, r *PartitionRequest, kind string, opts hybridpart.Options, key string) {
+	t.Helper()
+	if want := referenceKey(r, kind, opts); key != want {
+		t.Fatalf("%s key %s, the fmt encoder gives %s", kind, key, want)
+	}
 }
 
 // decodeWire decodes body exactly as a handler does (decodeBody: strict
@@ -72,6 +113,7 @@ func FuzzPartitionRequest(f *testing.F) {
 		`{"benchmark": "ofdm", "options": {"AFPGA": 1500, "SimFrames": 8, "Objective": 1}}`,
 		`{"benchmark": "ofdm", "options": {}, "preset": "dsp-rich"}`,
 		`{"benchmark": "ofdm", "energy_budget": 1e9}`,
+		`{"benchmark": "jpeg", "seed": 4294967295, "energy_budget": 0.3}`,
 		`{"benchmark": "ofdm", "frames": 1025}`,
 		`{"benchmark": "nope", "unknown": true}`,
 		// Data after the body's one value.
@@ -88,7 +130,7 @@ func FuzzPartitionRequest(f *testing.F) {
 		if decodeWire(body, &req) != nil {
 			return
 		}
-		keys := wireKeys(req)
+		keys := wireKeys(t, req)
 		again, err := json.Marshal(&req)
 		if err != nil {
 			t.Fatalf("decoded %q but cannot re-encode it: %v", body, err)
@@ -97,7 +139,7 @@ func FuzzPartitionRequest(f *testing.F) {
 		if e := decodeWire(again, &back); e != nil {
 			t.Fatalf("re-encoded %q does not decode: %s", again, e.msg)
 		}
-		if got := wireKeys(back); got != keys {
+		if got := wireKeys(t, back); got != keys {
 			t.Fatalf("cache keys changed across a JSON round trip:\n%s -> %v\n%s -> %v", body, keys, again, got)
 		}
 	})

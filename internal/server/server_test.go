@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -758,6 +759,69 @@ func TestStatsProfileMemo(t *testing.T) {
 	}
 }
 
+// hitWriter is a ResponseWriter that keeps the status and body length of
+// the last response and one header map it clears between requests, so an
+// allocation count of ServeHTTP holds the handler's allocations only.
+type hitWriter struct {
+	h    http.Header
+	code int
+	n    int
+}
+
+func (w *hitWriter) Header() http.Header { return w.h }
+func (w *hitWriter) WriteHeader(code int) {
+	if w.code == 0 {
+		w.code = code
+	}
+}
+
+func (w *hitWriter) Write(p []byte) (int, error) {
+	w.WriteHeader(http.StatusOK)
+	w.n += len(p)
+	return len(p), nil
+}
+
+func (w *hitWriter) reset() {
+	clear(w.h)
+	w.code, w.n = 0, 0
+}
+
+// hitAllocCeiling bounds the heap allocations of one warm OFDM ×8 cache hit
+// through ServeHTTP: the request is decoded, its options resolved and its
+// key built, and the stored bytes are written out. The handler allocated 18
+// times per hit when the bound was set (107 with the reflective options
+// fingerprint); it allows two more.
+const hitAllocCeiling = 20
+
+// TestPartitionHitAllocs gates the allocations of the cache hit path, the
+// op that sets the service's median latency. The request and response
+// writer are built outside the counted closure, which only rewinds them.
+func TestPartitionHitAllocs(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	body := []byte(`{"benchmark":"ofdm","frames":8,"constraint":60000}`)
+	rdr := bytes.NewReader(body)
+	req := httptest.NewRequest(http.MethodPost, "/v1/partition", rdr)
+	w := &hitWriter{h: http.Header{}}
+	serve := func() {
+		rdr.Reset(body)
+		w.reset()
+		s.ServeHTTP(w, req)
+	}
+	serve()
+	if w.code != http.StatusOK || w.h.Get("X-Cache") != "miss" {
+		t.Fatalf("warm-up: status %d, X-Cache %q", w.code, w.h.Get("X-Cache"))
+	}
+	n := testing.AllocsPerRun(50, serve)
+	if w.code != http.StatusOK || w.h.Get("X-Cache") != "hit" || w.n == 0 {
+		t.Fatalf("hit: status %d, X-Cache %q, %d body bytes", w.code, w.h.Get("X-Cache"), w.n)
+	}
+	t.Logf("%v allocations per hit", n)
+	if n > hitAllocCeiling {
+		t.Errorf("an OFDM ×8 cache hit allocates %v times, ceiling %d", n, hitAllocCeiling)
+	}
+}
+
 // BenchmarkPartitionCacheHit measures the steady-state hit path (serving
 // stored response bytes).
 func BenchmarkPartitionCacheHit(b *testing.B) {
@@ -769,6 +833,7 @@ func BenchmarkPartitionCacheHit(b *testing.B) {
 	if rec.Code != http.StatusOK {
 		b.Fatalf("warmup failed: %d %s", rec.Code, rec.Body)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		req := httptest.NewRequest(http.MethodPost, "/v1/partition", strings.NewReader(body))

@@ -11,6 +11,7 @@ import (
 	"math"
 	"net/http"
 	"sort"
+	"strconv"
 
 	"hybridpart"
 )
@@ -418,37 +419,57 @@ func (r *PartitionRequest) entryOrDefault() string {
 // inputs in sorted-name order), the resolved Options fingerprint, the
 // request kind and — for energy requests — the budget. Equal requests hash
 // equal by construction; the hash never includes the source text itself, so
-// a cache hit is decided without compiling anything.
+// a cache hit is decided without compiling anything. The lines are appended
+// with strconv, not fmt, and are byte for byte what "%s", "%d" and "%v"
+// print, which keeps the keys of stored entries valid. A benchmark key's
+// lines fit in one stack buffer and are hashed at once.
 func (r *PartitionRequest) fingerprint(kind string, opts hybridpart.Options) string {
+	if r.Benchmark == "" {
+		return r.sourceFingerprint(kind, opts)
+	}
+	var buf [256]byte
+	b := append(append(buf[:0], "kind="...), kind...)
+	b = append(append(b, "\nbench="...), r.Benchmark...)
+	b = strconv.AppendUint(append(b, "\nseed="...), uint64(r.Seed), 10)
+	b = r.appendKeyTail(append(b, '\n'), kind, opts)
+	sum := sha256.Sum256(b)
+	return string(hex.AppendEncode(buf[:0], sum[:]))
+}
+
+// sourceFingerprint is fingerprint for a source workload. Its args and input
+// lines are formatted in one small reused buffer and written to the hash in
+// chunks: inputs run to 64K values. The buffer holds a chunk plus one more
+// value and the closing "]\n".
+func (r *PartitionRequest) sourceFingerprint(kind string, opts hybridpart.Options) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "kind=%s\n", kind)
-	if r.Benchmark != "" {
-		fmt.Fprintf(h, "bench=%s\nseed=%d\n", r.Benchmark, r.Seed)
-	} else {
-		fmt.Fprintf(h, "src=%s\nentry=%s\n", hybridpart.SourceHash(r.Source), r.entryOrDefault())
-		// The args and input lines are formatted in one small reused buffer,
-		// byte for byte what fmt's %v prints, and written to the hash in
-		// chunks: inputs run to 64K values. The buffer holds a chunk plus
-		// one more value and the closing "]\n".
-		b := make([]byte, 0, intsChunk+16)
-		b = appendInts(h, append(b, "args="...), r.Args)
+	b := make([]byte, 0, intsChunk+16)
+	b = append(append(append(b, "kind="...), kind...), "\nsrc="...)
+	b = append(append(b, hybridpart.SourceHash(r.Source)...), "\nentry="...)
+	b = append(append(b, r.entryOrDefault()...), '\n')
+	b = appendInts(h, append(b, "args="...), r.Args)
+	h.Write(append(b, '\n'))
+	names := make([]string, 0, len(r.Inputs))
+	for n := range r.Inputs {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		b = append(append(append(b[:0], "input:"...), n...), '=')
+		b = appendInts(h, b, r.Inputs[n])
 		h.Write(append(b, '\n'))
-		names := make([]string, 0, len(r.Inputs))
-		for n := range r.Inputs {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			b = append(append(append(b[:0], "input:"...), n...), '=')
-			b = appendInts(h, b, r.Inputs[n])
-			h.Write(append(b, '\n'))
-		}
 	}
-	fmt.Fprintf(h, "opts=%s\n", opts.Fingerprint())
+	h.Write(r.appendKeyTail(b[:0], kind, opts))
+	return hex.EncodeToString(h.Sum(b[:0]))
+}
+
+// appendKeyTail appends the lines that follow the workload identity: the
+// Options fingerprint and, for energy requests, the budget.
+func (r *PartitionRequest) appendKeyTail(b []byte, kind string, opts hybridpart.Options) []byte {
+	b = append(opts.AppendFingerprint(append(b, "opts="...)), '\n')
 	if kind == "energy" {
-		fmt.Fprintf(h, "budget=%v\n", r.EnergyBudget)
+		b = append(strconv.AppendFloat(append(b, "budget="...), r.EnergyBudget, 'g', -1, 64), '\n')
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return b
 }
 
 // intsChunk is how many bytes appendInts gathers before it writes them out.

@@ -50,7 +50,7 @@ func TestFingerprintPinned(t *testing.T) {
 		if err := decodeWire([]byte(c.body), &req); err != nil {
 			t.Fatalf("%s: decode: %v", c.name, err.msg)
 		}
-		if got := wireKeys(req); got != c.want {
+		if got := wireKeys(t, req); got != c.want {
 			t.Errorf("%s: keys\n got %q\nwant %q", c.name, got, c.want)
 		}
 	}
