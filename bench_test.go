@@ -228,7 +228,7 @@ func BenchmarkAblationKernelOrder(b *testing.B) {
 	app, prof, _, _ := benchSetup(b)
 	for _, order := range []KernelOrder{OrderByTotalWeight, OrderByFreq, OrderByOpWeight} {
 		b.Run(order.String(), func(b *testing.B) {
-			eng := mustEngine(b, WithOrder(order), WithConstraint(1), WithMaxMoves(3))
+			eng := mustEngine(b, withKnobs(func(o *Options) { o.Order = order }), WithConstraint(1), withMaxMoves(3))
 			var final int64
 			for i := 0; i < b.N; i++ {
 				res, err := eng.PartitionProfiled(context.Background(), app, prof)
@@ -295,8 +295,8 @@ func BenchmarkAblationCommCost(b *testing.B) {
 	app, prof, _, _ := benchSetup(b)
 	for _, cyclesPerWord := range []int{0, 1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("cpw%d", cyclesPerWord), func(b *testing.B) {
-			eng := mustEngine(b, WithComm(cyclesPerWord, DefaultOptions().CommSyncCycles),
-				WithConstraint(1), WithMaxMoves(4))
+			eng := mustEngine(b, withKnobs(func(o *Options) { o.CommCyclesPerWord = cyclesPerWord }),
+				WithConstraint(1), withMaxMoves(4))
 			var final int64
 			for i := 0; i < b.N; i++ {
 				res, err := eng.PartitionProfiled(context.Background(), app, prof)
@@ -316,7 +316,8 @@ func BenchmarkAblationRegisterBank(b *testing.B) {
 	app, prof, _, _ := benchSetup(b)
 	for _, bank := range []int{0, 256} {
 		b.Run(fmt.Sprintf("bank%d", bank), func(b *testing.B) {
-			eng := mustEngine(b, WithConstraint(1), WithMaxMoves(2), WithRegBank(bank))
+			eng := mustEngine(b, WithConstraint(1), withMaxMoves(2),
+				withKnobs(func(o *Options) { o.RegBankWords = bank }))
 			var final int64
 			for i := 0; i < b.N; i++ {
 				res, err := eng.PartitionProfiled(context.Background(), app, prof)

@@ -27,8 +27,11 @@
 //
 // The API has two nouns. A Workload is a compiled application plus the
 // execution profile it accumulates; an Engine is a fixed configuration of
-// the platform and engine knobs, built from functional options. Compile a
-// mini-C source, profile one execution, and partition against a timing
+// the platform and engine knobs, built from functional options. Options is
+// the one description of that knob set: WithOptions installs a whole
+// Options value, the granular options edit single knobs, and NewEngine
+// checks the final knob set once with Options.Validate. Compile a mini-C
+// source, profile one execution, and partition against a timing
 // constraint:
 //
 //	w, _ := hybridpart.NewWorkload(src, "main_fn")
@@ -150,6 +153,12 @@
 // under simulated scoring and reports "objective": "sim" on the wire (send
 // "objective": "model" for the closed-form-only loop). POST /v1/simulate is
 // unchanged: it validates the model at an explicit operating point.
+//
+// Every partition, energy and simulate request resolves to one Options
+// value — a preset or a full "options" override, with the top-level
+// shortcuts layered on top — and Options.Validate checks it before the
+// request is fingerprinted, looked up, admitted, compiled or profiled. An
+// invalid knob set is a 400 carrying the validator's message.
 //
 // cmd/hservd exposes the Engine over HTTP/JSON (internal/server), fronted
 // by a bounded content-addressed result cache with request coalescing

@@ -15,10 +15,11 @@ import (
 )
 
 // Engine is the entry point to the methodology: a fixed configuration of
-// the platform and engine knobs, built once from functional options and then
-// applied to any number of workloads. An Engine's configuration is immutable
-// after NewEngine returns, and observer delivery is serialized internally,
-// so an Engine is safe for concurrent use from multiple goroutines.
+// the platform and engine knobs, built once from functional options,
+// validated as a whole, and then applied to any number of workloads. An
+// Engine's configuration is immutable after NewEngine returns, and observer
+// delivery is serialized internally, so an Engine is safe for concurrent use
+// from multiple goroutines.
 //
 //	eng, _ := hybridpart.NewEngine(
 //		hybridpart.WithPlatform("paper-large"),
@@ -32,17 +33,11 @@ import (
 // given deadlines; progress streams through the configured Observer.
 type Engine struct {
 	opts Options
-	// costsSet records that WithCosts or a preset supplied the operator
-	// table explicitly: the engine then uses it verbatim (a bad table fails
-	// platform validation loudly) instead of zero-defaulting like a literal
-	// Options value passed through WithOptions.
-	costsSet bool
 	// constraintSet records an explicit WithConstraint, which then serves
 	// as the sweep-wide fallback before per-benchmark paper defaults.
 	constraintSet bool
 	budget        float64
 	observer      Observer
-	workers       int
 	// hooks are the test-only scoring switches handed to every simScorer.
 	hooks scoringHooks
 	// cellStart, when non-nil, runs at the start of every sweep cell's
@@ -71,8 +66,11 @@ func (e *Engine) emit(ev Event) {
 type Option func(*Engine) error
 
 // NewEngine builds an Engine from the paper's baseline configuration
-// (DefaultOptions) layered with the given options. It fails fast on the
-// first invalid option.
+// (DefaultOptions) layered with the given options, then checks the
+// resolved knob set once with Options.Validate. Only the final knob set is
+// checked, so WithArea(-1) followed by WithPlatform(p) is accepted. An
+// unknown preset, a non-positive WithConstraint or WithEnergyBudget, or an
+// invalid final knob set is an error.
 func NewEngine(options ...Option) (*Engine, error) {
 	e := &Engine{opts: DefaultOptions()}
 	for _, opt := range options {
@@ -82,6 +80,9 @@ func NewEngine(options ...Option) (*Engine, error) {
 		if err := opt(e); err != nil {
 			return nil, err
 		}
+	}
+	if err := e.opts.Validate(); err != nil {
+		return nil, err
 	}
 	return e, nil
 }
@@ -128,7 +129,6 @@ func WithPlatform(preset string) Option {
 			return err
 		}
 		applyPlatform(&e.opts, p)
-		e.costsSet = true
 		return nil
 	}
 }
@@ -136,22 +136,7 @@ func WithPlatform(preset string) Option {
 // WithArea sets the usable fine-grain area A_FPGA.
 func WithArea(afpga int) Option {
 	return func(e *Engine) error {
-		if afpga <= 0 {
-			return fmt.Errorf("hybridpart: A_FPGA must be positive, got %d", afpga)
-		}
 		e.opts.AFPGA = afpga
-		return nil
-	}
-}
-
-// WithReconfig sets the full-reconfiguration cost per temporal partition in
-// FPGA cycles.
-func WithReconfig(cycles int) Option {
-	return func(e *Engine) error {
-		if cycles < 0 {
-			return fmt.Errorf("hybridpart: reconfiguration cost must be non-negative, got %d", cycles)
-		}
-		e.opts.ReconfigCycles = cycles
 		return nil
 	}
 }
@@ -164,23 +149,7 @@ func WithReconfig(cycles int) Option {
 // other. The knob participates in Options.Fingerprint.
 func WithRegions(n int) Option {
 	return func(e *Engine) error {
-		if n < 0 {
-			return fmt.Errorf("hybridpart: regions must be non-negative, got %d", n)
-		}
 		e.opts.Regions = n
-		return nil
-	}
-}
-
-// WithCosts installs an explicit fine-grain operator cost table. Unlike a
-// zero Options.Costs passed through WithOptions, a table passed here is
-// always used verbatim — an invalid (e.g. all-zero) table fails platform
-// validation with a precise error instead of being silently replaced by the
-// default characterization.
-func WithCosts(t OpCosts) Option {
-	return func(e *Engine) error {
-		e.opts.Costs = t
-		e.costsSet = true
 		return nil
 	}
 }
@@ -188,67 +157,7 @@ func WithCosts(t OpCosts) Option {
 // WithCGCs sets the number of CGCs in the coarse-grain data-path.
 func WithCGCs(n int) Option {
 	return func(e *Engine) error {
-		if n <= 0 {
-			return fmt.Errorf("hybridpart: CGC count must be positive, got %d", n)
-		}
 		e.opts.NumCGCs = n
-		return nil
-	}
-}
-
-// WithCGCShape sets the rows × cols dimensions of each CGC.
-func WithCGCShape(rows, cols int) Option {
-	return func(e *Engine) error {
-		if rows <= 0 || cols <= 0 {
-			return fmt.Errorf("hybridpart: CGC shape must be positive, got %dx%d", rows, cols)
-		}
-		e.opts.CGCRows, e.opts.CGCCols = rows, cols
-		return nil
-	}
-}
-
-// WithMemPorts sets the shared-memory ports available per CGC cycle.
-func WithMemPorts(n int) Option {
-	return func(e *Engine) error {
-		if n <= 0 {
-			return fmt.Errorf("hybridpart: memory ports must be positive, got %d", n)
-		}
-		e.opts.MemPorts = n
-		return nil
-	}
-}
-
-// WithClockRatio sets T_FPGA/T_CGC (the paper uses 3).
-func WithClockRatio(r int) Option {
-	return func(e *Engine) error {
-		if r <= 0 {
-			return fmt.Errorf("hybridpart: clock ratio must be positive, got %d", r)
-		}
-		e.opts.ClockRatio = r
-		return nil
-	}
-}
-
-// WithRegBank sizes the data-path register bank in words (0 disables it).
-func WithRegBank(words int) Option {
-	return func(e *Engine) error {
-		if words < 0 {
-			return fmt.Errorf("hybridpart: register bank size must be non-negative, got %d", words)
-		}
-		e.opts.RegBankWords = words
-		return nil
-	}
-}
-
-// WithComm parameterizes t_comm: the FPGA-cycle cost per transferred word
-// and the fixed per-invocation synchronization cost.
-func WithComm(cyclesPerWord, syncCycles int) Option {
-	return func(e *Engine) error {
-		if cyclesPerWord < 0 || syncCycles < 0 {
-			return fmt.Errorf("hybridpart: communication costs must be non-negative, got %d/word + %d sync",
-				cyclesPerWord, syncCycles)
-		}
-		e.opts.CommCyclesPerWord, e.opts.CommSyncCycles = cyclesPerWord, syncCycles
 		return nil
 	}
 }
@@ -267,48 +176,6 @@ func WithConstraint(c int64) Option {
 	}
 }
 
-// WithOrder selects the kernel ordering strategy (OrderByTotalWeight is the
-// paper's eq. 1).
-func WithOrder(o KernelOrder) Option {
-	return func(e *Engine) error {
-		e.opts.Order = o
-		return nil
-	}
-}
-
-// WithMaxMoves bounds the number of kernels moved (0 = unlimited).
-func WithMaxMoves(n int) Option {
-	return func(e *Engine) error {
-		if n < 0 {
-			return fmt.Errorf("hybridpart: max moves must be non-negative, got %d", n)
-		}
-		e.opts.MaxMoves = n
-		return nil
-	}
-}
-
-// WithSkipNonImproving rejects moves whose communication overhead exceeds
-// their gain (the ablation switch; the paper's engine moves
-// unconditionally).
-func WithSkipNonImproving(skip bool) Option {
-	return func(e *Engine) error {
-		e.opts.SkipNonImproving = skip
-		return nil
-	}
-}
-
-// WithWeights sets the static analysis weights per operation class (the
-// paper uses ALU 1, MUL 2).
-func WithWeights(alu, mul, div, mem int64) Option {
-	return func(e *Engine) error {
-		if alu < 0 || mul < 0 || div < 0 || mem < 0 {
-			return fmt.Errorf("hybridpart: analysis weights must be non-negative")
-		}
-		e.opts.WeightALU, e.opts.WeightMul, e.opts.WeightDiv, e.opts.WeightMem = alu, mul, div, mem
-		return nil
-	}
-}
-
 // WithObjective selects the move-loop objective: ObjectiveModel (the
 // paper's closed-form t_total, the default) or ObjectiveSimulated, which
 // scores every trajectory prefix by replaying the profiled trace through the
@@ -320,9 +187,6 @@ func WithWeights(alu, mul, div, mem int64) Option {
 // slower.
 func WithObjective(o Objective) Option {
 	return func(e *Engine) error {
-		if _, err := ParseObjective(o.String()); err != nil {
-			return fmt.Errorf("hybridpart: invalid objective %d", int(o))
-		}
 		e.opts.Objective = o
 		return nil
 	}
@@ -335,9 +199,6 @@ func WithObjective(o Objective) Option {
 // cheaper middle ground when a full simulated objective is too expensive.
 func WithRerank(k int) Option {
 	return func(e *Engine) error {
-		if k < -1 {
-			return fmt.Errorf("hybridpart: rerank k must be -1 (all), 0 (off) or positive, got %d", k)
-		}
 		e.opts.RerankK = k
 		return nil
 	}
@@ -349,9 +210,6 @@ func WithRerank(k int) Option {
 // re-ranking.
 func WithSimFrames(n int) Option {
 	return func(e *Engine) error {
-		if n < 0 {
-			return fmt.Errorf("hybridpart: sim frames must be non-negative, got %d", n)
-		}
 		e.opts.SimFrames = n
 		return nil
 	}
@@ -361,9 +219,6 @@ func WithSimFrames(n int) Option {
 // ports (0 = 1). See WithSimFrames for scope and fingerprinting.
 func WithSimPorts(n int) Option {
 	return func(e *Engine) error {
-		if n < 0 {
-			return fmt.Errorf("hybridpart: sim ports must be non-negative, got %d", n)
-		}
 		e.opts.SimPorts = n
 		return nil
 	}
@@ -400,28 +255,16 @@ func WithObserver(fn Observer) Option {
 	}
 }
 
-// WithWorkers sets the default sweep worker-pool size used when a SweepSpec
-// leaves Workers at 0 (0 = GOMAXPROCS). It bounds Sweep only: a single
-// partitioning run always scores its candidates serially.
-func WithWorkers(n int) Option {
-	return func(e *Engine) error {
-		if n < 0 {
-			return fmt.Errorf("hybridpart: negative worker count %d", n)
-		}
-		e.workers = n
-		return nil
-	}
-}
-
 // WithOptions replaces the engine's entire knob set with a flat Options
 // value, in which a zero Costs table selects the default characterization.
-// It is how the partitioning service turns a wire Options struct into an
-// engine; code that configures an engine directly should prefer the
-// granular options.
+// It reaches every knob, including those with no granular option (the
+// reconfiguration cost, CGC shape, memory ports, clock ratio, register
+// bank, communication costs, operator costs, kernel order, move limit, skip
+// switch and analysis weights); the partitioning service builds its
+// engines through it.
 func WithOptions(o Options) Option {
 	return func(e *Engine) error {
 		e.opts = o
-		e.costsSet = false
 		e.constraintSet = false
 		return nil
 	}
@@ -496,7 +339,7 @@ func (e *Engine) PartitionProfiled(ctx context.Context, a *App, p *RunProfile) (
 	if a == nil || p == nil {
 		return nil, fmt.Errorf("hybridpart: PartitionProfiled needs a non-nil app and profile")
 	}
-	res, _, err := e.partitionScored(ctx, a, p, e.opts, e.costsSet, e.moveHook(e.opts.Constraint), nil, true)
+	res, _, err := e.partitionScored(ctx, a, p, e.opts, e.moveHook(e.opts.Constraint), nil, true)
 	return res, err
 }
 
@@ -518,11 +361,11 @@ func (e *Engine) PartitionProfiled(ctx context.Context, a *App, p *RunProfile) (
 // The run's trajectory records, arena and memo come from scratchPool and go
 // back when this call returns, after the report has read them.
 func (e *Engine) partitionScored(ctx context.Context, a *App, p *RunProfile, opts Options,
-	costsSet bool, onMove func(partition.Move), onFrame func(frame int, cycles int64),
+	onMove func(partition.Move), onFrame func(frame int, cycles int64),
 	report bool) (*Result, *sim.Replayer, error) {
 	sc := scratchPool.Get().(*runScratch)
 	defer scratchPool.Put(sc)
-	cfg, rep, scorer, err := e.runConfig(ctx, a, p, opts, costsSet, sc)
+	cfg, rep, scorer, err := e.runConfig(ctx, a, p, opts, sc)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -585,9 +428,9 @@ func (e *Engine) partitionScored(ctx context.Context, a *App, p *RunProfile, opt
 // and p, storing the trajectory records in sc, and returns it with the
 // analysis report the loop reads and the run's scorer, built on sc (nil
 // when no sim knob is active).
-func (e *Engine) runConfig(ctx context.Context, a *App, p *RunProfile, opts Options, costsSet bool,
+func (e *Engine) runConfig(ctx context.Context, a *App, p *RunProfile, opts Options,
 	sc *runScratch) (partition.Config, *analysis.Report, *simScorer, error) {
-	cfg, rep, err := loopConfig(ctx, a, p, opts, costsSet, sc)
+	cfg, rep, err := loopConfig(ctx, a, p, opts, sc)
 	if err != nil {
 		return partition.Config{}, nil, nil, err
 	}
@@ -612,9 +455,9 @@ func (e *Engine) runConfig(ctx context.Context, a *App, p *RunProfile, opts Opti
 // edges, and the App's block and latency tables — with the trajectory
 // records stored in sc, and returns it with the analysis report the loop
 // reads.
-func loopConfig(ctx context.Context, a *App, p *RunProfile, opts Options, costsSet bool,
+func loopConfig(ctx context.Context, a *App, p *RunProfile, opts Options,
 	sc *runScratch) (partition.Config, *analysis.Report, error) {
-	plat := opts.platform(costsSet)
+	plat := opts.platform()
 	// Validate before the App schedules its kernels on plat's data-path:
 	// an invalid platform must not replace the App's latency table.
 	if err := plat.Validate(); err != nil {
@@ -664,7 +507,7 @@ func (e *Engine) PartitionEnergyProfiled(ctx context.Context, a *App, p *RunProf
 	}
 	sc := scratchPool.Get().(*runScratch)
 	defer scratchPool.Put(sc)
-	cfg, rep, err := loopConfig(ctx, a, p, e.opts, e.costsSet, sc)
+	cfg, rep, err := loopConfig(ctx, a, p, e.opts, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -714,9 +557,6 @@ func (e *Engine) PartitionEnergyProfiled(ctx context.Context, a *App, p *RunProf
 // expansion order. Per-move events are not forwarded from inside sweep
 // cells — parallel cells would interleave them nondeterministically.
 func (e *Engine) Sweep(ctx context.Context, spec SweepSpec) (*SweepResult, error) {
-	if spec.Workers == 0 {
-		spec.Workers = e.workers
-	}
 	// simBuf parks each simulated cell's per-frame SimEvents until the cell
 	// is reported: the progress callback flushes them in expansion order
 	// right before the cell's CellEvent, keeping the observer stream
@@ -733,14 +573,13 @@ func (e *Engine) Sweep(ctx context.Context, spec SweepSpec) (*SweepResult, error
 		// Preset resolution: "" inherits the engine's configured platform,
 		// "default" explicitly selects the paper baseline, anything else is
 		// a registry lookup.
-		opts, costsSet := e.opts, e.costsSet
+		opts := e.opts
 		if p.Preset != "" {
 			plat, err := presetPlatform(p.Preset)
 			if err != nil {
 				return SweepOutcome{}, err
 			}
 			applyPlatform(&opts, plat)
-			costsSet = true
 		}
 		if p.AFPGA > 0 {
 			opts.AFPGA = p.AFPGA
@@ -801,7 +640,7 @@ func (e *Engine) Sweep(ctx context.Context, spec SweepSpec) (*SweepResult, error
 				})
 			}
 		}
-		res, _, err := e.partitionScored(ctx, app, prof, opts, costsSet, nil, onFrame, true)
+		res, _, err := e.partitionScored(ctx, app, prof, opts, nil, onFrame, true)
 		if err != nil {
 			return SweepOutcome{}, err
 		}

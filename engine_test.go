@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"os"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 
@@ -31,7 +30,8 @@ func firWorkload(t *testing.T) *Workload {
 // TestEngineLegacyParity pins WithOptions, the bridge the service uses to
 // turn a wire Options struct into an engine: every Options field must give
 // an identical Result through WithOptions and through the equivalent
-// granular functional-option chain. Formatted output is compared
+// option chain — the granular option where one exists, an edit of the
+// default knob set where none does. Formatted output is compared
 // byte-for-byte.
 func TestEngineLegacyParity(t *testing.T) {
 	app, prof := compileFIR(t)
@@ -47,24 +47,21 @@ func TestEngineLegacyParity(t *testing.T) {
 	}{
 		{"baseline", func(o *Options) {}, nil},
 		{"afpga", func(o *Options) { o.AFPGA = 5000 }, []Option{WithArea(5000)}},
-		{"reconfig", func(o *Options) { o.ReconfigCycles = 128 }, []Option{WithReconfig(128)}},
+		{"reconfig", func(o *Options) { o.ReconfigCycles = 128 }, nil},
 		{"numcgcs", func(o *Options) { o.NumCGCs = 3 }, []Option{WithCGCs(3)}},
-		{"cgcshape", func(o *Options) { o.CGCRows, o.CGCCols = 4, 3 }, []Option{WithCGCShape(4, 3)}},
-		{"memports", func(o *Options) { o.MemPorts = 1 }, []Option{WithMemPorts(1)}},
-		{"clockratio", func(o *Options) { o.ClockRatio = 5 }, []Option{WithClockRatio(5)}},
-		{"regbank", func(o *Options) { o.RegBankWords = 0 }, []Option{WithRegBank(0)}},
-		{"comm", func(o *Options) { o.CommCyclesPerWord, o.CommSyncCycles = 4, 9 }, []Option{WithComm(4, 9)}},
+		{"cgcshape", func(o *Options) { o.CGCRows, o.CGCCols = 4, 3 }, nil},
+		{"memports", func(o *Options) { o.MemPorts = 1 }, nil},
+		{"clockratio", func(o *Options) { o.ClockRatio = 5 }, nil},
+		{"regbank", func(o *Options) { o.RegBankWords = 0 }, nil},
+		{"comm", func(o *Options) { o.CommCyclesPerWord, o.CommSyncCycles = 4, 9 }, nil},
 		{"constraint", func(o *Options) { o.Constraint = 25000 }, []Option{WithConstraint(25000)}},
-		{"order-freq", func(o *Options) { o.Order = OrderByFreq }, []Option{WithOrder(OrderByFreq)}},
-		{"order-opweight", func(o *Options) { o.Order = OrderByOpWeight }, []Option{WithOrder(OrderByOpWeight)}},
+		{"order-freq", func(o *Options) { o.Order = OrderByFreq }, nil},
+		{"order-opweight", func(o *Options) { o.Order = OrderByOpWeight }, nil},
 		{"maxmoves", func(o *Options) { o.MaxMoves = 1; o.Constraint = 1 },
-			[]Option{WithMaxMoves(1), WithConstraint(1)}},
-		{"skipnonimproving", func(o *Options) { o.SkipNonImproving = true; o.CommCyclesPerWord = 64 },
-			[]Option{WithSkipNonImproving(true), WithComm(64, 2)}},
-		{"weights", func(o *Options) { o.WeightALU, o.WeightMul, o.WeightDiv, o.WeightMem = 2, 7, 11, 3 },
-			[]Option{WithWeights(2, 7, 11, 3)}},
-		{"costs", func(o *Options) { o.Costs = platform.DSPRichOpCosts() },
-			[]Option{WithCosts(platform.DSPRichOpCosts())}},
+			[]Option{withMaxMoves(1), WithConstraint(1)}},
+		{"skipnonimproving", func(o *Options) { o.SkipNonImproving = true; o.CommCyclesPerWord = 64 }, nil},
+		{"weights", func(o *Options) { o.WeightALU, o.WeightMul, o.WeightDiv, o.WeightMem = 2, 7, 11, 3 }, nil},
+		{"costs", func(o *Options) { o.Costs = platform.DSPRichOpCosts() }, nil},
 		{"preset", func(o *Options) {
 			v, err := OptionsFor("lut-only")
 			if err != nil {
@@ -80,7 +77,11 @@ func TestEngineLegacyParity(t *testing.T) {
 			flat := base
 			tc.flat(&flat)
 			want := partitionWith(t, app, prof, WithOptions(flat))
-			got := partitionWith(t, app, prof, append([]Option{WithConstraint(base.Constraint)}, tc.options...)...)
+			options := tc.options
+			if options == nil {
+				options = []Option{withKnobs(tc.flat)}
+			}
+			got := partitionWith(t, app, prof, append([]Option{WithConstraint(base.Constraint)}, options...)...)
 			if got.Format() != want.Format() {
 				t.Fatalf("formatted output diverges:\n--- WithOptions ---\n%s--- granular ---\n%s", want.Format(), got.Format())
 			}
@@ -372,8 +373,8 @@ func TestEngineSweepObserverOrder(t *testing.T) {
 	var first []CellEvent
 	for run, workers := range []int{1, 4, 8} {
 		var events []CellEvent
+		spec.Workers = workers
 		eng, err := NewEngine(
-			WithWorkers(workers),
 			WithObserver(func(ev Event) {
 				if ce, ok := ev.(CellEvent); ok {
 					events = append(events, ce)
@@ -453,34 +454,108 @@ func TestEngineMoveEvents(t *testing.T) {
 	}
 }
 
-// TestEngineOptionValidation exercises fail-fast construction.
+// invalidKnobs mutates DefaultOptions into a knob set Options.Validate
+// must refuse, one case per refusal. granular, where not nil, reaches the
+// same knob set through the remaining granular options and must fail with
+// the same error. Boolean knobs have no invalid value.
+var invalidKnobs = []struct {
+	name     string
+	edit     func(*Options)
+	granular []Option
+}{
+	{"afpga", func(o *Options) { o.AFPGA = 0 }, []Option{WithArea(0)}},
+	{"afpga-below-operator", func(o *Options) { o.AFPGA = 2 }, []Option{WithArea(2)}},
+	{"reconfig", func(o *Options) { o.ReconfigCycles = -1 }, nil},
+	{"regions", func(o *Options) { o.Regions = -1 }, []Option{WithRegions(-1)}},
+	{"regions-below-operator", func(o *Options) { o.Regions = 8 }, []Option{WithRegions(8)}},
+	{"cgcs", func(o *Options) { o.NumCGCs = -2 }, []Option{WithCGCs(-2)}},
+	{"cgcrows", func(o *Options) { o.CGCRows = 0 }, nil},
+	{"cgccols", func(o *Options) { o.CGCCols = 0 }, nil},
+	{"memports", func(o *Options) { o.MemPorts = 0 }, nil},
+	{"clockratio", func(o *Options) { o.ClockRatio = 0 }, nil},
+	{"regbank", func(o *Options) { o.RegBankWords = -1 }, nil},
+	{"commword", func(o *Options) { o.CommCyclesPerWord = -1 }, nil},
+	{"commsync", func(o *Options) { o.CommSyncCycles = -1 }, nil},
+	{"costs", func(o *Options) { o.Costs = DefaultOpCosts(); o.Costs.LatMul = 0 }, nil},
+	// WithConstraint applies the stricter rule of a timing-constrained run
+	// (positive, not just non-negative), so it has no same-error twin.
+	{"constraint", func(o *Options) { o.Constraint = -1 }, nil},
+	{"order", func(o *Options) { o.Order = 9 }, nil},
+	{"maxmoves", func(o *Options) { o.MaxMoves = -2 }, nil},
+	{"walu", func(o *Options) { o.WeightALU = -3 }, nil},
+	{"wmul", func(o *Options) { o.WeightMul = -1 }, nil},
+	{"wdiv", func(o *Options) { o.WeightDiv = -1 }, nil},
+	{"wmem", func(o *Options) { o.WeightMem = -1 }, nil},
+	{"objective", func(o *Options) { o.Objective = 7 }, []Option{WithObjective(7)}},
+	{"objective-negative", func(o *Options) { o.Objective = -1 }, []Option{WithObjective(-1)}},
+	{"rerank", func(o *Options) { o.RerankK = -2 }, []Option{WithRerank(-2)}},
+	{"rerank-with-sim", func(o *Options) { o.Objective = ObjectiveSimulated; o.RerankK = 2 },
+		[]Option{WithObjective(ObjectiveSimulated), WithRerank(2)}},
+	{"simframes", func(o *Options) { o.SimFrames = -4 }, []Option{WithSimFrames(-4)}},
+	{"simports", func(o *Options) { o.SimPorts = -4 }, []Option{WithSimPorts(-4)}},
+}
+
+// TestEngineOptionValidation runs every invalid knob set through
+// Options.Validate, NewEngine(WithOptions) and the granular options where
+// they reach it: all three must refuse it with one error. The table must
+// cover every non-boolean Options field.
 func TestEngineOptionValidation(t *testing.T) {
-	bad := []struct {
-		name string
-		opt  Option
-	}{
-		{"area", WithArea(0)},
-		{"reconfig", WithReconfig(-1)},
-		{"cgcs", WithCGCs(-2)},
-		{"cgcshape", WithCGCShape(0, 2)},
-		{"memports", WithMemPorts(0)},
-		{"clockratio", WithClockRatio(0)},
-		{"regbank", WithRegBank(-1)},
-		{"comm", WithComm(-1, 0)},
-		{"constraint", WithConstraint(0)},
-		{"maxmoves", WithMaxMoves(-1)},
-		{"weights", WithWeights(-1, 2, 3, 4)},
-		{"budget", WithEnergyBudget(0)},
-		{"workers", WithWorkers(-1)},
-		{"preset", WithPlatform("no-such-preset")},
-	}
-	for _, tc := range bad {
-		if _, err := NewEngine(tc.opt); err == nil {
-			t.Fatalf("%s: invalid option accepted", tc.name)
+	covered := map[string]bool{}
+	def := reflect.ValueOf(DefaultOptions())
+	for _, tc := range invalidKnobs {
+		o := DefaultOptions()
+		tc.edit(&o)
+		mutated := reflect.ValueOf(o)
+		for i := 0; i < def.NumField(); i++ {
+			if !reflect.DeepEqual(def.Field(i).Interface(), mutated.Field(i).Interface()) {
+				covered[def.Type().Field(i).Name] = true
+			}
+		}
+		want := o.Validate()
+		if want == nil {
+			t.Fatalf("%s: Validate accepted %+v", tc.name, o)
+		}
+		if _, err := NewEngine(WithOptions(o)); err == nil || err.Error() != want.Error() {
+			t.Fatalf("%s: WithOptions error %v, want %v", tc.name, err, want)
+		}
+		if tc.granular != nil {
+			if _, err := NewEngine(tc.granular...); err == nil || err.Error() != want.Error() {
+				t.Fatalf("%s: granular error %v, want %v", tc.name, err, want)
+			}
 		}
 	}
-	// nil options are tolerated; later options layer over earlier ones.
-	eng, err := NewEngine(nil, WithPlatform("paper-large"), WithArea(2222))
+	for i := 0; i < def.NumField(); i++ {
+		f := def.Type().Field(i)
+		if f.Type.Kind() != reflect.Bool && !covered[f.Name] {
+			t.Errorf("no invalid-knob case edits Options.%s", f.Name)
+		}
+	}
+
+	// Options outside the knob set keep their own checks.
+	for name, opt := range map[string]Option{
+		"constraint": WithConstraint(0),
+		"budget":     WithEnergyBudget(0),
+		"preset":     WithPlatform("no-such-preset"),
+	} {
+		if _, err := NewEngine(opt); err == nil {
+			t.Fatalf("%s: invalid option accepted", name)
+		}
+	}
+	// Every preset is valid, and so is a zero constraint: energy runs
+	// never read it.
+	for _, name := range PlatformPresets() {
+		if _, err := NewEngine(WithPlatform(name)); err != nil {
+			t.Fatalf("preset %s: %v", name, err)
+		}
+	}
+	zero := DefaultOptions()
+	zero.Constraint = 0
+	if err := zero.Validate(); err != nil {
+		t.Fatalf("zero constraint refused: %v", err)
+	}
+	// nil options are tolerated; later options layer over earlier ones, and
+	// only the final knob set is validated.
+	eng, err := NewEngine(nil, WithArea(-1), WithPlatform("paper-large"), WithArea(2222))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,22 +564,22 @@ func TestEngineOptionValidation(t *testing.T) {
 	}
 }
 
-// TestWithCostsZeroTableFailsLoudly: WithCosts must never silently replace
-// an explicitly supplied table — an all-zero table is a loud validation
-// error — while a zero Options.Costs passed through WithOptions keeps
-// selecting the default characterization (OpCosts.IsZero defaulting).
-func TestWithCostsZeroTableFailsLoudly(t *testing.T) {
-	w := firWorkload(t)
-	eng, err := NewEngine(WithCosts(OpCosts{}), WithConstraint(30000))
-	if err != nil {
-		t.Fatal(err)
+// TestOptionsValidateAllocs: the service validates every request's knob
+// set, cache hits included, so a valid one must cost no allocation.
+func TestOptionsValidateAllocs(t *testing.T) {
+	o := DefaultOptions()
+	if n := testing.AllocsPerRun(100, func() {
+		if o.Validate() != nil {
+			t.Fatal("default knob set refused")
+		}
+	}); n != 0 {
+		t.Fatalf("Validate allocates %v times per call", n)
 	}
-	if _, err := eng.Partition(context.Background(), w); err == nil ||
-		!strings.Contains(err.Error(), "must be positive") {
-		t.Fatalf("zero cost table silently accepted or wrong error: %v", err)
-	}
+}
 
-	// A literal Options value: zero Costs means "default table".
+// TestWithCostsZeroTableFailsLoudly: a zero Options.Costs selects the
+// default characterization, the only way a run can see a zero table.
+func TestWithCostsZeroTableFailsLoudly(t *testing.T) {
 	app, prof := compileFIR(t)
 	flat := DefaultOptions()
 	flat.Constraint = 30000
@@ -585,7 +660,7 @@ func TestEngineObserverSerializedDelivery(t *testing.T) {
 	var events []Event // deliberately unsynchronized: the engine serializes
 	eng, err := NewEngine(
 		WithConstraint(1),
-		WithMaxMoves(3),
+		withMaxMoves(3),
 		WithObserver(func(ev Event) { events = append(events, ev) }),
 	)
 	if err != nil {

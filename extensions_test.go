@@ -9,7 +9,7 @@ import (
 func partitionFIROneMove(t *testing.T) *Result {
 	t.Helper()
 	app, prof := compileFIR(t)
-	return partitionWith(t, app, prof, WithConstraint(1), WithMaxMoves(1))
+	return partitionWith(t, app, prof, WithConstraint(1), withMaxMoves(1))
 }
 
 func TestEnergyBreakdownTotal(t *testing.T) {

@@ -30,8 +30,7 @@ import (
 // all their requests.
 type App struct {
 	entry   string
-	srcHash string      // SHA-256 of the source text (see SourceHash)
-	prog    *ir.Program // original program (used for execution)
+	srcHash string // SHA-256 of the source text (see SourceHash)
 	flat    *ir.Function
 	fprog   *ir.Program // single-function program holding flat + globals
 
@@ -137,7 +136,7 @@ func Compile(src, entry string) (*App, error) {
 	}
 	// The loop analysis rewrites flat's edge lists, so it runs here, before
 	// the App can be shared.
-	return &App{entry: entry, srcHash: SourceHash(src), prog: prog, flat: flat, fprog: fprog,
+	return &App{entry: entry, srcHash: SourceHash(src), flat: flat, fprog: fprog,
 		structure: analysis.NewStructure(flat)}, nil
 }
 
@@ -376,14 +375,13 @@ func DefaultOptions() Options {
 	return o
 }
 
-// platform materializes the characterization. Unless costsSet (WithCosts
-// or a preset installed the table), a zero-value Costs table
-// (OpCosts.IsZero) selects the default characterization, so an Options
-// value built literally — such as one decoded from the wire — keeps the
-// paper's fabric; an explicitly installed table is used verbatim.
-func (o Options) platform(costsSet bool) platform.Platform {
+// platform materializes the characterization. A zero-value Costs table
+// (OpCosts.IsZero) selects the default characterization, so an Options value
+// built literally — such as one decoded from the wire — keeps the paper's
+// fabric.
+func (o Options) platform() platform.Platform {
 	costs := o.Costs
-	if !costsSet && costs.IsZero() {
+	if costs.IsZero() {
 		costs = platform.DefaultOpCosts()
 	}
 	return platform.Platform{
@@ -403,6 +401,43 @@ func (o Options) platform(costsSet bool) platform.Platform {
 		},
 		Comm: platform.Comm{CyclesPerWord: o.CommCyclesPerWord, SyncCycles: o.CommSyncCycles},
 	}
+}
+
+// Validate reports the first knob of o that no run can use. The platform
+// fields must describe a physical platform: positive area, CGC count and
+// shape, memory ports, clock ratio and operator costs, non-negative
+// reconfiguration, register-bank, region and communication figures, and
+// every operator fitting in A_FPGA and in each region. Order and Objective
+// must name a known strategy and objective; MaxMoves, the analysis
+// weights, SimFrames, SimPorts and Constraint must be non-negative;
+// RerankK must be -1, 0 or positive and is exclusive with
+// ObjectiveSimulated. A zero Constraint is valid because energy runs never
+// read it; a timing-constrained run still needs it positive. NewEngine
+// validates every engine's final knob set.
+func (o Options) Validate() error {
+	if err := o.platform().Validate(); err != nil {
+		return err
+	}
+	switch {
+	case o.Order > OrderByOpWeight:
+		return fmt.Errorf("hybridpart: unknown kernel order %d", o.Order)
+	case o.Objective != ObjectiveModel && o.Objective != ObjectiveSimulated:
+		return fmt.Errorf("hybridpart: invalid objective %d", int(o.Objective))
+	case o.MaxMoves < 0:
+		return fmt.Errorf("hybridpart: max moves must be non-negative, got %d", o.MaxMoves)
+	case o.WeightALU < 0 || o.WeightMul < 0 || o.WeightDiv < 0 || o.WeightMem < 0:
+		return fmt.Errorf("hybridpart: analysis weights must be non-negative, got %d/%d/%d/%d",
+			o.WeightALU, o.WeightMul, o.WeightDiv, o.WeightMem)
+	case o.RerankK < -1:
+		return fmt.Errorf("hybridpart: rerank k must be -1 (all), 0 (off) or positive, got %d", o.RerankK)
+	case o.RerankK != 0 && o.Objective == ObjectiveSimulated:
+		return errors.New("hybridpart: rerank and the simulated objective are mutually exclusive (rerank already ends with a simulated selection)")
+	case o.SimFrames < 0 || o.SimPorts < 0:
+		return fmt.Errorf("hybridpart: sim frames and ports must be non-negative, got %d/%d", o.SimFrames, o.SimPorts)
+	case o.Constraint < 0:
+		return fmt.Errorf("hybridpart: timing constraint must be non-negative, got %d", o.Constraint)
+	}
+	return nil
 }
 
 func (o Options) weights() analysis.Weights {

@@ -56,6 +56,18 @@ func mustEngine(tb testing.TB, opts ...Option) *Engine {
 	return eng
 }
 
+// withKnobs edits the knob set of the engine under construction: the
+// tests' setter for the knobs that have no granular option.
+func withKnobs(edit func(*Options)) Option {
+	return func(e *Engine) error {
+		edit(&e.opts)
+		return nil
+	}
+}
+
+// withMaxMoves bounds the number of kernels moved.
+func withMaxMoves(n int) Option { return withKnobs(func(o *Options) { o.MaxMoves = n }) }
+
 func TestCompileErrors(t *testing.T) {
 	if _, err := Compile("int f() { return zz; }", "f"); err == nil {
 		t.Fatal("semantic error accepted")
@@ -239,8 +251,8 @@ func TestPaperShapeProperties(t *testing.T) {
 	}
 	// Property 4: cycles in CGC are independent of A_FPGA when the same
 	// kernels move (compare per-move latencies via a single-move run).
-	m1500 := partitionWith(t, app, prof, WithConstraint(1), WithMaxMoves(1))
-	m5000 := partitionWith(t, app, prof, WithConstraint(1), WithMaxMoves(1), WithArea(5000))
+	m1500 := partitionWith(t, app, prof, WithConstraint(1), withMaxMoves(1))
+	m5000 := partitionWith(t, app, prof, WithConstraint(1), withMaxMoves(1), WithArea(5000))
 	if m1500.CyclesInCGC != m5000.CyclesInCGC {
 		t.Fatalf("CGC cycles depend on A_FPGA: %d vs %d", m1500.CyclesInCGC, m5000.CyclesInCGC)
 	}
@@ -284,7 +296,7 @@ func TestEnergyFacade(t *testing.T) {
 
 func TestOptionsRoundTrip(t *testing.T) {
 	opts := DefaultOptions()
-	p := opts.platform(false)
+	p := opts.platform()
 	if err := p.Validate(); err != nil {
 		t.Fatalf("DefaultOptions platform invalid: %v", err)
 	}

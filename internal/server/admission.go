@@ -24,9 +24,9 @@ import (
 // simCost prices a request in the sweep grid's cost units (whole-trace
 // replays): a run costs its frame count, multiplied by the trajectory
 // factor when the move loop scores candidates by simulation — the same
-// accounting checkScoringCost and SweepSpec.SimulationCost apply.
-// Closed-form runs (model objective, no frames, not a simulate call)
-// cost 0.
+// accounting SweepSpec.SimulationCost applies. Closed-form runs (model
+// objective, no frames, not a simulate call) cost 0. The price is both
+// what the admission bucket charges and what checkScoringCost caps.
 func simCost(kind string, opts hybridpart.Options) int {
 	frames := opts.SimFrames
 	if frames < 1 {

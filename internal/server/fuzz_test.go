@@ -35,7 +35,7 @@ func wireKeys(t testing.TB, req PartitionRequest) [3]string {
 			r.applyDefaultObjective()
 		}
 		opts, e := r.resolveOptions()
-		if e != nil || (!energy && checkScoringCost(opts) != nil) {
+		if e != nil || (!energy && checkScoringCost(simCost(kind, opts)) != nil) {
 			continue
 		}
 		keys[i] = r.fingerprint(kind, opts)
@@ -45,7 +45,7 @@ func wireKeys(t testing.TB, req PartitionRequest) [3]string {
 	if sim.validate() == nil {
 		if opts, e := sim.resolveOptions(); e == nil {
 			normalizeSimOptions(&opts)
-			if checkScoringCost(opts) == nil {
+			if checkScoringCost(simCost("simulate", opts)) == nil {
 				keys[2] = sim.fingerprint(opts)
 				checkReferenceKey(t, &sim.PartitionRequest, "simulate", opts, keys[2])
 			}
@@ -110,7 +110,11 @@ func FuzzPartitionRequest(f *testing.F) {
 		// Every other field, and the mutually exclusive pairs.
 		`{"source": "int main_fn() { return 1; }", "entry": "main_fn", "args": [3, -1], "inputs": {"B": [1], "A": [2, 3]}}`,
 		`{"benchmark": "jpeg", "preset": "dsp-rich", "regions": 2, "rerank": -1, "ports": 2}`,
+		// A full override replaces the whole knob set: the first leaves
+		// NumCGCs at 0 and the last sets MaxMoves to -2, so both are 400s.
 		`{"benchmark": "ofdm", "options": {"AFPGA": 1500, "SimFrames": 8, "Objective": 1}}`,
+		`{"benchmark": "ofdm", "options": {"AFPGA": 1500, "NumCGCs": 2, "CGCRows": 2, "CGCCols": 2, "MemPorts": 2, "ClockRatio": 3, "Constraint": 60000}}`,
+		`{"benchmark": "ofdm", "options": {"AFPGA": 1500, "NumCGCs": 2, "CGCRows": 2, "CGCCols": 2, "MemPorts": 2, "ClockRatio": 3, "Constraint": 60000, "MaxMoves": -2}}`,
 		`{"benchmark": "ofdm", "options": {}, "preset": "dsp-rich"}`,
 		`{"benchmark": "ofdm", "energy_budget": 1e9}`,
 		`{"benchmark": "jpeg", "seed": 4294967295, "energy_budget": 0.3}`,

@@ -41,9 +41,11 @@
 // runs under a root span — joined across fleet forwards via the W3C
 // traceparent header — and finished traces are served by /debug/traces.
 //
-// Error contract: malformed bodies and source over a front-end size limit
-// (hybridpart.ErrBlockTooLarge) are 400, unknown presets/benchmarks 404,
-// workloads that fail to compile/profile/partition 422, admission-shed
+// Error contract: malformed bodies, knob sets that Options.Validate refuses
+// (an invalid "options" override included) and source over a front-end
+// size limit (hybridpart.ErrBlockTooLarge) are 400, all refused before any
+// cache, admission, compile or profile work; unknown presets/benchmarks
+// 404, workloads that fail to compile/profile/partition 422, admission-shed
 // requests 429 (with Retry-After), client-cancelled runs 499 (nginx
 // convention), deadline-exceeded runs 504. Every non-2xx body is
 // ErrorJSON.
@@ -726,8 +728,9 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, k
 }
 
 // servePartition is the shared run path of /v1/partition and
-// /v1/partition-energy: decode, resolve the knob set, fingerprint the
-// request and hand the run to serveCached.
+// /v1/partition-energy: decode, resolve and validate the knob set (a 400
+// before any other work when it is invalid), fingerprint the request and
+// hand the run to serveCached.
 func (s *Server) servePartition(w http.ResponseWriter, r *http.Request, energy bool,
 	run func(ctx context.Context, req *PartitionRequest, opts hybridpart.Options) ([]byte, error)) {
 	endpoint := "/v1/partition"
@@ -746,11 +749,12 @@ func (s *Server) servePartition(w http.ResponseWriter, r *http.Request, energy b
 		}
 		var opts hybridpart.Options
 		if opts, httpErr = req.resolveOptions(); httpErr == nil {
+			cost := simCost(kind, opts)
 			if !energy {
-				httpErr = checkScoringCost(opts)
+				httpErr = checkScoringCost(cost)
 			}
 			if httpErr == nil {
-				s.serveCached(w, r, endpoint, req.fingerprint(kind, opts), req, simCost(kind, opts),
+				s.serveCached(w, r, endpoint, req.fingerprint(kind, opts), req, cost,
 					func(ctx context.Context) ([]byte, error) {
 						return run(ctx, req, opts)
 					})
@@ -827,11 +831,12 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	// The sim knobs were folded into opts by resolveOptions (the one
 	// fingerprinted location), so the engine's configuration already is the
 	// requested operating point — no per-call SimOptions needed.
-	if httpErr := checkScoringCost(opts); httpErr != nil {
+	cost := simCost("simulate", opts)
+	if httpErr := checkScoringCost(cost); httpErr != nil {
 		s.writeError(w, httpErr)
 		return
 	}
-	s.serveCached(w, r, "/v1/simulate", req.fingerprint(opts), &req, simCost("simulate", opts),
+	s.serveCached(w, r, "/v1/simulate", req.fingerprint(opts), &req, cost,
 		func(ctx context.Context) ([]byte, error) {
 			eng, err := hybridpart.NewEngine(hybridpart.WithOptions(opts))
 			if err != nil {

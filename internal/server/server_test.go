@@ -429,6 +429,19 @@ func TestPartitionEnergy(t *testing.T) {
 	if rec := post(t, s, "/v1/partition-energy", body); rec.Header().Get("X-Cache") != "hit" {
 		t.Fatalf("energy result not cached: X-Cache %q", rec.Header().Get("X-Cache"))
 	}
+	// Energy runs never read the constraint, so an override carrying a
+	// zero one is a valid knob set.
+	o := hybridpart.DefaultOptions()
+	o.Constraint = 0
+	raw, err := json.Marshal(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec = post(t, s, "/v1/partition-energy",
+		fmt.Sprintf(`{"source": %q, "options": %s, "energy_budget": 1e12}`, firSrc, raw))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("zero-constraint energy override: status %d: %s", rec.Code, rec.Body)
+	}
 }
 
 func TestSweepJSON(t *testing.T) {

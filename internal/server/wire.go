@@ -270,8 +270,9 @@ func skipSpace(data []byte, i int) int {
 	return i
 }
 
-// validate checks the request shape (transport-independent: resolveOptions
-// covers the platform half).
+// validate checks the request shape: the wire fields, by name
+// (transport-independent; resolveOptions validates the knob set they
+// resolve to).
 func (r *PartitionRequest) validate(energy bool) *httpError {
 	switch {
 	case r.Benchmark == "" && r.Source == "":
@@ -314,7 +315,9 @@ func (r *PartitionRequest) validate(energy bool) *httpError {
 // supplies the base; a positive Constraint and the co-simulation shortcuts
 // then override either. The sim knobs land in Options — the location
 // Fingerprint covers — which is what keeps every knob combination a
-// distinct cache key.
+// distinct cache key. A knob set Options.Validate refuses is a 400 with
+// the validator's message, before the request is fingerprinted, looked up,
+// admitted, compiled or profiled.
 func (r *PartitionRequest) resolveOptions() (hybridpart.Options, *httpError) {
 	if r.Options != nil && r.Preset != "" {
 		return hybridpart.Options{}, badRequest("\"preset\" and \"options\" are mutually exclusive")
@@ -359,6 +362,9 @@ func (r *PartitionRequest) resolveOptions() (hybridpart.Options, *httpError) {
 	if opts.SimFrames > maxSimFrames {
 		return hybridpart.Options{}, badRequest(fmt.Sprintf("\"frames\" is %d, limit is %d", opts.SimFrames, maxSimFrames))
 	}
+	if err := opts.Validate(); err != nil {
+		return hybridpart.Options{}, badRequest(err.Error())
+	}
 	return opts, nil
 }
 
@@ -386,18 +392,10 @@ func (r *PartitionRequest) applyDefaultObjective() {
 // re-ranking) — each of those replays the trace once per trajectory prefix.
 const maxScoringCost = 4 * maxSimFrames
 
-// checkScoringCost applies the trajectory-factor cost accounting to a
-// resolved knob set. It runs after resolveOptions so a full Options
-// override is charged like the equivalent shortcuts.
-func checkScoringCost(opts hybridpart.Options) *httpError {
-	frames := opts.SimFrames
-	if frames < 1 {
-		frames = 1
-	}
-	cost := frames
-	if opts.Objective == hybridpart.ObjectiveSimulated || opts.RerankK != 0 {
-		cost *= hybridpart.SimObjectiveReplayFactor
-	}
+// checkScoringCost caps a request's admission price, simCost of its
+// resolved knob set, so a full Options override is charged like the
+// equivalent shortcuts.
+func checkScoringCost(cost int) *httpError {
 	if cost > maxScoringCost {
 		return &httpError{status: http.StatusUnprocessableEntity, msg: fmt.Sprintf(
 			"request costs %d trace replays (frames, sim-scored runs weighted ×%d), limit is %d — lower \"frames\" or use \"objective\": \"model\"",

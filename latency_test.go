@@ -26,7 +26,8 @@ func TestLatencyTableSharedAcrossPlatforms(t *testing.T) {
 	var runs []run
 	// The default data-path, and one without a register bank (every array
 	// access then takes a shared-memory port, so latencies differ).
-	for _, plat := range [][]Option{nil, {WithRegBank(0)}} {
+	noBank := withKnobs(func(o *Options) { o.RegBankWords = 0 })
+	for _, plat := range [][]Option{nil, {noBank}} {
 		with := func(opts ...Option) *Engine { return mustEngine(t, append(append([]Option{}, plat...), opts...)...) }
 		model := with(WithConstraint(60000))
 		sim := with(WithConstraint(60000), WithObjective(ObjectiveSimulated), WithSimFrames(8))
@@ -78,7 +79,7 @@ func TestLatencyTableSharedAcrossPlatforms(t *testing.T) {
 	}
 
 	// The App keeps one table: the last data-path asked for.
-	if _, err := mustEngine(t, WithRegBank(0), WithConstraint(60000)).PartitionProfiled(ctx, app, prof); err != nil {
+	if _, err := mustEngine(t, noBank, WithConstraint(60000)).PartitionProfiled(ctx, app, prof); err != nil {
 		t.Fatal(err)
 	}
 	if got := app.latencies.Load(); got == nil || got.Coarse.RegBankWords != 0 {

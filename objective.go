@@ -152,10 +152,7 @@ type simScorer struct {
 // sim spec) tuple on the run's scratch sc (nil allocates one). The spec's
 // zero frames/ports normalize to 1.
 func newSimScorer(ctx context.Context, a *App, p *RunProfile, plat platform.Platform, spec SimSpec, sc *runScratch) (*simScorer, error) {
-	spec, err := spec.normalized()
-	if err != nil {
-		return nil, err
-	}
+	spec = spec.normalized()
 	rep, err := a.newReplayer(ctx, p, plat)
 	if err != nil {
 		return nil, err

@@ -38,7 +38,7 @@ func TestScorePrefixMemo(t *testing.T) {
 	for i, b := range res.Moved {
 		traj[i] = ir.BlockID(b)
 	}
-	plat := DefaultOptions().platform(false)
+	plat := DefaultOptions().platform()
 	recs := trajectoryRecords(t, app, plat, traj)
 	spec := SimSpec{Frames: 8}
 	s, err := newSimScorer(context.Background(), app, prof, plat, spec, nil)
@@ -87,7 +87,7 @@ func TestScorePrefixMemo(t *testing.T) {
 func TestScoreBatchSpanEndsOnCancel(t *testing.T) {
 	app, prof := compileFIR(t)
 	for _, spec := range []SimSpec{{}, {Frames: 2}} {
-		plat := DefaultOptions().platform(false)
+		plat := DefaultOptions().platform()
 		s, err := newSimScorer(context.Background(), app, prof, plat, spec, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -229,7 +229,7 @@ func TestScoreBatchLazyOrderMatchesEager(t *testing.T) {
 			if len(recs) == 0 {
 				t.Fatalf("%s: no slate went through the bound queue", label)
 			}
-			ref, err := newSimScorer(context.Background(), app, prof, eng.opts.platform(eng.costsSet), simSpecOf(eng.opts), nil)
+			ref, err := newSimScorer(context.Background(), app, prof, eng.opts.platform(), simSpecOf(eng.opts), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -302,7 +302,7 @@ func TestScoreBatchTies(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := mustEngine(t, WithObjective(ObjectiveSimulated), WithSimFrames(8))
-	plat := eng.opts.platform(eng.costsSet)
+	plat := eng.opts.platform()
 	s, err := newSimScorer(context.Background(), app, prof, plat, simSpecOf(eng.opts), nil)
 	if err != nil {
 		t.Fatal(err)

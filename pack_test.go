@@ -178,7 +178,7 @@ func TestPackMatchesReference(t *testing.T) {
 		var chain [2]finegrain.PackedMapping // resumed records, alternating
 		for _, area := range areas {
 			for _, regions := range []int{1, 2, 4} {
-				fg := DefaultOptions().platform(false).Fine
+				fg := DefaultOptions().platform().Fine
 				fg.Area, fg.Regions = area, regions
 				traj := trajectory(t, app, profiles[name], area, regions)
 				if len(traj) == 0 {
@@ -235,7 +235,7 @@ func TestPackMatchesReference(t *testing.T) {
 // allocates nothing, and a fresh one costs the same fixed handful of slices
 // whatever the block count.
 func TestPackAllocs(t *testing.T) {
-	fg := DefaultOptions().platform(false).Fine
+	fg := DefaultOptions().platform().Fine
 	fresh := map[string]float64{}
 	for name, app := range packFixtures(t) {
 		tables := app.blockTables()
@@ -269,7 +269,7 @@ func TestMakespanAllocs(t *testing.T) {
 	moved := trajectory(t, app, prof, 1200, 1)
 	moved = moved[:len(moved)/2]
 	for _, regions := range []int{1, 2} {
-		plat := DefaultOptions().platform(false)
+		plat := DefaultOptions().platform()
 		plat.Fine.Area, plat.Fine.Regions = 1200, regions
 		rep, err := sim.NewReplayer(sim.Input{
 			Prog: app.fprog, F: app.flat, Tables: app.blockTables(), Plat: plat, Freq: prof.Freq, Edges: prof.edges,
@@ -396,7 +396,7 @@ func TestPartitionAllocs(t *testing.T) {
 	}
 	eng := mustEngine(t, WithObjective(ObjectiveSimulated), WithSimFrames(8))
 	ctx := context.Background()
-	cfg, rep, s, err := eng.runConfig(ctx, app, prof, eng.opts, eng.costsSet, new(runScratch))
+	cfg, rep, s, err := eng.runConfig(ctx, app, prof, eng.opts, new(runScratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +433,7 @@ func TestRecordFedBoundsMatchSlateFed(t *testing.T) {
 	ctx := context.Background()
 	for _, d := range scoringDesignPoints {
 		eng := mustEngine(t, d.opts...)
-		cfg, rep, s, err := eng.runConfig(ctx, app, prof, eng.opts, eng.costsSet, new(runScratch))
+		cfg, rep, s, err := eng.runConfig(ctx, app, prof, eng.opts, new(runScratch))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -443,7 +443,7 @@ func TestRecordFedBoundsMatchSlateFed(t *testing.T) {
 		}
 		recs := res.Prefixes
 		traj := partition.AppendMoved(nil, recs, len(recs)-1)
-		ref := trajectoryRecords(t, app, eng.opts.platform(eng.costsSet), traj)
+		ref := trajectoryRecords(t, app, eng.opts.platform(), traj)
 		lbs, err := s.rep.LowerBounds(s.cfg, traj, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -502,7 +502,7 @@ func TestRunPacksOncePerPrefix(t *testing.T) {
 		observe := withHooks(scoringHooks{observe: func(r batchRecord) { batches = append(batches, r) }})
 		eng := mustEngine(t, append(append([]Option{}, d.opts...), observe)...)
 		sc := new(runScratch)
-		cfg, rep, s, err := eng.runConfig(ctx, app, prof, eng.opts, eng.costsSet, sc)
+		cfg, rep, s, err := eng.runConfig(ctx, app, prof, eng.opts, sc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -155,7 +155,9 @@ func TestScoringContextShared(t *testing.T) {
 	same("Analyze, Simulate and PartitionEnergy")
 
 	// Other weights replace the stored report instead of reading it.
-	heavy := mustEngine(t, WithWeights(1, 8, 4, 1))
+	heavy := mustEngine(t, withKnobs(func(o *Options) {
+		o.WeightALU, o.WeightMul, o.WeightDiv, o.WeightMem = 1, 8, 4, 1
+	}))
 	got, err := heavy.Analyze(w)
 	if err != nil {
 		t.Fatal(err)

@@ -31,14 +31,11 @@ type SimSpec struct {
 	Prefetch bool
 }
 
-// normalized validates the spec and resolves zero frames and ports to 1.
-func (s SimSpec) normalized() (SimSpec, error) {
-	if s.Frames < 0 || s.Ports < 0 {
-		return s, fmt.Errorf("hybridpart: sim frames and ports must be non-negative, got %d/%d", s.Frames, s.Ports)
-	}
+// normalized resolves zero frames and ports to 1.
+func (s SimSpec) normalized() SimSpec {
 	s.Frames = max(s.Frames, 1)
 	s.Ports = max(s.Ports, 1)
-	return s, nil
+	return s
 }
 
 // FabricUtil is one fabric's occupancy over the simulated makespan, in FPGA
@@ -199,10 +196,7 @@ func (e *Engine) SimulateProfiled(ctx context.Context, a *App, p *RunProfile) (*
 	}
 	// The engine's sim knobs (WithSimFrames/WithSimPorts/WithSimPrefetch,
 	// fingerprinted in Options) are the operating point.
-	spec, err := simSpecOf(e.opts).normalized()
-	if err != nil {
-		return nil, err
-	}
+	spec := simSpecOf(e.opts).normalized()
 
 	// The analytical side: the same silent partitioning run the service
 	// caches — per-move events would be misleading here, the trajectory is
@@ -211,7 +205,7 @@ func (e *Engine) SimulateProfiled(ctx context.Context, a *App, p *RunProfile) (*
 	// objective, re-rank or engine sim knobs) its Replayer — trace and
 	// fine-grain floors — is reused for the report replays below instead
 	// of being rebuilt.
-	res, replayer, err := e.partitionScored(ctx, a, p, e.opts, e.costsSet, nil, nil, false)
+	res, replayer, err := e.partitionScored(ctx, a, p, e.opts, nil, nil, false)
 	if err != nil {
 		return nil, err
 	}
@@ -220,7 +214,7 @@ func (e *Engine) SimulateProfiled(ctx context.Context, a *App, p *RunProfile) (*
 		moved[i] = ir.BlockID(b)
 	}
 	if replayer == nil {
-		if replayer, err = a.newReplayer(ctx, p, e.opts.platform(e.costsSet)); err != nil {
+		if replayer, err = a.newReplayer(ctx, p, e.opts.platform()); err != nil {
 			return nil, err
 		}
 	}
@@ -253,7 +247,7 @@ func (e *Engine) SimulateProfiled(ctx context.Context, a *App, p *RunProfile) (*
 		Frames:               spec.Frames,
 		Ports:                spec.Ports,
 		Prefetch:             spec.Prefetch,
-		Regions:              e.opts.platform(e.costsSet).Fine.NumRegions(),
+		Regions:              e.opts.platform().Fine.NumRegions(),
 		Objective:            e.opts.Objective,
 		Runs:                 part.Runs,
 		TotalCycles:          part.TotalCycles,

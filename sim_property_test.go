@@ -73,7 +73,7 @@ func (c propertyConfig) engineOpts(extra ...Option) []Option {
 		WithSimPrefetch(c.prefetch),
 	}
 	if c.maxMoves > 0 {
-		opts = append(opts, WithMaxMoves(c.maxMoves))
+		opts = append(opts, withMaxMoves(c.maxMoves))
 	}
 	if c.regions > 1 {
 		// regions == 1 deliberately leaves Regions unset: monolithic draws

@@ -76,8 +76,10 @@ func TestStructureAnalyzeMatchesAnalyze(t *testing.T) {
 func TestSharedAppAnalyzeConcurrent(t *testing.T) {
 	configs := [][]Option{
 		{WithConstraint(60000)},
-		{WithConstraint(60000), WithOrder(OrderByFreq)},
-		{WithConstraint(1), WithWeights(2, 3, 5, 1)},
+		{WithConstraint(60000), withKnobs(func(o *Options) { o.Order = OrderByFreq })},
+		{WithConstraint(1), withKnobs(func(o *Options) {
+			o.WeightALU, o.WeightMul, o.WeightDiv, o.WeightMem = 2, 3, 5, 1
+		})},
 		{WithConstraint(60000), WithRerank(3), WithSimFrames(8)},
 	}
 	for _, d := range scoringDesignPoints {

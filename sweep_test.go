@@ -66,7 +66,7 @@ func TestOptionsFor(t *testing.T) {
 	if dsp.Costs.AreaMul >= def.Costs.AreaMul {
 		t.Fatalf("dsp-rich cost table not installed: %+v", dsp.Costs)
 	}
-	if err := dsp.platform(false).Validate(); err != nil {
+	if err := dsp.platform().Validate(); err != nil {
 		t.Fatalf("dsp-rich options yield invalid platform: %v", err)
 	}
 	if _, err := OptionsFor("no-such-preset"); err == nil {
