@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// FuzzLowerSource drives the whole mini-C frontend — lexer, parser,
-// semantic checks and IR lowering — with arbitrary source text. The
+// FuzzLowerSource drives the whole mini-C frontend — lexer, parser, and the
+// checking, folding and IR lowering pass — with arbitrary source text. The
 // invariant under fuzzing: LowerSource never panics, and whenever it
 // accepts an input, the produced program passes IR validation (CFG edge
 // consistency, operand sanity) and flattens cleanly from any function
@@ -51,6 +51,9 @@ int f() { init(); return M[3][2]; }`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
+	}
+	for _, c := range scopingSources {
+		f.Add(c.src)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := LowerSource(src)

@@ -1,40 +1,54 @@
-// Package lower translates the mini-C AST into the ir form consumed by the
-// methodology: it flattens expressions to three-address code, lowers
-// short-circuit and ternary operators to control flow, lowers 2-D array
-// addressing to explicit index arithmetic, and provides CFG cleanup plus a
-// whole-program inliner so the partitioner sees one flat CDFG per entry
-// point (the role SUIF2/MachineSUIF passes play in the paper's framework).
+// Package lower is the mini-C front end's semantic pass and its translation
+// into the ir form consumed by the methodology. Lower resolves every name
+// through one scope chain, runs the language's checks (scalar vs array use,
+// call arity and argument shapes, const-ness, loop context of
+// break/continue, initializer sanity, array size limits) and folds const
+// initializers, array dimensions and global array initializers with one
+// folder. While it checks, it flattens expressions to three-address code,
+// lowers short-circuit and ternary operators to control flow and 2-D array
+// addressing to explicit index arithmetic. CFG cleanup and a whole-program
+// inliner then give the partitioner one flat CDFG per entry point (the role
+// SUIF2/MachineSUIF passes play in the paper's framework).
 package lower
 
 import (
+	"errors"
 	"fmt"
 
 	"hybridpart/internal/ir"
 	"hybridpart/internal/minic"
 )
 
-// Lower type-checks f and translates every function into IR. Global arrays
-// become program globals; const ints were already folded by the parser.
-func Lower(f *minic.File) (*ir.Program, error) {
-	if err := minic.Check(f); err != nil {
-		return nil, err
-	}
-	prog := ir.NewProgram()
-	l := &lowerer{prog: prog, globals: map[string]binding{}, fileDecls: f.Decls}
+// MaxArrayLen bounds the element count of one declared array, and of all
+// global and local array declarations of a program together. Arrays are
+// allocated whole when a program runs, so the bound keeps a declaration —
+// or many of them — from demanding gigabytes (or overflowing the int32
+// length of a 2-D array).
+const MaxArrayLen = 1 << 24
 
-	// Pass 1: globals (arrays and consts) and function signatures.
+// Lower checks f and translates every function into IR. Every error about
+// the source is a *minic.Error carrying the offending line.
+func Lower(f *minic.File) (*ir.Program, error) {
+	prog := ir.NewProgram()
+	l := &lowerer{prog: prog, globals: map[string]binding{}}
+
+	// Pass 1: globals and function signatures in source order, so a global
+	// declaration sees only the names declared above it.
 	var funcs []*minic.FuncDecl
 	for _, d := range f.Decls {
+		var err error
 		switch d := d.(type) {
 		case *minic.VarDecl:
-			if err := l.lowerGlobal(d); err != nil {
-				return nil, err
-			}
+			err = l.lowerGlobal(d)
 		case *minic.FuncDecl:
+			err = l.declareFunc(d)
 			funcs = append(funcs, d)
 		}
+		if err != nil {
+			return nil, err
+		}
 	}
-	// Pass 2: bodies.
+	// Pass 2: bodies, which see every global.
 	for _, fd := range funcs {
 		fn, err := l.lowerFunc(fd)
 		if err != nil {
@@ -59,105 +73,251 @@ func LowerSource(src string) (*ir.Program, error) {
 	return Lower(file)
 }
 
+// errf builds a diagnostic at line. The AST carries lines only, so the
+// column is always 1.
+func errf(line int, format string, args ...interface{}) error {
+	return &minic.Error{Line: line, Col: 1, Msg: fmt.Sprintf(format, args...)}
+}
+
 type bindKind uint8
 
 const (
 	bindConst bindKind = iota
 	bindScalar
 	bindArray
+	bindFunc
 )
 
+// binding is what a name resolves to: the front end's only symbol table
+// entry.
 type binding struct {
 	kind     bindKind
 	constVal int32
 	reg      ir.RegID
 	arr      ir.ArrID
-	innerDim int32 // 2-D arrays
+	innerDim int32           // 2-D arrays; 0 for 1-D
+	fn       *minic.FuncDecl // functions
+	inner    []int32         // functions: each parameter's innerDim
 }
 
-type lowerer struct {
-	prog      *ir.Program
-	globals   map[string]binding
-	fileDecls []minic.Decl
+// scopes is a chain of scopes, innermost last; the first is the global one.
+type scopes []map[string]binding
+
+func (s scopes) lookup(name string) (binding, bool) {
+	for i := len(s) - 1; i >= 0; i-- {
+		if b, ok := s[i][name]; ok {
+			return b, true
+		}
+	}
+	return binding{}, false
 }
 
-func (l *lowerer) lowerGlobal(d *minic.VarDecl) error {
-	if d.IsConst {
-		lit, ok := d.Init.(*minic.IntLit)
-		if !ok {
-			return fmt.Errorf("lower: const %q not folded", d.Name)
-		}
-		l.globals[d.Name] = binding{kind: bindConst, constVal: lit.Val}
-		return nil
+// declare binds name, declared on line, in the innermost scope, unless that
+// scope already declares it.
+func (s scopes) declare(name string, line int, b binding) error {
+	inner := s[len(s)-1]
+	if _, dup := inner[name]; dup {
+		return errf(line, "redeclaration of %q", name)
 	}
-	total := d.Dims[0]
-	inner := int32(0)
-	if len(d.Dims) == 2 {
-		total *= d.Dims[1]
-		inner = d.Dims[1]
-	}
-	init := make([]int32, 0, len(d.ArrInit))
-	for _, e := range d.ArrInit {
-		v, ok := foldExpr(e, l.globals)
-		if !ok {
-			return fmt.Errorf("lower: global %q initializer not constant", d.Name)
-		}
-		init = append(init, v)
-	}
-	id := l.prog.AddGlobal(ir.ArrayDecl{Name: d.Name, Len: total, Init: init})
-	l.globals[d.Name] = binding{kind: bindArray, arr: id, innerDim: inner}
+	inner[name] = b
 	return nil
 }
 
-// foldExpr folds constant expressions over const-int bindings.
-func foldExpr(e minic.Expr, env map[string]binding) (int32, bool) {
+// errNotConst reports a constant expression that reads a name other than a
+// const, indexes an array, calls a function, or would trap when run.
+var errNotConst = errors.New("not constant")
+
+// fold evaluates e as a compile-time constant over the names in s. A name
+// that is undefined, or names an array or a function, is an error of its
+// own rather than errNotConst.
+func (s scopes) fold(e minic.Expr) (int32, error) {
+	v, ok, err := s.eval(e)
+	if err == nil && !ok {
+		err = errNotConst
+	}
+	return v, err
+}
+
+// eval is fold's walk; ok is false where running e would trap: a division
+// or remainder by zero, or of MinInt32 by -1. An operand that &&, || or ?:
+// skips does not run, so its trap does not count.
+func (s scopes) eval(e minic.Expr) (v int32, ok bool, err error) {
 	switch e := e.(type) {
 	case *minic.IntLit:
-		return e.Val, true
+		return e.Val, true, nil
 	case *minic.Ident:
-		b, ok := env[e.Name]
-		if ok && b.kind == bindConst {
-			return b.constVal, true
+		b, found := s.lookup(e.Name)
+		if !found {
+			return 0, false, errf(e.Line, "undefined: %q", e.Name)
 		}
-		return 0, false
+		switch b.kind {
+		case bindConst:
+			return b.constVal, true, nil
+		case bindFunc:
+			return 0, false, errf(e.Line, "function %q used as a value", e.Name)
+		case bindArray:
+			return 0, false, errf(e.Line, "array %q used as a scalar value", e.Name)
+		}
+		return 0, false, errNotConst
 	case *minic.UnaryExpr:
-		x, ok := foldExpr(e.X, env)
-		if !ok {
-			return 0, false
-		}
-		switch e.Op {
-		case minic.Minus:
-			return -x, true
-		case minic.Tilde:
-			return ^x, true
-		case minic.Bang:
-			if x == 0 {
-				return 1, true
-			}
-			return 0, true
-		}
-		return 0, false
+		x, ok, err := s.eval(e.X)
+		return evalUnary(e.Op, x), ok, err
 	case *minic.BinaryExpr:
-		x, ok := foldExpr(e.X, env)
-		if !ok {
-			return 0, false
+		x, okX, err := s.eval(e.X)
+		if err != nil {
+			return 0, false, err
 		}
-		y, ok := foldExpr(e.Y, env)
-		if !ok {
-			return 0, false
+		y, okY, err := s.eval(e.Y)
+		if err != nil {
+			return 0, false, err
 		}
-		return evalBinary(e.Op, x, y)
+		if e.Op == minic.AndAnd && x == 0 || e.Op == minic.OrOr && x != 0 {
+			okY = true
+		}
+		v, ok := evalBinary(e.Op, x, y)
+		return v, ok && okX && okY, nil
 	case *minic.CondExpr:
-		c, ok := foldExpr(e.Cond, env)
-		if !ok {
-			return 0, false
+		c, okC, err := s.eval(e.Cond)
+		if err != nil {
+			return 0, false, err
+		}
+		t, okT, err := s.eval(e.Then)
+		if err != nil {
+			return 0, false, err
+		}
+		f, okF, err := s.eval(e.Else)
+		if err != nil {
+			return 0, false, err
 		}
 		if c != 0 {
-			return foldExpr(e.Then, env)
+			return t, okC && okT, nil
 		}
-		return foldExpr(e.Else, env)
+		return f, okC && okF, nil
 	}
-	return 0, false
+	return 0, false, errNotConst
+}
+
+// constValue folds the initializer of const declaration d.
+func (s scopes) constValue(d *minic.VarDecl) (int32, error) {
+	v, err := s.fold(d.Init)
+	if err == errNotConst {
+		err = errf(d.Line, "const %s initializer is not a constant expression", d.Name)
+	}
+	return v, err
+}
+
+// constExpr folds e, a constant expression on line.
+func (s scopes) constExpr(e minic.Expr, line int) (int32, error) {
+	v, err := s.fold(e)
+	if err == errNotConst {
+		err = errf(line, "expression is not compile-time constant")
+	}
+	return v, err
+}
+
+// dim folds an array dimension declared on line; one that is not positive
+// is a "<what> must be positive" error.
+func (s scopes) dim(e minic.Expr, line int, what string) (int32, error) {
+	v, err := s.constExpr(e, line)
+	if err == nil && v <= 0 {
+		err = errf(line, "%s must be positive", what)
+	}
+	return v, err
+}
+
+type lowerer struct {
+	prog    *ir.Program
+	globals map[string]binding
+	// arrayElems sums the elements of every array declared so far.
+	arrayElems int64
+}
+
+// arrayShape folds d's dimensions in s and returns its element count and
+// inner dimension (0 for 1-D), charging the count to the program's total.
+// It also checks that d's initializer list fits.
+func (l *lowerer) arrayShape(d *minic.VarDecl, s scopes) (total, inner int32, err error) {
+	n := int64(1)
+	for _, e := range d.Dims {
+		if inner, err = s.dim(e, d.Line, "array dimension"); err != nil {
+			return 0, 0, err
+		}
+		n *= int64(inner)
+	}
+	if len(d.Dims) == 1 {
+		inner = 0
+	}
+	if n > MaxArrayLen {
+		return 0, 0, errf(d.Line, "array %s has %d elements, over the limit of %d", d.Name, n, MaxArrayLen)
+	}
+	l.arrayElems += n
+	if l.arrayElems > MaxArrayLen {
+		return 0, 0, errf(d.Line, "array %s brings the program's declared array elements to %d, over the limit of %d", d.Name, l.arrayElems, MaxArrayLen)
+	}
+	if len(d.ArrInit) > int(n) {
+		return 0, 0, errf(d.Line, "%d initializers for array %q of %d elements", len(d.ArrInit), d.Name, n)
+	}
+	return int32(n), inner, nil
+}
+
+func (l *lowerer) lowerGlobal(d *minic.VarDecl) error {
+	g := scopes{l.globals}
+	switch {
+	case d.IsConst:
+		v, err := g.constValue(d)
+		if err != nil {
+			return err
+		}
+		return g.declare(d.Name, d.Line, binding{kind: bindConst, constVal: v})
+	case len(d.Dims) == 0:
+		if err := g.declare(d.Name, d.Line, binding{kind: bindScalar}); err != nil {
+			return err
+		}
+		return errf(d.Line, "global scalar %q must be const (mutable globals must be arrays in the shared data memory)", d.Name)
+	}
+	total, inner, err := l.arrayShape(d, g)
+	if err != nil {
+		return err
+	}
+	id := l.prog.AddGlobal(ir.ArrayDecl{Name: d.Name, Len: total})
+	if err := g.declare(d.Name, d.Line, binding{kind: bindArray, arr: id, innerDim: inner}); err != nil {
+		return err
+	}
+	// No code runs at global scope, so every element must fold.
+	init := make([]int32, len(d.ArrInit))
+	for i, e := range d.ArrInit {
+		v, err := g.fold(e)
+		if err == errNotConst {
+			err = errf(e.Pos(), "global array %q initializer must be constant", d.Name)
+		}
+		if err != nil {
+			return err
+		}
+		init[i] = v
+	}
+	l.prog.Globals[ir.GlobalIndex(id)].Init = init
+	return nil
+}
+
+// declareFunc folds fd's parameter dimensions and declares it, so that
+// calls from any body are checked against its signature.
+func (l *lowerer) declareFunc(fd *minic.FuncDecl) error {
+	g := scopes{l.globals}
+	inner := make([]int32, len(fd.Params))
+	for i, p := range fd.Params {
+		if p.OuterDim != nil {
+			if _, err := g.constExpr(p.OuterDim, p.Line); err != nil {
+				return err
+			}
+		}
+		if p.InnerDim != nil {
+			v, err := g.dim(p.InnerDim, p.Line, "inner array dimension")
+			if err != nil {
+				return err
+			}
+			inner[i] = v
+		}
+	}
+	return g.declare(fd.Name, fd.Line, binding{kind: bindFunc, fn: fd, inner: inner})
 }
 
 // funcLowerer holds per-function lowering state.
@@ -165,7 +325,7 @@ type funcLowerer struct {
 	l      *lowerer
 	fd     *minic.FuncDecl
 	fn     *ir.Function
-	scopes []map[string]binding
+	scopes scopes
 	cur    *ir.Block
 	// loop context stacks for break/continue.
 	breakTo    []ir.BlockID
@@ -173,20 +333,25 @@ type funcLowerer struct {
 }
 
 func (l *lowerer) lowerFunc(fd *minic.FuncDecl) (*ir.Function, error) {
-	fl := &funcLowerer{l: l, fd: fd, fn: ir.NewFunction(fd.Name)}
+	fl := &funcLowerer{l: l, fd: fd, fn: ir.NewFunction(fd.Name), scopes: scopes{l.globals}}
 	fl.fn.HasRet = !fd.Void
 	fl.cur = fl.fn.Block(fl.fn.Entry)
 	fl.pushScope()
 
-	for _, p := range fd.Params {
+	sig := l.globals[fd.Name]
+	for i, p := range fd.Params {
+		var b binding
 		if p.IsArray {
 			arr := fl.fn.AddArray(ir.ArrayDecl{Name: p.Name, IsParam: true})
 			fl.fn.Params = append(fl.fn.Params, ir.Param{Name: p.Name, IsArray: true, Arr: arr, Reg: ir.NoReg})
-			fl.bind(p.Name, binding{kind: bindArray, arr: arr, innerDim: p.InnerDim})
+			b = binding{kind: bindArray, arr: arr, innerDim: sig.inner[i]}
 		} else {
 			reg := fl.fn.NewReg(p.Name)
 			fl.fn.Params = append(fl.fn.Params, ir.Param{Name: p.Name, Reg: reg, Arr: ir.NoArr})
-			fl.bind(p.Name, binding{kind: bindScalar, reg: reg})
+			b = binding{kind: bindScalar, reg: reg}
+		}
+		if fl.scopes.declare(p.Name, p.Line, b) != nil {
+			return nil, errf(p.Line, "duplicate parameter %q", p.Name)
 		}
 	}
 
@@ -211,20 +376,6 @@ func (fl *funcLowerer) pushScope() {
 
 func (fl *funcLowerer) popScope() {
 	fl.scopes = fl.scopes[:len(fl.scopes)-1]
-}
-
-func (fl *funcLowerer) bind(name string, b binding) {
-	fl.scopes[len(fl.scopes)-1][name] = b
-}
-
-func (fl *funcLowerer) lookup(name string) (binding, bool) {
-	for i := len(fl.scopes) - 1; i >= 0; i-- {
-		if b, ok := fl.scopes[i][name]; ok {
-			return b, true
-		}
-	}
-	b, ok := fl.l.globals[name]
-	return b, ok
 }
 
 func (fl *funcLowerer) emit(in ir.Instr) {
@@ -291,6 +442,12 @@ func (fl *funcLowerer) stmt(s minic.Stmt) error {
 	case *minic.DoWhileStmt:
 		return fl.doWhileStmt(s)
 	case *minic.ReturnStmt:
+		if fl.fd.Void && s.X != nil {
+			return errf(s.Line, "void function %q returns a value", fl.fd.Name)
+		}
+		if !fl.fd.Void && s.X == nil {
+			return errf(s.Line, "function %q must return a value", fl.fd.Name)
+		}
 		if s.X == nil {
 			fl.setTerm(ir.Terminator{Kind: ir.TermReturn, Pos: s.Line}, nil)
 			return nil
@@ -302,12 +459,12 @@ func (fl *funcLowerer) stmt(s minic.Stmt) error {
 		fl.setTerm(ir.Terminator{Kind: ir.TermReturn, Val: v, HasVal: true, Pos: s.Line}, nil)
 	case *minic.BreakStmt:
 		if len(fl.breakTo) == 0 {
-			return fmt.Errorf("lower: %d: break outside loop", s.Line)
+			return errf(s.Line, "break outside loop")
 		}
 		fl.setTerm(ir.Terminator{Kind: ir.TermJump, Then: fl.breakTo[len(fl.breakTo)-1], Pos: s.Line}, nil)
 	case *minic.ContinueStmt:
 		if len(fl.continueTo) == 0 {
-			return fmt.Errorf("lower: %d: continue outside loop", s.Line)
+			return errf(s.Line, "continue outside loop")
 		}
 		fl.setTerm(ir.Terminator{Kind: ir.TermJump, Then: fl.continueTo[len(fl.continueTo)-1], Pos: s.Line}, nil)
 	case *minic.EmptyStmt:
@@ -318,57 +475,64 @@ func (fl *funcLowerer) stmt(s minic.Stmt) error {
 }
 
 func (fl *funcLowerer) localDecl(d *minic.VarDecl) error {
-	if d.IsConst {
-		lit, ok := d.Init.(*minic.IntLit)
-		if !ok {
-			return fmt.Errorf("lower: %d: const %q not folded", d.Line, d.Name)
-		}
-		fl.bind(d.Name, binding{kind: bindConst, constVal: lit.Val})
-		return nil
-	}
-	if len(d.Dims) > 0 {
-		total := d.Dims[0]
-		inner := int32(0)
-		if len(d.Dims) == 2 {
-			total *= d.Dims[1]
-			inner = d.Dims[1]
-		}
-		var init []int32
-		allConst := true
-		for _, e := range d.ArrInit {
-			v, ok := foldExpr(e, fl.l.globals)
-			if !ok {
-				allConst = false
-				break
-			}
-			init = append(init, v)
-		}
-		arr := fl.fn.AddArray(ir.ArrayDecl{Name: d.Name, Len: total})
-		fl.bind(d.Name, binding{kind: bindArray, arr: arr, innerDim: inner})
-		if len(d.ArrInit) > 0 {
-			if allConst {
-				fl.fn.Arrays[arr].Init = init
-			} else {
-				// Element-wise stores for dynamic initializers.
-				for i, e := range d.ArrInit {
-					v, err := fl.expr(e)
-					if err != nil {
-						return err
-					}
-					fl.emit(ir.Instr{Op: ir.OpStore, Arr: arr, A: ir.Imm(int32(i)), B: v, Pos: d.Line})
-				}
-			}
-		}
-		return nil
-	}
-	reg := fl.fn.NewReg(d.Name)
-	fl.bind(d.Name, binding{kind: bindScalar, reg: reg})
-	if d.Init != nil {
-		v, err := fl.expr(d.Init)
+	var b binding
+	switch {
+	case d.IsConst:
+		v, err := fl.scopes.constValue(d)
 		if err != nil {
 			return err
 		}
-		fl.emitCopy(reg, v, d.Line)
+		b = binding{kind: bindConst, constVal: v}
+	case len(d.Dims) > 0:
+		total, inner, err := fl.l.arrayShape(d, fl.scopes)
+		if err != nil {
+			return err
+		}
+		arr := fl.fn.AddArray(ir.ArrayDecl{Name: d.Name, Len: total})
+		if err := fl.arrayInit(arr, d); err != nil {
+			return err
+		}
+		b = binding{kind: bindArray, arr: arr, innerDim: inner}
+	default:
+		reg := fl.fn.NewReg(d.Name)
+		if d.Init != nil {
+			v, err := fl.expr(d.Init)
+			if err != nil {
+				return err
+			}
+			fl.emitCopy(reg, v, d.Line)
+		}
+		b = binding{kind: bindScalar, reg: reg}
+	}
+	// A declaration's own initializer does not see it.
+	return fl.scopes.declare(d.Name, d.Line, b)
+}
+
+// arrayInit initializes local array arr from d's initializer list: in the
+// declaration when every element folds, else by element-wise stores.
+func (fl *funcLowerer) arrayInit(arr ir.ArrID, d *minic.VarDecl) error {
+	if len(d.ArrInit) == 0 {
+		return nil
+	}
+	init := make([]int32, len(d.ArrInit))
+	for i, e := range d.ArrInit {
+		v, err := fl.scopes.fold(e)
+		if err != nil {
+			init = nil
+			break
+		}
+		init[i] = v
+	}
+	if init != nil {
+		fl.fn.Arrays[arr].Init = init
+		return nil
+	}
+	for i, e := range d.ArrInit {
+		v, err := fl.expr(e)
+		if err != nil {
+			return err
+		}
+		fl.emit(ir.Instr{Op: ir.OpStore, Arr: arr, A: ir.Imm(int32(i)), B: v, Pos: d.Line})
 	}
 	return nil
 }
@@ -400,9 +564,16 @@ var assignOpMap = map[minic.Kind]ir.Op{
 func (fl *funcLowerer) assign(s *minic.AssignStmt) error {
 	switch lhs := s.LHS.(type) {
 	case *minic.Ident:
-		b, ok := fl.lookup(lhs.Name)
-		if !ok || b.kind != bindScalar {
-			return fmt.Errorf("lower: %d: bad assignment target %q", s.Line, lhs.Name)
+		b, ok := fl.scopes.lookup(lhs.Name)
+		switch {
+		case !ok:
+			return errf(lhs.Line, "undefined: %q", lhs.Name)
+		case b.kind == bindConst:
+			return errf(lhs.Line, "cannot assign to const %q", lhs.Name)
+		case b.kind == bindArray:
+			return errf(lhs.Line, "cannot assign to array %q without an index", lhs.Name)
+		case b.kind == bindFunc:
+			return errf(lhs.Line, "cannot assign to function %q", lhs.Name)
 		}
 		if s.Op == minic.Assign {
 			v, err := fl.expr(s.RHS)
@@ -452,9 +623,19 @@ func (fl *funcLowerer) assign(s *minic.AssignStmt) error {
 // arrayIndex resolves an IndexExpr to its array binding and flat index
 // operand, emitting 2-D address arithmetic as needed.
 func (fl *funcLowerer) arrayIndex(e *minic.IndexExpr) (binding, ir.Operand, error) {
-	b, ok := fl.lookup(e.Name)
-	if !ok || b.kind != bindArray {
-		return binding{}, ir.Operand{}, fmt.Errorf("lower: %d: %q is not an array", e.Line, e.Name)
+	b, ok := fl.scopes.lookup(e.Name)
+	if !ok {
+		return binding{}, ir.Operand{}, errf(e.Line, "undefined: %q", e.Name)
+	}
+	if b.kind != bindArray {
+		return binding{}, ir.Operand{}, errf(e.Line, "%q is not an array", e.Name)
+	}
+	got := 1
+	if e.J != nil {
+		got = 2
+	}
+	if want := rank(b.innerDim); want != got {
+		return binding{}, ir.Operand{}, errf(e.Line, "array %q requires %d indices, got %d", e.Name, want, got)
 	}
 	i, err := fl.expr(e.I)
 	if err != nil {
@@ -653,17 +834,18 @@ func (fl *funcLowerer) expr(e minic.Expr) (ir.Operand, error) {
 	case *minic.IntLit:
 		return ir.Imm(e.Val), nil
 	case *minic.Ident:
-		b, ok := fl.lookup(e.Name)
-		if !ok {
-			return ir.Operand{}, fmt.Errorf("lower: %d: undefined %q", e.Line, e.Name)
-		}
-		switch b.kind {
-		case bindConst:
+		b, ok := fl.scopes.lookup(e.Name)
+		switch {
+		case !ok:
+			return ir.Operand{}, errf(e.Line, "undefined: %q", e.Name)
+		case b.kind == bindConst:
 			return ir.Imm(b.constVal), nil
-		case bindScalar:
+		case b.kind == bindScalar:
 			return ir.Reg(b.reg), nil
+		case b.kind == bindFunc:
+			return ir.Operand{}, errf(e.Line, "function %q used as a value", e.Name)
 		default:
-			return ir.Operand{}, fmt.Errorf("lower: %d: array %q used as scalar", e.Line, e.Name)
+			return ir.Operand{}, errf(e.Line, "array %q used as a scalar value", e.Name)
 		}
 	case *minic.IndexExpr:
 		b, idx, err := fl.arrayIndex(e)
@@ -681,17 +863,7 @@ func (fl *funcLowerer) expr(e minic.Expr) (ir.Operand, error) {
 			return ir.Operand{}, err
 		}
 		if x.IsImm() {
-			switch e.Op {
-			case minic.Minus:
-				return ir.Imm(-x.Imm), nil
-			case minic.Tilde:
-				return ir.Imm(^x.Imm), nil
-			case minic.Bang:
-				if x.Imm == 0 {
-					return ir.Imm(1), nil
-				}
-				return ir.Imm(0), nil
-			}
+			return ir.Imm(evalUnary(e.Op, x.Imm)), nil
 		}
 		var op ir.Op
 		switch e.Op {
@@ -780,35 +952,44 @@ func (fl *funcLowerer) materializeCond(e minic.Expr) (ir.Operand, error) {
 
 // lowerCall lowers a call; wantValue selects value or statement context.
 func (fl *funcLowerer) lowerCall(e *minic.CallExpr, wantValue bool) (ir.Operand, error) {
-	// Callee bodies may not have been lowered yet (declaration order is
-	// arbitrary), so parameter shapes come from the AST declaration list.
-	var calleeDecl *minic.FuncDecl
-	for _, d := range fl.l.fileDecls {
-		if fd, ok := d.(*minic.FuncDecl); ok && fd.Name == e.Name {
-			calleeDecl = fd
-			break
-		}
+	// Calls resolve at global scope, where every function is declared
+	// before any body is lowered.
+	sig, ok := fl.l.globals[e.Name]
+	if !ok || sig.kind != bindFunc {
+		return ir.Operand{}, errf(e.Line, "call to undefined function %q", e.Name)
 	}
-	if calleeDecl == nil {
-		return ir.Operand{}, fmt.Errorf("lower: %d: call to undefined %q", e.Line, e.Name)
+	if wantValue && sig.fn.Void {
+		return ir.Operand{}, errf(e.Line, "void function %q used as a value", e.Name)
+	}
+	if len(e.Args) != len(sig.fn.Params) {
+		return ir.Operand{}, errf(e.Line, "%q takes %d arguments, got %d", e.Name, len(sig.fn.Params), len(e.Args))
 	}
 	in := ir.Instr{Op: ir.OpCall, Callee: e.Name, Pos: e.Line}
 	for i, a := range e.Args {
-		p := calleeDecl.Params[i]
-		if p.IsArray {
-			id := a.(*minic.Ident)
-			b, ok := fl.lookup(id.Name)
-			if !ok || b.kind != bindArray {
-				return ir.Operand{}, fmt.Errorf("lower: %d: bad array argument %q", e.Line, id.Name)
+		if !sig.fn.Params[i].IsArray {
+			v, err := fl.expr(a)
+			if err != nil {
+				return ir.Operand{}, err
 			}
-			in.ArrArgs = append(in.ArrArgs, b.arr)
+			in.Args = append(in.Args, v)
 			continue
 		}
-		v, err := fl.expr(a)
-		if err != nil {
-			return ir.Operand{}, err
+		id, ok := a.(*minic.Ident)
+		if !ok {
+			return ir.Operand{}, errf(a.Pos(), "argument %d of %q must be an array name", i+1, e.Name)
 		}
-		in.Args = append(in.Args, v)
+		b, ok := fl.scopes.lookup(id.Name)
+		switch want := sig.inner[i]; {
+		case !ok:
+			return ir.Operand{}, errf(a.Pos(), "undefined: %q", id.Name)
+		case b.kind != bindArray:
+			return ir.Operand{}, errf(a.Pos(), "argument %d of %q: %q is not an array", i+1, e.Name, id.Name)
+		case rank(b.innerDim) != rank(want):
+			return ir.Operand{}, errf(a.Pos(), "argument %d of %q: array dimensionality mismatch", i+1, e.Name)
+		case b.innerDim != want:
+			return ir.Operand{}, errf(a.Pos(), "argument %d of %q: inner dimension %d, want %d", i+1, e.Name, b.innerDim, want)
+		}
+		in.ArrArgs = append(in.ArrArgs, b.arr)
 	}
 	if wantValue {
 		in.CallHasDst = true
@@ -820,13 +1001,37 @@ func (fl *funcLowerer) lowerCall(e *minic.CallExpr, wantValue bool) (ir.Operand,
 	return ir.Operand{}, nil
 }
 
-func evalBinary(op minic.Kind, x, y int32) (int32, bool) {
-	b2i := func(b bool) int32 {
-		if b {
-			return 1
-		}
-		return 0
+// rank is the number of indices an array with inner dimension innerDim
+// takes.
+func rank(innerDim int32) int {
+	if innerDim > 0 {
+		return 2
 	}
+	return 1
+}
+
+func b2i(b bool) int32 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// evalUnary folds -, ~ or ! applied to x.
+func evalUnary(op minic.Kind, x int32) int32 {
+	switch op {
+	case minic.Minus:
+		return -x
+	case minic.Tilde:
+		return ^x
+	}
+	return b2i(x == 0)
+}
+
+// evalBinary folds x op y as the interpreter computes it, and refuses where
+// the interpreter traps. && and || see y's value, so a caller that models
+// short-circuiting decides whether y ran.
+func evalBinary(op minic.Kind, x, y int32) (int32, bool) {
 	switch op {
 	case minic.Plus:
 		return x + y, true
@@ -866,6 +1071,10 @@ func evalBinary(op minic.Kind, x, y int32) (int32, bool) {
 		return b2i(x == y), true
 	case minic.NotEq:
 		return b2i(x != y), true
+	case minic.AndAnd:
+		return b2i(x != 0 && y != 0), true
+	case minic.OrOr:
+		return b2i(x != 0 || y != 0), true
 	}
 	return 0, false
 }

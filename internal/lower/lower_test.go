@@ -1,8 +1,12 @@
 package lower
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -421,62 +425,219 @@ func TestRegNamesSurviveLowering(t *testing.T) {
 }
 
 // TestRandomExpressionEquivalence cross-checks mini-C evaluation of randomly
-// generated expressions against direct Go int32 arithmetic.
+// generated expressions over every operator three ways: direct Go int32
+// arithmetic with C's short-circuit rules, the expression as a function body
+// the interpreter runs with the leaves as arguments, and the expression
+// folded as a const initializer with the leaves as consts. Where Go finds a
+// division or remainder by zero or of MinInt32 by -1 on an operand that
+// runs, the interpreter must trap and the fold must refuse; otherwise all
+// three values agree.
 func TestRandomExpressionEquivalence(t *testing.T) {
+	// eval returns the value, or false where running the expression traps.
 	type node struct {
 		src  string
-		eval func(a, b, c int32) int32
+		eval func(v [3]int32) (int32, bool)
+	}
+	b2i := func(b bool) int32 {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	leaf := func(src string, val int32, arg int) node {
+		return node{src, func(v [3]int32) (int32, bool) {
+			if arg >= 0 {
+				return v[arg], true
+			}
+			return val, true
+		}}
 	}
 	leafs := []node{
-		{"a", func(a, b, c int32) int32 { return a }},
-		{"b", func(a, b, c int32) int32 { return b }},
-		{"c", func(a, b, c int32) int32 { return c }},
-		{"3", func(a, b, c int32) int32 { return 3 }},
-		{"17", func(a, b, c int32) int32 { return 17 }},
+		leaf("a", 0, 0), leaf("b", 0, 1), leaf("c", 0, 2),
+		leaf("3", 3, -1), leaf("17", 17, -1), leaf("0", 0, -1), leaf("(-1)", -1, -1),
+		leaf("(-2147483647-1)", math.MinInt32, -1),
 	}
-	type binop struct {
-		sym string
-		fn  func(x, y int32) int32
+	arith := map[string]func(x, y int32) (int32, bool){
+		"+": func(x, y int32) (int32, bool) { return x + y, true },
+		"-": func(x, y int32) (int32, bool) { return x - y, true },
+		"*": func(x, y int32) (int32, bool) { return x * y, true },
+		"/": func(x, y int32) (int32, bool) {
+			if y == 0 || x == math.MinInt32 && y == -1 {
+				return 0, false
+			}
+			return x / y, true
+		},
+		"%": func(x, y int32) (int32, bool) {
+			if y == 0 || x == math.MinInt32 && y == -1 {
+				return 0, false
+			}
+			return x % y, true
+		},
+		"&":  func(x, y int32) (int32, bool) { return x & y, true },
+		"|":  func(x, y int32) (int32, bool) { return x | y, true },
+		"^":  func(x, y int32) (int32, bool) { return x ^ y, true },
+		"<<": func(x, y int32) (int32, bool) { return x << (uint32(y) & 31), true },
+		">>": func(x, y int32) (int32, bool) { return x >> (uint32(y) & 31), true },
+		"<":  func(x, y int32) (int32, bool) { return b2i(x < y), true },
+		"<=": func(x, y int32) (int32, bool) { return b2i(x <= y), true },
+		">":  func(x, y int32) (int32, bool) { return b2i(x > y), true },
+		">=": func(x, y int32) (int32, bool) { return b2i(x >= y), true },
+		"==": func(x, y int32) (int32, bool) { return b2i(x == y), true },
+		"!=": func(x, y int32) (int32, bool) { return b2i(x != y), true },
 	}
-	ops := []binop{
-		{"+", func(x, y int32) int32 { return x + y }},
-		{"-", func(x, y int32) int32 { return x - y }},
-		{"*", func(x, y int32) int32 { return x * y }},
-		{"&", func(x, y int32) int32 { return x & y }},
-		{"|", func(x, y int32) int32 { return x | y }},
-		{"^", func(x, y int32) int32 { return x ^ y }},
+	var ops []string
+	for op := range arith {
+		ops = append(ops, op)
+	}
+	sort.Strings(ops)
+	ops = append(ops, "&&", "||")
+	bin := func(op string, l, r node) node {
+		f := arith[op]
+		return node{"(" + l.src + " " + op + " " + r.src + ")", func(v [3]int32) (int32, bool) {
+			x, ok := l.eval(v)
+			if !ok {
+				return 0, false
+			}
+			switch {
+			case op == "&&" && x == 0:
+				return 0, true
+			case op == "||" && x != 0:
+				return 1, true
+			}
+			y, ok := r.eval(v)
+			if !ok {
+				return 0, false
+			}
+			if f == nil {
+				return b2i(y != 0), true
+			}
+			return f(x, y)
+		}}
+	}
+	unary := func(op string, x node) node {
+		return node{"(" + op + x.src + ")", func(v [3]int32) (int32, bool) {
+			val, ok := x.eval(v)
+			switch op {
+			case "-":
+				return -val, ok
+			case "~":
+				return ^val, ok
+			}
+			return b2i(val == 0), ok
+		}}
+	}
+	cond := func(c, th, el node) node {
+		return node{"(" + c.src + " ? " + th.src + " : " + el.src + ")", func(v [3]int32) (int32, bool) {
+			val, ok := c.eval(v)
+			switch {
+			case !ok:
+				return 0, false
+			case val != 0:
+				return th.eval(v)
+			}
+			return el.eval(v)
+		}}
 	}
 	var gen func(rng *rand.Rand, depth int) node
 	gen = func(rng *rand.Rand, depth int) node {
-		if depth == 0 || rng.Intn(3) == 0 {
+		if depth == 0 || rng.Intn(4) == 0 {
 			return leafs[rng.Intn(len(leafs))]
 		}
-		op := ops[rng.Intn(len(ops))]
-		l := gen(rng, depth-1)
-		r := gen(rng, depth-1)
-		return node{
-			src:  "(" + l.src + " " + op.sym + " " + r.src + ")",
-			eval: func(a, b, c int32) int32 { return op.fn(l.eval(a, b, c), r.eval(a, b, c)) },
+		switch rng.Intn(8) {
+		case 0:
+			return unary([]string{"-", "~", "!"}[rng.Intn(3)], gen(rng, depth-1))
+		case 1:
+			return cond(gen(rng, depth-1), gen(rng, depth-1), gen(rng, depth-1))
 		}
+		return bin(ops[rng.Intn(len(ops))], gen(rng, depth-1), gen(rng, depth-1))
 	}
-	check := func(seed int64, a, b, c int32) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := gen(rng, 4)
+	lit := func(v int32) string {
+		if v == math.MinInt32 {
+			return "(-2147483647-1)"
+		}
+		return fmt.Sprint(v)
+	}
+	traps := 0
+	check := func(n node, v [3]int32) bool {
+		want, ok := n.eval(v)
+		if !ok {
+			traps++
+		}
 		src := fmt.Sprintf("int f(int a, int b, int c) { return %s; }", n.src)
 		prog, err := LowerSource(src)
 		if err != nil {
 			t.Logf("lower failed for %s: %v", src, err)
 			return false
 		}
-		got, err := interp.New(prog).Run("f", interp.Int(a), interp.Int(b), interp.Int(c))
-		if err != nil {
-			t.Logf("run failed for %s: %v", src, err)
+		got, err := interp.New(prog).Run("f", interp.Int(v[0]), interp.Int(v[1]), interp.Int(v[2]))
+		var trap *interp.Trap
+		if ok && err != nil || !ok && !errors.As(err, &trap) || ok && got != want {
+			t.Logf("%s with %v: run = %d, %v; want %d, trap %v", src, v, got, err, want, !ok)
 			return false
 		}
-		return got == n.eval(a, b, c)
+		csrc := fmt.Sprintf("const int a = %s; const int b = %s; const int c = %s;\nconst int C = %s;\nint k() { return C; }",
+			lit(v[0]), lit(v[1]), lit(v[2]), n.src)
+		prog, err = LowerSource(csrc)
+		if !ok {
+			if err == nil || !strings.Contains(err.Error(), "const C initializer is not a constant expression") {
+				t.Logf("%s: fold = %v, want it refused", csrc, err)
+				return false
+			}
+			return true
+		}
+		if err != nil {
+			t.Logf("%s: fold refused: %v", csrc, err)
+			return false
+		}
+		if got, err := interp.New(prog).Run("k"); err != nil || got != want {
+			t.Logf("%s: folded %d, %v; want %d", csrc, got, err, want)
+			return false
+		}
+		return true
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 120}); err != nil {
+	// The corners first: the traps and the short-circuits that skip them.
+	a, b, c := leafs[0], leafs[1], leafs[2]
+	for _, k := range []struct {
+		n node
+		v [3]int32
+	}{
+		{bin("/", a, b), [3]int32{math.MinInt32, -1, 0}},
+		{bin("%", a, b), [3]int32{math.MinInt32, -1, 0}},
+		{bin("/", a, c), [3]int32{7, 1, 0}},
+		{bin("%", a, c), [3]int32{7, 1, 0}},
+		{bin("&&", c, bin("/", a, c)), [3]int32{7, 1, 0}},
+		{bin("||", b, bin("%", a, c)), [3]int32{7, 1, 0}},
+		{bin("||", c, bin("%", a, c)), [3]int32{7, 1, 0}},
+		{cond(b, a, bin("/", a, c)), [3]int32{7, 1, 0}},
+		{cond(c, a, bin("/", a, b)), [3]int32{math.MinInt32, -1, 0}},
+		{unary("-", bin("/", a, b)), [3]int32{math.MinInt32, 1, 0}},
+	} {
+		if !check(k.n, k.v) {
+			t.Errorf("corner %s with %v", k.n.src, k.v)
+		}
+	}
+	// Arguments lean towards the corners: 0, -1, MinInt32 and small values.
+	corner := func(x int32) int32 {
+		switch uint32(x) % 8 {
+		case 0:
+			return 0
+		case 1:
+			return -1
+		case 2:
+			return math.MinInt32
+		case 3, 4:
+			return x % 33
+		}
+		return x
+	}
+	random := func(seed int64, x, y, z int32) bool {
+		return check(gen(rand.New(rand.NewSource(seed)), 4), [3]int32{corner(x), corner(y), corner(z)})
+	}
+	if err := quick.Check(random, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+	if traps == 0 {
+		t.Fatal("no generated expression trapped")
 	}
 }
 

@@ -19,21 +19,23 @@ type FuncDecl struct {
 
 // ParamDecl declares one formal parameter. Arrays are passed by reference;
 // two-dimensional array parameters carry their inner dimension so indexing
-// can be lowered (`int m[][8]`).
+// can be lowered (`int m[][8]`). Both dimensions are unfolded constant
+// expressions; the outer one is optional and only checked.
 type ParamDecl struct {
 	Name     string
 	IsArray  bool
-	InnerDim int32 // 0 for scalar and 1-D array params
+	OuterDim Expr // nil for `int a[]` and scalars
+	InnerDim Expr // nil for scalar and 1-D array params
 	Line     int
 }
 
 // VarDecl declares a scalar or array variable. Dims is empty for scalars,
-// has one entry for 1-D arrays, two for 2-D. A const scalar must have a
-// compile-time constant initializer and participates in constant expressions
-// (array dimensions in particular).
+// has one entry for 1-D arrays, two for 2-D; each is an unfolded constant
+// expression. A const scalar must have a compile-time constant initializer
+// and participates in constant expressions (array dimensions in particular).
 type VarDecl struct {
 	Name     string
-	Dims     []int32
+	Dims     []Expr
 	Init     Expr   // scalar initializer (may be nil)
 	ArrInit  []Expr // array initializer list (may be nil)
 	IsConst  bool

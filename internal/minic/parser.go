@@ -1,12 +1,5 @@
 package minic
 
-// MaxArrayLen bounds the element count of one declared array, and of all
-// global and local array declarations of a program together. Arrays are
-// allocated whole when a program runs, so the bound keeps a declaration —
-// or many of them — from demanding gigabytes (or overflowing the int32
-// length of a 2-D array).
-const MaxArrayLen = 1 << 24
-
 // MaxBlockInstrs bounds the instructions of one basic block of the
 // flattened (fully inlined) entry function; hybridpart.Compile enforces it
 // once inlining has fixed the block sizes. The coarse-grain list scheduler
@@ -16,15 +9,12 @@ const MaxArrayLen = 1 << 24
 // built-in benchmarks' largest blocks hold about 50 instructions.
 const MaxBlockInstrs = 512
 
-// Parser is a recursive-descent parser producing the AST.
+// Parser is a recursive-descent parser producing the AST. It checks syntax
+// only; names, types and constant values are the semantic pass's, in
+// package lower.
 type Parser struct {
 	toks []Token
 	pos  int
-	// consts collects const int values seen so far so array dimensions can
-	// be folded during parsing.
-	consts map[string]int32
-	// arrayElems sums the elements of every array declared so far.
-	arrayElems int64
 }
 
 // Parse lexes and parses src into a File.
@@ -33,7 +23,7 @@ func Parse(src string) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Parser{toks: toks, consts: map[string]int32{}}
+	p := &Parser{toks: toks}
 	return p.parseFile()
 }
 
@@ -156,7 +146,7 @@ func (p *Parser) parseParam() (ParamDecl, error) {
 		prm.IsArray = true
 		// `int a[]` or `int a[N]` (outer dim ignored, by-reference).
 		if !p.at(RBrack) {
-			if _, err := p.parseConstExpr(); err != nil {
+			if prm.OuterDim, err = p.parseExpr(); err != nil {
 				return ParamDecl{}, err
 			}
 		}
@@ -164,14 +154,9 @@ func (p *Parser) parseParam() (ParamDecl, error) {
 			return ParamDecl{}, err
 		}
 		if p.accept(LBrack) {
-			dim, err := p.parseConstExpr()
-			if err != nil {
+			if prm.InnerDim, err = p.parseExpr(); err != nil {
 				return ParamDecl{}, err
 			}
-			if dim <= 0 {
-				return ParamDecl{}, errf(t.Line, t.Col, "inner array dimension must be positive")
-			}
-			prm.InnerDim = dim
 			if _, err := p.expect(RBrack); err != nil {
 				return ParamDecl{}, err
 			}
@@ -187,12 +172,9 @@ func (p *Parser) parseVarRest(first Token, isConst, global bool) ([]*VarDecl, er
 	for {
 		d := &VarDecl{Name: name.Text, IsConst: isConst, IsGlobal: global, Line: name.Line}
 		for len(d.Dims) < 2 && p.accept(LBrack) {
-			dim, err := p.parseConstExpr()
+			dim, err := p.parseExpr()
 			if err != nil {
 				return nil, err
-			}
-			if dim <= 0 {
-				return nil, errf(name.Line, name.Col, "array dimension must be positive")
 			}
 			d.Dims = append(d.Dims, dim)
 			if _, err := p.expect(RBrack); err != nil {
@@ -201,19 +183,6 @@ func (p *Parser) parseVarRest(first Token, isConst, global bool) ([]*VarDecl, er
 		}
 		if p.at(LBrack) {
 			return nil, errf(name.Line, name.Col, "arrays of more than two dimensions are not supported")
-		}
-		if len(d.Dims) > 0 {
-			n := int64(d.Dims[0])
-			if len(d.Dims) == 2 {
-				n *= int64(d.Dims[1])
-			}
-			if n > MaxArrayLen {
-				return nil, errf(name.Line, name.Col, "array %s has %d elements, over the limit of %d", d.Name, n, MaxArrayLen)
-			}
-			p.arrayElems += n
-			if p.arrayElems > MaxArrayLen {
-				return nil, errf(name.Line, name.Col, "array %s brings the program's declared array elements to %d, over the limit of %d", d.Name, p.arrayElems, MaxArrayLen)
-			}
 		}
 		if p.accept(Assign) {
 			if p.accept(LBrace) {
@@ -243,16 +212,8 @@ func (p *Parser) parseVarRest(first Token, isConst, global bool) ([]*VarDecl, er
 				d.Init = e
 			}
 		}
-		if isConst {
-			if d.Init == nil || len(d.Dims) > 0 {
-				return nil, errf(name.Line, name.Col, "const %s requires a scalar initializer", d.Name)
-			}
-			v, ok := p.foldConst(d.Init)
-			if !ok {
-				return nil, errf(name.Line, name.Col, "const %s initializer is not a constant expression", d.Name)
-			}
-			p.consts[d.Name] = v
-			d.Init = &IntLit{Val: v, Line: d.Line}
+		if isConst && (d.Init == nil || len(d.Dims) > 0) {
+			return nil, errf(name.Line, name.Col, "const %s requires a scalar initializer", d.Name)
 		}
 		out = append(out, d)
 		if p.accept(Semi) {
@@ -267,121 +228,6 @@ func (p *Parser) parseVarRest(first Token, isConst, global bool) ([]*VarDecl, er
 		}
 		name = n
 	}
-}
-
-// parseConstExpr parses an expression and requires it to fold to a constant.
-func (p *Parser) parseConstExpr() (int32, error) {
-	t := p.cur()
-	e, err := p.parseExpr()
-	if err != nil {
-		return 0, err
-	}
-	v, ok := p.foldConst(e)
-	if !ok {
-		return 0, errf(t.Line, t.Col, "expression is not compile-time constant")
-	}
-	return v, nil
-}
-
-// foldConst evaluates e if it only involves literals and known const ints.
-func (p *Parser) foldConst(e Expr) (int32, bool) {
-	switch e := e.(type) {
-	case *IntLit:
-		return e.Val, true
-	case *Ident:
-		v, ok := p.consts[e.Name]
-		return v, ok
-	case *UnaryExpr:
-		x, ok := p.foldConst(e.X)
-		if !ok {
-			return 0, false
-		}
-		switch e.Op {
-		case Minus:
-			return -x, true
-		case Tilde:
-			return ^x, true
-		case Bang:
-			if x == 0 {
-				return 1, true
-			}
-			return 0, true
-		}
-	case *BinaryExpr:
-		x, ok := p.foldConst(e.X)
-		if !ok {
-			return 0, false
-		}
-		y, ok := p.foldConst(e.Y)
-		if !ok {
-			return 0, false
-		}
-		return foldBinary(e.Op, x, y)
-	case *CondExpr:
-		c, ok := p.foldConst(e.Cond)
-		if !ok {
-			return 0, false
-		}
-		if c != 0 {
-			return p.foldConst(e.Then)
-		}
-		return p.foldConst(e.Else)
-	}
-	return 0, false
-}
-
-func foldBinary(op Kind, x, y int32) (int32, bool) {
-	b2i := func(b bool) int32 {
-		if b {
-			return 1
-		}
-		return 0
-	}
-	switch op {
-	case Plus:
-		return x + y, true
-	case Minus:
-		return x - y, true
-	case Star:
-		return x * y, true
-	case Slash:
-		if y == 0 {
-			return 0, false
-		}
-		return x / y, true
-	case Percent:
-		if y == 0 {
-			return 0, false
-		}
-		return x % y, true
-	case Amp:
-		return x & y, true
-	case Pipe:
-		return x | y, true
-	case Caret:
-		return x ^ y, true
-	case Shl:
-		return x << (uint32(y) & 31), true
-	case Shr:
-		return x >> (uint32(y) & 31), true
-	case Lt:
-		return b2i(x < y), true
-	case Le:
-		return b2i(x <= y), true
-	case Gt:
-		return b2i(x > y), true
-	case Ge:
-		return b2i(x >= y), true
-	case EqEq:
-		return b2i(x == y), true
-	case NotEq:
-		return b2i(x != y), true
-	case AndAnd:
-		return b2i(x != 0 && y != 0), true
-	case OrOr:
-		return b2i(x != 0 || y != 0), true
-	}
-	return 0, false
 }
 
 func (p *Parser) parseBlock() (*BlockStmt, error) {

@@ -1,7 +1,10 @@
-// Package minic implements the frontend for the C subset in which the
-// benchmark applications are written: lexer, recursive-descent parser, AST
-// and semantic checks. It stands in for the paper's SUIF2/MachineSUIF +
-// Lex toolchain as the producer of the CDFG input (see DESIGN.md).
+// Package minic implements the syntax half of the frontend for the C
+// subset in which the benchmark applications are written: lexer,
+// recursive-descent parser and AST. The parser checks syntax only; name
+// resolution, the semantic checks and constant folding (const initializers,
+// array dimensions and their size limits) are one pass in package lower,
+// which turns the AST into the CDFG input. Together they stand in for the
+// paper's SUIF2/MachineSUIF + Lex toolchain.
 //
 // Supported subset: 32-bit signed int scalars, one- and two-dimensional int
 // arrays, const int compile-time constants, functions returning int or void,
