@@ -54,7 +54,7 @@ func modelBodyOwnedBy(t *testing.T, ring *cluster.Ring, node string) (string, st
 	t.Helper()
 	for c := int64(9000); c < 9200; c++ {
 		req := &PartitionRequest{Source: firSrc, Objective: "model", Constraint: c}
-		opts, herr := req.resolveOptions()
+		opts, herr := req.resolveOptions(false)
 		if herr != nil {
 			t.Fatalf("resolveOptions: %v", herr)
 		}

@@ -34,7 +34,7 @@ func wireKeys(t testing.TB, req PartitionRequest) [3]string {
 		if !energy {
 			r.applyDefaultObjective()
 		}
-		opts, e := r.resolveOptions()
+		opts, e := r.resolveOptions(energy)
 		if e != nil || (!energy && checkScoringCost(simCost(kind, opts)) != nil) {
 			continue
 		}
@@ -43,7 +43,7 @@ func wireKeys(t testing.TB, req PartitionRequest) [3]string {
 	}
 	sim := SimulateRequest{req}
 	if sim.validate() == nil {
-		if opts, e := sim.resolveOptions(); e == nil {
+		if opts, e := sim.resolveOptions(false); e == nil {
 			normalizeSimOptions(&opts)
 			if checkScoringCost(simCost("simulate", opts)) == nil {
 				keys[2] = sim.fingerprint(opts)

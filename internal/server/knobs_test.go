@@ -45,9 +45,10 @@ var invalidWireKnobs = []struct {
 
 // TestInvalidOptionsRefusedBeforeWork sends every invalid knob set as an
 // "options" override to /v1/partition, /v1/simulate and
-// /v1/partition-energy. Each must be a 400 carrying the validator's
-// message, with no cache miss counted and no admission tokens taken; a
-// source workload must not even be compiled. A valid override, sent last,
+// /v1/partition-energy, and a zero constraint to the two timing-constrained
+// endpoints. Each must be a 400 carrying the validator's message, with no
+// cache miss counted and no admission tokens taken; a source workload must
+// not even be compiled. A valid override, sent last,
 // shows that each of those measurements moves when work is done.
 func TestInvalidOptionsRefusedBeforeWork(t *testing.T) {
 	tracer := obs.New(obs.Config{Service: "knobs", RingSize: 8})
@@ -95,6 +96,19 @@ func TestInvalidOptionsRefusedBeforeWork(t *testing.T) {
 			}
 		}
 	}
+	// A zero constraint is a valid knob set, but a timing-constrained run
+	// cannot use it; only the energy endpoint, which never reads it,
+	// accepts it (checked below, once the counters are read).
+	zero := base
+	zero.Constraint = 0
+	for _, ep := range endpoints[:2] {
+		rec := post(t, s, ep, body(`"benchmark":"ofdm","seed":1`, zero, ep))
+		var e ErrorJSON
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || rec.Code != http.StatusBadRequest ||
+			e.Error != "hybridpart: timing constraint must be positive, got 0" {
+			t.Fatalf("zero constraint on %s: status %d, body %s; want 400", ep, rec.Code, rec.Body)
+		}
+	}
 	invalid := base
 	invalid.MaxMoves = -2
 	src := fmt.Sprintf(`"source":%q`, firSrc)
@@ -128,5 +142,8 @@ func TestInvalidOptionsRefusedBeforeWork(t *testing.T) {
 	}
 	if misses() != 1 || s.admit.level() != 998 {
 		t.Fatalf("valid request: %d misses, %v tokens left; want 1 and 998", misses(), s.admit.level())
+	}
+	if rec := post(t, s, endpoints[2], body(src, zero, endpoints[2])); rec.Code != http.StatusOK {
+		t.Fatalf("zero constraint on %s: status %d, want 200: %s", endpoints[2], rec.Code, rec.Body)
 	}
 }

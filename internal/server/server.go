@@ -748,7 +748,7 @@ func (s *Server) servePartition(w http.ResponseWriter, r *http.Request, energy b
 			req.applyDefaultObjective()
 		}
 		var opts hybridpart.Options
-		if opts, httpErr = req.resolveOptions(); httpErr == nil {
+		if opts, httpErr = req.resolveOptions(energy); httpErr == nil {
 			cost := simCost(kind, opts)
 			if !energy {
 				httpErr = checkScoringCost(cost)
@@ -822,7 +822,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, httpErr)
 		return
 	}
-	opts, httpErr := req.resolveOptions()
+	opts, httpErr := req.resolveOptions(false)
 	if httpErr != nil {
 		s.writeError(w, httpErr)
 		return

@@ -317,8 +317,9 @@ func (r *PartitionRequest) validate(energy bool) *httpError {
 // Fingerprint covers — which is what keeps every knob combination a
 // distinct cache key. A knob set Options.Validate refuses is a 400 with
 // the validator's message, before the request is fingerprinted, looked up,
-// admitted, compiled or profiled.
-func (r *PartitionRequest) resolveOptions() (hybridpart.Options, *httpError) {
+// admitted, compiled or profiled; so is a zero timing constraint, unless
+// the request is an energy run, which never reads it.
+func (r *PartitionRequest) resolveOptions(energy bool) (hybridpart.Options, *httpError) {
 	if r.Options != nil && r.Preset != "" {
 		return hybridpart.Options{}, badRequest("\"preset\" and \"options\" are mutually exclusive")
 	}
@@ -364,6 +365,9 @@ func (r *PartitionRequest) resolveOptions() (hybridpart.Options, *httpError) {
 	}
 	if err := opts.Validate(); err != nil {
 		return hybridpart.Options{}, badRequest(err.Error())
+	}
+	if !energy && opts.Constraint == 0 {
+		return hybridpart.Options{}, badRequest("hybridpart: timing constraint must be positive, got 0")
 	}
 	return opts, nil
 }
