@@ -63,8 +63,8 @@ func TestDominators(t *testing.T) {
 			t.Errorf("b%d does not dominate itself", b.ID)
 		}
 	}
-	if dom.IDom(f.Entry) != f.Entry {
-		t.Errorf("IDom(entry) = %d", dom.IDom(f.Entry))
+	if dom.idom[f.Entry] != f.Entry {
+		t.Errorf("IDom(entry) = %d", dom.idom[f.Entry])
 	}
 }
 
@@ -82,7 +82,7 @@ func TestDominatorsDiamond(t *testing.T) {
 	b2.Term = ir.Terminator{Kind: ir.TermJump, Then: b3.ID}
 	b3.Term = ir.Terminator{Kind: ir.TermReturn}
 	dom := ComputeDominators(f)
-	if got := dom.IDom(b3.ID); got != b0.ID {
+	if got := dom.idom[b3.ID]; got != b0.ID {
 		t.Fatalf("IDom(join) = b%d, want b%d", got, b0.ID)
 	}
 	if dom.Dominates(b1.ID, b3.ID) || dom.Dominates(b2.ID, b3.ID) {

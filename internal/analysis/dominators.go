@@ -97,10 +97,6 @@ func ComputeDominators(f *ir.Function) *Dominators {
 	return d
 }
 
-// IDom returns the immediate dominator of b (entry's idom is itself);
-// NoBlock for unreachable blocks.
-func (d *Dominators) IDom(b ir.BlockID) ir.BlockID { return d.idom[b] }
-
 // Dominates reports whether a dominates b (reflexively).
 func (d *Dominators) Dominates(a, b ir.BlockID) bool {
 	if d.idom[b] == ir.NoBlock {

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -14,7 +15,7 @@ func TestHuffmanCanonicalSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidatePrefixFree(codes, 16); err != nil {
+	if err := validatePrefixFree(codes, 16); err != nil {
 		t.Fatal(err)
 	}
 	// Most frequent symbol gets the shortest code.
@@ -59,7 +60,7 @@ func TestHuffmanLengthLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidatePrefixFree(codes, 16); err != nil {
+	if err := validatePrefixFree(codes, 16); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -79,7 +80,7 @@ func TestHuffmanPrefixFreeQuick(t *testing.T) {
 			// hold, impossible at 64 symbols.
 			return false
 		}
-		return ValidatePrefixFree(codes, 16) == nil
+		return validatePrefixFree(codes, 16) == nil
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -97,7 +98,7 @@ func TestACDCTablesWellFormed(t *testing.T) {
 			codes[sym] = Code{Bits: uint32(acCode[sym]), Len: int(acLen[sym])}
 		}
 	}
-	if err := ValidatePrefixFree(codes, 16); err != nil {
+	if err := validatePrefixFree(codes, 16); err != nil {
 		t.Fatal(err)
 	}
 	// EOB, ZRL and every (run 0..15, size 1..10) symbol must have a code.
@@ -116,7 +117,7 @@ func TestACDCTablesWellFormed(t *testing.T) {
 	for cat := 0; cat < 12; cat++ {
 		dcm[cat] = Code{Bits: uint32(dcCode[cat]), Len: int(dcLen[cat])}
 	}
-	if err := ValidatePrefixFree(dcm, 9); err != nil {
+	if err := validatePrefixFree(dcm, 9); err != nil {
 		t.Fatal(err)
 	}
 	// Standard JPEG DC lengths.
@@ -383,4 +384,35 @@ func TestSourcesLowerAndFlatten(t *testing.T) {
 			t.Errorf("%s: suspiciously few blocks (%d)", tc.name, len(flat.Blocks))
 		}
 	}
+}
+
+// validatePrefixFree checks that no code is a prefix of another and that
+// every length is within [1, maxLen].
+func validatePrefixFree(codes map[int]Code, maxLen int) error {
+	type entry struct {
+		sym  int
+		code Code
+	}
+	var all []entry
+	for s, c := range codes {
+		if c.Len < 1 || c.Len > maxLen {
+			return fmt.Errorf("apps: symbol %d has length %d outside [1,%d]", s, c.Len, maxLen)
+		}
+		if c.Len < 32 && c.Bits>>uint(c.Len) != 0 {
+			return fmt.Errorf("apps: symbol %d code wider than its length", s)
+		}
+		all = append(all, entry{s, c})
+	}
+	for i := range all {
+		for j := range all {
+			if i == j {
+				continue
+			}
+			a, b := all[i].code, all[j].code
+			if a.Len <= b.Len && b.Bits>>uint(b.Len-a.Len) == a.Bits {
+				return fmt.Errorf("apps: code of %d is a prefix of %d", all[i].sym, all[j].sym)
+			}
+		}
+	}
+	return nil
 }

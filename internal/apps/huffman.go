@@ -158,37 +158,6 @@ func assignCanonical(lengths map[int]int) map[int]Code {
 	return out
 }
 
-// ValidatePrefixFree checks that no code is a prefix of another and that
-// every length is within [1, maxLen]; used by tests.
-func ValidatePrefixFree(codes map[int]Code, maxLen int) error {
-	type entry struct {
-		sym  int
-		code Code
-	}
-	var all []entry
-	for s, c := range codes {
-		if c.Len < 1 || c.Len > maxLen {
-			return fmt.Errorf("apps: symbol %d has length %d outside [1,%d]", s, c.Len, maxLen)
-		}
-		if c.Len < 32 && c.Bits>>uint(c.Len) != 0 {
-			return fmt.Errorf("apps: symbol %d code wider than its length", s)
-		}
-		all = append(all, entry{s, c})
-	}
-	for i := range all {
-		for j := range all {
-			if i == j {
-				continue
-			}
-			a, b := all[i].code, all[j].code
-			if a.Len <= b.Len && b.Bits>>uint(b.Len-a.Len) == a.Bits {
-				return fmt.Errorf("apps: code of %d is a prefix of %d", all[i].sym, all[j].sym)
-			}
-		}
-	}
-	return nil
-}
-
 func ceilLog2(n int) int {
 	k, v := 0, 1
 	for v < n {

@@ -233,7 +233,8 @@ func TestScheduleLegalityQuick(t *testing.T) {
 				memOps++
 			}
 		}
-		minByWidth := int64((nodes - memOps + cg.SlotsPerCycle() - 1) / cg.SlotsPerCycle())
+		slots := cg.NumCGCs * cg.Rows * cg.Cols
+		minByWidth := int64((nodes - memOps + slots - 1) / slots)
 		minByPorts := int64((memOps + cg.MemPorts - 1) / cg.MemPorts)
 		if s.Latency < minByWidth || s.Latency < minByPorts {
 			t.Logf("latency %d below lower bounds (%d, %d)", s.Latency, minByWidth, minByPorts)

@@ -66,20 +66,6 @@ type Profile struct {
 	Instrs uint64
 }
 
-// EdgeCount returns the taken count of edge u→v in function fn.
-func (p *Profile) EdgeCount(fn string, u, v ir.BlockID) uint64 {
-	return p.Edges[fn][Edge(u, v)]
-}
-
-// BlockCount returns the execution count of block id of function fn.
-func (p *Profile) BlockCount(fn string, id ir.BlockID) uint64 {
-	c := p.Counts[fn]
-	if int(id) >= len(c) {
-		return 0
-	}
-	return c[id]
-}
-
 // Trap is a runtime error with source context.
 type Trap struct {
 	Func string
@@ -166,17 +152,6 @@ func New(prog *ir.Program) *Machine {
 	return m
 }
 
-// ResetGlobals restores every global array to its declared initial value.
-func (m *Machine) ResetGlobals() {
-	for i, g := range m.prog.Globals {
-		buf := m.globals[i]
-		for j := range buf {
-			buf[j] = 0
-		}
-		copy(buf, g.Init)
-	}
-}
-
 // Global returns the live storage of the named global array (nil if absent).
 func (m *Machine) Global(name string) []int32 {
 	for i, g := range m.prog.Globals {
@@ -199,9 +174,6 @@ func (m *Machine) EnableProfile() *Profile {
 
 // Profile returns the attached profile, or nil.
 func (m *Machine) Profile() *Profile { return m.profile }
-
-// Steps returns the number of instructions executed so far.
-func (m *Machine) Steps() uint64 { return m.steps }
 
 // Run executes the named function with the given arguments and returns its
 // result (0 for void functions).

@@ -69,8 +69,8 @@ func TestGlobalsPersistAcrossRuns(t *testing.T) {
 	if v != 110+10 {
 		t.Fatalf("second run = %d, want 120", v)
 	}
-	// ResetGlobals restores the declared initial value.
-	m.ResetGlobals()
+	// A fresh machine starts from the declared initial value again.
+	m = New(p)
 	v, err = m.Run("f", Int(4))
 	if err != nil {
 		t.Fatal(err)
@@ -98,11 +98,11 @@ func TestEdgeProfile(t *testing.T) {
 			bodyID = b.ID
 		}
 	}
-	if got := prof.EdgeCount("f", bodyID, loopID); got != 5 {
+	if got := prof.Edges["f"][Edge(bodyID, loopID)]; got != 5 {
 		t.Fatalf("back edge count = %d, want 5", got)
 	}
 	// loop executed 6 times (5 taken + 1 exit).
-	if got := prof.BlockCount("f", loopID); got != 6 {
+	if got := prof.Counts["f"][loopID]; got != 6 {
 		t.Fatalf("loop count = %d, want 6", got)
 	}
 	// Edge key round-trip.
@@ -152,7 +152,7 @@ func TestStepsAccounting(t *testing.T) {
 	if _, err := m.Run("f", Int(3)); err != nil {
 		t.Fatal(err)
 	}
-	if m.Steps() == 0 {
+	if m.steps == 0 {
 		t.Fatal("no steps recorded")
 	}
 }
@@ -184,8 +184,8 @@ func TestRunContextStopsRunaway(t *testing.T) {
 	if _, err := m.RunContext(ctx, "spin"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned %v", err)
 	}
-	if m.Steps() > pollSteps+1 {
-		t.Fatalf("cancelled run took %d steps, want at most one poll interval (%d)", m.Steps(), pollSteps)
+	if m.steps > pollSteps+1 {
+		t.Fatalf("cancelled run took %d steps, want at most one poll interval (%d)", m.steps, pollSteps)
 	}
 
 	m = New(p)
@@ -198,8 +198,8 @@ func TestRunContextStopsRunaway(t *testing.T) {
 	if d := time.Since(start); d > 2*time.Second {
 		t.Fatalf("expired run stopped after %v", d)
 	}
-	if m.Steps() >= m.MaxSteps {
-		t.Fatalf("run hit the step limit (%d steps) instead of the deadline", m.Steps())
+	if m.steps >= m.MaxSteps {
+		t.Fatalf("run hit the step limit (%d steps) instead of the deadline", m.steps)
 	}
 
 	// The step limit still traps under a live context, at the same step.
@@ -207,15 +207,15 @@ func TestRunContextStopsRunaway(t *testing.T) {
 	m.MaxSteps = 3*pollSteps + 5
 	_, err := m.RunContext(context.Background(), "spin")
 	var trap *Trap
-	if !errors.As(err, &trap) || m.Steps() != m.MaxSteps+1 {
-		t.Fatalf("step limit under a context: err %v after %d steps", err, m.Steps())
+	if !errors.As(err, &trap) || m.steps != m.MaxSteps+1 {
+		t.Fatalf("step limit under a context: err %v after %d steps", err, m.steps)
 	}
 	withCtx := New(p)
 	withCtx.MaxSteps = m.MaxSteps
 	live, stop := context.WithCancel(context.Background())
 	defer stop()
-	if _, err := withCtx.RunContext(live, "spin"); !errors.As(err, &trap) || withCtx.Steps() != m.Steps() {
-		t.Fatalf("step limit under a cancellable context: err %v after %d steps, want trap after %d", err, withCtx.Steps(), m.Steps())
+	if _, err := withCtx.RunContext(live, "spin"); !errors.As(err, &trap) || withCtx.steps != m.steps {
+		t.Fatalf("step limit under a cancellable context: err %v after %d steps, want trap after %d", err, withCtx.steps, m.steps)
 	}
 }
 
@@ -575,7 +575,7 @@ func observe(c diffCase, profiled bool, run func(*Machine, context.Context, stri
 			o.Errs = append(o.Errs, err.Error())
 		}
 	}
-	o.Steps = m.Steps()
+	o.Steps = m.steps
 	o.Globals = m.globals
 	if prof != nil {
 		o.Counts, o.Edges, o.Instrs = prof.Counts, prof.Edges, prof.Instrs

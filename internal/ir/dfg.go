@@ -1,7 +1,5 @@
 package ir
 
-import "fmt"
-
 // DFG is the data-flow graph of one basic block: one node per instruction,
 // with edges for register def-use chains and conservative memory-order
 // dependences (same-array store→load, load→store, store→store) plus call
@@ -180,28 +178,5 @@ func (d *DFG) NodesAtLevel(lvl int) []int {
 // NumNodes returns the node count.
 func (d *DFG) NumNodes() int { return len(d.Succs) }
 
-// NumEdges returns the dependence edge count.
-func (d *DFG) NumEdges() int {
-	n := 0
-	for _, s := range d.Succs {
-		n += len(s)
-	}
-	return n
-}
-
 // Op returns the opcode of node i.
 func (d *DFG) Op(i int) Op { return d.Block.Instrs[i].Op }
-
-// CheckAcyclic verifies that every edge points forward in instruction order
-// (the construction invariant); it returns an error naming the first
-// violation, for use in tests and validation.
-func (d *DFG) CheckAcyclic() error {
-	for u, succs := range d.Succs {
-		for _, v := range succs {
-			if v <= u {
-				return fmt.Errorf("ir: DFG edge %d->%d is not forward", u, v)
-			}
-		}
-	}
-	return nil
-}

@@ -258,7 +258,7 @@ int f(int n) {
 	// condition block 11 times.
 	var sawBody, sawCond bool
 	for _, b := range f.Blocks {
-		c := prof.BlockCount("f", b.ID)
+		c := prof.Counts["f"][b.ID]
 		switch c {
 		case 10:
 			sawBody = true

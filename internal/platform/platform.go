@@ -153,10 +153,6 @@ type CoarseGrain struct {
 	RegBankWords int
 }
 
-// SlotsPerCycle returns the maximum number of ALU/MUL operations the whole
-// data-path can retire per CGC cycle.
-func (cg CoarseGrain) SlotsPerCycle() int { return cg.NumCGCs * cg.Rows * cg.Cols }
-
 // Comm characterizes fine↔coarse communication through the shared data
 // memory. Arrays live in the shared memory and are visible to both fabrics;
 // what crosses on every kernel invocation are its scalar live-ins/live-outs

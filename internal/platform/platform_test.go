@@ -60,10 +60,12 @@ func TestOpCostsLookup(t *testing.T) {
 	}
 }
 
+// TestSlotsPerCycle: the paper's data-path retires up to 12 ALU/MUL
+// operations per CGC cycle, 3 CGCs of 2×2 cells.
 func TestSlotsPerCycle(t *testing.T) {
-	p := Paper(1500, 3)
-	if got := p.Coarse.SlotsPerCycle(); got != 3*2*2 {
-		t.Fatalf("SlotsPerCycle = %d, want 12", got)
+	cg := Paper(1500, 3).Coarse
+	if got := cg.NumCGCs * cg.Rows * cg.Cols; got != 3*2*2 {
+		t.Fatalf("%d slots per cycle, want 12", got)
 	}
 }
 

@@ -56,7 +56,6 @@ type Input struct {
 	// Edges, shared read-only by every Replayer of the same profile; nil
 	// builds it for this Replayer.
 	Trace *Trace
-	Moved []ir.BlockID
 }
 
 // Trace is a profile's loop-compressed canonical trace and the number of
@@ -195,7 +194,7 @@ type Replayer struct {
 
 // NewReplayer validates the platform, reconstructs the canonical trace
 // (unless in.Trace supplies it) and computes the mapping-independent
-// tables. in.Moved is ignored — the mapping is chosen per Simulate call.
+// tables. The mapping is chosen per Simulate call.
 func NewReplayer(in Input) (*Replayer, error) {
 	if err := in.Plat.Validate(); err != nil {
 		return nil, err
@@ -302,17 +301,6 @@ func (cfg *Config) normalize() error {
 		cfg.Ports = 1
 	}
 	return nil
-}
-
-// Simulate replays the profiled trace of in against the given mapping under
-// cfg. It is deterministic: equal inputs produce equal reports. The context
-// is checked between frames and periodically inside each frame's replay.
-func Simulate(ctx context.Context, in Input, cfg Config) (*Report, error) {
-	r, err := NewReplayer(in)
-	if err != nil {
-		return nil, err
-	}
-	return r.Simulate(ctx, cfg, in.Moved)
 }
 
 // Arena is the reusable scratch of one replay: the moved mask, the per-block

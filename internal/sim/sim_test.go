@@ -78,6 +78,16 @@ int main_fn() {
 `
 
 // prep lowers src, flattens entry and profiles runsCount args-free runs.
+// simulate replays in's trace once, against the mapping that moves the
+// given blocks, on a fresh Replayer.
+func simulate(ctx context.Context, in Input, cfg Config, moved ...ir.BlockID) (*Report, error) {
+	r, err := NewReplayer(in)
+	if err != nil {
+		return nil, err
+	}
+	return r.Simulate(ctx, cfg, moved)
+}
+
 func prep(t *testing.T, src, entry string, runsCount int) (*ir.Program, *ir.Function, []uint64, []finegrain.EdgeFreq) {
 	t.Helper()
 	return prepInput(t, src, entry, runsCount, "", nil)
@@ -472,7 +482,7 @@ func TestBaselineMatchesPackedModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := pm.CrossedCycles(freq, pm.Crossings(freq, edges), plat.Fine.ReconfigCycles)
-		rep, err := Simulate(context.Background(), Input{Prog: fp, F: flat, Plat: plat, Freq: freq, Edges: edges}, Config{})
+		rep, err := simulate(context.Background(), Input{Prog: fp, F: flat, Plat: plat, Freq: freq, Edges: edges}, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -494,12 +504,12 @@ func TestBaselineMatchesPackedModel(t *testing.T) {
 // charges, and prefetch hides part of them — never running slower.
 func TestPrefetchHidesReconfiguration(t *testing.T) {
 	fp, flat, freq, edges := prep(t, threeStageSrc, "main_fn", 1)
-	in := Input{Prog: fp, F: flat, Plat: smallPlat(320), Freq: freq, Edges: edges, Moved: []ir.BlockID{5}}
-	off, err := Simulate(context.Background(), in, Config{})
+	in := Input{Prog: fp, F: flat, Plat: smallPlat(320), Freq: freq, Edges: edges}
+	off, err := simulate(context.Background(), in, Config{}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, err := Simulate(context.Background(), in, Config{Prefetch: true})
+	on, err := simulate(context.Background(), in, Config{Prefetch: true}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,18 +531,17 @@ func TestPrefetchNeverSlower(t *testing.T) {
 	fp, flat, freq, edges := prep(t, threeStageSrc, "main_fn", 1)
 	for afpga := 96; afpga <= 512; afpga += 32 {
 		for moved := 0; moved < len(flat.Blocks); moved++ {
-			in := Input{Prog: fp, F: flat, Plat: smallPlat(afpga), Freq: freq, Edges: edges,
-				Moved: []ir.BlockID{ir.BlockID(moved)}}
-			off, err := Simulate(context.Background(), in, Config{})
+			in := Input{Prog: fp, F: flat, Plat: smallPlat(afpga), Freq: freq, Edges: edges}
+			off, err := simulate(context.Background(), in, Config{}, ir.BlockID(moved))
 			if err != nil {
 				continue // unmappable moved block etc.
 			}
 			for _, frames := range []int{1, 5} {
-				off, err = Simulate(context.Background(), in, Config{Frames: frames})
+				off, err = simulate(context.Background(), in, Config{Frames: frames}, ir.BlockID(moved))
 				if err != nil {
 					t.Fatal(err)
 				}
-				on, err := Simulate(context.Background(), in, Config{Frames: frames, Prefetch: true})
+				on, err := simulate(context.Background(), in, Config{Frames: frames, Prefetch: true}, ir.BlockID(moved))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -547,16 +556,16 @@ func TestPrefetchNeverSlower(t *testing.T) {
 
 func TestFramesPipeline(t *testing.T) {
 	fp, flat, freq, edges := prep(t, threeStageSrc, "main_fn", 1)
-	in := Input{Prog: fp, F: flat, Plat: smallPlat(320), Freq: freq, Edges: edges, Moved: []ir.BlockID{5}}
-	single, err := Simulate(context.Background(), in, Config{})
+	in := Input{Prog: fp, F: flat, Plat: smallPlat(320), Freq: freq, Edges: edges}
+	single, err := simulate(context.Background(), in, Config{}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var frameEnds []int64
-	rep, err := Simulate(context.Background(), in, Config{
+	rep, err := simulate(context.Background(), in, Config{
 		Frames:  4,
 		OnFrame: func(frame int, cycles int64) { frameEnds = append(frameEnds, cycles) },
-	})
+	}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,12 +587,12 @@ func TestFramesPipeline(t *testing.T) {
 
 func TestPortsSpeedTransfers(t *testing.T) {
 	fp, flat, freq, edges := prep(t, threeStageSrc, "main_fn", 1)
-	in := Input{Prog: fp, F: flat, Plat: smallPlat(320), Freq: freq, Edges: edges, Moved: []ir.BlockID{5}}
-	one, err := Simulate(context.Background(), in, Config{Ports: 1})
+	in := Input{Prog: fp, F: flat, Plat: smallPlat(320), Freq: freq, Edges: edges}
+	one, err := simulate(context.Background(), in, Config{Ports: 1}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	four, err := Simulate(context.Background(), in, Config{Ports: 4})
+	four, err := simulate(context.Background(), in, Config{Ports: 4}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -597,13 +606,13 @@ func TestPortsSpeedTransfers(t *testing.T) {
 
 func TestSimulateDeterministic(t *testing.T) {
 	fp, flat, freq, edges := prep(t, threeStageSrc, "main_fn", 1)
-	in := Input{Prog: fp, F: flat, Plat: smallPlat(320), Freq: freq, Edges: edges, Moved: []ir.BlockID{5}}
+	in := Input{Prog: fp, F: flat, Plat: smallPlat(320), Freq: freq, Edges: edges}
 	cfg := Config{Frames: 3, Ports: 2, Prefetch: true}
-	a, err := Simulate(context.Background(), in, cfg)
+	a, err := simulate(context.Background(), in, cfg, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Simulate(context.Background(), in, cfg)
+	b, err := simulate(context.Background(), in, cfg, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -616,7 +625,7 @@ func TestSimulateCancellation(t *testing.T) {
 	fp, flat, freq, edges := prep(t, threeStageSrc, "main_fn", 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Simulate(ctx, Input{Prog: fp, F: flat, Plat: smallPlat(320), Freq: freq, Edges: edges},
+	_, err := simulate(ctx, Input{Prog: fp, F: flat, Plat: smallPlat(320), Freq: freq, Edges: edges},
 		Config{Frames: 2})
 	if err != context.Canceled {
 		t.Fatalf("cancelled simulation returned %v", err)
@@ -626,15 +635,13 @@ func TestSimulateCancellation(t *testing.T) {
 func TestSimulateErrors(t *testing.T) {
 	fp, flat, freq, edges := prep(t, threeStageSrc, "main_fn", 1)
 	in := Input{Prog: fp, F: flat, Plat: smallPlat(320), Freq: freq, Edges: edges}
-	if _, err := Simulate(context.Background(), in, Config{Frames: -1}); err == nil {
+	if _, err := simulate(context.Background(), in, Config{Frames: -1}); err == nil {
 		t.Error("negative frames accepted")
 	}
-	if _, err := Simulate(context.Background(), in, Config{Ports: -1}); err == nil {
+	if _, err := simulate(context.Background(), in, Config{Ports: -1}); err == nil {
 		t.Error("negative ports accepted")
 	}
-	bad := in
-	bad.Moved = []ir.BlockID{ir.BlockID(len(flat.Blocks))}
-	if _, err := Simulate(context.Background(), bad, Config{}); err == nil {
+	if _, err := simulate(context.Background(), in, Config{}, ir.BlockID(len(flat.Blocks))); err == nil {
 		t.Error("out-of-range moved block accepted")
 	}
 
@@ -642,9 +649,8 @@ func TestSimulateErrors(t *testing.T) {
 	// partitioning engine rejects it.
 	dp, dflat, dfreq, dedges := prep(t, divSrc, "main_fn", 1)
 	for id := range dflat.Blocks {
-		din := Input{Prog: dp, F: dflat, Plat: platform.Default(), Freq: dfreq, Edges: dedges,
-			Moved: []ir.BlockID{ir.BlockID(id)}}
-		if _, err := Simulate(context.Background(), din, Config{}); err != nil {
+		din := Input{Prog: dp, F: dflat, Plat: platform.Default(), Freq: dfreq, Edges: dedges}
+		if _, err := simulate(context.Background(), din, Config{}, ir.BlockID(id)); err != nil {
 			return // found the division block: rejected as expected
 		}
 	}
@@ -656,8 +662,8 @@ func TestSimulateErrors(t *testing.T) {
 // scale with the frame count.
 func TestKernelTimeline(t *testing.T) {
 	fp, flat, freq, edges := prep(t, threeStageSrc, "main_fn", 1)
-	in := Input{Prog: fp, F: flat, Plat: smallPlat(320), Freq: freq, Edges: edges, Moved: []ir.BlockID{5}}
-	rep, err := Simulate(context.Background(), in, Config{Frames: 2})
+	in := Input{Prog: fp, F: flat, Plat: smallPlat(320), Freq: freq, Edges: edges}
+	rep, err := simulate(context.Background(), in, Config{Frames: 2}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -687,10 +693,9 @@ func TestKernelTimeline(t *testing.T) {
 	}
 }
 
-// TestReplayerMatchesSimulate: the Replayer's per-mapping entry point is
-// the one-shot Simulate, mapping for mapping — and one Replayer serves many
-// mappings (the move-loop objective's access pattern) without rebuilding
-// the trace or the schedules.
+// TestReplayerMatchesSimulate: one Replayer serving many mappings (the
+// move-loop objective's access pattern) reports, mapping for mapping, what
+// a fresh Replayer reports, without rebuilding the trace or the schedules.
 func TestReplayerMatchesSimulate(t *testing.T) {
 	prog, flat, freq, edges := prep(t, threeStageSrc, "main_fn", 1)
 	in := Input{Prog: prog, F: flat, Plat: smallPlat(320), Freq: freq, Edges: edges}
@@ -711,8 +716,7 @@ func TestReplayerMatchesSimulate(t *testing.T) {
 		t.Fatalf("fixture yields only %d mappable sets", len(movedSets))
 	}
 	for _, moved := range movedSets {
-		in.Moved = moved
-		oneShot, err := Simulate(context.Background(), in, cfg)
+		oneShot, err := simulate(context.Background(), in, cfg, moved...)
 		if err != nil {
 			t.Fatalf("moved=%v: %v", moved, err)
 		}
@@ -721,7 +725,7 @@ func TestReplayerMatchesSimulate(t *testing.T) {
 			t.Fatalf("moved=%v: %v", moved, err)
 		}
 		if !reflect.DeepEqual(oneShot, reused) {
-			t.Fatalf("moved=%v: replayer diverges from one-shot Simulate:\n%+v\nvs\n%+v", moved, reused, oneShot)
+			t.Fatalf("moved=%v: reused replayer diverges from a fresh one:\n%+v\nvs\n%+v", moved, reused, oneShot)
 		}
 	}
 	// The token trace covers the whole profile: visit counts must match it
