@@ -218,6 +218,51 @@ func TestEnergyGolden(t *testing.T) {
 	}
 }
 
+// TestFormatGolden pins the text tables to testdata/format_golden.txt,
+// byte for byte: Result.Format for OFDM at the paper's evaluation point
+// (hpart's table) and SimReport.Format at the model's operating point, at
+// four prefetched frames on two regions, on the A5000 three-CGC platform
+// with two transfer ports, and at A1200 over eight frames on two regions
+// under the simulated objective. Regenerate the file only for a change
+// meant to move the tables.
+func TestFormatGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping benchmark compilation in -short mode")
+	}
+	const golden = "testdata/format_golden.txt"
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, prof, err := ProfileBenchmarkCached(BenchOFDM, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var got bytes.Buffer
+	res, err := mustEngine(t, WithConstraint(DefaultConstraint(BenchOFDM))).PartitionProfiled(ctx, app, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.WriteString(res.Format())
+	for _, opts := range [][]Option{
+		nil,
+		{WithSimFrames(4), WithSimPrefetch(true), WithRegions(2)},
+		{WithArea(5000), WithCGCs(3), WithSimPorts(2)},
+		{WithArea(1200), WithSimFrames(8), WithRegions(2), WithObjective(ObjectiveSimulated)},
+	} {
+		eng := mustEngine(t, append([]Option{WithConstraint(DefaultConstraint(BenchOFDM))}, opts...)...)
+		rep, err := eng.SimulateProfiled(ctx, app, prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.WriteString("\n" + rep.Format())
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("tables diverge from %s:\n--- got ---\n%s--- want ---\n%s", golden, got.Bytes(), want)
+	}
+}
+
 // TestTables23Golden pins the paper's Tables 2–3 grid (A_FPGA ∈ {1500,
 // 5000} × {2, 3} CGCs, seed 1) to committed Engine.Sweep CSV, byte for
 // byte. Regenerate testdata/ only for a change that is meant to move the

@@ -1,6 +1,47 @@
 package server
 
-import "testing"
+import (
+	"bytes"
+	"net/http"
+	"os"
+	"testing"
+)
+
+// TestReportWireGolden pins the response bytes of /v1/simulate and
+// /v1/partition-energy to testdata/, byte for byte: OFDM at the model's
+// operating point and at four prefetched frames on two regions, and the
+// OFDM energy run at a budget it meets and at one it cannot reach. The
+// bodies are what the cache stores and store.Disk persists, so a change to
+// the report types must leave them unmoved. Regenerate a file only for a
+// change meant to move the reports' numbers or schema.
+func TestReportWireGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping benchmark compilation in -short mode")
+	}
+	s := newTestServer(t, Config{})
+	for _, c := range []struct{ path, body, golden string }{
+		{"/v1/simulate", `{"benchmark":"ofdm","seed":1,"constraint":60000}`,
+			"testdata/simulate_ofdm.json"},
+		{"/v1/simulate", `{"benchmark":"ofdm","seed":1,"constraint":60000,"frames":4,"prefetch":true,"regions":2}`,
+			"testdata/simulate_ofdm_f4_prefetch_r2.json"},
+		{"/v1/partition-energy", `{"benchmark":"ofdm","seed":1,"energy_budget":1.2e7}`,
+			"testdata/energy_ofdm_met.json"},
+		{"/v1/partition-energy", `{"benchmark":"ofdm","seed":1,"energy_budget":1000}`,
+			"testdata/energy_ofdm_unmet.json"},
+	} {
+		rec := post(t, s, c.path, c.body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", c.path, c.body, rec.Code, rec.Body)
+		}
+		want, err := os.ReadFile(c.golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Errorf("%s %s diverges from %s:\n--- got ---\n%s--- want ---\n%s", c.path, c.body, c.golden, rec.Body, want)
+		}
+	}
+}
 
 // TestFingerprintPinned pins the cache key of fixed requests on every
 // endpoint that accepts them. The keys address both the in-memory cache and
