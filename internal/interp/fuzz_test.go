@@ -1,7 +1,8 @@
 package interp
 
 import (
-	"strings"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"hybridpart/internal/ir"
@@ -18,48 +19,19 @@ const fuzzMaxSteps = 20000
 // run's memory small.
 const fuzzMaxElems = 1 << 16
 
+// lowerSeedDir is the mini-C seed corpus internal/lower's FuzzLowerSource
+// reads.
+const lowerSeedDir = "../lower/testdata/seeds"
+
 // FuzzInterpSource compiles arbitrary mini-C source and runs every
 // parameter-less function of each accepted program, as lowered and
 // flattened, on the decoded interpreter and on the reference under a small
 // step limit. The two must agree on everything observable (return value,
 // trap, steps, globals, counts, edges, instruction count); a run may trap,
 // but must never panic or hang. The seeds are FuzzLowerSource's corpus
-// plus programs that reach each runtime trap.
+// (lowerSeedDir) plus programs that reach each runtime trap.
 func FuzzInterpSource(f *testing.F) {
 	seeds := []string{
-		`int f() { return 1; }`,
-		`const int N = 8;
-int A[N];
-int f(int n) {
-    int i;
-    int s = 0;
-    for (i = 0; i < n; i++) { A[i] = i * 3; s += A[i]; }
-    return s;
-}`,
-		`int g(int x) { return x > 0 ? x : -x; }
-int f() { return g(-4) + g(4); }`,
-		`int M[4][4];
-void init() {
-    int i; int j;
-    for (i = 0; i < 4; i++) { for (j = 0; j < 4; j++) { M[i][j] = i ^ j; } }
-}
-int f() { init(); return M[3][2]; }`,
-		`int f(int a, int b) {
-    int r = 0;
-    while (a > 0) { r += b; a--; }
-    if (r > 100 && b < 50 || a == 0) { r = r % 7; }
-    return r;
-}`,
-		``,
-		`not C at all`,
-		`int f( { return; }`,
-		`int f() { return zz; }`,
-		`int f() { int x = 1 / ; }`,
-		`int A[-1]; int f() { return A[0]; }`,
-		`int f() { f(); return f(1); }`,
-		"int f() { return 2147483647 + 1; }",
-		strings.Repeat("(", 100),
-		"int f() {" + strings.Repeat("{", 64) + strings.Repeat("}", 64) + "return 0; }",
 		// Runtime traps: division, remainder, bounds, the step limit.
 		`int G[2]; int f() { int z = G[0]; return 7 / z; }`,
 		`int f() { int m = -2147483647 - 1; int d = -1; return m % d; }`,
@@ -84,6 +56,7 @@ int f() { int i; int s = 0; for (i = 0; i <= N; i++) { s += A[i] * B[i]; } retur
 		`int A[4]; int f() { int i = 9; i = A[i]; return i; }`,
 		`int f() { int d = 0; d = 5 / d; return d; }`,
 	}
+	addSeeds(f, lowerSeedDir)
 	for _, s := range seeds {
 		f.Add(s)
 	}
@@ -123,4 +96,19 @@ func arrayElems(prog *ir.Program) int64 {
 		}
 	}
 	return n
+}
+
+// addSeeds adds every file of dir to f's seed corpus, in file-name order.
+func addSeeds(f *testing.F, dir string) {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, e := range ents {
+		src, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(src))
+	}
 }

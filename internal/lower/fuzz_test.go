@@ -1,7 +1,8 @@
 package lower
 
 import (
-	"strings"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -10,51 +11,9 @@ import (
 // invariant under fuzzing: LowerSource never panics, and whenever it
 // accepts an input, the produced program passes IR validation (CFG edge
 // consistency, operand sanity) and flattens cleanly from any function
-// without parameters.
+// without parameters. The seeds are the shared corpus in seedDir.
 func FuzzLowerSource(f *testing.F) {
-	seeds := []string{
-		// Well-formed programs spanning the supported constructs.
-		`int f() { return 1; }`,
-		`const int N = 8;
-int A[N];
-int f(int n) {
-    int i;
-    int s = 0;
-    for (i = 0; i < n; i++) { A[i] = i * 3; s += A[i]; }
-    return s;
-}`,
-		`int g(int x) { return x > 0 ? x : -x; }
-int f() { return g(-4) + g(4); }`,
-		`int M[4][4];
-void init() {
-    int i; int j;
-    for (i = 0; i < 4; i++) { for (j = 0; j < 4; j++) { M[i][j] = i ^ j; } }
-}
-int f() { init(); return M[3][2]; }`,
-		`int f(int a, int b) {
-    int r = 0;
-    while (a > 0) { r += b; a--; }
-    if (r > 100 && b < 50 || a == 0) { r = r % 7; }
-    return r;
-}`,
-		// Malformed inputs: the frontend must reject, not crash.
-		``,
-		`not C at all`,
-		`int f( { return; }`,
-		`int f() { return zz; }`,
-		`int f() { int x = 1 / ; }`,
-		`int A[-1]; int f() { return A[0]; }`,
-		`int f() { f(); return f(1); }`,
-		"int f() { return 2147483647 + 1; }",
-		strings.Repeat("(", 100),
-		"int f() {" + strings.Repeat("{", 64) + strings.Repeat("}", 64) + "return 0; }",
-	}
-	for _, s := range seeds {
-		f.Add(s)
-	}
-	for _, c := range scopingSources {
-		f.Add(c.src)
-	}
+	addSeeds(f, seedDir)
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := LowerSource(src)
 		if err != nil {
@@ -77,4 +36,25 @@ int f() { init(); return M[3][2]; }`,
 			}
 		}
 	})
+}
+
+// seedDir is the mini-C seed corpus FuzzLowerSource and the interpreter's
+// FuzzInterpSource share: well-formed programs spanning the supported
+// constructs, malformed inputs the front end must reject without crashing,
+// and the scope-*.c programs of TestScopingAndFolding.
+const seedDir = "testdata/seeds"
+
+// addSeeds adds every file of dir to f's seed corpus, in file-name order.
+func addSeeds(f *testing.F, dir string) {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, e := range ents {
+		src, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(src))
+	}
 }

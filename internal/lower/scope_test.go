@@ -2,6 +2,8 @@ package lower
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -34,65 +36,52 @@ func summary(src string) string {
 	return strings.Join(parts, " ")
 }
 
-// scopingSources are the programs of TestScopingAndFolding; FuzzLowerSource
-// seeds from them too.
-var scopingSources = []struct{ name, src, want string }{
+// scopingCases pair each scope-*.c program of the shared mini-C seed
+// corpus (seedDir) with what it declares and computes, or the error and
+// line it is refused with.
+var scopingCases = []struct{ name, want string }{
 	// A const resolves in the scope that declares it: a function's const
 	// neither sizes a later global array nor initializes a global const.
-	{"local const stays local",
-		"const int N = 4;\nint f() { const int N = 8; return N; }\nint A[N];\nconst int M = N;\nint g() { return M; }",
-		"A[4][] f()=8 g()=4"},
-	{"another function's const",
-		"int f() { const int Q = 3; return Q; }\nint B[Q];\nint g() { return 0; }",
-		`error 2:1: undefined: "Q"`},
-	{"local scalar shadows global const",
-		"const int N = 4;\nint f() { int N = 1; const int K = N + 1; return K; }",
-		"error 2:1: const K initializer is not a constant expression"},
-	{"local scalar shadows global const in an array initializer",
-		"const int N = 4;\nint f() { int N = 2; int v[2] = {N, 1}; return v[0]; }",
-		"f()=2"},
+	{"local-const-stays-local", "A[4][] f()=8 g()=4"},
+	{"another-functions-const", `error 2:1: undefined: "Q"`},
+	{"local-scalar-shadows-global-const", "error 2:1: const K initializer is not a constant expression"},
+	{"local-scalar-shadows-global-const-in-an-array-initializer", "f()=2"},
 	// The fold refuses exactly where the interpreter traps.
-	{"const division overflow",
-		"const int X = (-2147483647-1) / -1;\nint f() { return X; }",
-		"error 1:1: const X initializer is not a constant expression"},
-	{"run-time division overflow",
-		"int f() { return (-2147483647-1) / -1; }",
-		"f()=interp: trap in f (line 1): division overflow"},
-	{"const remainder overflow",
-		"const int X = (-2147483647-1) % -1;\nint f() { return X; }",
-		"error 1:1: const X initializer is not a constant expression"},
-	{"const division by zero",
-		"const int X = 7 / (3 - 3);\nint f() { return X; }",
-		"error 1:1: const X initializer is not a constant expression"},
-	{"global initializer overflow",
-		"int G[1] = {(-2147483647-1) / -1};\nint f() { return G[0]; }",
-		`error 1:1: global array "G" initializer must be constant`},
-	{"global initializer &&",
-		"int G[1] = {1 && 2};\nint f() { return G[0]; }",
-		"G[1][1] f()=1"},
-	{"local initializer &&",
-		"int f() { int G[1] = {1 && 2}; return G[0]; }",
-		"f()=1"},
+	{"const-division-overflow", "error 1:1: const X initializer is not a constant expression"},
+	{"run-time-division-overflow", "f()=interp: trap in f (line 1): division overflow"},
+	{"const-remainder-overflow", "error 1:1: const X initializer is not a constant expression"},
+	{"const-division-by-zero", "error 1:1: const X initializer is not a constant expression"},
+	{"global-initializer-overflow", `error 1:1: global array "G" initializer must be constant`},
+	{"global-initializer-and", "G[1][1] f()=1"},
+	{"local-initializer-and", "f()=1"},
 	// A skipped operand does not run, so it cannot trap.
-	{"&& skips a trap", "const int X = 0 && 1/0;\nint f() { return X; }", "f()=0"},
-	{"|| skips a trap", "int G[2] = {1 || 1/0, 0 || 5};\nint f() { return G[0]; }", "G[2][1 1] f()=1"},
-	{"|| runs a trap", "int G[1] = {0 || 1/0};\nint f() { return G[0]; }", `error 1:1: global array "G" initializer must be constant`},
-	{"?: skips a trap", "const int X = 1 ? 2 : 1/0;\nint f() { return X; }", "f()=2"},
-	{"?: checks the skipped arm's names", "const int X = 1 ? 2 : zz;\nint f() { return X; }", `error 1:1: undefined: "zz"`},
+	{"and-skips-a-trap", "f()=0"},
+	{"or-skips-a-trap", "G[2][1 1] f()=1"},
+	{"or-runs-a-trap", `error 1:1: global array "G" initializer must be constant`},
+	{"ternary-skips-a-trap", "f()=2"},
+	{"ternary-checks-the-skipped-arms-names", `error 1:1: undefined: "zz"`},
 	// Bodies see every global; global declarations only those above them.
-	{"body sees a later const", "int f() { int a[N]; return N; }\nconst int N = 4;", "f()=4"},
-	{"global sees no later const", "int A[N];\nconst int N = 4;\nvoid f() {}", `error 1:1: undefined: "N"`},
-	{"local const sizes a local array", "int f() { const int K = 2; int a[K][K]; a[1][1] = K; return a[1][1]; }", "f()=2"},
-	{"array as a dimension", "int a[4];\nint b[a];\nvoid f() {}", `error 2:1: array "a" used as a scalar value`},
+	{"body-sees-a-later-const", "f()=4"},
+	{"global-sees-no-later-const", `error 1:1: undefined: "N"`},
+	{"local-const-sizes-a-local-array", "f()=2"},
+	{"array-as-a-dimension", `error 2:1: array "a" used as a scalar value`},
 }
 
 // TestScopingAndFolding pins name resolution and constant folding across
 // scopes: the value each accepted program computes, or the error and line
 // of each refused one.
 func TestScopingAndFolding(t *testing.T) {
-	for _, c := range scopingSources {
-		if got := summary(c.src); got != c.want {
-			t.Errorf("%s:\n%s\ngot  %s\nwant %s", c.name, c.src, got, c.want)
+	files, err := filepath.Glob(filepath.Join(seedDir, "scope-*.c"))
+	if err != nil || len(files) != len(scopingCases) {
+		t.Fatalf("%d scope-*.c programs in %s for %d cases (err %v)", len(files), seedDir, len(scopingCases), err)
+	}
+	for _, c := range scopingCases {
+		src, err := os.ReadFile(filepath.Join(seedDir, "scope-"+c.name+".c"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := summary(string(src)); got != c.want {
+			t.Errorf("%s:\n%s\ngot  %s\nwant %s", c.name, src, got, c.want)
 		}
 	}
 }
