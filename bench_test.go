@@ -363,7 +363,7 @@ func BenchmarkEnergyPartitioning(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		red = res.ReductionPct()
+		red = res.ReductionPct
 	}
 	b.ReportMetric(red, "%energy-reduction")
 }
@@ -447,7 +447,7 @@ func BenchmarkRegions(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(rep.TotalCycles), "sim-makespan")
-			b.ReportMetric(rep.Speedup(), "sim-speedup")
+			b.ReportMetric(rep.Speedup, "sim-speedup")
 		})
 	}
 }

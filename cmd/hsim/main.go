@@ -31,7 +31,6 @@ import (
 	"hybridpart"
 	"hybridpart/internal/cliutil"
 	"hybridpart/internal/obs"
-	"hybridpart/internal/server"
 )
 
 const tool = cliutil.Tool("hsim")
@@ -98,7 +97,7 @@ func main() {
 	}
 	tool.Fatal(err)
 	if *jsonOut {
-		tool.Fatal(cliutil.WriteJSON(server.NewSimReportJSON(rep)))
+		tool.Fatal(cliutil.WriteJSON(rep))
 		return
 	}
 	fmt.Printf("application: %s (%d basic blocks, constraint %d)\n\n", w.Entry(), w.NumBlocks(), *constraint)

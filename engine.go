@@ -515,7 +515,7 @@ func (e *Engine) PartitionEnergyProfiled(ctx context.Context, a *App, p *RunProf
 	costs := energy.DefaultCosts()
 	seq := 0
 	cfg.Stop = func(rec *partition.Prefix) bool {
-		bd := EnergyBreakdown(energy.Evaluate(cfg.Tables, p.Freq, &rec.Pack, rec.Crossings, costs))
+		bd := energy.Evaluate(cfg.Tables, p.Freq, &rec.Pack, rec.Crossings, costs)
 		total := bd.Total()
 		met := total <= out.Budget
 		if rec.Block < 0 {
@@ -533,6 +533,7 @@ func (e *Engine) PartitionEnergyProfiled(ctx context.Context, a *App, p *RunProf
 	}
 	sc.prefixes = res.Prefixes
 	out.InitialEnergy, out.FinalEnergy = out.Initial.Total(), out.Final.Total()
+	out.ReductionPct = energyReductionPct(out.InitialEnergy, out.FinalEnergy)
 	out.Met = res.Met
 	out.Moved = blockIDsToInts(res.Moved)
 	out.Unmappable = blockIDsToInts(res.Unmappable)

@@ -226,7 +226,7 @@ func ExampleEngine_Simulate() {
 	fmt.Println("simulated cycles:", rep.TotalCycles)
 	fmt.Println("model cycles:", rep.Validation.ModelFinalCycles)
 	fmt.Println("exact:", rep.Validation.Exact)
-	fmt.Printf("speedup: %.3f\n", rep.Speedup())
+	fmt.Printf("speedup: %.3f\n", rep.Speedup)
 	// Output:
 	// simulated cycles: 47609
 	// model cycles: 47609
@@ -271,7 +271,7 @@ func ExampleEngine_PartitionEnergy() {
 			half = res
 		}
 		fmt.Printf("%-10.0f %-12.0f %-8v %-8d %.1f\n",
-			res.Budget, res.FinalEnergy, res.Met, len(res.Moved), res.ReductionPct())
+			res.Budget, res.FinalEnergy, res.Met, len(res.Moved), res.ReductionPct)
 	}
 	fmt.Printf("\nbreakdown at 50%% budget: fine=%.0f coarse=%.0f reconfig=%.0f comm=%.0f\n",
 		half.Final.Fine, half.Final.Coarse, half.Final.Reconfig, half.Final.Comm)

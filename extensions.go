@@ -1,6 +1,7 @@
 package hybridpart
 
 import (
+	"hybridpart/internal/energy"
 	"hybridpart/internal/ir"
 	"hybridpart/internal/pipeline"
 )
@@ -35,35 +36,31 @@ func (p PipelineModel) Report(frames []int) string { return p.m.Report(frames) }
 
 // EnergyBreakdown decomposes application energy by source (arbitrary
 // consistent units; see internal/energy for the characterization).
-type EnergyBreakdown struct {
-	Fine     float64
-	Coarse   float64
-	Reconfig float64
-	Comm     float64
-}
-
-// Total returns the summed energy.
-func (b EnergyBreakdown) Total() float64 { return b.Fine + b.Coarse + b.Reconfig + b.Comm }
+type EnergyBreakdown = energy.Breakdown
 
 // EnergyResult reports an energy-constrained partitioning run (the paper's
-// future work).
+// future work). Its JSON encoding is the body of POST /v1/partition-energy.
 type EnergyResult struct {
-	InitialEnergy float64
-	FinalEnergy   float64
-	Initial       EnergyBreakdown
-	Final         EnergyBreakdown
-	Budget        float64
-	Met           bool
-	Moved         []int
-	Unmappable    []int
+	InitialEnergy float64         `json:"initial_energy"`
+	FinalEnergy   float64         `json:"final_energy"`
+	Initial       EnergyBreakdown `json:"initial"`
+	Final         EnergyBreakdown `json:"final"`
+	Budget        float64         `json:"budget"`
+	Met           bool            `json:"met"`
+	// ReductionPct is the % energy reduction over the all-FPGA mapping, 0
+	// when InitialEnergy is 0.
+	ReductionPct float64 `json:"reduction_pct"`
+	Moved        []int   `json:"moved,omitempty"`
+	Unmappable   []int   `json:"unmappable,omitempty"`
 }
 
-// ReductionPct returns the % energy reduction over the all-FPGA mapping.
-func (r *EnergyResult) ReductionPct() float64 {
-	if r.InitialEnergy == 0 {
+// energyReductionPct is the % reduction from initial to final energy, 0 on
+// a zero initial energy.
+func energyReductionPct(initial, final float64) float64 {
+	if initial == 0 {
 		return 0
 	}
-	return 100 * (r.InitialEnergy - r.FinalEnergy) / r.InitialEnergy
+	return 100 * (initial - final) / initial
 }
 
 // blockIDsToInts converts block ids to the facade's plain ints (nil when

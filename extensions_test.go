@@ -23,13 +23,11 @@ func TestEnergyBreakdownTotal(t *testing.T) {
 }
 
 func TestEnergyReductionPctEdgeCases(t *testing.T) {
-	r := &EnergyResult{InitialEnergy: 0, FinalEnergy: 0}
-	if r.ReductionPct() != 0 {
-		t.Fatal("zero initial energy must report 0% reduction, not NaN")
+	if got := energyReductionPct(0, 0); got != 0 {
+		t.Fatalf("zero initial energy must report 0%% reduction, not %v", got)
 	}
-	r = &EnergyResult{InitialEnergy: 200, FinalEnergy: 50}
-	if got := r.ReductionPct(); got != 75 {
-		t.Fatalf("ReductionPct() = %v, want 75", got)
+	if got := energyReductionPct(200, 50); got != 75 {
+		t.Fatalf("energyReductionPct(200, 50) = %v, want 75", got)
 	}
 }
 

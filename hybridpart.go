@@ -15,7 +15,6 @@ import (
 	"hybridpart/internal/finegrain"
 	"hybridpart/internal/ir"
 	"hybridpart/internal/lower"
-	"hybridpart/internal/minic"
 	"hybridpart/internal/platform"
 	"hybridpart/internal/sim"
 )
@@ -103,13 +102,22 @@ func (a *App) newReplayer(ctx context.Context, p *RunProfile, plat platform.Plat
 	})
 }
 
+// MaxBlockInstrs bounds the instructions of one basic block of the
+// flattened (fully inlined) entry function; Compile enforces it once
+// inlining has fixed the block sizes. The coarse-grain list scheduler is
+// roughly quadratic in a block's size and runs on every block of a freshly
+// compiled application, so one huge straight-line block would make an
+// unbounded request. At the cap it schedules in a few milliseconds; the
+// built-in benchmarks' largest blocks hold about 50 instructions.
+const MaxBlockInstrs = 512
+
 // ErrBlockTooLarge reports a flattened basic block with more than
-// minic.MaxBlockInstrs instructions.
+// MaxBlockInstrs instructions.
 var ErrBlockTooLarge = errors.New("hybridpart: basic block too large")
 
 // Compile parses, checks and lowers mini-C source text, then flattens the
 // given entry function into the single CDFG the analysis and mapping steps
-// consume (the paper's step 1). A flattened block over minic.MaxBlockInstrs
+// consume (the paper's step 1). A flattened block over MaxBlockInstrs
 // instructions fails with ErrBlockTooLarge.
 func Compile(src, entry string) (*App, error) {
 	prog, err := lower.LowerSource(src)
@@ -121,9 +129,9 @@ func Compile(src, entry string) (*App, error) {
 		return nil, err
 	}
 	for _, b := range flat.Blocks {
-		if len(b.Instrs) > minic.MaxBlockInstrs {
+		if len(b.Instrs) > MaxBlockInstrs {
 			return nil, fmt.Errorf("%w: block %d (%s) of %s holds %d instructions after inlining, over the limit of %d",
-				ErrBlockTooLarge, b.ID, b.Name, entry, len(b.Instrs), minic.MaxBlockInstrs)
+				ErrBlockTooLarge, b.ID, b.Name, entry, len(b.Instrs), MaxBlockInstrs)
 		}
 	}
 	fprog := ir.NewProgram()
@@ -506,8 +514,7 @@ func (r *Result) ReductionPct() float64 {
 
 // Format renders the result in the layout of the paper's Tables 2–3. The
 // table is built on demand — sweeps produce thousands of Results whose
-// formatting would otherwise be wasted — and must stay byte-identical to
-// the internal engine's FormatTable.
+// formatting would otherwise be wasted.
 func (r *Result) Format() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Initial cycles (all-FPGA): %d\n", r.InitialCycles)

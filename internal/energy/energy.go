@@ -73,10 +73,10 @@ func (c *Costs) coarseOp(op ir.Op) float64 {
 
 // Breakdown decomposes the application energy by source.
 type Breakdown struct {
-	Fine     float64 // dynamic energy of FPGA-resident blocks
-	Coarse   float64 // dynamic energy of moved kernels
-	Reconfig float64 // FPGA reconfiguration energy
-	Comm     float64 // fabric-to-fabric transfers
+	Fine     float64 `json:"fine"`     // dynamic energy of FPGA-resident blocks
+	Coarse   float64 `json:"coarse"`   // dynamic energy of moved kernels
+	Reconfig float64 `json:"reconfig"` // FPGA reconfiguration energy
+	Comm     float64 `json:"comm"`     // fabric-to-fabric transfers
 }
 
 // Total returns the summed energy.

@@ -74,8 +74,8 @@ func TestPartitionMeetsBudget(t *testing.T) {
 	if res.FinalEnergy > budget {
 		t.Fatalf("final energy %f exceeds budget %f despite Met", res.FinalEnergy, budget)
 	}
-	if res.ReductionPct() <= 0 {
-		t.Fatalf("no energy reduction: %f%%", res.ReductionPct())
+	if res.ReductionPct <= 0 {
+		t.Fatalf("no energy reduction: %f%%", res.ReductionPct)
 	}
 }
 

@@ -1,14 +1,5 @@
 package minic
 
-// MaxBlockInstrs bounds the instructions of one basic block of the
-// flattened (fully inlined) entry function; hybridpart.Compile enforces it
-// once inlining has fixed the block sizes. The coarse-grain list scheduler
-// is roughly quadratic in a block's size and runs on every block of a
-// freshly compiled application, so one huge straight-line block would make
-// an unbounded request. At the cap it schedules in a few milliseconds; the
-// built-in benchmarks' largest blocks hold about 50 instructions.
-const MaxBlockInstrs = 512
-
 // Parser is a recursive-descent parser producing the AST. It checks syntax
 // only; names, types and constant values are the semantic pass's, in
 // package lower.

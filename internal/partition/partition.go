@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 
 	"hybridpart/internal/analysis"
 	"hybridpart/internal/coarsegrain"
@@ -241,15 +240,6 @@ type Result struct {
 	Prefixes []Prefix
 	// Packs counts the Figure 3 packings the run performed: one per record.
 	Packs int
-}
-
-// ReductionPct returns the % cycles reduction over the all-FPGA solution
-// (last row of Tables 2–3).
-func (r *Result) ReductionPct() float64 {
-	if r.InitialCycles == 0 {
-		return 0
-	}
-	return 100 * float64(r.InitialCycles-r.FinalCycles) / float64(r.InitialCycles)
 }
 
 // stop reports whether the loop stops at record p: cfg.Stop's verdict when
@@ -545,21 +535,4 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 	res.Met = best.Total <= cfg.Constraint
 	res.SimulatedCycles = bestSim
 	return res, nil
-}
-
-// FormatTable renders the result in the layout of the paper's Tables 2–3.
-func (r *Result) FormatTable() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Initial cycles (all-FPGA): %d\n", r.InitialCycles)
-	fmt.Fprintf(&sb, "Timing constraint:         %d\n", r.Constraint)
-	fmt.Fprintf(&sb, "Cycles in CGC:             %d\n", r.CyclesInCGC)
-	ids := make([]string, len(r.Moved))
-	for i, b := range r.Moved {
-		ids[i] = fmt.Sprintf("%d", b)
-	}
-	fmt.Fprintf(&sb, "BB no. moved:              %s\n", strings.Join(ids, ", "))
-	fmt.Fprintf(&sb, "Final cycles:              %d\n", r.FinalCycles)
-	fmt.Fprintf(&sb, "%% cycles reduction:        %.1f\n", r.ReductionPct())
-	fmt.Fprintf(&sb, "Constraint met:            %v\n", r.Met)
-	return sb.String()
 }

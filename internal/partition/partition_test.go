@@ -321,17 +321,6 @@ func TestMovingKernelReducesTFPGA(t *testing.T) {
 	}
 }
 
-func TestFormatTable(t *testing.T) {
-	p := prepare(t, hotLoopSrc, "f", interp.Int(4))
-	res := p.run(t, Config{Platform: platform.Paper(1500, 2), Constraint: 1})
-	out := res.FormatTable()
-	for _, want := range []string{"Initial cycles", "Cycles in CGC", "BB no. moved", "% cycles reduction"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table lacks %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestContextCancellationBetweenMoves(t *testing.T) {
 	p := prepare(t, hotLoopSrc, "f", interp.Int(4))
 

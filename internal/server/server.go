@@ -10,12 +10,13 @@
 // Endpoints:
 //
 //	POST /v1/partition         timing-constrained partitioning -> ResultJSON
-//	POST /v1/partition-energy  energy-constrained partitioning -> EnergyResultJSON
+//	POST /v1/partition-energy  energy-constrained partitioning ->
+//	                           hybridpart.EnergyResult JSON
 //	POST /v1/sweep             design-space sweep -> ResultSet JSON, or SSE
 //	                           cell-by-cell progress when the client sends
 //	                           Accept: text/event-stream
 //	POST /v1/simulate          discrete-event co-simulation of the computed
-//	                           partitioning -> SimReportJSON
+//	                           partitioning -> hybridpart.SimReport JSON
 //	GET  /healthz              liveness probe
 //	GET  /v1/presets           registered platform variants
 //	GET  /debug/stats          per-endpoint counters + cache statistics

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"hybridpart"
-	"hybridpart/internal/minic"
 )
 
 // firSrc is a small FIR filter in the mini-C subset: cheap to compile and
@@ -244,7 +243,7 @@ func TestPartitionBadRequests(t *testing.T) {
 	}
 	// A flattened block over the compile-time cap is a request over a
 	// size limit, like an oversized body: 400, naming the block.
-	huge := "int main_fn() { int s = 1; " + strings.Repeat("s += 3; ", minic.MaxBlockInstrs) + "return s; }"
+	huge := "int main_fn() { int s = 1; " + strings.Repeat("s += 3; ", hybridpart.MaxBlockInstrs) + "return s; }"
 	body, err := json.Marshal(map[string]any{"source": huge, "objective": "model"})
 	if err != nil {
 		t.Fatal(err)
@@ -418,7 +417,7 @@ func TestPartitionEnergy(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
-	var rj EnergyResultJSON
+	var rj hybridpart.EnergyResult
 	if err := json.Unmarshal(rec.Body.Bytes(), &rj); err != nil {
 		t.Fatal(err)
 	}
@@ -622,7 +621,7 @@ func TestSimulateParity(t *testing.T) {
 		t.Fatalf("service bytes != library bytes:\n%s\n%s", miss.Body, want)
 	}
 
-	var wire SimReportJSON
+	var wire hybridpart.SimReport
 	if err := json.Unmarshal(miss.Body.Bytes(), &wire); err != nil {
 		t.Fatal(err)
 	}
@@ -642,7 +641,7 @@ func TestSimulateExactDefaultKnobs(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
-	var wire SimReportJSON
+	var wire hybridpart.SimReport
 	if err := json.Unmarshal(rec.Body.Bytes(), &wire); err != nil {
 		t.Fatal(err)
 	}
@@ -1111,7 +1110,7 @@ func TestSimulateOptionsOverrideFrames(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
-	var wire SimReportJSON
+	var wire hybridpart.SimReport
 	if err := json.Unmarshal(rec.Body.Bytes(), &wire); err != nil {
 		t.Fatal(err)
 	}

@@ -75,59 +75,22 @@ func NewResultJSON(r *hybridpart.Result) ResultJSON {
 // serves exactly these bytes, which is what makes a cache hit byte-identical
 // to the library path.
 func MarshalResult(r *hybridpart.Result) ([]byte, error) {
-	b, err := json.Marshal(NewResultJSON(r))
+	return marshalLine(NewResultJSON(r))
+}
+
+// marshalLine is compact JSON of v plus a trailing newline.
+func marshalLine(v any) ([]byte, error) {
+	b, err := json.Marshal(v)
 	if err != nil {
 		return nil, err
 	}
 	return append(b, '\n'), nil
 }
 
-// EnergyBreakdownJSON is the wire form of hybridpart.EnergyBreakdown.
-type EnergyBreakdownJSON struct {
-	Fine     float64 `json:"fine"`
-	Coarse   float64 `json:"coarse"`
-	Reconfig float64 `json:"reconfig"`
-	Comm     float64 `json:"comm"`
-}
-
-// EnergyResultJSON is the wire form of hybridpart.EnergyResult.
-type EnergyResultJSON struct {
-	InitialEnergy float64             `json:"initial_energy"`
-	FinalEnergy   float64             `json:"final_energy"`
-	Initial       EnergyBreakdownJSON `json:"initial"`
-	Final         EnergyBreakdownJSON `json:"final"`
-	Budget        float64             `json:"budget"`
-	Met           bool                `json:"met"`
-	ReductionPct  float64             `json:"reduction_pct"`
-	Moved         []int               `json:"moved,omitempty"`
-	Unmappable    []int               `json:"unmappable,omitempty"`
-}
-
-// NewEnergyResultJSON converts a library EnergyResult to its wire form.
-func NewEnergyResultJSON(r *hybridpart.EnergyResult) EnergyResultJSON {
-	conv := func(b hybridpart.EnergyBreakdown) EnergyBreakdownJSON {
-		return EnergyBreakdownJSON{Fine: b.Fine, Coarse: b.Coarse, Reconfig: b.Reconfig, Comm: b.Comm}
-	}
-	return EnergyResultJSON{
-		InitialEnergy: r.InitialEnergy,
-		FinalEnergy:   r.FinalEnergy,
-		Initial:       conv(r.Initial),
-		Final:         conv(r.Final),
-		Budget:        r.Budget,
-		Met:           r.Met,
-		ReductionPct:  r.ReductionPct(),
-		Moved:         r.Moved,
-		Unmappable:    r.Unmappable,
-	}
-}
-
-// MarshalEnergyResult is MarshalResult for the energy-constrained engine.
+// MarshalEnergyResult is MarshalResult for the energy-constrained engine:
+// the library EnergyResult is its own wire form.
 func MarshalEnergyResult(r *hybridpart.EnergyResult) ([]byte, error) {
-	b, err := json.Marshal(NewEnergyResultJSON(r))
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
+	return marshalLine(r)
 }
 
 // PartitionRequest is the body of POST /v1/partition and
@@ -576,124 +539,11 @@ func (r *SimulateRequest) fingerprint(opts hybridpart.Options) string {
 	return r.PartitionRequest.fingerprint("simulate", opts)
 }
 
-// FabricUtilJSON is the wire form of hybridpart.FabricUtil.
-type FabricUtilJSON struct {
-	BusyCycles     int64   `json:"busy_cycles"`
-	ReconfigCycles int64   `json:"reconfig_cycles"`
-	IdleCycles     int64   `json:"idle_cycles"`
-	Utilization    float64 `json:"utilization"`
-}
-
-// SimKernelJSON is the wire form of hybridpart.SimKernel.
-type SimKernelJSON struct {
-	Block       int    `json:"block"`
-	Name        string `json:"name"`
-	Fabric      string `json:"fabric"`
-	Invocations uint64 `json:"invocations"`
-	BusyCycles  int64  `json:"busy_cycles"`
-	FirstStart  int64  `json:"first_start"`
-	LastEnd     int64  `json:"last_end"`
-}
-
-// SimValidationJSON is the wire form of hybridpart.SimValidation.
-type SimValidationJSON struct {
-	ModelInitialCycles int64    `json:"model_initial_cycles"`
-	ModelFinalCycles   int64    `json:"model_final_cycles"`
-	SimInitialCycles   int64    `json:"sim_initial_cycles"`
-	SimFinalCycles     int64    `json:"sim_final_cycles"`
-	ModelSpeedup       float64  `json:"model_speedup"`
-	SimSpeedup         float64  `json:"sim_speedup"`
-	SpeedupErrorPct    float64  `json:"speedup_error_pct"`
-	Exact              bool     `json:"exact"`
-	Notes              []string `json:"notes,omitempty"`
-}
-
-// SimReportJSON is the wire form of hybridpart.SimReport — the body of
-// POST /v1/simulate and of hsim -json.
-type SimReportJSON struct {
-	Frames               int               `json:"frames"`
-	Ports                int               `json:"ports"`
-	Prefetch             bool              `json:"prefetch"`
-	Regions              int               `json:"regions,omitempty"`
-	Objective            string            `json:"objective"`
-	Runs                 int               `json:"runs"`
-	TotalCycles          int64             `json:"total_cycles"`
-	BaselineCycles       int64             `json:"baseline_cycles"`
-	Speedup              float64           `json:"speedup"`
-	Fine                 FabricUtilJSON    `json:"fine"`
-	Coarse               FabricUtilJSON    `json:"coarse"`
-	Mem                  FabricUtilJSON    `json:"mem"`
-	Reconfigs            int64             `json:"reconfigs"`
-	ModelCrossings       int64             `json:"model_crossings"`
-	HiddenReconfigCycles int64             `json:"hidden_reconfig_cycles"`
-	Kernels              []SimKernelJSON   `json:"kernels,omitempty"`
-	Validation           SimValidationJSON `json:"validation"`
-}
-
-// NewSimReportJSON converts a library SimReport to its wire form.
-func NewSimReportJSON(r *hybridpart.SimReport) SimReportJSON {
-	conv := func(u hybridpart.FabricUtil) FabricUtilJSON {
-		return FabricUtilJSON{
-			BusyCycles:     u.BusyCycles,
-			ReconfigCycles: u.ReconfigCycles,
-			IdleCycles:     u.IdleCycles,
-			Utilization:    u.Utilization,
-		}
-	}
-	out := SimReportJSON{
-		Frames:               r.Frames,
-		Ports:                r.Ports,
-		Prefetch:             r.Prefetch,
-		Objective:            r.Objective.String(),
-		Runs:                 r.Runs,
-		TotalCycles:          r.TotalCycles,
-		BaselineCycles:       r.BaselineCycles,
-		Speedup:              r.Speedup(),
-		Fine:                 conv(r.Fine),
-		Coarse:               conv(r.Coarse),
-		Mem:                  conv(r.Mem),
-		Reconfigs:            r.Reconfigs,
-		ModelCrossings:       r.ModelCrossings,
-		HiddenReconfigCycles: r.HiddenReconfigCycles,
-		Validation: SimValidationJSON{
-			ModelInitialCycles: r.Validation.ModelInitialCycles,
-			ModelFinalCycles:   r.Validation.ModelFinalCycles,
-			SimInitialCycles:   r.Validation.SimInitialCycles,
-			SimFinalCycles:     r.Validation.SimFinalCycles,
-			ModelSpeedup:       r.Validation.ModelSpeedup,
-			SimSpeedup:         r.Validation.SimSpeedup,
-			SpeedupErrorPct:    r.Validation.SpeedupErrorPct,
-			Exact:              r.Validation.Exact,
-			Notes:              r.Validation.Notes,
-		},
-	}
-	if r.Regions > 1 {
-		// The monolithic context stays off the wire so R=1 reports remain
-		// byte-identical to the single-context schema.
-		out.Regions = r.Regions
-	}
-	for _, k := range r.Kernels {
-		out.Kernels = append(out.Kernels, SimKernelJSON{
-			Block:       k.Block,
-			Name:        k.Name,
-			Fabric:      k.Fabric,
-			Invocations: k.Invocations,
-			BusyCycles:  k.BusyCycles,
-			FirstStart:  k.FirstStart,
-			LastEnd:     k.LastEnd,
-		})
-	}
-	return out
-}
-
 // MarshalSimReport is MarshalResult for the co-simulator: the canonical
-// cached-and-served encoding of a simulation report.
+// cached-and-served encoding of a simulation report, which is its own wire
+// form.
 func MarshalSimReport(r *hybridpart.SimReport) ([]byte, error) {
-	b, err := json.Marshal(NewSimReportJSON(r))
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
+	return marshalLine(r)
 }
 
 // PresetJSON is one row of GET /v1/presets.

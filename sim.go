@@ -41,22 +41,22 @@ func (s SimSpec) normalized() SimSpec {
 // FabricUtil is one fabric's occupancy over the simulated makespan, in FPGA
 // cycles. Utilization is the busy fraction (reconfiguration time excluded).
 type FabricUtil struct {
-	BusyCycles     int64
-	ReconfigCycles int64
-	IdleCycles     int64
-	Utilization    float64
+	BusyCycles     int64   `json:"busy_cycles"`
+	ReconfigCycles int64   `json:"reconfig_cycles"`
+	IdleCycles     int64   `json:"idle_cycles"`
+	Utilization    float64 `json:"utilization"`
 }
 
 // SimKernel is one row of the per-kernel timeline: a basic block's
 // aggregate fabric occupancy across every simulated invocation.
 type SimKernel struct {
-	Block       int
-	Name        string
-	Fabric      string // "fine" or "coarse"
-	Invocations uint64
-	BusyCycles  int64
-	FirstStart  int64
-	LastEnd     int64
+	Block       int    `json:"block"`
+	Name        string `json:"name"`
+	Fabric      string `json:"fabric"` // "fine" or "coarse"
+	Invocations uint64 `json:"invocations"`
+	BusyCycles  int64  `json:"busy_cycles"`
+	FirstStart  int64  `json:"first_start"`
+	LastEnd     int64  `json:"last_end"`
 }
 
 // SimValidation compares the simulated execution against the analytical
@@ -64,67 +64,72 @@ type SimKernel struct {
 // frame without prefetch the two agree exactly; every deviation is a model
 // assumption the simulator does not share, spelled out in Notes.
 type SimValidation struct {
-	ModelInitialCycles int64
-	ModelFinalCycles   int64
-	SimInitialCycles   int64
-	SimFinalCycles     int64
+	ModelInitialCycles int64 `json:"model_initial_cycles"`
+	ModelFinalCycles   int64 `json:"model_final_cycles"`
+	SimInitialCycles   int64 `json:"sim_initial_cycles"`
+	SimFinalCycles     int64 `json:"sim_final_cycles"`
 	// ModelSpeedup and SimSpeedup are the initial/final cycle ratios;
 	// SpeedupErrorPct is the simulated speedup's deviation from the model's
 	// in percent.
-	ModelSpeedup    float64
-	SimSpeedup      float64
-	SpeedupErrorPct float64
+	ModelSpeedup    float64 `json:"model_speedup"`
+	SimSpeedup      float64 `json:"sim_speedup"`
+	SpeedupErrorPct float64 `json:"speedup_error_pct"`
 	// Exact reports cycle-for-cycle agreement on both the all-FPGA baseline
 	// and the partitioned mapping.
-	Exact bool
-	Notes []string
+	Exact bool     `json:"exact"`
+	Notes []string `json:"notes,omitempty"`
 }
 
 // SimReport is the outcome of a co-simulation: the partitioned mapping and
 // the all-FPGA baseline replayed on the simulated platform, plus the
-// validation against the analytical model.
+// validation against the analytical model. Its JSON encoding is the body of
+// POST /v1/simulate and of hsim -json.
 type SimReport struct {
-	Frames   int
-	Ports    int
-	Prefetch bool
+	Frames   int  `json:"frames"`
+	Ports    int  `json:"ports"`
+	Prefetch bool `json:"prefetch"`
 	// Regions is the number of independently reconfigurable fine-grain
-	// regions simulated (1 = the paper's monolithic context).
-	Regions int
-	// Objective is the move-loop objective the underlying partitioning run
-	// optimized (the simulated mapping is that run's choice).
-	Objective Objective
+	// regions simulated; 0 on the paper's monolithic context, which keeps
+	// the field off the wire.
+	Regions int `json:"regions,omitempty"`
+	// Objective names the move-loop objective the underlying partitioning
+	// run optimized (the simulated mapping is that run's choice).
+	Objective string `json:"objective"`
 	// Runs is the number of profiled executions folded into the replayed
 	// trace (one per Workload.Run call).
-	Runs int
+	Runs int `json:"runs"`
 
 	// TotalCycles is the simulated makespan of the partitioned mapping;
-	// BaselineCycles the simulated all-FPGA makespan. FPGA cycles.
-	TotalCycles    int64
-	BaselineCycles int64
+	// BaselineCycles the simulated all-FPGA makespan. FPGA cycles. Speedup
+	// is BaselineCycles/TotalCycles, 1 when TotalCycles is 0.
+	TotalCycles    int64   `json:"total_cycles"`
+	BaselineCycles int64   `json:"baseline_cycles"`
+	Speedup        float64 `json:"speedup"`
 
-	Fine   FabricUtil
-	Coarse FabricUtil
-	Mem    FabricUtil
+	Fine   FabricUtil `json:"fine"`
+	Coarse FabricUtil `json:"coarse"`
+	Mem    FabricUtil `json:"mem"`
 
 	// Reconfigs counts performed configuration loads across every frame;
 	// ModelCrossings is what the analytical model charges for the same
 	// mapping and frame count (its crossing term, once per frame).
-	Reconfigs      int64
-	ModelCrossings int64
+	Reconfigs      int64 `json:"reconfigs"`
+	ModelCrossings int64 `json:"model_crossings"`
 	// HiddenReconfigCycles is reconfiguration time overlapped with
 	// data-path execution by prefetch.
-	HiddenReconfigCycles int64
+	HiddenReconfigCycles int64 `json:"hidden_reconfig_cycles"`
 
-	Kernels    []SimKernel
-	Validation SimValidation
+	Kernels    []SimKernel   `json:"kernels,omitempty"`
+	Validation SimValidation `json:"validation"`
 }
 
-// Speedup returns the simulated baseline-over-partitioned speedup.
-func (r *SimReport) Speedup() float64 {
-	if r.TotalCycles == 0 {
+// simSpeedup is the baseline-over-partitioned speedup, 1 on an empty
+// makespan.
+func simSpeedup(baseline, total int64) float64 {
+	if total == 0 {
 		return 1
 	}
-	return float64(r.BaselineCycles) / float64(r.TotalCycles)
+	return float64(baseline) / float64(total)
 }
 
 // Format renders the report as a fixed-layout text table: headline cycles,
@@ -139,7 +144,7 @@ func (r *SimReport) Format() string {
 	}
 	fmt.Fprintf(&sb, "Simulated cycles (all-FPGA): %d\n", r.BaselineCycles)
 	fmt.Fprintf(&sb, "Simulated cycles (partitioned): %d\n", r.TotalCycles)
-	fmt.Fprintf(&sb, "Simulated speedup:         %.3f\n", r.Speedup())
+	fmt.Fprintf(&sb, "Simulated speedup:         %.3f\n", r.Speedup)
 	fmt.Fprintf(&sb, "Reconfigurations:          %d (model charges %d; %d cycles hidden by prefetch)\n",
 		r.Reconfigs, r.ModelCrossings, r.HiddenReconfigCycles)
 	fmt.Fprintf(&sb, "\n%-12s %12s %12s %12s %8s\n", "fabric", "busy", "reconfig", "idle", "util")
@@ -247,11 +252,11 @@ func (e *Engine) SimulateProfiled(ctx context.Context, a *App, p *RunProfile) (*
 		Frames:               spec.Frames,
 		Ports:                spec.Ports,
 		Prefetch:             spec.Prefetch,
-		Regions:              e.opts.platform().Fine.NumRegions(),
-		Objective:            e.opts.Objective,
+		Objective:            e.opts.Objective.String(),
 		Runs:                 part.Runs,
 		TotalCycles:          part.TotalCycles,
 		BaselineCycles:       base.TotalCycles,
+		Speedup:              simSpeedup(base.TotalCycles, part.TotalCycles),
 		Reconfigs:            part.Reconfigs,
 		ModelCrossings:       part.ModelCrossings,
 		HiddenReconfigCycles: part.HiddenReconfigCycles,
@@ -271,6 +276,9 @@ func (e *Engine) SimulateProfiled(ctx context.Context, a *App, p *RunProfile) (*
 			IdleCycles:  part.TotalCycles - part.MemBusy,
 			Utilization: util(part.MemBusy, part.TotalCycles),
 		},
+	}
+	if n := e.opts.platform().Fine.NumRegions(); n > 1 {
+		rep.Regions = n
 	}
 	for _, k := range part.Kernels {
 		rep.Kernels = append(rep.Kernels, SimKernel{
@@ -310,7 +318,7 @@ func validate(res *Result, rep *SimReport, spec SimSpec) SimValidation {
 	if modelFinal > 0 {
 		v.ModelSpeedup = float64(modelInitial) / float64(modelFinal)
 	}
-	v.SimSpeedup = rep.Speedup()
+	v.SimSpeedup = rep.Speedup
 	if v.ModelSpeedup > 0 {
 		v.SpeedupErrorPct = 100 * (v.SimSpeedup - v.ModelSpeedup) / v.ModelSpeedup
 	}

@@ -281,6 +281,21 @@ func TestSimulateSpecValidation(t *testing.T) {
 	}
 }
 
+// TestSimSpeedupZeroCycles pins the zero-makespan guard of
+// SimReport.Speedup: an empty makespan reports a speedup of 1, not Inf or
+// NaN.
+func TestSimSpeedupZeroCycles(t *testing.T) {
+	if got := simSpeedup(0, 0); got != 1 {
+		t.Fatalf("simSpeedup(0, 0) = %v, want 1", got)
+	}
+	if got := simSpeedup(500, 0); got != 1 {
+		t.Fatalf("simSpeedup(500, 0) = %v, want 1", got)
+	}
+	if got := simSpeedup(300, 200); got != 1.5 {
+		t.Fatalf("simSpeedup(300, 200) = %v, want 1.5", got)
+	}
+}
+
 // TestSimulateFormat pins the report renderer's load-bearing pieces: the
 // table always carries a validation section and the per-kernel timeline.
 func TestSimulateFormat(t *testing.T) {
