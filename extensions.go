@@ -35,7 +35,10 @@ func (p PipelineModel) Utilization() (fine, coarse float64) { return p.m.Utiliza
 func (p PipelineModel) Report(frames []int) string { return p.m.Report(frames) }
 
 // EnergyBreakdown decomposes application energy by source (arbitrary
-// consistent units; see internal/energy for the characterization).
+// consistent units; see internal/energy for the characterization): Fine
+// for the FPGA-resident blocks, Coarse for the moved kernels, Reconfig for
+// FPGA reconfiguration and Comm for fabric-to-fabric transfers. Total sums
+// them.
 type EnergyBreakdown = energy.Breakdown
 
 // EnergyResult reports an energy-constrained partitioning run (the paper's
