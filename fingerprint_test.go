@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"hybridpart/internal/apps"
 	"hybridpart/internal/platform"
 )
 
@@ -117,6 +118,24 @@ func TestSourceHash(t *testing.T) {
 	}
 	if w.App().SourceHash() != w.SourceHash() {
 		t.Fatal("App and Workload disagree on the source hash")
+	}
+}
+
+// TestBenchmarkSourceHashPinned pins the bytes of the two benchmark
+// sources. Their SourceHash is part of every benchmark cache key and every
+// disk-store key, so a source edit, down to one space, must be deliberate.
+func TestBenchmarkSourceHashPinned(t *testing.T) {
+	jpeg, err := apps.JPEGSource()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ name, src, want string }{
+		{"ofdm", apps.OFDMSource(), "afdbe265e6ba41a3d95c851150a7c4eb38368a4e1465f8e02f3a1a9f5734e16a"},
+		{"jpeg", jpeg, "f3bbd928a877c71ba73d84cca6abf239fdcab733ffe54b76ec5e1c6787d7ba1d"},
+	} {
+		if got := SourceHash(c.src); got != c.want {
+			t.Errorf("%s: SourceHash = %s, want %s", c.name, got, c.want)
+		}
 	}
 }
 
