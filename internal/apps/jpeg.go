@@ -1,6 +1,9 @@
 package apps
 
-import "fmt"
+import (
+	_ "embed"
+	"fmt"
+)
 
 // JPEGEntry is the entry function of the JPEG encoder source.
 const JPEGEntry = "jpeg_encode"
@@ -19,166 +22,12 @@ const (
 // Huffman entropy coding with MSB-first bit packing. The host writes
 // ImagePixels gray values (0..255) into IMAGE and reads the packed stream
 // from BITSTREAM with the emitted bit count in NBITS[0].
-func JPEGSource() (string, error) {
-	acCode, acLen, err := acCodes()
-	if err != nil {
-		return "", err
-	}
-	dcCode, dcLen := dcCodes()
-	src := fmt.Sprintf(`
-// Baseline JPEG encoder (luminance only, fixed point, int32).
-int IMAGE[%d];
-int BITSTREAM[%d];
-int NBITS[1];
-int PREVDC[1];
+//
+// The error is always nil; the signature is kept for existing callers.
+func JPEGSource() (string, error) { return jpegSrc, nil }
 
-int BLK[64];
-int TMP[64];
-int COEF[64];
-
-int DCTM[64] = %s;
-int QRECIP[64] = %s;
-int ZZ[64] = %s;
-int DCCODE[12] = %s;
-int DCLEN[12] = %s;
-int ACCODE[256] = %s;
-int ACLEN[256] = %s;
-
-// put_bits appends the low len bits of code to the stream, MSB first.
-void put_bits(int code, int len) {
-    int pos = NBITS[0];
-    int w = pos >> 5;
-    int off = pos & 31;
-    int rem = 32 - off;
-    if (len <= rem) {
-        BITSTREAM[w] = BITSTREAM[w] | (code << (rem - len));
-    } else {
-        int hi = len - rem;
-        BITSTREAM[w] = BITSTREAM[w] | (code >> hi);
-        BITSTREAM[w + 1] = BITSTREAM[w + 1] | (code << (32 - hi));
-    }
-    NBITS[0] = pos + len;
-}
-
-// bitsize returns the JPEG size category of v (bits of |v|).
-int bitsize(int v) {
-    int a = v;
-    int s = 0;
-    if (a < 0) { a = -a; }
-    while (a > 0) {
-        a >>= 1;
-        s++;
-    }
-    return s;
-}
-
-void encode_block(int bx, int by) {
-    int i;
-    int j;
-    int k;
-    // Load and level-shift the block.
-    for (i = 0; i < 8; i++) {
-        for (j = 0; j < 8; j++) {
-            BLK[i * 8 + j] = IMAGE[(by * 8 + i) * %d + bx * 8 + j] - 128;
-        }
-    }
-    // Row pass: TMP = DCTM x BLK, inner product fully unrolled as the DSP
-    // kernels the methodology targets are written (a wide multiply-add
-    // tree in a single basic block).
-    for (i = 0; i < 8; i++) {
-        int r = i * 8;
-        for (j = 0; j < 8; j++) {
-            int acc = ((DCTM[r] * BLK[j] + DCTM[r + 1] * BLK[8 + j])
-                     + (DCTM[r + 2] * BLK[16 + j] + DCTM[r + 3] * BLK[24 + j]))
-                    + ((DCTM[r + 4] * BLK[32 + j] + DCTM[r + 5] * BLK[40 + j])
-                     + (DCTM[r + 6] * BLK[48 + j] + DCTM[r + 7] * BLK[56 + j]));
-            TMP[r + j] = acc >> 12;
-        }
-    }
-    // Column pass: COEF = TMP x DCTM', same unrolled structure.
-    for (i = 0; i < 8; i++) {
-        int r = i * 8;
-        for (j = 0; j < 8; j++) {
-            int c = j * 8;
-            int acc = ((TMP[r] * DCTM[c] + TMP[r + 1] * DCTM[c + 1])
-                     + (TMP[r + 2] * DCTM[c + 2] + TMP[r + 3] * DCTM[c + 3]))
-                    + ((TMP[r + 4] * DCTM[c + 4] + TMP[r + 5] * DCTM[c + 5])
-                     + (TMP[r + 6] * DCTM[c + 6] + TMP[r + 7] * DCTM[c + 7]));
-            COEF[r + j] = acc >> 12;
-        }
-    }
-    // Quantize (reciprocal multiply, round-half-up) in zig-zag order.
-    for (i = 0; i < 64; i++) {
-        int v = COEF[ZZ[i]];
-        int neg = 0;
-        int q;
-        if (v < 0) {
-            neg = 1;
-            v = -v;
-        }
-        q = (v * QRECIP[ZZ[i]] + 32768) >> 16;
-        if (neg == 1) { q = -q; }
-        BLK[i] = q;
-    }
-    // DC: differential, category + amplitude.
-    int dc = BLK[0];
-    int diff = dc - PREVDC[0];
-    PREVDC[0] = dc;
-    int sz = bitsize(diff);
-    put_bits(DCCODE[sz], DCLEN[sz]);
-    if (sz > 0) {
-        int amp = diff;
-        if (diff < 0) { amp = diff + (1 << sz) - 1; }
-        amp &= (1 << sz) - 1;
-        put_bits(amp, sz);
-    }
-    // AC: run-length of zeros, ZRL for runs > 15, EOB for the tail.
-    int run = 0;
-    for (i = 1; i < 64; i++) {
-        int v = BLK[i];
-        if (v == 0) {
-            run++;
-        } else {
-            while (run > 15) {
-                put_bits(ACCODE[240], ACLEN[240]);
-                run -= 16;
-            }
-            int s2 = bitsize(v);
-            int sym = run * 16 + s2;
-            put_bits(ACCODE[sym], ACLEN[sym]);
-            int amp = v;
-            if (v < 0) { amp = v + (1 << s2) - 1; }
-            amp &= (1 << s2) - 1;
-            put_bits(amp, s2);
-            run = 0;
-        }
-    }
-    if (run > 0) {
-        put_bits(ACCODE[0], ACLEN[0]);
-    }
-}
-
-void jpeg_encode() {
-    int bx;
-    int by;
-    int i;
-    NBITS[0] = 0;
-    PREVDC[0] = 0;
-    for (i = 0; i < %d; i++) { BITSTREAM[i] = 0; }
-    for (by = 0; by < %d; by++) {
-        for (bx = 0; bx < %d; bx++) {
-            encode_block(bx, by);
-        }
-    }
-}
-`,
-		ImagePixels, BitstreamWords,
-		initList(dctMatrixQ12()), initList(quantRecip()), initList(zigzag),
-		initList(dcCode), initList(dcLen), initList(acCode), initList(acLen),
-		ImageDim,
-		BitstreamWords, ImageDim/BlockDim, ImageDim/BlockDim)
-	return src, nil
-}
+//go:embed src/jpeg.c
+var jpegSrc string
 
 // JPEGReference is the bit-exact Go implementation of JPEGSource. It
 // consumes ImagePixels gray values and returns the packed bitstream words
@@ -187,13 +36,11 @@ func JPEGReference(image []int32) (stream []int32, nbits int32, err error) {
 	if len(image) != ImagePixels {
 		return nil, 0, fmt.Errorf("apps: JPEG needs %d pixels, got %d", ImagePixels, len(image))
 	}
-	acCode, acLen, err := acCodes()
-	if err != nil {
-		return nil, 0, err
-	}
-	dcCode, dcLen := dcCodes()
-	dctm := dctMatrixQ12()
-	qrecip := quantRecip()
+	acCode, acLen := table(jpegSrc, "ACCODE"), table(jpegSrc, "ACLEN")
+	dcCode, dcLen := table(jpegSrc, "DCCODE"), table(jpegSrc, "DCLEN")
+	dctm := table(jpegSrc, "DCTM")
+	qrecip := table(jpegSrc, "QRECIP")
+	zigzag := table(jpegSrc, "ZZ")
 
 	stream = make([]int32, BitstreamWords)
 	var pos int32

@@ -1,6 +1,9 @@
 package apps
 
-import "fmt"
+import (
+	_ "embed"
+	"fmt"
+)
 
 // OFDMEntry is the entry function of the OFDM transmitter source.
 const OFDMEntry = "ofdm_tx"
@@ -18,116 +21,10 @@ const (
 // cyclic-prefix insertion — the QAM + IFFT + cyclic prefix chain the paper
 // evaluates. The host writes OFDMTotalBits 0/1 values into BITS and reads
 // OFDMSymbols×SymbolSamples Q-format samples from OUT_I/OUT_Q.
-func OFDMSource() string {
-	twr, twi := twiddles()
-	return fmt.Sprintf(`
-// IEEE 802.11a OFDM transmitter front-end (fixed point, int32).
-const int NSYM = %d;
+func OFDMSource() string { return ofdmSrc }
 
-int BITS[%d];
-int OUT_I[%d];
-int OUT_Q[%d];
-
-int FR[64];
-int FI[64];
-int XR[64];
-int XI[64];
-
-int QLUT[4] = %s;
-int DBIN[48] = %s;
-int PBIN[4] = %s;
-int BRV[64] = %s;
-int TWR[32] = %s;
-int TWI[32] = %s;
-
-// qam_map fills the frequency-domain symbol: 48 data subcarriers from
-// Gray-coded 16-QAM plus 4 BPSK pilots; DC and guard bins stay zero.
-void qam_map(int sym) {
-    int k;
-    int c;
-    for (k = 0; k < 64; k++) {
-        FR[k] = 0;
-        FI[k] = 0;
-    }
-    for (c = 0; c < 48; c++) {
-        int base = sym * 192 + c * 4;
-        int bi = BITS[base] + 2 * BITS[base + 1];
-        int bq = BITS[base + 2] + 2 * BITS[base + 3];
-        int bin = DBIN[c];
-        FR[bin] = QLUT[bi];
-        FI[bin] = QLUT[bq];
-    }
-    for (k = 0; k < 4; k++) {
-        FR[PBIN[k]] = %d;
-        FI[PBIN[k]] = 0;
-    }
-}
-
-// ifft64 is the radix-2 decimation-in-time IFFT with Q14 twiddles and a
-// >>1 scaling per stage (exact 1/64 normalization over six stages).
-void ifft64() {
-    int i;
-    int s;
-    for (i = 0; i < 64; i++) {
-        int r = BRV[i];
-        XR[i] = FR[r];
-        XI[i] = FI[r];
-    }
-    for (s = 1; s <= 6; s++) {
-        int m = 1 << s;
-        int h = m >> 1;
-        int step = 64 >> s;
-        int k;
-        for (k = 0; k < 64; k += m) {
-            int j;
-            for (j = 0; j < h; j++) {
-                int w = j * step;
-                int wr = TWR[w];
-                int wi = TWI[w];
-                int br = XR[k + j + h];
-                int bi = XI[k + j + h];
-                int tr = (wr * br - wi * bi) >> 14;
-                int ti = (wr * bi + wi * br) >> 14;
-                int ar = XR[k + j];
-                int ai = XI[k + j];
-                XR[k + j] = (ar + tr) >> 1;
-                XI[k + j] = (ai + ti) >> 1;
-                XR[k + j + h] = (ar - tr) >> 1;
-                XI[k + j + h] = (ai - ti) >> 1;
-            }
-        }
-    }
-}
-
-// add_cp emits the cyclic prefix (last 16 time samples) then the symbol.
-void add_cp(int sym) {
-    int i;
-    int base = sym * 80;
-    for (i = 0; i < 16; i++) {
-        OUT_I[base + i] = XR[48 + i];
-        OUT_Q[base + i] = XI[48 + i];
-    }
-    for (i = 0; i < 64; i++) {
-        OUT_I[base + 16 + i] = XR[i];
-        OUT_Q[base + 16 + i] = XI[i];
-    }
-}
-
-void ofdm_tx() {
-    int sym;
-    for (sym = 0; sym < NSYM; sym++) {
-        qam_map(sym);
-        ifft64();
-        add_cp(sym);
-    }
-}
-`,
-		OFDMSymbols,
-		OFDMTotalBits, OFDMSymbols*SymbolSamples, OFDMSymbols*SymbolSamples,
-		initList(qamLUT[:]), initList(dataBins()), initList(pilotBins()),
-		initList(bitrev64()), initList(twr), initList(twi),
-		pilotAmp)
-}
+//go:embed src/ofdm.c
+var ofdmSrc string
 
 // OFDMReference is the bit-exact Go implementation of OFDMSource: it
 // consumes OFDMTotalBits 0/1 values and returns the I and Q sample streams
@@ -136,10 +33,11 @@ func OFDMReference(bits []int32) (outI, outQ []int32, err error) {
 	if len(bits) != OFDMTotalBits {
 		return nil, nil, fmt.Errorf("apps: OFDM needs %d bits, got %d", OFDMTotalBits, len(bits))
 	}
-	dbin := dataBins()
-	pbin := pilotBins()
-	brv := bitrev64()
-	twr, twi := twiddles()
+	qlut := table(ofdmSrc, "QLUT")
+	dbin := table(ofdmSrc, "DBIN")
+	pbin := table(ofdmSrc, "PBIN")
+	brv := table(ofdmSrc, "BRV")
+	twr, twi := table(ofdmSrc, "TWR"), table(ofdmSrc, "TWI")
 
 	outI = make([]int32, OFDMSymbols*SymbolSamples)
 	outQ = make([]int32, OFDMSymbols*SymbolSamples)
@@ -155,8 +53,8 @@ func OFDMReference(bits []int32) (outI, outQ []int32, err error) {
 			bi := bits[base] + 2*bits[base+1]
 			bq := bits[base+2] + 2*bits[base+3]
 			bin := dbin[c]
-			fr[bin] = qamLUT[bi]
-			fi[bin] = qamLUT[bq]
+			fr[bin] = qlut[bi]
+			fi[bin] = qlut[bq]
 		}
 		for k := 0; k < 4; k++ {
 			fr[pbin[k]] = pilotAmp
