@@ -220,7 +220,7 @@ func BenchmarkDynamicAnalysisOFDM(b *testing.B) {
 	}
 }
 
-// --- Ablation benches (design choices called out in DESIGN.md §6) ---
+// --- Ablation benches: each varies one design choice of the model ---
 
 // BenchmarkAblationKernelOrder compares the paper's eq. 1 ordering against
 // frequency-only and static-weight-only orderings at a fixed move budget.
