@@ -54,13 +54,13 @@ func lookupBenchmark(name string) (benchmarkDef, bool) {
 	return benchmarkDef{}, false
 }
 
-// compile compiles the benchmark's source into an App.
+// compile returns the benchmark's App from the compiled-App memo.
 func (d benchmarkDef) compile() (*App, error) {
 	src, err := d.source()
 	if err != nil {
 		return nil, err
 	}
-	return Compile(src, d.entry)
+	return compileCached(src, d.entry)
 }
 
 // Benchmarks returns the names of the built-in benchmarks accepted by

@@ -168,8 +168,11 @@
 // appended without reflection or fmt and byte for byte the lines a
 // reflective walk prints, so stored keys never move — and sweep progress
 // streams to clients as server-sent events via WriteSSE. POST /v1/simulate
-// serves the co-simulator through the same cache. See the README's
-// "Running as a service" section.
+// serves the co-simulator through the same cache. Below the cache,
+// NewWorkload takes compiled Apps from a bounded memo keyed on SourceHash
+// and the entry, so a repeated inline source is compiled once and profiled
+// afresh on each request's inputs. See the README's "Running as a service"
+// section.
 //
 // The store behind the cache is pluggable (internal/store): the default
 // in-memory LRU, or a disk-backed content-addressed store (-cache-dir) so

@@ -120,6 +120,11 @@ var ErrBlockTooLarge = errors.New("hybridpart: basic block too large")
 // consume (the paper's step 1). A flattened block over MaxBlockInstrs
 // instructions fails with ErrBlockTooLarge.
 func Compile(src, entry string) (*App, error) {
+	return compile(src, SourceHash(src), entry)
+}
+
+// compile is Compile with the source's hash already computed.
+func compile(src, hash, entry string) (*App, error) {
 	prog, err := lower.LowerSource(src)
 	if err != nil {
 		return nil, err
@@ -144,7 +149,7 @@ func Compile(src, entry string) (*App, error) {
 	}
 	// The loop analysis rewrites flat's edge lists, so it runs here, before
 	// the App can be shared.
-	return &App{entry: entry, srcHash: SourceHash(src), flat: flat, fprog: fprog,
+	return &App{entry: entry, srcHash: hash, flat: flat, fprog: fprog,
 		structure: analysis.NewStructure(flat)}, nil
 }
 

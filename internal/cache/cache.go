@@ -90,28 +90,26 @@ func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func() ([]
 	var cl *call
 	coalesced := false // count each caller at most once, however often it retries
 	for {
+		// A stored entry needs no in-flight record: probe the backend
+		// first, outside the map lock so backend I/O (a disk read) never
+		// serializes unrelated keys.
+		if val, ok := c.probe(ctx, key); ok {
+			c.hit(span)
+			return val, true, nil
+		}
 		c.mu.Lock()
 		waiting, ok := c.inflight[key]
 		if !ok {
-			// We lead for this key. Register before probing the backend so
-			// concurrent callers coalesce onto us whichever way the probe
-			// goes; probe outside the map lock so backend I/O (a disk read)
-			// never serializes unrelated keys.
+			// We lead for this key. Concurrent callers coalesce onto us from
+			// here on; probe again, since a leader may have stored the entry
+			// and left between our first probe and this registration.
 			cl = &call{done: make(chan struct{})}
 			c.inflight[key] = cl
 			c.mu.Unlock()
-			_, gs := obs.Start(ctx, "store.get")
-			val, ok := c.be.Get(key)
-			gs.Set(obs.Bool("hit", ok))
-			gs.End()
-			if ok {
-				c.mu.Lock()
-				c.stats.Hits++
-				c.mu.Unlock()
+			if val, ok := c.probe(ctx, key); ok {
 				cl.val = val
 				c.finish(ctx, key, cl, false) // already stored
-				span.Set(obs.String("role", "stored"), obs.Bool("hit", true))
-				span.End()
+				c.hit(span)
 				return val, true, nil
 			}
 			c.mu.Lock()
@@ -129,11 +127,12 @@ func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func() ([]
 			if isContextErr(waiting.err) && ctx.Err() == nil {
 				continue // the leader's cancellation, not ours: retry
 			}
-			span.Set(obs.String("role", "waiter"), obs.Bool("hit", true))
-			span.End()
+			endLookup(span, "waiter", true)
 			return waiting.val, true, waiting.err
 		case <-ctx.Done():
-			span.Set(obs.String("role", "waiter"), obs.Bool("hit", false), obs.String("error", ctx.Err().Error()))
+			if span != nil {
+				span.Set(obs.String("role", "waiter"), obs.Bool("hit", false), obs.String("error", ctx.Err().Error()))
+			}
 			span.End()
 			return nil, false, ctx.Err()
 		}
@@ -146,16 +145,43 @@ func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func() ([]
 		if !completed {
 			cl.err = fmt.Errorf("cache: compute for %q panicked", key)
 			c.finish(ctx, key, cl, false)
-			span.Set(obs.String("role", "leader"), obs.Bool("hit", false))
-			span.End()
+			endLookup(span, "leader", false)
 		}
 	}()
 	cl.val, cl.err = compute()
 	completed = true
 	c.finish(ctx, key, cl, cl.err == nil)
-	span.Set(obs.String("role", "leader"), obs.Bool("hit", false))
-	span.End()
+	endLookup(span, "leader", false)
 	return cl.val, false, cl.err
+}
+
+// probe reads key from the backend under a store.get span.
+func (c *Cache) probe(ctx context.Context, key string) ([]byte, bool) {
+	_, gs := obs.Start(ctx, "store.get")
+	val, ok := c.be.Get(key)
+	if gs != nil {
+		gs.Set(obs.Bool("hit", ok))
+	}
+	gs.End()
+	return val, ok
+}
+
+// hit counts a lookup served from a stored entry and ends its span.
+func (c *Cache) hit(span *obs.Span) {
+	c.mu.Lock()
+	c.stats.Hits++
+	c.mu.Unlock()
+	endLookup(span, "stored", true)
+}
+
+// endLookup ends a cache.lookup span with its singleflight role. The
+// attributes are built only on a live span: boxing them costs allocations
+// that a disabled trace should not pay.
+func endLookup(span *obs.Span, role string, hit bool) {
+	if span != nil {
+		span.Set(obs.String("role", role), obs.Bool("hit", hit))
+	}
+	span.End()
 }
 
 // isContextErr reports whether err is a context cancellation or deadline

@@ -319,3 +319,46 @@ func TestDiskBackend(t *testing.T) {
 		t.Fatalf("warm stats: %+v", s)
 	}
 }
+
+// raceBackend runs a hook inside its first Get of each key, after the
+// backend has been read: the window between a caller's probe and its
+// in-flight registration.
+type raceBackend struct {
+	store.Backend
+	hook func(key string)
+	seen map[string]bool
+}
+
+func (b *raceBackend) Get(key string) ([]byte, bool) {
+	v, ok := b.Backend.Get(key)
+	if !b.seen[key] {
+		b.seen[key] = true
+		b.hook(key)
+	}
+	return v, ok
+}
+
+// TestStoreBetweenProbes: a leader that stores the entry and leaves between
+// a caller's first probe and its registration leaves the caller a stored
+// entry, which it serves as a hit without computing again.
+func TestStoreBetweenProbes(t *testing.T) {
+	be := &raceBackend{Backend: store.NewMemory(4), seen: map[string]bool{}}
+	c := NewBacked(be)
+	calls := 0
+	compute := func() ([]byte, error) { calls++; return bs("v"), nil }
+	be.hook = func(key string) {
+		if _, hit, err := c.GetOrCompute(context.Background(), key, compute); hit || err != nil {
+			t.Errorf("inner lookup: hit %v, err %v", hit, err)
+		}
+	}
+	v, hit, err := c.GetOrCompute(context.Background(), "k", compute)
+	if err != nil || !hit || string(v) != "v" {
+		t.Fatalf("outer lookup: got (%q, %v, %v), want a hit on the stored entry", v, hit, err)
+	}
+	if calls != 1 {
+		t.Fatalf("compute ran %d times, want 1", calls)
+	}
+	if s := c.Stats(); s.Hits != 1 || s.Misses != 1 {
+		t.Fatalf("stats: %+v", s)
+	}
+}

@@ -282,6 +282,9 @@ func (l *lowerer) lowerGlobal(d *minic.VarDecl) error {
 	if err := g.declare(d.Name, d.Line, binding{kind: bindArray, arr: id, innerDim: inner}); err != nil {
 		return err
 	}
+	if len(d.ArrInit) == 0 {
+		return nil // Init stays nil: the array starts all zero
+	}
 	// No code runs at global scope, so every element must fold.
 	init := make([]int32, len(d.ArrInit))
 	for i, e := range d.ArrInit {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -320,6 +321,34 @@ int f() { return poly(data, 3); }`
 	}
 	if want != 36 {
 		t.Fatalf("poly = %d, want 36", want)
+	}
+}
+
+// TestArrayInitOptional pins ir.ArrayDecl's contract that Init is
+// optional: an array declared without an initializer, global or local,
+// keeps Init nil, and one declared with an initializer keeps its values.
+func TestArrayInitOptional(t *testing.T) {
+	prog, err := LowerSource(`
+int G[4];
+int H[4] = {1, 2};
+int f() { int l[2]; int m[2] = {3}; l[0] = 0; m[1] = 0; return G[0] + H[0] + l[0] + m[0]; }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]int32{"G": nil, "H": {1, 2}, "l": nil, "m": {3}}
+	arrays := append(append([]ir.ArrayDecl(nil), prog.Globals...), prog.Func("f").Arrays...)
+	for _, a := range arrays {
+		w, ok := want[a.Name]
+		if !ok {
+			continue
+		}
+		delete(want, a.Name)
+		if (a.Init == nil) != (w == nil) || !slices.Equal(a.Init, w) {
+			t.Errorf("%s: Init = %#v, want %#v", a.Name, a.Init, w)
+		}
+	}
+	if len(want) != 0 {
+		t.Errorf("arrays not lowered: %v", want)
 	}
 }
 

@@ -114,6 +114,19 @@ func (s *Server) writeMetrics(w io.Writer, openMetrics bool) {
 			"Stored entries dropped after failing verification on read.", one(fmt.Sprint(cs.Corrupt)))
 	}
 
+	memos := func(get func(m ProfileMemoJSON) int) []promSample {
+		return []promSample{
+			{labels: `memo="bench_profiles"`, value: fmt.Sprint(get(st.BenchProfiles))},
+			{labels: `memo="source_apps"`, value: fmt.Sprint(get(st.SourceApps))},
+		}
+	}
+	promMetric(w, "hservd_memo_entries", "gauge",
+		"Entries held by the process-wide benchmark-profile and compiled-source memos.",
+		memos(func(m ProfileMemoJSON) int { return m.Size }))
+	promMetric(w, "hservd_memo_bound_entries", "gauge",
+		"Entry bound of each process-wide memo (0 = unbounded).",
+		memos(func(m ProfileMemoJSON) int { return m.Bound }))
+
 	// Per-endpoint series, endpoints in sorted order so scrapes are
 	// deterministic and diffable.
 	names := make([]string, 0, len(st.Endpoints))

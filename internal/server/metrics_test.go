@@ -202,6 +202,8 @@ func TestMetricsExposition(t *testing.T) {
 		"hservd_endpoint_cache_hits_total":        "counter",
 		"hservd_endpoint_cache_misses_total":      "counter",
 		"hservd_cluster_forwarded_received_total": "counter",
+		"hservd_memo_entries":                     "gauge",
+		"hservd_memo_bound_entries":               "gauge",
 	} {
 		f := fams[name]
 		if f == nil {
@@ -243,6 +245,10 @@ func TestMetricsExposition(t *testing.T) {
 		{"hservd_sim_scoring_total", lbl("kind", "replays"), float64(st.SimScoring.Replays)},
 		{"hservd_sim_scoring_total", lbl("kind", "pruned"), float64(st.SimScoring.Pruned)},
 		{"hservd_sim_scoring_total", lbl("kind", "memo_hits"), float64(st.SimScoring.MemoHits)},
+		{"hservd_memo_entries", lbl("memo", "bench_profiles"), float64(st.BenchProfiles.Size)},
+		{"hservd_memo_entries", lbl("memo", "source_apps"), float64(st.SourceApps.Size)},
+		{"hservd_memo_bound_entries", lbl("memo", "bench_profiles"), float64(st.BenchProfiles.Bound)},
+		{"hservd_memo_bound_entries", lbl("memo", "source_apps"), float64(st.SourceApps.Bound)},
 		{"hservd_trace_ring_depth", nil, float64(st.Traces.RingDepth)},
 		{"hservd_trace_ring_capacity", nil, float64(st.Traces.RingCapacity)},
 		{"hservd_trace_dropped_total", nil, float64(st.Traces.DroppedTraces)},

@@ -310,8 +310,10 @@ type EndpointStatsJSON struct {
 	latencySumMicros int64
 }
 
-// ProfileMemoJSON reports the process-wide benchmark profile memo behind
-// ProfileBenchmarkCached (bound 0 = unbounded; hservd -profile-memo).
+// ProfileMemoJSON reports a process-wide memo's population and entry
+// bound: the benchmark profile memo behind ProfileBenchmarkCached (bound 0 =
+// unbounded; hservd -profile-memo) or the compiled-App memo behind
+// NewWorkload.
 type ProfileMemoJSON struct {
 	Size  int `json:"size"`
 	Bound int `json:"bound"`
@@ -350,6 +352,7 @@ type AdmissionStatsJSON struct {
 type StatsJSON struct {
 	Cache         cache.Stats                  `json:"cache"`
 	BenchProfiles ProfileMemoJSON              `json:"bench_profiles"`
+	SourceApps    ProfileMemoJSON              `json:"source_apps"`
 	SimScoring    SimScoringStatsJSON          `json:"sim_scoring"`
 	Cluster       *ClusterStatsJSON            `json:"cluster,omitempty"`
 	Admission     *AdmissionStatsJSON          `json:"admission,omitempty"`
@@ -541,6 +544,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 func (s *Server) statsJSON() StatsJSON {
 	out := StatsJSON{Cache: s.results.Stats(), Endpoints: map[string]EndpointStatsJSON{}}
 	out.BenchProfiles.Size, out.BenchProfiles.Bound = hybridpart.ProfileMemoStats()
+	out.SourceApps.Size, out.SourceApps.Bound = hybridpart.SourceMemoStats()
 	out.SimScoring = SimScoringStatsJSON{
 		Scored:   s.simScoring.scored.Load(),
 		Replays:  s.simScoring.replays.Load(),
@@ -634,8 +638,10 @@ func decodePartitionRequest(w http.ResponseWriter, r *http.Request, energy bool)
 
 // requestProfile returns the request's compiled app and its profile. A
 // benchmark comes from the process-wide ProfileBenchmarkCached, so a cache
-// miss on a new knob set reuses the benchmark's one compile+profile;
-// inline source is compiled and profiled afresh.
+// miss on a new knob set reuses the benchmark's one compile+profile.
+// Inline source is profiled afresh on the request's inputs, but its App
+// comes from NewWorkload's compiled-App memo, so a repeated source is
+// compiled once.
 func requestProfile(ctx context.Context, req *PartitionRequest) (*hybridpart.App, *hybridpart.RunProfile, error) {
 	if req.Benchmark == "" {
 		return buildSourceWorkload(ctx, req)
@@ -649,7 +655,7 @@ func requestProfile(ctx context.Context, req *PartitionRequest) (*hybridpart.App
 
 // buildSourceWorkload compiles the request's inline source, feeds it its
 // inputs (in sorted name order, for determinism) and profiles it with one
-// run.
+// run. A memo hit shows up as a near-zero-width "compile" span.
 func buildSourceWorkload(ctx context.Context, req *PartitionRequest) (*hybridpart.App, *hybridpart.RunProfile, error) {
 	_, cs := obs.Start(ctx, "compile", obs.Int("source_bytes", len(req.Source)))
 	w, err := hybridpart.NewWorkload(req.Source, req.entryOrDefault())

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"hybridpart"
+	"hybridpart/internal/apps"
 )
 
 // firSrc is a small FIR filter in the mini-C subset: cheap to compile and
@@ -745,11 +746,14 @@ func TestSimulateTimeout(t *testing.T) {
 }
 
 // TestStatsProfileMemo checks that /debug/stats surfaces the benchmark
-// profile memo's population and bound.
+// profile memo's and the compiled-App memo's population and bound.
 func TestStatsProfileMemo(t *testing.T) {
 	s := newTestServer(t, Config{})
 	if rec := post(t, s, "/v1/simulate", `{"benchmark":"ofdm","constraint":60000}`); rec.Code != http.StatusOK {
 		t.Fatalf("simulate: %d %s", rec.Code, rec.Body)
+	}
+	if rec := post(t, s, "/v1/simulate", fmt.Sprintf(firReq, firSrc)); rec.Code != http.StatusOK {
+		t.Fatalf("simulate source: %d %s", rec.Code, rec.Body)
 	}
 	rec := get(t, s, "/debug/stats")
 	if rec.Code != http.StatusOK {
@@ -765,9 +769,60 @@ func TestStatsProfileMemo(t *testing.T) {
 	if st.BenchProfiles.Bound <= 0 {
 		t.Fatalf("bench profile memo bound missing: %+v", st.BenchProfiles)
 	}
+	if st.SourceApps.Size < 1 || st.SourceApps.Bound < st.SourceApps.Size {
+		t.Fatalf("compiled-App memo not reported after a source simulate: %+v", st.SourceApps)
+	}
 	row, ok := st.Endpoints["/v1/simulate"]
 	if !ok || row.Requests < 1 {
 		t.Fatalf("no /v1/simulate metrics row: %+v", st.Endpoints)
+	}
+}
+
+// TestPartitionSourceMemoByteIdentical posts one JPEG source and image to
+// two servers with empty result caches. The first request compiles the
+// source (a memo miss); the second takes the memoized App (a memo hit) and
+// must answer byte-identically.
+func TestPartitionSourceMemoByteIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping JPEG profiling in -short mode")
+	}
+	src, err := apps.JPEGSource()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A comment no other request carries makes the first compile a miss.
+	src += fmt.Sprintf("// %s %d\n", t.Name(), time.Now().UnixNano())
+	q, err := json.Marshal(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := json.Marshal(hybridpart.JPEGImage(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := fmt.Sprintf(`{"source":%s,"entry":%q,"constraint":21000000,"inputs":{%q:%s}}`,
+		q, hybridpart.JPEGEntryFunc, hybridpart.JPEGImageArray, img)
+	var bodies [2][]byte
+	var held [2]*hybridpart.App // the memo's App after each request
+	for i := range bodies {
+		s := newTestServer(t, Config{})
+		rec := post(t, s, "/v1/partition", body)
+		s.Close()
+		if rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != "miss" {
+			t.Fatalf("request %d: status %d, X-Cache %q: %s", i, rec.Code, rec.Header().Get("X-Cache"), rec.Body)
+		}
+		bodies[i] = rec.Body.Bytes()
+		w, err := hybridpart.NewWorkload(src, hybridpart.JPEGEntryFunc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held[i] = w.App()
+	}
+	if held[0] != held[1] {
+		t.Fatal("the second request compiled the source again")
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Fatalf("memo miss and memo hit answer differently:\n%s\n%s", bodies[0], bodies[1])
 	}
 }
 
@@ -800,10 +855,10 @@ func (w *hitWriter) reset() {
 
 // hitAllocCeiling bounds the heap allocations of one warm OFDM ×8 cache hit
 // through ServeHTTP: the request is decoded, its options resolved and its
-// key built, and the stored bytes are written out. The handler allocated 18
-// times per hit when the bound was set (107 with the reflective options
-// fingerprint); it allows two more.
-const hitAllocCeiling = 20
+// key built, and the stored bytes are written out. The handler allocates 15
+// times per hit (18 while the cache registered an in-flight call before
+// probing its store, 107 with the reflective options fingerprint).
+const hitAllocCeiling = 15
 
 // TestPartitionHitAllocs gates the allocations of the cache hit path, the
 // op that sets the service's median latency. The request and response
@@ -858,12 +913,16 @@ func BenchmarkPartitionCacheHit(b *testing.B) {
 }
 
 // BenchmarkPartitionCacheMiss measures the full compile+profile+partition
-// path by making every request a distinct content address.
+// path by making every request a distinct content address: a trailing
+// comment makes each iteration's source distinct, so the compiled-App memo
+// never serves it and every iteration compiles.
 func BenchmarkPartitionCacheMiss(b *testing.B) {
 	s := New(Config{})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		body := fmt.Sprintf(`{"source": %q, "entry": "main_fn", "constraint": %d}`, firSrc, 30000+i)
+		src := fmt.Sprintf("%s// %d\n", firSrc, i)
+		body := fmt.Sprintf(`{"source": %q, "entry": "main_fn", "constraint": %d}`, src, 30000+i)
 		req := httptest.NewRequest(http.MethodPost, "/v1/partition", strings.NewReader(body))
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, req)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hybridpart/internal/analysis"
+	"hybridpart/internal/apps"
 	"hybridpart/internal/sim"
 )
 
@@ -260,8 +261,17 @@ func TestEnginePartitionAllocs(t *testing.T) {
 // nothing, and the next run builds the full table and partitions as a
 // never-cancelled App does.
 func TestLatencyTableCancelled(t *testing.T) {
-	w, err := BenchmarkWorkload(BenchOFDM, 1)
+	// BenchmarkWorkload shares the memoized App, whose table another test
+	// may have built; this run needs an App of its own.
+	app, err := Compile(apps.OFDMSource(), OFDMEntryFunc)
 	if err != nil {
+		t.Fatal(err)
+	}
+	w := newWorkload(app)
+	if err := w.SetInput(OFDMBitsArray, OFDMBits(1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
 	eng := a1500x8(t)

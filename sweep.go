@@ -2,6 +2,7 @@ package hybridpart
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"hybridpart/internal/explore"
@@ -63,19 +64,95 @@ func DefaultConstraint(bench string) int64 {
 	return d.constraint
 }
 
+// fifoMemo is a bounded, process-wide memo of values computed once per key.
+// The first caller for a key computes under the entry's sync.Once; every
+// other caller, concurrent or later, shares the result. A failed
+// computation is dropped, so the next caller retries. The memo is bounded
+// by an entry count and by a total weight (0 lifts either bound); a value
+// whose own weight exceeds the weight bound is computed and never kept.
+// Once over a bound, the oldest entries are dropped; callers already
+// holding one are unaffected.
+type fifoMemo[K comparable, V any] struct {
+	mu        sync.Mutex
+	entries   map[K]*memoEntry[V]
+	order     []K // insertion order, for the bounds
+	bound     int // entry count bound
+	maxWeight int // total weight bound
+	weight    int // total weight of the entries
+}
+
+type memoEntry[V any] struct {
+	once   sync.Once
+	val    V
+	err    error
+	weight int
+}
+
+func newFIFOMemo[K comparable, V any](bound, maxWeight int) *fifoMemo[K, V] {
+	return &fifoMemo[K, V]{entries: map[K]*memoEntry[V]{}, bound: bound, maxWeight: maxWeight}
+}
+
+// get returns the value for key, computing it on the first call.
+func (m *fifoMemo[K, V]) get(key K, weight int, compute func() (V, error)) (V, error) {
+	if m.maxWeight > 0 && weight > m.maxWeight {
+		return compute()
+	}
+	m.mu.Lock()
+	e := m.entries[key]
+	if e == nil {
+		e = &memoEntry[V]{weight: weight}
+		m.entries[key] = e
+		m.order = append(m.order, key)
+		m.weight += weight
+		m.evictLocked()
+	}
+	m.mu.Unlock()
+	e.once.Do(func() {
+		if e.val, e.err = compute(); e.err != nil {
+			m.drop(key, e)
+		}
+	})
+	return e.val, e.err
+}
+
+// drop removes key's entry if it is still e.
+func (m *fifoMemo[K, V]) drop(key K, e *memoEntry[V]) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.entries[key] != e {
+		return
+	}
+	delete(m.entries, key)
+	m.weight -= e.weight
+	m.order = slices.DeleteFunc(m.order, func(k K) bool { return k == key })
+}
+
+// evictLocked drops the oldest entries until both bounds hold.
+func (m *fifoMemo[K, V]) evictLocked() {
+	for len(m.order) > 0 && (m.bound > 0 && len(m.entries) > m.bound ||
+		m.maxWeight > 0 && m.weight > m.maxWeight) {
+		oldest := m.order[0]
+		m.order = m.order[1:]
+		m.weight -= m.entries[oldest].weight
+		delete(m.entries, oldest)
+	}
+}
+
+// stats reports the memo's population and its entry bound.
+func (m *fifoMemo[K, V]) stats() (size, bound int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.entries), m.bound
+}
+
 // profileCache memoizes compiled+profiled benchmarks per (name, seed), so a
 // sweep evaluates its whole grid against one App and one RunProfile instead
 // of recompiling and re-interpreting per cell. Profiling is
 // input-deterministic — the same benchmark and seed always yield the same
-// block frequencies — which is what makes the cache sound.
-var profileCache = struct {
-	mu      sync.Mutex
-	entries map[profileKey]*profileEntry
-	order   []profileKey // insertion order, for the capacity bound
-	// bound caps the memo (see DefaultProfileMemoBound); 0 disables the
-	// bound for trusted deployments whose seed space is known.
-	bound int
-}{entries: map[profileKey]*profileEntry{}, bound: DefaultProfileMemoBound}
+// block frequencies — which is what makes the cache sound. Its bound is
+// DefaultProfileMemoBound until SetProfileMemoBound changes it; 0 disables
+// the bound for trusted deployments whose seed space is known.
+var profileCache = newFIFOMemo[profileKey, profiled](DefaultProfileMemoBound, 0)
 
 // DefaultProfileMemoBound is the benchmark profile memo's default capacity.
 // Each entry pins a full compiled App plus its profile, and the
@@ -97,41 +174,23 @@ func SetProfileMemoBound(n int) error {
 	profileCache.mu.Lock()
 	defer profileCache.mu.Unlock()
 	profileCache.bound = n
-	evictOverflowLocked()
+	profileCache.evictLocked()
 	return nil
 }
 
 // ProfileMemoStats reports the benchmark profile memo's population and its
 // configured bound (0 = unbounded). The partitioning service surfaces both
 // in /debug/stats.
-func ProfileMemoStats() (size, bound int) {
-	profileCache.mu.Lock()
-	defer profileCache.mu.Unlock()
-	return len(profileCache.entries), profileCache.bound
-}
-
-func evictOverflowLocked() {
-	bound := profileCache.bound
-	if bound <= 0 {
-		return
-	}
-	for len(profileCache.entries) > bound {
-		oldest := profileCache.order[0]
-		profileCache.order = profileCache.order[1:]
-		delete(profileCache.entries, oldest)
-	}
-}
+func ProfileMemoStats() (size, bound int) { return profileCache.stats() }
 
 type profileKey struct {
 	bench string
 	seed  uint32
 }
 
-type profileEntry struct {
-	once sync.Once
+type profiled struct {
 	app  *App
 	prof *RunProfile
-	err  error
 }
 
 // ProfileBenchmarkCached compiles the named benchmark, runs it once on its
@@ -144,24 +203,43 @@ type profileEntry struct {
 // concurrent *Profiled engine runs (all only read them); callers that need
 // to feed further inputs should use BenchmarkWorkload instead.
 func ProfileBenchmarkCached(name string, seed uint32) (*App, *RunProfile, error) {
-	key := profileKey{bench: name, seed: seed}
-	profileCache.mu.Lock()
-	e := profileCache.entries[key]
-	if e == nil {
-		e = &profileEntry{}
-		profileCache.entries[key] = e
-		profileCache.order = append(profileCache.order, key)
-		evictOverflowLocked()
-	}
-	profileCache.mu.Unlock()
-
-	e.once.Do(func() {
+	p, err := profileCache.get(profileKey{bench: name, seed: seed}, 0, func() (profiled, error) {
 		w, err := BenchmarkWorkload(name, seed)
 		if err != nil {
-			e.err = err
-			return
+			return profiled{}, err
 		}
-		e.app, e.prof = w.app, w.Profile()
+		return profiled{w.app, w.Profile()}, nil
 	})
-	return e.app, e.prof, e.err
+	return p.app, p.prof, err
 }
+
+// sourceApps memoizes compiled Apps per (SourceHash, entry) pair, so a
+// repeated source — every built-in benchmark, and a client that profiles
+// one inline source on many inputs — is parsed, lowered and flattened once
+// and its block and latency tables are built once. Compilation depends on
+// nothing but the text and the entry, and an App is shared read-only, so
+// the memo is sound; every Workload still gets its own interpreter,
+// globals and profile. The memo is bounded by sourceMemoEntries and by the
+// sourceMemoBytes of source text its Apps were compiled from.
+var sourceApps = newFIFOMemo[sourceKey, *App](sourceMemoEntries, sourceMemoBytes)
+
+const (
+	sourceMemoEntries = 64
+	sourceMemoBytes   = 1 << 20
+)
+
+type sourceKey struct {
+	hash, entry string
+}
+
+// compileCached is Compile behind the compiled-App memo.
+func compileCached(src, entry string) (*App, error) {
+	hash := SourceHash(src)
+	return sourceApps.get(sourceKey{hash, entry}, len(src), func() (*App, error) {
+		return compile(src, hash, entry)
+	})
+}
+
+// SourceMemoStats reports the compiled-App memo's population and its entry
+// bound. The partitioning service surfaces both in /debug/stats.
+func SourceMemoStats() (size, bound int) { return sourceApps.stats() }

@@ -42,9 +42,13 @@ func newWorkload(app *App) *Workload {
 
 // NewWorkload compiles mini-C source text (the paper's step 1) and prepares
 // a fresh profiling interpreter over it. Globals start at their initial
-// values.
+// values and the profile starts empty. The compiled App comes from a
+// bounded process-wide memo keyed on the source's SourceHash and the entry:
+// a repeated (source, entry) pair is compiled once and its App, which is
+// read-only, is shared by every Workload built from it. A failed compile,
+// or a source too large for the memo, is never kept.
 func NewWorkload(src, entry string) (*Workload, error) {
-	app, err := Compile(src, entry)
+	app, err := compileCached(src, entry)
 	if err != nil {
 		return nil, err
 	}
