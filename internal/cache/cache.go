@@ -159,9 +159,7 @@ func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func() ([]
 func (c *Cache) probe(ctx context.Context, key string) ([]byte, bool) {
 	_, gs := obs.Start(ctx, "store.get")
 	val, ok := c.be.Get(key)
-	if gs != nil {
-		gs.Set(obs.Bool("hit", ok))
-	}
+	gs.Set(obs.Bool("hit", ok))
 	gs.End()
 	return val, ok
 }

@@ -114,7 +114,7 @@ func (s *Server) writeMetrics(w io.Writer, openMetrics bool) {
 			"Stored entries dropped after failing verification on read.", one(fmt.Sprint(cs.Corrupt)))
 	}
 
-	memos := func(get func(m ProfileMemoJSON) int) []promSample {
+	memos := func(get func(m MemoStatsJSON) int) []promSample {
 		return []promSample{
 			{labels: `memo="bench_profiles"`, value: fmt.Sprint(get(st.BenchProfiles))},
 			{labels: `memo="source_apps"`, value: fmt.Sprint(get(st.SourceApps))},
@@ -122,10 +122,10 @@ func (s *Server) writeMetrics(w io.Writer, openMetrics bool) {
 	}
 	promMetric(w, "hservd_memo_entries", "gauge",
 		"Entries held by the process-wide benchmark-profile and compiled-source memos.",
-		memos(func(m ProfileMemoJSON) int { return m.Size }))
+		memos(func(m MemoStatsJSON) int { return m.Size }))
 	promMetric(w, "hservd_memo_bound_entries", "gauge",
 		"Entry bound of each process-wide memo (0 = unbounded).",
-		memos(func(m ProfileMemoJSON) int { return m.Bound }))
+		memos(func(m MemoStatsJSON) int { return m.Bound }))
 
 	// Per-endpoint series, endpoints in sorted order so scrapes are
 	// deterministic and diffable.

@@ -310,11 +310,11 @@ type EndpointStatsJSON struct {
 	latencySumMicros int64
 }
 
-// ProfileMemoJSON reports a process-wide memo's population and entry
+// MemoStatsJSON reports a process-wide memo's population and entry
 // bound: the benchmark profile memo behind ProfileBenchmarkCached (bound 0 =
 // unbounded; hservd -profile-memo) or the compiled-App memo behind
 // NewWorkload.
-type ProfileMemoJSON struct {
+type MemoStatsJSON struct {
 	Size  int `json:"size"`
 	Bound int `json:"bound"`
 }
@@ -351,8 +351,8 @@ type AdmissionStatsJSON struct {
 // StatsJSON is the body of GET /debug/stats.
 type StatsJSON struct {
 	Cache         cache.Stats                  `json:"cache"`
-	BenchProfiles ProfileMemoJSON              `json:"bench_profiles"`
-	SourceApps    ProfileMemoJSON              `json:"source_apps"`
+	BenchProfiles MemoStatsJSON                `json:"bench_profiles"`
+	SourceApps    MemoStatsJSON                `json:"source_apps"`
 	SimScoring    SimScoringStatsJSON          `json:"sim_scoring"`
 	Cluster       *ClusterStatsJSON            `json:"cluster,omitempty"`
 	Admission     *AdmissionStatsJSON          `json:"admission,omitempty"`
