@@ -7,19 +7,29 @@ import (
 	"testing"
 )
 
-// TestReportWireGolden pins the response bytes of /v1/simulate and
-// /v1/partition-energy to testdata/, byte for byte: OFDM at the model's
-// operating point and at four prefetched frames on two regions, and the
-// OFDM energy run at a budget it meets and at one it cannot reach. The
-// bodies are what the cache stores and store.Disk persists, so a change to
-// the report types must leave them unmoved. Regenerate a file only for a
-// change meant to move the reports' numbers or schema.
+// TestReportWireGolden pins the response bytes of /v1/partition,
+// /v1/simulate and /v1/partition-energy to testdata/, byte for byte: OFDM
+// partitioned under the service default (sim), under the model objective
+// without and with a frame count, and an inline source with args and
+// inputs; OFDM simulated at the model's operating point and at four
+// prefetched frames on two regions; and the OFDM energy run at a budget it
+// meets and at one it cannot reach. The bodies are what the cache stores
+// and store.Disk persists, so a change to the result types must leave them
+// unmoved. Regenerate a file only for a change meant to move the results'
+// numbers or schema.
 func TestReportWireGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping benchmark compilation in -short mode")
 	}
 	s := newTestServer(t, Config{})
 	for _, c := range []struct{ path, body, golden string }{
+		{"/v1/partition", `{"benchmark":"ofdm","seed":1,"constraint":60000}`,
+			"testdata/partition_ofdm.json"},
+		{"/v1/partition", `{"benchmark":"ofdm","seed":1,"constraint":60000,"objective":"model"}`,
+			"testdata/partition_ofdm_model.json"},
+		{"/v1/partition", `{"benchmark":"ofdm","seed":1,"constraint":60000,"objective":"model","frames":8}`,
+			"testdata/partition_ofdm_model_f8.json"},
+		{"/v1/partition", goldenSourceBody, "testdata/partition_source.json"},
 		{"/v1/simulate", `{"benchmark":"ofdm","seed":1,"constraint":60000}`,
 			"testdata/simulate_ofdm.json"},
 		{"/v1/simulate", `{"benchmark":"ofdm","seed":1,"constraint":60000,"frames":4,"prefetch":true,"regions":2}`,
@@ -42,6 +52,14 @@ func TestReportWireGolden(t *testing.T) {
 		}
 	}
 }
+
+// goldenSourceBody is an inline-source /v1/partition request with scalar
+// args and preloaded input arrays: an 8-tap filter of X by T shifted right
+// by shift, then a product sum over the filtered samples.
+const goldenSourceBody = `{"source": "int T[8]; int X[48]; int Y[48];\nint main_fn(int n, int shift) {\n  int i; int s = 0;\n  for (i = 8; i < n; i++) {\n    int a = T[0] * X[i] + T[1] * X[i - 1] + T[2] * X[i - 2] + T[3] * X[i - 3] + T[4] * X[i - 4] + T[5] * X[i - 5] + T[6] * X[i - 6] + T[7] * X[i - 7];\n    Y[i] = a >> shift;\n  }\n  for (i = 8; i < n; i++) { s += Y[i] * Y[i] * 3 + Y[i - 1] * Y[i] * 5 + Y[i - 2] * Y[i] * 7; }\n  return s;\n}\n",
+	"args": [48, 4],
+	"inputs": {"T": [1, 3, 5, 7, 7, 5, 3, 1], "X": [5, 18, 31, 44, 57, 70, 83, 96, 109, 122, 7, 20, 33, 46, 59, 72, 85, 98, 111, 124, 9, 22, 35, 48, 61, 74, 87, 100, 113, 126, 11, 24, 37, 50, 63, 76, 89, 102, 115, 0, 13, 26, 39, 52, 65, 78, 91, 104]},
+	"constraint": 3000}`
 
 // TestFingerprintPinned pins the cache key of fixed requests on every
 // endpoint that accepts them. The keys address both the in-memory cache and
