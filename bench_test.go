@@ -90,7 +90,7 @@ func partitionBench(b *testing.B, app *App, prof *RunProfile, afpga, ncgc int, c
 	}
 	b.ReportMetric(float64(res.InitialCycles), "initial-cycles")
 	b.ReportMetric(float64(res.FinalCycles), "final-cycles")
-	b.ReportMetric(res.ReductionPct(), "%reduction")
+	b.ReportMetric(res.ReductionPct, "%reduction")
 	b.ReportMetric(float64(len(res.Moved)), "moves")
 	if !res.Met {
 		b.Fatalf("constraint %d not met (final %d)", constraint, res.FinalCycles)

@@ -44,7 +44,6 @@ import (
 	"hybridpart"
 	"hybridpart/internal/cliutil"
 	"hybridpart/internal/obs"
-	"hybridpart/internal/server"
 )
 
 const tool = cliutil.Tool("hpart")
@@ -116,9 +115,9 @@ func main() {
 			st.Scored, st.Replays, st.Pruned, st.MemoHits)
 	}
 	if *jsonOut {
-		// Machine-readable path: the same wire type the partitioning
+		// Machine-readable path: Result is the body the partitioning
 		// service returns from POST /v1/partition.
-		tool.Fatal(cliutil.WriteJSON(server.NewResultJSON(res)))
+		tool.Fatal(cliutil.WriteJSON(res))
 	} else {
 		fmt.Print(res.Format())
 		if len(res.Unmappable) > 0 {

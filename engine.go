@@ -385,7 +385,8 @@ func (e *Engine) partitionScored(ctx context.Context, a *App, p *RunProfile, opt
 		TComm:             res.TComm,
 		Constraint:        res.Constraint,
 		Met:               res.Met,
-		Objective:         res.Objective,
+		ReductionPct:      reductionPct(float64(res.InitialCycles), float64(res.FinalCycles)),
+		Objective:         res.Objective.String(),
 		Moved:             blockIDsToInts(res.Moved),
 		Unmappable:        blockIDsToInts(res.Unmappable),
 		Skipped:           blockIDsToInts(res.Skipped),
@@ -533,7 +534,7 @@ func (e *Engine) PartitionEnergyProfiled(ctx context.Context, a *App, p *RunProf
 	}
 	sc.prefixes = res.Prefixes
 	out.InitialEnergy, out.FinalEnergy = out.Initial.Total(), out.Final.Total()
-	out.ReductionPct = energyReductionPct(out.InitialEnergy, out.FinalEnergy)
+	out.ReductionPct = reductionPct(out.InitialEnergy, out.FinalEnergy)
 	out.Met = res.Met
 	out.Moved = blockIDsToInts(res.Moved)
 	out.Unmappable = blockIDsToInts(res.Unmappable)
@@ -662,7 +663,7 @@ func (e *Engine) Sweep(ctx context.Context, spec SweepSpec) (*SweepResult, error
 			EffectiveConstraint: constraint,
 			Met:                 res.Met,
 			Moved:               res.Moved,
-			ReductionPct:        res.ReductionPct(),
+			ReductionPct:        res.ReductionPct,
 		}
 		if res.FinalCycles > 0 {
 			out.Speedup = float64(res.InitialCycles) / float64(res.FinalCycles)

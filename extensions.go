@@ -6,33 +6,16 @@ import (
 	"hybridpart/internal/pipeline"
 )
 
-// PipelineModel exposes the frame-level pipelining extension (the paper's
+// PipelineModel is the frame-level pipelining extension (the paper's
 // ongoing work): two-stage overlap of the fine and coarse-grain fabrics
 // across a frame stream.
-type PipelineModel struct {
-	m pipeline.Model
-}
+type PipelineModel = pipeline.Model
 
 // Pipeline derives the per-frame pipeline model from a partitioning result,
 // treating one profiled run as one frame.
 func (r *Result) Pipeline() PipelineModel {
-	return PipelineModel{m: pipeline.Model{TFine: r.TFPGA, TCoarse: r.TCoarse, TComm: r.TComm}}
+	return PipelineModel{TFine: r.TFPGA, TCoarse: r.TCoarse, TComm: r.TComm}
 }
-
-// Sequential returns the mutually-exclusive execution time for n frames.
-func (p PipelineModel) Sequential(n int) int64 { return p.m.Sequential(n) }
-
-// Pipelined returns the overlapped execution time for n frames.
-func (p PipelineModel) Pipelined(n int) int64 { return p.m.Pipelined(n) }
-
-// Speedup returns Sequential/Pipelined for n frames (bounded by 2×).
-func (p PipelineModel) Speedup(n int) float64 { return p.m.Speedup(n) }
-
-// Utilization returns the steady-state busy fractions (fine, coarse).
-func (p PipelineModel) Utilization() (fine, coarse float64) { return p.m.Utilization() }
-
-// Report formats a frame-sweep comparison table.
-func (p PipelineModel) Report(frames []int) string { return p.m.Report(frames) }
 
 // EnergyBreakdown decomposes application energy by source (arbitrary
 // consistent units; see internal/energy for the characterization): Fine
@@ -57,9 +40,9 @@ type EnergyResult struct {
 	Unmappable   []int   `json:"unmappable,omitempty"`
 }
 
-// energyReductionPct is the % reduction from initial to final energy, 0 on
-// a zero initial energy.
-func energyReductionPct(initial, final float64) float64 {
+// reductionPct is the % reduction from initial to final cycles or energy,
+// 0 on a zero initial value.
+func reductionPct(initial, final float64) float64 {
 	if initial == 0 {
 		return 0
 	}

@@ -23,11 +23,11 @@ func TestEnergyBreakdownTotal(t *testing.T) {
 }
 
 func TestEnergyReductionPctEdgeCases(t *testing.T) {
-	if got := energyReductionPct(0, 0); got != 0 {
+	if got := reductionPct(0, 0); got != 0 {
 		t.Fatalf("zero initial energy must report 0%% reduction, not %v", got)
 	}
-	if got := energyReductionPct(200, 50); got != 75 {
-		t.Fatalf("energyReductionPct(200, 50) = %v, want 75", got)
+	if got := reductionPct(200, 50); got != 75 {
+		t.Fatalf("reductionPct(200, 50) = %v, want 75", got)
 	}
 }
 

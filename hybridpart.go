@@ -478,43 +478,40 @@ type Analysis struct {
 func (an *Analysis) FormatTable(n int) string { return an.rep.FormatTable(n) }
 
 // Result is the outcome of a partitioning run (Tables 2–3 of the paper).
+// Its JSON encoding is the body of POST /v1/partition and hpart -json.
 type Result struct {
-	InitialCycles int64
+	InitialCycles int64 `json:"initial_cycles"`
 	// InitialPartitions is the number of configuration bit-streams of the
 	// all-FPGA mapping.
-	InitialPartitions int
-	FinalCycles       int64
-	CyclesInCGC       int64
-	TFPGA             int64
-	TCoarse           int64
-	TComm             int64
-	Constraint        int64
-	Met               bool
-	Moved             []int
-	Unmappable        []int
-	Skipped           []int
+	InitialPartitions int   `json:"initial_partitions"`
+	FinalCycles       int64 `json:"final_cycles"`
+	CyclesInCGC       int64 `json:"cycles_in_cgc"`
+	TFPGA             int64 `json:"t_fpga"`
+	TCoarse           int64 `json:"t_coarse"`
+	TComm             int64 `json:"t_comm"`
+	Constraint        int64 `json:"constraint"`
+	Met               bool  `json:"met"`
+	// ReductionPct is the % cycle reduction over the all-FPGA mapping, 0
+	// when InitialCycles is 0.
+	ReductionPct float64 `json:"reduction_pct"`
+	// Objective is the name of the move-loop objective the run optimized.
+	Objective  string `json:"objective"`
+	Moved      []int  `json:"moved,omitempty"`
+	Unmappable []int  `json:"unmappable,omitempty"`
+	Skipped    []int  `json:"skipped,omitempty"`
 
-	// Objective echoes the move-loop objective the run optimized.
-	Objective Objective
 	// SimulatedCycles, SimulatedBaselineCycles and SimulatedSpeedup report
 	// the chosen mapping, the all-FPGA mapping and their ratio under the
 	// run's co-simulation knobs (SimFrames/SimPorts/SimPrefetch). They are
 	// filled whenever any sim knob, the simulated objective or re-ranking is
-	// active, and stay zero on purely closed-form runs. Met always refers to
-	// the analytical t_total against the constraint, never to these.
-	SimulatedCycles         int64
-	SimulatedBaselineCycles int64
-	SimulatedSpeedup        float64
+	// active, and stay zero (omitted) on purely closed-form runs. Met always
+	// refers to the analytical t_total against the constraint, never to
+	// these.
+	SimulatedCycles         int64   `json:"simulated_cycles,omitempty"`
+	SimulatedBaselineCycles int64   `json:"simulated_baseline_cycles,omitempty"`
+	SimulatedSpeedup        float64 `json:"simulated_speedup,omitempty"`
 	// SimStats breaks down how the run's candidate simulations were paid for.
-	SimStats SimScoreStats
-}
-
-// ReductionPct is the % cycle reduction over the all-FPGA mapping.
-func (r *Result) ReductionPct() float64 {
-	if r.InitialCycles == 0 {
-		return 0
-	}
-	return 100 * float64(r.InitialCycles-r.FinalCycles) / float64(r.InitialCycles)
+	SimStats SimScoreStats `json:"-"`
 }
 
 // Format renders the result in the layout of the paper's Tables 2–3. The
@@ -531,7 +528,7 @@ func (r *Result) Format() string {
 	}
 	fmt.Fprintf(&sb, "BB no. moved:              %s\n", strings.Join(ids, ", "))
 	fmt.Fprintf(&sb, "Final cycles:              %d\n", r.FinalCycles)
-	fmt.Fprintf(&sb, "%% cycles reduction:        %.1f\n", r.ReductionPct())
+	fmt.Fprintf(&sb, "%% cycles reduction:        %.1f\n", r.ReductionPct)
 	fmt.Fprintf(&sb, "Constraint met:            %v\n", r.Met)
 	return sb.String()
 }

@@ -243,9 +243,9 @@ func TestPaperShapeProperties(t *testing.T) {
 		t.Fatalf("larger FPGA needed more moves (%d > %d)", len(r5000.Moved), len(r1500.Moved))
 	}
 	// Property 3: % reduction larger at the smaller area (Table 2 shape).
-	if r1500.ReductionPct() < r5000.ReductionPct() {
+	if r1500.ReductionPct < r5000.ReductionPct {
 		t.Fatalf("reduction at 1500 (%.1f%%) below 5000 (%.1f%%)",
-			r1500.ReductionPct(), r5000.ReductionPct())
+			r1500.ReductionPct, r5000.ReductionPct)
 	}
 	// Property 4: cycles in CGC are independent of A_FPGA when the same
 	// kernels move (compare per-move latencies via a single-move run).

@@ -25,9 +25,14 @@ import (
 // replays): a run costs its frame count, multiplied by the trajectory
 // factor when the move loop scores candidates by simulation — the same
 // accounting SweepSpec.SimulationCost applies. Closed-form runs (model
-// objective, no frames, not a simulate call) cost 0. The price is both
-// what the admission bucket charges and what checkScoringCost caps.
+// objective, no frames, not a simulate call) cost 0, and so do energy
+// runs, which never simulate whatever objective or sim knobs their
+// options carry. The price is both what the admission bucket charges and
+// what checkScoringCost caps.
 func simCost(kind string, opts hybridpart.Options) int {
+	if kind == "energy" {
+		return 0
+	}
 	frames := opts.SimFrames
 	if frames < 1 {
 		frames = 1

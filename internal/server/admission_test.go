@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -88,7 +90,8 @@ func TestTokenBucketLevel(t *testing.T) {
 
 // TestSimCost prices the request classes: closed-form runs are free,
 // sim-scored runs pay the trajectory factor, plain co-simulations pay
-// their frame count.
+// their frame count, and energy runs, which never simulate, are free
+// whatever objective or sim knobs their options carry.
 func TestSimCost(t *testing.T) {
 	opts := hybridpart.DefaultOptions()
 	opts.Objective = hybridpart.ObjectiveModel
@@ -116,6 +119,40 @@ func TestSimCost(t *testing.T) {
 	rerank.RerankK = 3
 	if got, want := simCost("partition", rerank), hybridpart.SimObjectiveReplayFactor; got != want {
 		t.Fatalf("rerank cost %d, want %d", got, want)
+	}
+	for name, o := range map[string]hybridpart.Options{"model": opts, "sim": sim, "rerank": rerank} {
+		if got := simCost("energy", o); got != 0 {
+			t.Fatalf("energy cost with %s options %d, want 0", name, got)
+		}
+	}
+}
+
+// TestEnergyAdmittedUnderSimBudget: an energy request whose options name
+// the simulated objective runs no simulation, so a budget below one
+// sim-scored run still admits it, and its body is the one the plain
+// request gets.
+func TestEnergyAdmittedUnderSimBudget(t *testing.T) {
+	s := newTestServer(t, Config{MaxSimCost: 8})
+	opts := hybridpart.DefaultOptions()
+	opts.Objective = hybridpart.ObjectiveSimulated
+	ob, err := json.Marshal(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := post(t, s, "/v1/partition-energy",
+		fmt.Sprintf(`{"benchmark":"ofdm","seed":1,"energy_budget":1.2e7,"options":%s}`, ob))
+	if rec.Code != 200 {
+		t.Fatalf("energy request with sim options: status %d, want 200: %s", rec.Code, rec.Body)
+	}
+	if got := s.admit.shed.Load(); got != 0 {
+		t.Fatalf("shed = %d, want 0", got)
+	}
+	want, err := os.ReadFile("testdata/energy_ofdm_met.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rec.Body.Bytes(), want) {
+		t.Fatalf("energy body with sim options\n%s differs from the plain request's\n%s", rec.Body, want)
 	}
 }
 

@@ -32,12 +32,6 @@ const forwardHeader = "X-Hybridpart-Forwarded-From"
 // owning replica (value: the owner's base URL).
 const clusterHeader = "X-Cluster-Forwarded"
 
-// defaultForwardTimeout bounds one forward hop when Config.ForwardTimeout is
-// unset. It matches fleetPeerTimeout: a black-holed owner (accepts, never
-// responds) must trip the local-fallback path within a few seconds, not hold
-// the request until the global run timeout's 504.
-const defaultForwardTimeout = 2 * time.Second
-
 // clusterState is a Server's view of the fleet.
 type clusterState struct {
 	self   string
@@ -80,12 +74,14 @@ func (s *Server) routeOwner(r *http.Request, key string) string {
 }
 
 // forwardTimeout returns the per-forward deadline: Config.ForwardTimeout, or
-// defaultForwardTimeout when unset.
+// fleetPeerTimeout when unset, so a black-holed owner (accepts, never
+// responds) trips the local-fallback path within a few seconds instead of
+// holding the request until the global run timeout's 504.
 func (s *Server) forwardTimeout() time.Duration {
 	if s.cfg.ForwardTimeout > 0 {
 		return s.cfg.ForwardTimeout
 	}
-	return defaultForwardTimeout
+	return fleetPeerTimeout
 }
 
 // tryForward relays the request to the owning replica and streams its

@@ -18,8 +18,9 @@ import (
 // unreachable replicas inline rather than failing the whole document.
 // Outside fleet mode the document holds just this process.
 
-// fleetPeerTimeout bounds each peer's share of the fan-out; a dead peer
-// costs at most this and is reported as unhealthy.
+// fleetPeerTimeout bounds each call to one peer: its share of this fan-out
+// (a dead peer is reported as unhealthy) or of a trace assembly, and a
+// forward hop when Config.ForwardTimeout is unset.
 const fleetPeerTimeout = 2 * time.Second
 
 // FleetReplicaJSON is one replica's row of GET /debug/fleet.
@@ -124,6 +125,8 @@ func (s *Server) fetchPeerHealth(ctx context.Context, peer string) FleetReplicaJ
 	return row
 }
 
+// fetchPeerJSON GETs url from a peer within fleetPeerTimeout and decodes
+// its 200 JSON body into v; any other status is an error.
 func (s *Server) fetchPeerJSON(ctx context.Context, url string, v any) error {
 	ctx, cancel := context.WithTimeout(ctx, fleetPeerTimeout)
 	defer cancel()

@@ -26,30 +26,14 @@ import (
 func wireKeys(t testing.TB, req PartitionRequest) [3]string {
 	t.Helper()
 	var keys [3]string
-	for i, kind := range []string{"partition", "energy"} {
-		r, energy := req, kind == "energy"
-		if r.validate(energy) != nil {
-			continue
-		}
-		if !energy {
-			r.applyDefaultObjective()
-		}
-		opts, e := r.resolveOptions(energy)
-		if e != nil || (!energy && checkScoringCost(simCost(kind, opts)) != nil) {
+	for i, kind := range []string{"partition", "energy", "simulate"} {
+		r := req
+		opts, _, e := r.resolve(kind)
+		if e != nil {
 			continue
 		}
 		keys[i] = r.fingerprint(kind, opts)
 		checkReferenceKey(t, &r, kind, opts, keys[i])
-	}
-	sim := SimulateRequest{req}
-	if sim.validate() == nil {
-		if opts, e := sim.resolveOptions(false); e == nil {
-			normalizeSimOptions(&opts)
-			if checkScoringCost(simCost("simulate", opts)) == nil {
-				keys[2] = sim.fingerprint(opts)
-				checkReferenceKey(t, &sim.PartitionRequest, "simulate", opts, keys[2])
-			}
-		}
 	}
 	return keys
 }

@@ -9,7 +9,8 @@
 //
 // Endpoints:
 //
-//	POST /v1/partition         timing-constrained partitioning -> ResultJSON
+//	POST /v1/partition         timing-constrained partitioning ->
+//	                           hybridpart.Result JSON
 //	POST /v1/partition-energy  energy-constrained partitioning ->
 //	                           hybridpart.EnergyResult JSON
 //	POST /v1/sweep             design-space sweep -> ResultSet JSON, or SSE
@@ -113,7 +114,7 @@ type Config struct {
 	Self  string
 	Peers []string
 	// ForwardTimeout bounds each peer-forward hop in fleet mode (0 = a
-	// built-in few-second default, defaultForwardTimeout). It must stay well
+	// built-in few-second default, fleetPeerTimeout). It must stay well
 	// under Timeout: a black-holed owner then trips the local-fallback path
 	// quickly instead of holding the request until the global 504.
 	ForwardTimeout time.Duration
@@ -624,18 +625,6 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) *httpError {
 	return badRequest("malformed request body: " + err.Error())
 }
 
-// decodePartitionRequest parses and shape-checks a partition body.
-func decodePartitionRequest(w http.ResponseWriter, r *http.Request, energy bool) (*PartitionRequest, *httpError) {
-	var req PartitionRequest
-	if e := decodeBody(w, r, &req); e != nil {
-		return nil, e
-	}
-	if e := req.validate(energy); e != nil {
-		return nil, e
-	}
-	return &req, nil
-}
-
 // requestProfile returns the request's compiled app and its profile. A
 // benchmark comes from the process-wide ProfileBenchmarkCached, so a cache
 // miss on a new knob set reuses the benchmark's one compile+profile.
@@ -734,131 +723,80 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, k
 	w.Write(body)
 }
 
-// servePartition is the shared run path of /v1/partition and
-// /v1/partition-energy: decode, resolve and validate the knob set (a 400
-// before any other work when it is invalid), fingerprint the request and
-// hand the run to serveCached.
-func (s *Server) servePartition(w http.ResponseWriter, r *http.Request, energy bool,
-	run func(ctx context.Context, req *PartitionRequest, opts hybridpart.Options) ([]byte, error)) {
-	endpoint := "/v1/partition"
-	kind := "partition"
-	if energy {
-		endpoint, kind = "/v1/partition-energy", "energy"
-	}
-	req, httpErr := decodePartitionRequest(w, r, energy)
+// servePartition is the one request path of the fingerprint-cached
+// endpoints, /v1/partition, /v1/partition-energy and /v1/simulate, keyed
+// by kind: decode the body, resolve it (refused before any other work),
+// fingerprint the request and hand the run to serveCached. A run builds
+// the engine from the resolved knobs (and, for energy, the budget),
+// profiles the workload, and lets run produce the product that Marshal
+// encodes, so a cache hit is byte-identical to the library's encoding of
+// the same run.
+func (s *Server) servePartition(w http.ResponseWriter, r *http.Request, kind string,
+	run func(ctx context.Context, eng *hybridpart.Engine, app *hybridpart.App, prof *hybridpart.RunProfile) (any, error)) {
+	var req PartitionRequest
+	httpErr := decodeBody(w, r, &req)
 	if httpErr == nil {
-		if !energy {
-			// The service default: requests that leave the objective
-			// dimension untouched run the simulated objective. Applied
-			// before fingerprinting, so the default and an explicit
-			// "objective": "sim" share one cache entry.
-			req.applyDefaultObjective()
-		}
 		var opts hybridpart.Options
-		if opts, httpErr = req.resolveOptions(energy); httpErr == nil {
-			cost := simCost(kind, opts)
-			if !energy {
-				httpErr = checkScoringCost(cost)
-			}
-			if httpErr == nil {
-				s.serveCached(w, r, endpoint, req.fingerprint(kind, opts), req, cost,
-					func(ctx context.Context) ([]byte, error) {
-						return run(ctx, req, opts)
-					})
-				return
-			}
+		var cost int
+		if opts, cost, httpErr = req.resolve(kind); httpErr == nil {
+			s.serveCached(w, r, endpoints[kind], req.fingerprint(kind, opts), &req, cost,
+				func(ctx context.Context) ([]byte, error) {
+					engOpts := []hybridpart.Option{hybridpart.WithOptions(opts)}
+					if kind == "energy" {
+						engOpts = append(engOpts, hybridpart.WithEnergyBudget(req.EnergyBudget))
+					}
+					eng, err := hybridpart.NewEngine(engOpts...)
+					if err != nil {
+						return nil, err
+					}
+					app, prof, err := requestProfile(ctx, &req)
+					if err != nil {
+						return nil, err
+					}
+					v, err := run(ctx, eng, app, prof)
+					if err != nil {
+						return nil, err
+					}
+					return Marshal(v)
+				})
+			return
 		}
 	}
 	s.writeError(w, httpErr)
 }
 
+// endpoints names the endpoint of each request kind servePartition serves.
+var endpoints = map[string]string{
+	"partition": "/v1/partition",
+	"energy":    "/v1/partition-energy",
+	"simulate":  "/v1/simulate",
+}
+
 func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
-	s.servePartition(w, r, false, func(ctx context.Context, req *PartitionRequest, opts hybridpart.Options) ([]byte, error) {
-		eng, err := hybridpart.NewEngine(hybridpart.WithOptions(opts))
-		if err != nil {
-			return nil, err
-		}
-		app, prof, err := requestProfile(ctx, req)
-		if err != nil {
-			return nil, err
-		}
+	s.servePartition(w, r, "partition", func(ctx context.Context, eng *hybridpart.Engine, app *hybridpart.App, prof *hybridpart.RunProfile) (any, error) {
 		res, err := eng.PartitionProfiled(ctx, app, prof)
-		if err != nil {
-			return nil, err
+		if err == nil {
+			s.recordSimStats(res.SimStats)
 		}
-		s.recordSimStats(res.SimStats)
-		return MarshalResult(res)
+		return res, err
 	})
 }
 
 func (s *Server) handlePartitionEnergy(w http.ResponseWriter, r *http.Request) {
-	s.servePartition(w, r, true, func(ctx context.Context, req *PartitionRequest, opts hybridpart.Options) ([]byte, error) {
-		eng, err := hybridpart.NewEngine(
-			hybridpart.WithOptions(opts),
-			hybridpart.WithEnergyBudget(req.EnergyBudget),
-		)
-		if err != nil {
-			return nil, err
-		}
-		app, prof, err := requestProfile(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		res, err := eng.PartitionEnergyProfiled(ctx, app, prof)
-		if err != nil {
-			return nil, err
-		}
-		return MarshalEnergyResult(res)
+	s.servePartition(w, r, "energy", func(ctx context.Context, eng *hybridpart.Engine, app *hybridpart.App, prof *hybridpart.RunProfile) (any, error) {
+		return eng.PartitionEnergyProfiled(ctx, app, prof)
 	})
 }
 
 // handleSimulate runs the discrete-event co-simulator: the request's
 // workload is partitioned with the resolved knob set (the analytical
 // model), then its profiled trace replays against both the all-FPGA
-// baseline and the partitioned mapping under the requested frames/ports/
-// prefetch. Responses are fingerprint-cached and coalesced exactly like
-// /v1/partition, and a cache hit is byte-identical to Engine.Simulate's
-// wire encoding of the same run.
+// baseline and the partitioned mapping at the operating point the resolved
+// knobs name.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	var req SimulateRequest
-	if httpErr := decodeBody(w, r, &req); httpErr != nil {
-		s.writeError(w, httpErr)
-		return
-	}
-	if httpErr := req.validate(); httpErr != nil {
-		s.writeError(w, httpErr)
-		return
-	}
-	opts, httpErr := req.resolveOptions(false)
-	if httpErr != nil {
-		s.writeError(w, httpErr)
-		return
-	}
-	normalizeSimOptions(&opts)
-	// The sim knobs were folded into opts by resolveOptions (the one
-	// fingerprinted location), so the engine's configuration already is the
-	// requested operating point — no per-call SimOptions needed.
-	cost := simCost("simulate", opts)
-	if httpErr := checkScoringCost(cost); httpErr != nil {
-		s.writeError(w, httpErr)
-		return
-	}
-	s.serveCached(w, r, "/v1/simulate", req.fingerprint(opts), &req, cost,
-		func(ctx context.Context) ([]byte, error) {
-			eng, err := hybridpart.NewEngine(hybridpart.WithOptions(opts))
-			if err != nil {
-				return nil, err
-			}
-			app, prof, err := requestProfile(ctx, &req.PartitionRequest)
-			if err != nil {
-				return nil, err
-			}
-			rep, err := eng.SimulateProfiled(ctx, app, prof)
-			if err != nil {
-				return nil, err
-			}
-			return MarshalSimReport(rep)
-		})
+	s.servePartition(w, r, "simulate", func(ctx context.Context, eng *hybridpart.Engine, app *hybridpart.App, prof *hybridpart.RunProfile) (any, error) {
+		return eng.SimulateProfiled(ctx, app, prof)
+	})
 }
 
 // handleSweep evaluates a design-space sweep. The plain path runs the grid

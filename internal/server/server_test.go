@@ -154,7 +154,7 @@ func TestPartitionParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := MarshalResult(res)
+	want, err := Marshal(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,7 +581,7 @@ func TestCacheHitSpeedup(t *testing.T) {
 }
 
 // TestSimulateParity pins POST /v1/simulate to the library: the response
-// bytes are exactly MarshalSimReport of Engine.Simulate's report for the
+// bytes are exactly Marshal of Engine.Simulate's report for the
 // same workload and knobs — miss and hit alike.
 func TestSimulateParity(t *testing.T) {
 	s := newTestServer(t, Config{})
@@ -614,7 +614,7 @@ func TestSimulateParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := MarshalSimReport(rep)
+	want, err := Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
 	}

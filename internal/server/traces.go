@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"strconv"
 	"time"
@@ -20,10 +19,6 @@ import (
 // processes on a shared timeline. Peer reads merge data only — they touch
 // no span counters, so a forwarded request's spans are counted exactly
 // once fleet-wide, each on the replica that recorded them.
-
-// peerTraceTimeout bounds each peer's share of a trace assembly; a slow or
-// dead peer costs at most this, and the local view still renders.
-const peerTraceTimeout = 2 * time.Second
 
 // TraceSummaryJSON is one row of GET /debug/traces.
 type TraceSummaryJSON struct {
@@ -138,7 +133,7 @@ func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 
 // peerTraces collects the other replicas' views of trace id. Failures are
 // soft: an unreachable peer or a peer without the trace contributes
-// nothing.
+// nothing, and a slow one costs at most fleetPeerTimeout.
 func (s *Server) peerTraces(ctx context.Context, id obs.TraceID) []*obs.Trace {
 	cs := s.cluster
 	if cs == nil {
@@ -149,36 +144,13 @@ func (s *Server) peerTraces(ctx context.Context, id obs.TraceID) []*obs.Trace {
 		if peer == cs.self {
 			continue
 		}
-		if tr := s.fetchPeerTrace(ctx, peer, id); tr != nil {
+		var tj obs.TraceJSON
+		if s.fetchPeerJSON(ctx, peer+"/debug/traces/"+id.String()+"?local=1", &tj) != nil {
+			continue
+		}
+		if tr, err := obs.FromJSON(tj); err == nil {
 			out = append(out, tr)
 		}
 	}
 	return out
-}
-
-func (s *Server) fetchPeerTrace(ctx context.Context, peer string, id obs.TraceID) *obs.Trace {
-	ctx, cancel := context.WithTimeout(ctx, peerTraceTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		peer+"/debug/traces/"+id.String()+"?local=1", nil)
-	if err != nil {
-		return nil
-	}
-	resp, err := s.cluster.client.Do(req)
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil
-	}
-	var tj obs.TraceJSON
-	if err := json.NewDecoder(resp.Body).Decode(&tj); err != nil {
-		return nil
-	}
-	tr, err := obs.FromJSON(tj)
-	if err != nil {
-		return nil
-	}
-	return tr
 }

@@ -16,70 +16,16 @@ import (
 	"hybridpart"
 )
 
-// Wire types of the partitioning service. These are the one JSON shape of a
-// partitioning result: the service's /v1/partition responses and the hpart
-// -json CLI output both encode through them, so machine consumers see a
-// single schema regardless of transport.
+// ResultJSON is the body of POST /v1/partition: the library Result is its
+// own wire form, and hpart -json encodes the same type. The name stays for
+// clients that decode the body through this package, such as perfbench.
+type ResultJSON = hybridpart.Result
 
-// ResultJSON is the wire form of hybridpart.Result. The simulated_* fields
-// are present whenever the run consulted the co-simulator (a sim knob, the
-// simulated objective or re-ranking); met always refers to the analytical
-// t_total against the constraint.
-type ResultJSON struct {
-	InitialCycles     int64   `json:"initial_cycles"`
-	InitialPartitions int     `json:"initial_partitions"`
-	FinalCycles       int64   `json:"final_cycles"`
-	CyclesInCGC       int64   `json:"cycles_in_cgc"`
-	TFPGA             int64   `json:"t_fpga"`
-	TCoarse           int64   `json:"t_coarse"`
-	TComm             int64   `json:"t_comm"`
-	Constraint        int64   `json:"constraint"`
-	Met               bool    `json:"met"`
-	ReductionPct      float64 `json:"reduction_pct"`
-	Objective         string  `json:"objective"`
-	Moved             []int   `json:"moved,omitempty"`
-	Unmappable        []int   `json:"unmappable,omitempty"`
-	Skipped           []int   `json:"skipped,omitempty"`
-
-	SimulatedCycles         int64   `json:"simulated_cycles,omitempty"`
-	SimulatedBaselineCycles int64   `json:"simulated_baseline_cycles,omitempty"`
-	SimulatedSpeedup        float64 `json:"simulated_speedup,omitempty"`
-}
-
-// NewResultJSON converts a library Result to its wire form.
-func NewResultJSON(r *hybridpart.Result) ResultJSON {
-	return ResultJSON{
-		InitialCycles:     r.InitialCycles,
-		InitialPartitions: r.InitialPartitions,
-		FinalCycles:       r.FinalCycles,
-		CyclesInCGC:       r.CyclesInCGC,
-		TFPGA:             r.TFPGA,
-		TCoarse:           r.TCoarse,
-		TComm:             r.TComm,
-		Constraint:        r.Constraint,
-		Met:               r.Met,
-		ReductionPct:      r.ReductionPct(),
-		Objective:         r.Objective.String(),
-		Moved:             r.Moved,
-		Unmappable:        r.Unmappable,
-		Skipped:           r.Skipped,
-
-		SimulatedCycles:         r.SimulatedCycles,
-		SimulatedBaselineCycles: r.SimulatedBaselineCycles,
-		SimulatedSpeedup:        r.SimulatedSpeedup,
-	}
-}
-
-// MarshalResult is the canonical encoding of a partitioning result: compact
-// JSON of the wire form plus a trailing newline. The service caches and
-// serves exactly these bytes, which is what makes a cache hit byte-identical
-// to the library path.
-func MarshalResult(r *hybridpart.Result) ([]byte, error) {
-	return marshalLine(NewResultJSON(r))
-}
-
-// marshalLine is compact JSON of v plus a trailing newline.
-func marshalLine(v any) ([]byte, error) {
+// Marshal is the canonical encoding of a cached endpoint's product — a
+// Result, EnergyResult or SimReport: compact JSON plus a trailing newline.
+// The service caches and serves exactly these bytes, which is what makes a
+// cache hit byte-identical to the library path.
+func Marshal(v any) ([]byte, error) {
 	b, err := json.Marshal(v)
 	if err != nil {
 		return nil, err
@@ -87,20 +33,14 @@ func marshalLine(v any) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// MarshalEnergyResult is MarshalResult for the energy-constrained engine:
-// the library EnergyResult is its own wire form.
-func MarshalEnergyResult(r *hybridpart.EnergyResult) ([]byte, error) {
-	return marshalLine(r)
-}
-
-// PartitionRequest is the body of POST /v1/partition and
-// /v1/partition-energy. The workload is either a built-in benchmark
+// PartitionRequest is the body of POST /v1/partition, /v1/partition-energy
+// and /v1/simulate. The workload is either a built-in benchmark
 // (Benchmark + Seed) or inline mini-C source (Source + Entry, optionally
 // Args and Inputs for the profiling run); exactly one of the two must be
 // given. The platform comes from Preset or from a full Options override
 // (mutually exclusive), with Constraint as a common shortcut layered on
 // top. EnergyBudget is required by /v1/partition-energy and rejected by
-// /v1/partition.
+// the other two.
 type PartitionRequest struct {
 	// Benchmark selects a built-in application ("ofdm", "jpeg"); Seed its
 	// deterministic input vectors.
@@ -129,9 +69,11 @@ type PartitionRequest struct {
 	// Rerank re-scores the top-k trajectory prefixes by simulation (-1 =
 	// all). Frames, Ports and Prefetch set the co-simulation operating
 	// point; on /v1/partition any of them makes the response carry the
-	// simulated_* fields. All five fold into the resolved Options — the one
-	// fingerprinted location — so requests differing in any sim knob can
-	// never share a cache entry.
+	// simulated_* fields, and on /v1/simulate zero frames or ports select
+	// the analytical model's operating point (one frame, one port). All
+	// five fold into the resolved Options — the one fingerprinted location
+	// — so requests differing in any sim knob can never share a cache
+	// entry.
 	Objective string `json:"objective,omitempty"`
 	Rerank    int    `json:"rerank,omitempty"`
 	Frames    int    `json:"frames,omitempty"`
@@ -371,6 +313,32 @@ func checkScoringCost(cost int) *httpError {
 	return nil
 }
 
+// resolve runs a decoded request of the given kind ("partition", "energy"
+// or "simulate") through every step before its cache lookup, in the order
+// that decides which error a bad request gets: the shape check, the
+// service's default objective (partition only), the knob set, the zero sim
+// knobs' defaults (simulate only) and the scoring-cost cap, which an
+// energy request, priced at 0, always passes. It returns the resolved knob
+// set and the request's admission price.
+func (r *PartitionRequest) resolve(kind string) (hybridpart.Options, int, *httpError) {
+	energy := kind == "energy"
+	if e := r.validate(energy); e != nil {
+		return hybridpart.Options{}, 0, e
+	}
+	if kind == "partition" {
+		r.applyDefaultObjective()
+	}
+	opts, e := r.resolveOptions(energy)
+	if e != nil {
+		return hybridpart.Options{}, 0, e
+	}
+	if kind == "simulate" {
+		normalizeSimOptions(&opts)
+	}
+	cost := simCost(kind, opts)
+	return opts, cost, checkScoringCost(cost)
+}
+
 // entryOrDefault returns the entry function for source workloads.
 func (r *PartitionRequest) entryOrDefault() string {
 	if r.Entry != "" {
@@ -492,26 +460,11 @@ func appendInt(b []byte, v int32) []byte {
 	return append(b, d[i:]...)
 }
 
-// SimulateRequest is the body of POST /v1/simulate: a PartitionRequest
-// workload+platform (energy_budget excluded), whose frames/ports/prefetch/
-// objective/rerank knobs select the simulated operating point. Zero
-// frames/ports select the analytical model's operating point (one frame,
-// one port).
-type SimulateRequest struct {
-	PartitionRequest
-}
-
 // maxSimFrames bounds one request's trace replays. Each frame re-walks the
 // whole profiled trace (millions of events for JPEG), so frames is a
 // client-controlled work multiplier and must be capped like /v1/sweep's
 // grid size.
 const maxSimFrames = 1024
-
-// validate checks the simulate request's shape (the base partition-shape
-// rules already cover the sim knobs).
-func (r *SimulateRequest) validate() *httpError {
-	return r.PartitionRequest.validate(false)
-}
 
 // normalizeSimOptions folds the documented-equivalent zero sim knobs of a
 // resolved knob set onto their defaults (0 frames/ports = 1, the model's
@@ -529,21 +482,6 @@ func normalizeSimOptions(opts *hybridpart.Options) {
 	if opts.SimPorts == 0 {
 		opts.SimPorts = 1
 	}
-}
-
-// fingerprint is the simulate request's cache key: the base fingerprint
-// under its own kind, so simulate results never collide with partition
-// results for the same workload. The sim knobs need no separate hashing —
-// resolveOptions folded them into opts, whose Fingerprint the base covers.
-func (r *SimulateRequest) fingerprint(opts hybridpart.Options) string {
-	return r.PartitionRequest.fingerprint("simulate", opts)
-}
-
-// MarshalSimReport is MarshalResult for the co-simulator: the canonical
-// cached-and-served encoding of a simulation report, which is its own wire
-// form.
-func MarshalSimReport(r *hybridpart.SimReport) ([]byte, error) {
-	return marshalLine(r)
 }
 
 // PresetJSON is one row of GET /v1/presets.
